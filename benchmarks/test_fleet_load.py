@@ -1,14 +1,12 @@
-"""Fleet load benchmark: 1,000 devices over 4 shards, per crypto backend.
+"""Fleet load benchmark: 1,000 devices over 4 shards.
 
-The acceptance experiment for the multi-tenant runtime and the crypto
-backend registry: the default :class:`~repro.runtime.fleet.FleetConfig`
-fleet runs end to end through ``WebServer.dispatch`` once per registered
-crypto backend, and every run must reproduce the same report byte for
-byte — metrics summary *and* event trace — whether the primitives come
-from the from-scratch reference backend or the accelerated hot-path
-backend.  The regenerated report (throughput, p50/p99 latency, cache hit
-rate, shard balance, plus host wall-clock per backend) lands in
-``benchmarks/results/fleet_load.txt``.
+The acceptance experiment for the multi-tenant runtime: the default
+:class:`~repro.runtime.fleet.FleetConfig` fleet runs end to end through
+``WebServer.dispatch`` twice, and the replay must reproduce the first
+run's report byte for byte — metrics summary *and* event trace.  The
+regenerated report lands in ``benchmarks/results/fleet_load.txt``: the
+summary's throughput, p50/p99 latency and utilization are modeled on the
+virtual clock; the one host wall-clock row is measured.
 """
 
 import time
@@ -25,27 +23,14 @@ def _timed_run(config: FleetConfig):
 
 
 class TestFleetLoad:
-    def test_thousand_device_fleet_replays_identically_across_backends(self):
+    def test_thousand_device_fleet_replays_identically(self):
         config = FleetConfig()  # 1000 devices, 4 shards, seed 7
         first, first_wall = _timed_run(config)
+        replay, _ = _timed_run(config)
 
-        # One run per explicit backend: the reference run doubles as the
-        # baseline for the speedup row, the accelerated run as the replay
-        # witness (the default config resolves to one of the two, so at
-        # least one backend is exercised twice).
-        reference, reference_wall = _timed_run(
-            FleetConfig(crypto_backend="reference"))
-        accelerated, accelerated_wall = _timed_run(
-            FleetConfig(crypto_backend="accelerated"))
-
-        # Determinism and backend equivalence: byte-identical summaries
-        # and identical event traces across all three runs.
-        assert first.summary.encode("utf-8") == \
-            reference.summary.encode("utf-8")
-        assert first.summary.encode("utf-8") == \
-            accelerated.summary.encode("utf-8")
-        assert first.trace == reference.trace
-        assert first.trace == accelerated.trace
+        # Determinism: byte-identical summaries and identical event traces.
+        assert first.summary.encode("utf-8") == replay.summary.encode("utf-8")
+        assert first.trace == replay.trace
 
         # The scenario is healthy: traffic flowed and only the workload's
         # expected rejection codes (risk-induced terminations) appeared.
@@ -55,30 +40,14 @@ class TestFleetLoad:
         assert first.metrics.count("register", "ok") >= 0.99 * config.n_devices
         assert first.cache.hit_rate("cert-signature") > 0.9
 
-        # The accelerated backend must be dramatically faster on the same
-        # byte-identical workload.  The asserted floor is deliberately
-        # below the ~10x measured on an idle host so shared-runner noise
-        # cannot flake the gate; fleet_load.txt records the real ratio.
         events = len(first.trace)
-        speedup = reference_wall / accelerated_wall
-        assert speedup >= 4.0, (
-            f"accelerated backend only {speedup:.1f}x faster "
-            f"({reference_wall:.1f}s vs {accelerated_wall:.1f}s)")
-
         emit("fleet_load", "\n".join([
             first.summary,
             "",
-            f"replay check: all backend runs byte-identical "
-            f"({events} events)",
+            f"replay check: two runs byte-identical ({events} events)",
             "",
-            "host wall-clock by crypto backend:",
-            f"  reference    {reference_wall:6.1f} s  "
-            f"{events / reference_wall:7.1f} events/s",
-            f"  accelerated  {accelerated_wall:6.1f} s  "
-            f"{events / accelerated_wall:7.1f} events/s  "
-            f"({speedup:.1f}x speedup)",
-            f"  default      {first_wall:6.1f} s  "
-            f"{events / first_wall:7.1f} events/s",
+            "host wall-clock (measured: one run, warm-up included):",
+            f"  {first_wall:6.1f} s  {events / first_wall:7.1f} events/s",
         ]))
 
     def test_thousand_device_fleet_is_hash_seed_invariant(self):

@@ -13,8 +13,8 @@ Full-system reproduction of Feng, Liu, Carbunar, Boumber & Shi (2012):
   impressions, minutiae, matching, quality);
 - :mod:`repro.net` — devices, web servers, CA, untrusted channel, the
   Fig. 9/10 protocols, identity reset/transfer;
-- :mod:`repro.crypto` — from-scratch SHA-256/MD5/HMAC/DRBG/RSA/ChaCha20 +
-  certificates;
+- :mod:`repro.crypto` — HMAC-DRBG, RSA, ChaCha20 and certificates, with
+  stdlib SHA-256/MD5/HMAC;
 - :mod:`repro.touchgen` — touch workload generation (Fig. 7);
 - :mod:`repro.baselines` — password, swipe sensor, keystroke dynamics,
   cookie sessions, fuzzy vault;

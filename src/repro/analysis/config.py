@@ -152,12 +152,11 @@ class AnalysisConfig:
     #: Symbols that count as weak-hash use (CD203).
     weak_hash_names: tuple[str, ...] = ("md5", "MD5", "md5_hex", "hmac_md5")
 
-    #: Modules allowed to reference MD5: the primitive itself, the HMAC
-    #: layer that wraps it for RFC test vectors, the crypto package surface,
-    #: and the frame-hash display path the paper scopes MD5 to.
+    #: Modules allowed to reference MD5: the digest module that defines
+    #: it, the crypto package surface, and the frame-hash display path the
+    #: paper scopes MD5 to.
     weak_hash_allowed_modules: tuple[str, ...] = (
-        "repro.crypto", "repro.crypto.md5", "repro.crypto.mac",
-        "repro.crypto.backend", "repro.flock.display",
+        "repro.crypto", "repro.crypto.mac", "repro.flock.display",
     )
 
     #: Extra identifier patterns (beyond :attr:`secret_patterns`) that seed
@@ -180,10 +179,6 @@ class AnalysisConfig:
         # Size observers and seeded-RNG constructors: their outputs do
         # not reveal the material that parameterised them.
         "*length*", "bit_length", "default_rng",
-        # The CryptoBackend registry API: signatures and verification
-        # verdicts are public by protocol, and a DRBG seals its seed the
-        # same way the HmacDrbg constructor always has.
-        "rsa_sign", "rsa_verify*", "make_drbg",
     )
 
     #: Callable-name patterns whose results demand constant-time equality
@@ -320,8 +315,6 @@ class AnalysisConfig:
         "verify*", "attest*", "mac", "*_mac", "compare_*",
         "bool", "type", "id", "isinstance", "hasattr", "range",
         "bit_length", "*length*", "default_rng",
-        # CryptoBackend registry methods with public outputs.
-        "rsa_sign", "rsa_verify*", "make_drbg",
     )
 
     #: Extra identifier patterns (beyond :attr:`secret_patterns`) that
@@ -343,15 +336,9 @@ class AnalysisConfig:
     #: so the branch-trace witness pins their Python-level behaviour
     #: instead.
     sc_modpow_boundary: tuple[str, ...] = (
+        "repro.crypto.rsa.RsaPrivateKey.__post_init__",
         "repro.crypto.rsa.RsaPrivateKey._private_op",
-        "repro.crypto.rsa._modinv",
-        "repro.crypto.rsa._egcd",
-        # The accelerated backend's CRT/Montgomery interior: the same
-        # bigint primitives, reached through the registry's hot path.
-        "repro.crypto.backend._crt_params",
-        "repro.crypto.backend._crt_private_op",
-        "repro.crypto.backend._ladder_pow",
-        "repro.crypto.backend.AcceleratedBackend.rsa_decrypt",
+        "repro.crypto.rsa._ladder_pow",
     )
 
     # ------------------------------------------------- protocol verification

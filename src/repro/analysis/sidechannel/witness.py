@@ -16,11 +16,11 @@ Trace capture:
 - Python < 3.12: ``sys.settrace`` with ``f_trace_opcodes`` — the full
   opcode stream, which subsumes branch events at higher overhead.
 
-Only frames from ``repro.crypto`` are recorded, minus the audited
-modpow boundary's interior (``_egcd``/``_modinv``, whose recursion
-depth is value-dependent by declared policy — the same functions that
-carry the reason-coded SC suppressions).  ``_private_op`` itself stays
-in the trace: its straight-line body must not vary.
+Only frames from ``repro.crypto`` are recorded — including the audited
+modpow boundary (the CRT ``_private_op`` and the ``_ladder_pow``
+decryption runs on), whose Python-level control flow must not vary even
+though CPython's bigint arithmetic below it may.  The traced code is the
+code every caller runs: there is one RSA implementation.
 
 Run the package as a module for the CI smoke check (the printing entry
 point lives in ``__main__``)::
@@ -47,14 +47,9 @@ __all__ = ["WitnessResult", "record_trace", "compare_traces",
 #: Directory whose code objects the recorder keeps.
 _CRYPTO_DIR = str(Path(crypto.__file__).resolve().parent)
 
-#: The audited modpow boundary's value-dependent interior (matches the
-#: [tool.trust-lint.sc] modpow-boundary policy): excluded from traces.
-_BOUNDARY_INTERIOR = frozenset({"_egcd", "_modinv"})
-
 
 def _in_scope(code) -> bool:
-    return (code.co_filename.startswith(_CRYPTO_DIR)
-            and code.co_name not in _BOUNDARY_INTERIOR)
+    return code.co_filename.startswith(_CRYPTO_DIR)
 
 
 @dataclass(frozen=True)
@@ -140,7 +135,7 @@ def _record_settrace(fn: Callable[[], object],
 def record_trace(fn: Callable[[], object],
                  in_scope: Callable = _in_scope) -> list[tuple]:
     """Control-flow trace of ``fn()`` restricted to ``in_scope`` code
-    objects (by default: ``repro.crypto`` minus the audited boundary)."""
+    objects (by default: everything in ``repro.crypto``)."""
     if hasattr(sys, "monitoring"):
         try:
             return _record_monitoring(fn, in_scope)
@@ -189,8 +184,8 @@ def _case_chacha20_keystream():
 
 
 def _case_rsa_private_op():
-    """The private-key operation outside the audited modpow boundary is
-    straight-line: two unrelated keys signing one message trace alike."""
+    """The CRT private-key operation is straight-line at the Python
+    level: two unrelated keys signing one message trace alike."""
     key_a = generate_keypair(HmacDrbg(b"\x01" * 32), bits=512)
     key_b = generate_keypair(HmacDrbg(b"\x02" * 32), bits=512)
     message = b"account binding attestation"
@@ -200,7 +195,7 @@ def _case_rsa_private_op():
 
 
 def _case_rsa_decrypt():
-    """PKCS#1 v1.5 unpadding must not leak the separator position:
+    """Neither the Montgomery ladder nor PKCS#1 v1.5 unpadding may leak:
     decrypting short vs. long plaintexts traces identically."""
     rng = HmacDrbg(b"\x03" * 32)
     key = generate_keypair(HmacDrbg(b"\x04" * 32), bits=512)

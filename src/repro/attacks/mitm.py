@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto import Certificate, default_backend
+from repro.crypto import Certificate, HmacDrbg, generate_keypair
 from repro.fingerprint import MasterFingerprint
 from repro.net import (
     MobileDevice,
@@ -57,9 +57,7 @@ def key_substitution_attack(device: MobileDevice, server: WebServer,
                             master: MasterFingerprint,
                             rng: np.random.Generator) -> AttackResult:
     """Swap the registered public key for the attacker's key in flight."""
-    backend = default_backend()
-    attacker_key = backend.generate_keypair(
-        backend.make_drbg(b"mitm-attacker"), bits=1024)
+    attacker_key = generate_keypair(HmacDrbg(b"mitm-attacker"), bits=1024)
 
     def tamper(envelope, direction):
         if envelope.msg_type == "registration-submit":
@@ -87,14 +85,12 @@ def certificate_substitution_attack(device: MobileDevice, server: WebServer,
                                     master: MasterFingerprint,
                                     rng: np.random.Generator) -> AttackResult:
     """Impersonate the server with a self-signed lookalike certificate."""
-    backend = default_backend()
-    attacker_key = backend.generate_keypair(
-        backend.make_drbg(b"mitm-fake-server"), bits=1024)
+    attacker_key = generate_keypair(HmacDrbg(b"mitm-fake-server"), bits=1024)
     fake_cert = Certificate(
         serial=999999, subject=server.domain, role="web-server",
         public_key=attacker_key.public_key, not_before=0,
         not_after=10**9, issuer="trust-ca",
-        signature=backend.rsa_sign(attacker_key, b"self-signed"),
+        signature=attacker_key.sign(b"self-signed"),
     )
 
     def tamper(envelope, direction):
@@ -103,8 +99,7 @@ def certificate_substitution_attack(device: MobileDevice, server: WebServer,
             # Re-sign the page with the attacker key so the MAC matches
             # the substituted certificate.
             envelope.fields.pop("mac", None)
-            envelope.set_mac(
-                backend.rsa_sign(attacker_key, envelope.signed_bytes()))
+            envelope.set_mac(attacker_key.sign(envelope.signed_bytes()))
         return envelope
 
     channel = UntrustedChannel(tamper_hook=tamper)

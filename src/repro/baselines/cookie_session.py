@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto import CryptoBackend, constant_time_equal, default_backend
+from repro.crypto import HmacDrbg, constant_time_equal, sha256
 from repro.net.message import Envelope, ProtocolError
 
 __all__ = ["CookieWebServer"]
@@ -28,12 +28,9 @@ class _CookieSession:
 class CookieWebServer:
     """Password + bearer-cookie service (no TRUST hardware involved)."""
 
-    def __init__(self, domain: str, seed: bytes,
-                 backend: CryptoBackend | None = None) -> None:
+    def __init__(self, domain: str, seed: bytes) -> None:
         self.domain = domain
-        self.backend = backend if backend is not None else default_backend()
-        self._rng = self.backend.make_drbg(seed,
-                                           personalization=domain.encode())
+        self._rng = HmacDrbg(seed, personalization=domain.encode())
         self._passwords: dict[str, bytes] = {}
         self._sessions: dict[bytes, _CookieSession] = {}
         self.rejections = 0
@@ -42,13 +39,13 @@ class CookieWebServer:
         """Register an account with a password (the only credential here)."""
         if account in self._passwords:
             raise ValueError(f"account {account!r} exists")
-        self._passwords[account] = self.backend.sha256(password.encode())
+        self._passwords[account] = sha256(password.encode())
 
     def login(self, account: str, password: str) -> Envelope:
         """Password check; on success, issue a bearer cookie."""
         stored = self._passwords.get(account)
         if stored is None or not constant_time_equal(
-                stored, self.backend.sha256(password.encode())):
+                stored, sha256(password.encode())):
             self.rejections += 1
             raise ProtocolError("bad-credentials", account)
         cookie = self._rng.generate(16)

@@ -166,8 +166,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
     config = FleetConfig(n_devices=args.devices, n_shards=args.shards,
                          seed=args.seed,
-                         requests_per_device=args.requests,
-                         crypto_backend=args.backend)
+                         requests_per_device=args.requests)
     result = FleetSimulation(config).run()
     print(result.summary)
     if result.metrics.throughput_rps <= 0:
@@ -259,9 +258,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="web-server replicas (default 4)")
     load.add_argument("--requests", type=int, default=3,
                       help="content requests per device (default 3)")
-    load.add_argument("--backend", default="",
-                      help="crypto backend registry name (default: the "
-                           "process default, see REPRO_CRYPTO_BACKEND)")
     load.set_defaults(func=_cmd_load)
 
     trace = subparsers.add_parser(

@@ -1,22 +1,18 @@
-"""From-scratch cryptographic substrate for the TRUST protocols.
+"""Cryptographic substrate for the TRUST protocols.
 
-Everything the FLock crypto processor, web servers and CA need: SHA-256 and
-MD5 hashing, HMAC/HKDF, an HMAC-DRBG, RSA key generation / signatures /
-encryption, the ChaCha20 session cipher, and CA-signed certificates.  All
-primitives are pure Python and verified against published test vectors in
+Everything the FLock crypto processor, web servers and CA need, as flat
+primitives: SHA-256 and MD5 digests, HMAC/HKDF, an HMAC-DRBG, RSA key
+generation / signatures / encryption, the ChaCha20 session cipher, and
+CA-signed certificates.  Digests and HMAC are thin functions over
+:mod:`hashlib`/:mod:`hmac`; what the stdlib lacks is written here — HKDF,
+the DRBG state machine, Miller-Rabin prime generation, RSA with cached CRT
+parameters and a branchless Montgomery-ladder decryption, ChaCha20, the
+constant-time comparator and the certificate format.  Every primitive is
+checked against published test vectors and recorded known answers in
 ``tests/crypto``.
-
-Consumers access primitives through a :class:`~repro.crypto.backend.
-CryptoBackend` from the backend registry: the pure-Python modules here are
-the ``reference`` engine (the executable specification), and the
-``accelerated`` engine reimplements the hot paths byte-identically on the
-stdlib.  Select per-process with ``REPRO_CRYPTO_BACKEND`` or per-run via
-explicit injection.
 """
 
-from .sha256 import SHA256, sha256, sha256_hex
-from .md5 import MD5, md5, md5_hex
-from .mac import HMAC, hmac_sha256, hmac_md5, hkdf_sha256, constant_time_equal
+from .mac import sha256, md5, hmac_sha256, hkdf_sha256, constant_time_equal
 from .rng import HmacDrbg
 from .primes import is_probable_prime, generate_prime
 from .rsa import (
@@ -28,27 +24,13 @@ from .rsa import (
 )
 from .chacha20 import chacha20_block, chacha20_xor, SessionCipher, AuthenticationError
 from .cert import Certificate, CertificateError, CertificateAuthority
-from .backend import (
-    CryptoBackend,
-    AcceleratedBackend,
-    register_backend,
-    available_backends,
-    get_backend,
-    default_backend,
-    set_default_backend,
-)
 
 __all__ = [
-    "SHA256", "sha256", "sha256_hex",
-    "MD5", "md5", "md5_hex",
-    "HMAC", "hmac_sha256", "hmac_md5", "hkdf_sha256", "constant_time_equal",
+    "sha256", "md5", "hmac_sha256", "hkdf_sha256", "constant_time_equal",
     "HmacDrbg",
     "is_probable_prime", "generate_prime",
     "RsaPublicKey", "RsaPrivateKey", "generate_keypair",
     "SignatureError", "DecryptionError",
     "chacha20_block", "chacha20_xor", "SessionCipher", "AuthenticationError",
     "Certificate", "CertificateError", "CertificateAuthority",
-    "CryptoBackend", "AcceleratedBackend",
-    "register_backend", "available_backends", "get_backend",
-    "default_backend", "set_default_backend",
 ]

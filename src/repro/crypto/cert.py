@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .mac import sha256
 from .rng import HmacDrbg
-from .rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
+from .rsa import RsaPublicKey, generate_keypair
 
 __all__ = ["Certificate", "CertificateError", "CertificateAuthority"]
 
@@ -116,21 +117,12 @@ class Certificate:
             raise CertificateError("certificate encoding corrupt")
         return cert
 
-    def fingerprint(self, backend=None) -> bytes:
+    def fingerprint(self) -> bytes:
         """SHA-256 digest of the wire form — the memoization key for
-        signature-check caching (covers TBS bytes *and* signature).
+        signature-check caching (covers TBS bytes *and* signature)."""
+        return sha256(self.to_bytes())
 
-        Backend-independent by construction: every backend's SHA-256 is
-        byte-identical, so fingerprints computed under different engines
-        index the same cache entries.
-        """
-        if backend is None:
-            from .backend import default_backend
-            backend = default_backend()
-        return backend.sha256(self.to_bytes())
-
-    def signature_valid(self, ca_public_key: RsaPublicKey,
-                        backend=None) -> bool:
+    def signature_valid(self, ca_public_key: RsaPublicKey) -> bool:
         """Whether the CA signature checks out — the *pure* part of
         :meth:`verify`.
 
@@ -140,11 +132,7 @@ class Certificate:
         and role checks stay in :meth:`verify` and must be recomputed on
         every use.
         """
-        if backend is None:
-            from .backend import default_backend
-            backend = default_backend()
-        return backend.rsa_verify(ca_public_key, self.tbs_bytes(),
-                                  self.signature)
+        return ca_public_key.verify(self.tbs_bytes(), self.signature)
 
     def check_constraints(self, now: int,
                           expected_role: str | None = None) -> None:
@@ -163,14 +151,14 @@ class Certificate:
             )
 
     def verify(self, ca_public_key: RsaPublicKey, now: int,
-               expected_role: str | None = None, backend=None) -> None:
+               expected_role: str | None = None) -> None:
         """Validate signature, validity window and (optionally) the role.
 
         Raises :class:`CertificateError` on any failure — callers treat a
         bad certificate as a hard protocol abort, mirroring step 2 of the
         Fig. 9 binding process.
         """
-        if not self.signature_valid(ca_public_key, backend=backend):
+        if not self.signature_valid(ca_public_key):
             raise CertificateError(f"bad CA signature on certificate for {self.subject!r}")
         self.check_constraints(now, expected_role)
 
@@ -181,15 +169,10 @@ class CertificateAuthority:
     DEFAULT_LIFETIME = 10_000_000  # logical ticks
 
     def __init__(self, name: str = "trust-ca", rng: HmacDrbg | None = None,
-                 key_bits: int = 1024, backend=None) -> None:
-        if backend is None:
-            from .backend import default_backend
-            backend = default_backend()
-        self.backend = backend
+                 key_bits: int = 1024) -> None:
         self.name = name
-        self._rng = rng if rng is not None else backend.make_drbg(
-            b"trust-ca-default-seed")
-        self._key = backend.generate_keypair(self._rng, bits=key_bits)
+        self._rng = rng if rng is not None else HmacDrbg(b"trust-ca-default-seed")
+        self._key = generate_keypair(self._rng, bits=key_bits)
         self._next_serial = 1
         self._issued: dict[int, Certificate] = {}
         self._revoked: set[int] = set()
@@ -212,7 +195,7 @@ class CertificateAuthority:
             not_before=now, not_after=now + lifetime, issuer=self.name,
             signature=b"",
         )
-        signature = self.backend.rsa_sign(self._key, unsigned.tbs_bytes())
+        signature = self._key.sign(unsigned.tbs_bytes())
         cert = Certificate(
             serial=serial, subject=subject, role=role, public_key=public_key,
             not_before=now, not_after=now + lifetime, issuer=self.name,
@@ -233,6 +216,6 @@ class CertificateAuthority:
 
     def check(self, cert: Certificate, now: int) -> None:
         """Full online check: signature + validity + revocation."""
-        cert.verify(self.public_key, now, backend=self.backend)
+        cert.verify(self.public_key, now)
         if self.is_revoked(cert.serial):
             raise CertificateError(f"certificate serial {cert.serial} is revoked")

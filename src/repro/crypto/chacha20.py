@@ -3,14 +3,17 @@
 The Fig. 10 continuous-authentication protocol encrypts all post-login
 traffic under a session key.  ChaCha20 is implemented here (rather than AES)
 because it is compact and fast in pure Python, and it pairs with HMAC-SHA256
-in an encrypt-then-MAC construction (`SessionCipher`).
+in an encrypt-then-MAC construction (`SessionCipher`).  The block function
+is from scratch (the stdlib has no stream cipher); keystream blocks are
+computed afresh for every call, so no session keystream outlives the
+message it encrypts.
 """
 
 from __future__ import annotations
 
 import struct
 
-from .mac import constant_time_equal
+from .mac import constant_time_equal, hkdf_sha256, hmac_sha256
 
 __all__ = ["chacha20_block", "chacha20_xor", "SessionCipher", "AuthenticationError"]
 
@@ -61,12 +64,14 @@ def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
 
 def chacha20_xor(key: bytes, nonce: bytes, data: bytes, initial_counter: int = 1) -> bytes:
     """Encrypt/decrypt ``data`` (XOR with the keystream)."""
-    out = bytearray()
-    for block_index in range((len(data) + 63) // 64):
-        keystream = chacha20_block(key, initial_counter + block_index, nonce)
-        chunk = data[block_index * 64:(block_index + 1) * 64]
-        out += bytes(c ^ k for c, k in zip(chunk, keystream))
-    return bytes(out)
+    # join/from_bytes degrade gracefully to b"" for empty input, so there
+    # is no data-dependent early exit.
+    keystream = b"".join(
+        chacha20_block(key, initial_counter + block_index, nonce)
+        for block_index in range((len(data) + 63) // 64))[:len(data)]
+    # One fused bigint XOR instead of a Python loop per byte.
+    return (int.from_bytes(data, "little")
+            ^ int.from_bytes(keystream, "little")).to_bytes(len(data), "little")
 
 
 class SessionCipher:
@@ -81,15 +86,10 @@ class SessionCipher:
     TAG_SIZE = 32
     NONCE_SIZE = 12
 
-    def __init__(self, session_key: bytes, backend=None) -> None:
+    def __init__(self, session_key: bytes) -> None:
         if len(session_key) < 16:
             raise ValueError("session key must be at least 16 bytes")
-        if backend is None:
-            from .backend import default_backend
-            backend = default_backend()
-        self._backend = backend
-        material = backend.hkdf_sha256(session_key, 64,
-                                       info=b"trust-session-cipher")
+        material = hkdf_sha256(session_key, 64, info=b"trust-session-cipher")
         self._enc_key = material[:32]
         self._mac_key = material[32:]
         self._send_counter = 0
@@ -98,9 +98,8 @@ class SessionCipher:
         """Return nonce || ciphertext || tag."""
         nonce = self._send_counter.to_bytes(self.NONCE_SIZE, "big")
         self._send_counter += 1
-        ciphertext = self._backend.chacha20_xor(self._enc_key, nonce, plaintext)
-        tag = self._backend.hmac_sha256(
-            self._mac_key, nonce + associated_data + ciphertext)
+        ciphertext = chacha20_xor(self._enc_key, nonce, plaintext)
+        tag = hmac_sha256(self._mac_key, nonce + associated_data + ciphertext)
         return nonce + ciphertext + tag
 
     def decrypt(self, blob: bytes, associated_data: bytes = b"") -> bytes:
@@ -110,8 +109,7 @@ class SessionCipher:
         nonce = blob[:self.NONCE_SIZE]
         tag = blob[-self.TAG_SIZE:]
         ciphertext = blob[self.NONCE_SIZE:-self.TAG_SIZE]
-        expected = self._backend.hmac_sha256(
-            self._mac_key, nonce + associated_data + ciphertext)
+        expected = hmac_sha256(self._mac_key, nonce + associated_data + ciphertext)
         if not constant_time_equal(tag, expected):
             raise AuthenticationError("MAC verification failed")
-        return self._backend.chacha20_xor(self._enc_key, nonce, ciphertext)
+        return chacha20_xor(self._enc_key, nonce, ciphertext)

@@ -1,70 +1,41 @@
-"""HMAC (RFC 2104) and HKDF (RFC 5869) built on the in-repo hash functions.
+"""Digests, HMAC and HKDF: thin functions over :mod:`hashlib` and :mod:`hmac`.
 
 The TRUST protocols (Figs. 9-10) authenticate every message with a MAC keyed
 either by an asymmetric signature (registration) or by the per-login session
-key (continuous authentication).  This module provides the symmetric-keyed
-building block plus a key-derivation function used to expand session keys
-into separate encryption and MAC keys.
+key (continuous authentication), and FLock's frame hash engine digests every
+displayed frame with SHA-256 or MD5.  The stdlib computes all of these; this
+module fixes the call shapes the rest of the tree uses (bytes in, digest
+bytes out) and adds what the stdlib lacks: HKDF (RFC 5869), used to expand
+session keys into separate encryption and MAC keys, and the timing-safe
+comparator every secret compare routes through.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Type
+import hashlib
+import hmac
 
-from .sha256 import SHA256
-from .md5 import MD5
-
-__all__ = ["HMAC", "hmac_sha256", "hmac_md5", "hkdf_sha256", "constant_time_equal"]
+__all__ = ["sha256", "md5", "hmac_sha256", "hkdf_sha256", "constant_time_equal"]
 
 
-class HMAC:
-    """Keyed-hash message authentication code over a configurable hash."""
+def sha256(data: bytes) -> bytes:
+    """One-shot SHA-256 digest of ``data``."""
+    return hashlib.sha256(data).digest()
 
-    def __init__(self, key: bytes, message: bytes = b"", hash_cls: Type = SHA256) -> None:
-        if not isinstance(key, (bytes, bytearray)):
-            raise TypeError("HMAC key must be bytes")
-        self._hash_cls = hash_cls
-        block_size = hash_cls.block_size
-        key = bytes(key)
-        if len(key) > block_size:
-            key = hash_cls(key).digest()
-        key = key.ljust(block_size, b"\x00")
-        self._outer_key = bytes(b ^ 0x5C for b in key)
-        self._inner = hash_cls(bytes(b ^ 0x36 for b in key))
-        if message:
-            self._inner.update(message)
 
-    @property
-    def digest_size(self) -> int:
-        """Digest size of the underlying hash, in bytes."""
-        return self._hash_cls.digest_size
+def md5(data: bytes) -> bytes:
+    """One-shot MD5 digest of ``data``.
 
-    def update(self, data: bytes) -> "HMAC":
-        """Absorb more message bytes."""
-        self._inner.update(data)
-        return self
-
-    def digest(self) -> bytes:
-        """The authentication tag over everything absorbed so far."""
-        return self._hash_cls(self._outer_key + self._inner.digest()).digest()
-
-    def hexdigest(self) -> str:
-        """Hex form of :meth:`digest`."""
-        return self.digest().hex()
-
-    def verify(self, tag: bytes) -> bool:
-        """Constant-time comparison of ``tag`` against the computed digest."""
-        return constant_time_equal(self.digest(), tag)
+    The paper's display repeater allows "MD5 or SHA256" for frame hashing;
+    MD5 serves strictly as a non-adversarial integrity checksum there,
+    hence ``usedforsecurity=False`` (which FIPS builds also accept).
+    """
+    return hashlib.md5(data, usedforsecurity=False).digest()
 
 
 def hmac_sha256(key: bytes, message: bytes) -> bytes:
     """One-shot HMAC-SHA256 tag."""
-    return HMAC(key, message, SHA256).digest()
-
-
-def hmac_md5(key: bytes, message: bytes) -> bytes:
-    """One-shot HMAC-MD5 tag (used only for the frame-hash cost comparison)."""
-    return HMAC(key, message, MD5).digest()
+    return hmac.digest(key, message, "sha256")
 
 
 def hkdf_sha256(ikm: bytes, length: int, salt: bytes = b"", info: bytes = b"") -> bytes:

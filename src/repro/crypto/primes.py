@@ -36,7 +36,7 @@ def _drbg_witnesses(n: int, rng: HmacDrbg, count: int) -> list[int]:
     """``count`` unpredictable Miller-Rabin bases in [2, n-2] from the DRBG.
 
     All bases come from one batched ``generate`` call (per-call overhead on
-    the pure-Python DRBG dwarfs the per-byte cost).  Each base is reduced
+    the DRBG dwarfs the per-byte cost).  Each base is reduced
     modulo the range from 64 extra bits of DRBG output, so the bias versus
     uniform is below 2^-64 — irrelevant for witness selection, which only
     needs unpredictability relative to ``n``.
@@ -61,7 +61,7 @@ def is_probable_prime(n: int, rng: HmacDrbg, rounds: int = 40) -> bool:
 
     The first round always uses base 2: it is deterministic, costs no DRBG
     output, and eliminates virtually every composite candidate — so the
-    (comparatively slow, pure-Python) DRBG is only consulted for candidates
+    (comparatively slow) DRBG is only consulted for candidates
     that are almost certainly prime.  The remaining ``rounds - 1`` witness
     bases are drawn from the caller's DRBG, keeping prime generation both
     cryptographically sound and bit-for-bit reproducible from the seed.
@@ -101,7 +101,7 @@ def generate_prime(bits: int, rng: HmacDrbg) -> int:
     n_bytes = (bits + 7) // 8
     shift = n_bytes * 8 - bits
     # Draw candidates in batches: one DRBG request yields many candidates,
-    # keeping the (pure-Python) DRBG off the key-generation critical path.
+    # keeping the DRBG off the key-generation critical path.
     batch = max(min(32, HmacDrbg.MAX_REQUEST // n_bytes), 1)
     while True:
         block = rng.generate(batch * n_bytes)

@@ -3,57 +3,45 @@
 Every stochastic component of the simulation is seedable so experiments are
 bit-for-bit reproducible.  The crypto processor inside FLock draws key
 material from an HMAC-DRBG instance seeded per module, standing in for the
-hardware TRNG the paper's ASIC would carry.
+hardware TRNG the paper's ASIC would carry.  The state machine is written
+out here; each HMAC-SHA256 step is the stdlib's ``hmac.digest``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import hmac
 
 __all__ = ["HmacDrbg"]
-
-
-def _default_hmac() -> "Callable[[bytes, bytes], bytes]":
-    """The process default backend's HMAC engine.
-
-    Imported lazily: ``backend`` sits above this module in the package
-    import order.  Every backend's HMAC is byte-identical, so the choice
-    affects wall-clock only — never the generated stream.
-    """
-    from .backend import default_backend
-    return default_backend().hmac_sha256
 
 
 class HmacDrbg:
     """HMAC-SHA256 deterministic random bit generator.
 
     Implements instantiate / reseed / generate from SP 800-90A, minus the
-    prediction-resistance machinery which is irrelevant in simulation.
-    The HMAC engine is injectable (``hmac_fn``) so crypto backends can
-    supply their own implementation; the output stream is a pure function
-    of (seed, personalization, call sequence) regardless of engine.
+    prediction-resistance machinery which is irrelevant in simulation.  The
+    output stream is a pure function of (seed, personalization, call
+    sequence).
     """
 
     #: SP 800-90A limit on a single generate call (bytes).
     MAX_REQUEST = 1 << 16
 
-    def __init__(self, seed: bytes, personalization: bytes = b"",
-                 hmac_fn: "Callable[[bytes, bytes], bytes] | None" = None) -> None:
+    def __init__(self, seed: bytes, personalization: bytes = b"") -> None:
         if not isinstance(seed, (bytes, bytearray)) or len(seed) == 0:
             raise ValueError("seed must be non-empty bytes")
-        self._hmac = hmac_fn if hmac_fn is not None else _default_hmac()
         self._key = b"\x00" * 32
         self._value = b"\x01" * 32
         self._reseed_counter = 1
         self._update(bytes(seed) + personalization)
 
     def _update(self, provided: bytes = b"") -> None:
-        hmac_fn = self._hmac
-        self._key = hmac_fn(self._key, self._value + b"\x00" + provided)
-        self._value = hmac_fn(self._key, self._value)
+        digest = hmac.digest
+        self._key = digest(self._key, self._value + b"\x00" + provided, "sha256")
+        self._value = digest(self._key, self._value, "sha256")
         if provided:
-            self._key = hmac_fn(self._key, self._value + b"\x01" + provided)
-            self._value = hmac_fn(self._key, self._value)
+            self._key = digest(self._key, self._value + b"\x01" + provided,
+                               "sha256")
+            self._value = digest(self._key, self._value, "sha256")
 
     def reseed(self, entropy: bytes) -> None:
         """Mix fresh entropy into the generator state."""
@@ -68,14 +56,19 @@ class HmacDrbg:
             raise ValueError("n_bytes must be non-negative")
         if n_bytes > self.MAX_REQUEST:
             raise ValueError(f"single request limited to {self.MAX_REQUEST} bytes")
-        hmac_fn = self._hmac
-        output = b""
-        while len(output) < n_bytes:
-            self._value = hmac_fn(self._key, self._value)
-            output += self._value
+        # Every requested block in one tight loop over the C HMAC, joined
+        # once: this runs for each nonce, padding byte and prime candidate.
+        digest = hmac.digest
+        key = self._key
+        value = self._value
+        blocks = []
+        for _ in range((n_bytes + 31) // 32):
+            value = digest(key, value, "sha256")
+            blocks.append(value)
+        self._value = value
         self._update()
         self._reseed_counter += 1
-        return output[:n_bytes]
+        return b"".join(blocks)[:n_bytes]
 
     def random_int(self, n_bits: int) -> int:
         """Uniform random integer in [0, 2**n_bits)."""

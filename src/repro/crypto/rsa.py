@@ -7,7 +7,10 @@ hold their own pair.  We implement:
 - key generation with two Miller-Rabin primes and e = 65537,
 - RSASSA signatures: EMSA-PKCS1-v1_5 padding over a SHA-256 digest,
 - RSAES encryption: PKCS#1 v1.5 type-2 random padding (randomness drawn from
-  the caller's DRBG so runs are reproducible).
+  the caller's DRBG so runs are reproducible),
+- private-key operations over CRT parameters derived once per key: signing
+  uses the builtin ``pow`` on each half, decryption a branchless Montgomery
+  ladder, because its input is attacker-chosen.
 
 Key sizes default to 1024 bits — small by modern standards, but this repo's
 adversaries attack the *protocol*, not the number theory, and small keys keep
@@ -17,12 +20,12 @@ tests' slow markers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hmac
+from dataclasses import dataclass, field
 
-from .mac import constant_time_equal
+from .mac import constant_time_equal, sha256
 from .primes import generate_prime
 from .rng import HmacDrbg
-from .sha256 import sha256
 
 __all__ = ["RsaPublicKey", "RsaPrivateKey", "generate_keypair", "SignatureError", "DecryptionError"]
 
@@ -38,22 +41,34 @@ class DecryptionError(Exception):
     """Raised when an RSA ciphertext cannot be decrypted/unpadded."""
 
 
-# _egcd/_modinv/_private_op form the audited modpow boundary
-# ([tool.trust-lint.sc] modpow-boundary): CPython bigint arithmetic is
-# inherently value-dependent, so constant-time discipline stops here by
-# declared policy and every suppression below carries its reason.
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if a == 0:  # trust-lint: disable=SC800 -- recursion base case of the audited gcd; operand-dependent cost is accepted inside the modpow boundary
-        return b, 0, 1
-    g, x, y = _egcd(b % a, a)  # trust-lint: disable=SC803 -- bigint reduction inside the audited modpow boundary
-    return g, y - (b // a) * x, x  # trust-lint: disable=SC803 -- bigint division inside the audited modpow boundary
+# RsaPrivateKey.__post_init__/_private_op and _ladder_pow form the audited
+# modpow boundary ([tool.trust-lint.sc] modpow-boundary): CPython bigint
+# arithmetic is inherently value-dependent, so constant-time discipline
+# stops here by declared policy and every suppression carries its reason.
+def _ladder_pow(base: int, exponent: int, modulus: int, width: int) -> int:
+    """Fixed-width branchless Montgomery ladder: ``base**exponent % modulus``.
 
-
-def _modinv(a: int, m: int) -> int:
-    g, x, _ = _egcd(a % m, m)  # trust-lint: disable=SC803 -- bigint reduction inside the audited modpow boundary
-    if g != 1:  # trust-lint: disable=SC800 -- invertibility check; reachable only with degenerate key material, inside the audited boundary
-        raise ValueError("modular inverse does not exist")
-    return x % m  # trust-lint: disable=SC803 -- bigint reduction inside the audited modpow boundary
+    Every iteration performs the same two modular multiplications and the
+    same pair of arithmetic-masked swaps, so the Python-level trace is
+    independent of the exponent bits: ``width`` (a public bound,
+    ``exponent < 2**width``) alone fixes the trip count.
+    """
+    r0 = 1
+    r1 = base % modulus  # trust-lint: disable=SC803 -- base reduction inside the audited modpow boundary
+    for i in range(width - 1, -1, -1):
+        bit = (exponent >> i) & 1
+        # Masked swap in, multiply + square, masked swap out: bit == 1
+        # computes (r0*r1, r1*r1), bit == 0 computes (r0*r0, r0*r1).
+        # No data-dependent branch, swap or subscript.
+        diff = (r0 ^ r1) * bit
+        r0 ^= diff
+        r1 ^= diff
+        r1 = (r0 * r1) % modulus  # trust-lint: disable=SC803 -- modular product inside the audited modpow boundary
+        r0 = (r0 * r0) % modulus  # trust-lint: disable=SC803 -- modular square inside the audited modpow boundary
+        diff = (r0 ^ r1) * bit
+        r0 ^= diff
+        r1 ^= diff
+    return r0 % modulus  # trust-lint: disable=SC803 -- final reduction inside the audited modpow boundary
 
 
 def _i2osp(x: int, length: int) -> bytes:
@@ -92,7 +107,7 @@ class RsaPublicKey:
             return False
         em = _i2osp(pow(s, self.e, self.n), self.byte_length)
         expected = _emsa_pkcs1_v15(message, self.byte_length)
-        return constant_time_equal(em, expected)
+        return hmac.compare_digest(em, expected)
 
     def encrypt(self, plaintext: bytes, rng: HmacDrbg) -> bytes:
         """RSAES-PKCS1-v1_5 encryption with non-zero random padding."""
@@ -156,6 +171,16 @@ class RsaPrivateKey:
     d: int
     p: int
     q: int
+    #: ``(d mod (p-1), d mod (q-1), q^-1 mod p)``, derived once per key.
+    #: Clones share it with the key (``deepcopy`` returns the key itself);
+    #: it takes no part in equality, hashing or ``repr``.
+    _crt: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_crt", (
+            self.d % (self.p - 1),  # trust-lint: disable=SC803 -- CRT exponent reduction inside the audited modpow boundary
+            self.d % (self.q - 1),  # trust-lint: disable=SC803 -- CRT exponent reduction inside the audited modpow boundary
+            pow(self.q, -1, self.p)))  # trust-lint: disable=SC803 -- CRT coefficient inversion inside the audited modpow boundary
 
     def __copy__(self) -> "RsaPrivateKey":
         # Frozen ints ⇒ value-immutable: fleet device cloning shares keys.
@@ -174,15 +199,19 @@ class RsaPrivateKey:
         """The public half of this key pair."""
         return RsaPublicKey(n=self.n, e=self.e)
 
-    def _private_op(self, c: int) -> int:
+    def _private_op(self, c: int, ladder_width: int = 0) -> int:
         # CRT: roughly 4x faster than a straight pow(c, d, n).  This is
         # the audited modpow boundary: CPython's pow/% cost varies with
-        # operand values and no pure-Python ladder can hide that.
-        dp = self.d % (self.p - 1)  # trust-lint: disable=SC803 -- CRT exponent reduction inside the audited modpow boundary
-        dq = self.d % (self.q - 1)  # trust-lint: disable=SC803 -- CRT exponent reduction inside the audited modpow boundary
-        q_inv = _modinv(self.q, self.p)
-        m1 = pow(c % self.p, dp, self.p)  # trust-lint: disable=SC803 -- modular exponentiation inside the audited modpow boundary
-        m2 = pow(c % self.q, dq, self.q)  # trust-lint: disable=SC803 -- modular exponentiation inside the audited modpow boundary
+        # operand values, below anything even the ladder can hide.  A
+        # nonzero ``ladder_width`` (public) runs both halves on the
+        # branchless ladder instead of the builtin pow.
+        dp, dq, q_inv = self._crt
+        if ladder_width:
+            m1 = _ladder_pow(c % self.p, dp, self.p, ladder_width)  # trust-lint: disable=SC803 -- CRT half reduction inside the audited modpow boundary
+            m2 = _ladder_pow(c % self.q, dq, self.q, ladder_width)  # trust-lint: disable=SC803 -- CRT half reduction inside the audited modpow boundary
+        else:
+            m1 = pow(c % self.p, dp, self.p)  # trust-lint: disable=SC803 -- modular exponentiation inside the audited modpow boundary
+            m2 = pow(c % self.q, dq, self.q)  # trust-lint: disable=SC803 -- modular exponentiation inside the audited modpow boundary
         h = (q_inv * (m1 - m2)) % self.p  # trust-lint: disable=SC803 -- CRT recombination inside the audited modpow boundary
         return m2 + h * self.q
 
@@ -199,7 +228,10 @@ class RsaPrivateKey:
         through :func:`constant_time_equal`, and one combined error for
         every padding defect, so a Bleichenbacher-style oracle cannot
         distinguish *why* a ciphertext was rejected — or how far the
-        check got — from the response timing.
+        check got — from the response timing.  The exponentiations run on
+        the Montgomery ladder, whose trip count is the half-modulus bit
+        width: the ciphertext is attacker-chosen, so a uniform trace is
+        worth the extra work per bit that signing does not pay.
         """
         k = self.byte_length
         if len(ciphertext) != k:
@@ -207,16 +239,16 @@ class RsaPrivateKey:
         c = _os2ip(ciphertext)
         if c >= self.n:
             raise DecryptionError("ciphertext out of range")
-        em = _i2osp(self._private_op(c), k)
+        # Half the modulus bits bound both CRT exponents.
+        em = _i2osp(self._private_op(c, ladder_width=k * 4), k)
         return _unpad_pkcs1_v15(em, k)
 
 
 def _unpad_pkcs1_v15(em: bytes, k: int) -> bytes:
     """Constant-time RSAES-PKCS1-v1_5 unpadding of a decrypted block.
 
-    Shared by the reference private key and the accelerated backend so
-    there is exactly one audited unpadder.  Raises DecryptionError with
-    one combined error for every padding defect.
+    Raises DecryptionError with one combined error for every padding
+    defect.
     """
     header_ok = constant_time_equal(em[:2], b"\x00\x02")
     # Branch-free scan: is_zero is 1 exactly when the byte is zero,
@@ -240,8 +272,8 @@ def _unpad_pkcs1_v15(em: bytes, k: int) -> bytes:
     return em[separator + 1:]
 
 
-def _emsa_pkcs1_v15(message: bytes, em_len: int, digest=sha256) -> bytes:
-    t = _SHA256_DIGEST_INFO + digest(message)
+def _emsa_pkcs1_v15(message: bytes, em_len: int) -> bytes:
+    t = _SHA256_DIGEST_INFO + sha256(message)
     if em_len < len(t) + 11:
         raise ValueError("modulus too small for SHA-256 signature")
     return b"\x00\x01" + b"\xff" * (em_len - len(t) - 3) + b"\x00" + t
@@ -265,5 +297,5 @@ def generate_keypair(rng: HmacDrbg, bits: int = 1024, e: int = 65537) -> RsaPriv
         n = p * q
         if n.bit_length() != bits:
             continue
-        d = _modinv(e, phi)
+        d = pow(e, -1, phi)
         return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)

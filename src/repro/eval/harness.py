@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.crypto import CertificateAuthority, default_backend
+from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.fingerprint import (
     DEFAULT_PARTIAL_MODEL,
     FingerprintTemplate,
@@ -53,9 +53,8 @@ class Deployment:
 def _cached_deployment(seed: int, processor_mode: str,
                        registered: bool) -> Deployment:
     rng = np.random.default_rng(seed)
-    backend = default_backend()
-    ca = CertificateAuthority(rng=backend.make_drbg(f"ca-{seed}".encode()),
-                              key_bits=1024, backend=backend)
+    ca = CertificateAuthority(rng=HmacDrbg(f"ca-{seed}".encode()),
+                              key_bits=1024)
     user_master = synthesize_master("user1-right-thumb", rng)
     impostor_master = synthesize_master("impostor-thumb",
                                         np.random.default_rng(seed + 9000))

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.crypto import (
-    CryptoBackend,
     HmacDrbg,
     RsaPrivateKey,
     RsaPublicKey,
-    default_backend,
+    generate_keypair,
+    hmac_sha256,
+    sha256,
 )
 
 __all__ = ["CryptoOpCosts", "CryptoProcessor"]
@@ -50,10 +51,6 @@ class CryptoProcessor:
     #: here; the *modeled* keygen latency is still accounted, so reported
     #: timings are unchanged — only host wall-clock shrinks.
     keypair_source: "Callable[[], RsaPrivateKey] | None" = None
-    #: The crypto engine executing the primitives.  Modeled latencies
-    #: above are what benchmarks report; the backend only moves host
-    #: wall-clock, never any output byte.
-    backend: CryptoBackend = field(default_factory=default_backend)
 
     def _account(self, op: str, seconds: float) -> None:
         self.time_spent_s += seconds
@@ -64,37 +61,37 @@ class CryptoProcessor:
         self._account("keygen", self.costs.keygen_s)
         if self.keypair_source is not None:
             return self.keypair_source()
-        return self.backend.generate_keypair(self.rng, bits=self.key_bits)
+        return generate_keypair(self.rng, bits=self.key_bits)
 
     def sign(self, key: RsaPrivateKey, message: bytes) -> bytes:
         """RSASSA signature with latency accounting."""
         self._account("sign", self.costs.sign_s)
-        return self.backend.rsa_sign(key, message)
+        return key.sign(message)
 
     def verify(self, key: RsaPublicKey, message: bytes, signature: bytes) -> bool:
         """Signature verification with latency accounting."""
         self._account("verify", self.costs.verify_s)
-        return self.backend.rsa_verify(key, message, signature)
+        return key.verify(message, signature)
 
     def rsa_encrypt(self, key: RsaPublicKey, plaintext: bytes) -> bytes:
         """RSAES encryption with latency accounting."""
         self._account("rsa_encrypt", self.costs.rsa_encrypt_s)
-        return self.backend.rsa_encrypt(key, plaintext, self.rng)
+        return key.encrypt(plaintext, self.rng)
 
     def rsa_decrypt(self, key: RsaPrivateKey, ciphertext: bytes) -> bytes:
         """RSAES decryption with latency accounting."""
         self._account("rsa_decrypt", self.costs.rsa_decrypt_s)
-        return self.backend.rsa_decrypt(key, ciphertext)
+        return key.decrypt(ciphertext)
 
     def hash(self, data: bytes) -> bytes:
         """SHA-256 with size-proportional latency accounting."""
         self._account("hash", self.costs.hash_per_kb_s * (len(data) / 1024 + 1))
-        return self.backend.sha256(data)
+        return sha256(data)
 
     def mac(self, key: bytes, data: bytes) -> bytes:
         """HMAC-SHA256 with size-proportional latency accounting."""
         self._account("mac", self.costs.mac_per_kb_s * (len(data) / 1024 + 1))
-        return self.backend.hmac_sha256(key, data)
+        return hmac_sha256(key, data)
 
     def random_bytes(self, n: int) -> bytes:
         """Fresh bytes from the module's DRBG (TRNG stand-in)."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto import CryptoBackend, default_backend
+from repro.crypto import md5, sha256
 
 __all__ = ["Frame", "FrameHashEngine", "DisplayRepeater"]
 
@@ -64,21 +64,17 @@ class FrameHashEngine:
     #: dedicated pipeline at ~1 GB/s; used for latency accounting only).
     THROUGHPUT_BPS = 1_000_000_000
 
-    def __init__(self, algorithm: str = "sha256",
-                 backend: CryptoBackend | None = None) -> None:
+    def __init__(self, algorithm: str = "sha256") -> None:
         if algorithm not in ("sha256", "md5"):
             raise ValueError("frame hash algorithm must be sha256 or md5")
         self.algorithm = algorithm
-        self.backend = backend if backend is not None else default_backend()
         self.frames_hashed = 0
 
     def hash_frame(self, frame: Frame) -> bytes:
         """Digest one frame's canonical bytes."""
         data = frame.canonical_bytes()
         self.frames_hashed += 1
-        if self.algorithm == "sha256":
-            return self.backend.sha256(data)
-        return self.backend.md5(data)
+        return sha256(data) if self.algorithm == "sha256" else md5(data)
 
     def hash_time_s(self, frame: Frame) -> float:
         """Modeled engine time to hash this frame."""
@@ -93,10 +89,8 @@ class DisplayRepeater:
     time.
     """
 
-    def __init__(self, engine: FrameHashEngine | None = None,
-                 backend: CryptoBackend | None = None) -> None:
-        self.engine = engine if engine is not None \
-            else FrameHashEngine(backend=backend)
+    def __init__(self, engine: FrameHashEngine | None = None) -> None:
+        self.engine = engine if engine is not None else FrameHashEngine()
         self._current_frame: Frame | None = None
         self._current_hash: bytes | None = None
 

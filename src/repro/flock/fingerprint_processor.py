@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.crypto import sha256
 from repro.fingerprint import (
     CalibratedScoreModel,
     FingerprintTemplate,
@@ -49,20 +50,15 @@ EXTRACTION_CELLS_PER_S = 40_000_000
 MATCH_TIME_S = 0.004
 
 
-def _minutiae_digest(minutiae, backend=None) -> bytes:
+def _minutiae_digest(minutiae) -> bytes:
     """Canonical SHA-256 digest of a minutiae set (match-cache key).
 
     Position/direction floats are serialized via ``repr`` (exact), so two
-    digests are equal iff the two sets would match identically.  The digest
-    is backend-independent (every registered backend's SHA-256 agrees), so
-    cache keys computed under different engines collide correctly.
+    digests are equal iff the two sets would match identically.
     """
-    if backend is None:
-        from repro.crypto import default_backend
-        backend = default_backend()
     parts = [f"{m.row!r},{m.col!r},{m.direction!r},{m.kind}"
              for m in minutiae]
-    return backend.sha256("|".join(parts).encode("utf-8"))
+    return sha256("|".join(parts).encode("utf-8"))
 
 
 def _annotate_decision(span, decision: "AuthDecision") -> None:

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from repro.crypto import (
     Certificate,
     CertificateError,
-    CryptoBackend,
+    HmacDrbg,
     RsaPrivateKey,
     RsaPublicKey,
-    default_backend,
+    SessionCipher,
+    generate_keypair,
 )
 from repro.fingerprint import FingerprintTemplate, MasterFingerprint
 from repro.hardware import LocatedTouch, SensorLayout
@@ -65,23 +66,19 @@ class FlockModule:
                  layout: SensorLayout,
                  processor_mode: str = "image",
                  key_bits: int = 1024,
-                 obs: Instrumentation | None = None,
-                 backend: CryptoBackend | None = None) -> None:
+                 obs: Instrumentation | None = None) -> None:
         if processor_mode not in ("image", "modeled"):
             raise ValueError("processor_mode must be 'image' or 'modeled'")
         self.device_id = device_id
         self.processor_mode = processor_mode
         self._obs = obs if obs is not None else NOOP
-        self.backend = backend if backend is not None else default_backend()
-        self._drbg = self.backend.make_drbg(
-            seed, personalization=device_id.encode())
-        self.crypto = CryptoProcessor(rng=self._drbg, key_bits=key_bits,
-                                      backend=self.backend)
-        self._device_key: RsaPrivateKey = self.backend.generate_keypair(
-            self._drbg, bits=key_bits)
+        self._drbg = HmacDrbg(seed, personalization=device_id.encode())
+        self.crypto = CryptoProcessor(rng=self._drbg, key_bits=key_bits)
+        self._device_key: RsaPrivateKey = generate_keypair(self._drbg,
+                                                           bits=key_bits)
         self.flash = ProtectedFlash()
         self.sram = SramModel()
-        self.display = DisplayRepeater(backend=self.backend)
+        self.display = DisplayRepeater()
         self.controller = FingerprintController(layout, obs=self._obs)
         self._local_processor: ImageFingerprintProcessor | ModeledFingerprintProcessor | None = None
         self._ca_public_key: RsaPublicKey | None = None
@@ -232,8 +229,7 @@ class FlockModule:
         inside the module until :meth:`complete_service_binding`.
         """
         ca_key = self._require_ca()
-        server_cert.verify(ca_key, now, expected_role="web-server",
-                           backend=self.backend)
+        server_cert.verify(ca_key, now, expected_role="web-server")
         if server_cert.subject != domain:
             raise CertificateError(
                 f"certificate subject {server_cert.subject!r} does not match "
@@ -418,7 +414,7 @@ class FlockModule:
         plaintext = json.dumps(payload, sort_keys=True).encode()
         transfer_key = self.crypto.random_bytes(32)
         sealed_key = self.crypto.rsa_encrypt(new_device_key, transfer_key)
-        body = self.backend.make_session_cipher(transfer_key).encrypt(plaintext)
+        body = SessionCipher(transfer_key).encrypt(plaintext)
         return len(sealed_key).to_bytes(4, "big") + sealed_key + body
 
     def import_identity(self, bundle: bytes) -> list[str]:
@@ -427,7 +423,7 @@ class FlockModule:
         sealed_key = bundle[4:4 + key_len]
         body = bundle[4 + key_len:]
         transfer_key = self.crypto.rsa_decrypt(self._device_key, sealed_key)
-        plaintext = self.backend.make_session_cipher(transfer_key).decrypt(body)
+        plaintext = SessionCipher(transfer_key).decrypt(body)
         payload = json.loads(plaintext.decode())
         installed = []
         for item in payload["records"]:

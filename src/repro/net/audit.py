@@ -61,17 +61,13 @@ class FrameAuditor:
 
     def __init__(self, server: WebServer, max_scroll_px: int = 256,
                  max_dynamic_requests: int = 64,
-                 algorithm: str = "sha256", backend=None) -> None:
+                 algorithm: str = "sha256") -> None:
         if max_scroll_px < 0:
             raise ValueError("max scroll must be non-negative")
         self.server = server
         self.max_scroll_px = int(max_scroll_px)
         self.max_dynamic_requests = int(max_dynamic_requests)
-        # Audit hashing defaults to the audited server's own engine, so
-        # whitelist hashes and logged hashes come from the same backend.
-        self.engine = FrameHashEngine(
-            algorithm,
-            backend=backend if backend is not None else server.backend)
+        self.engine = FrameHashEngine(algorithm)
         self._whitelist: set[bytes] | None = None
 
     def _pages(self) -> list[bytes]:

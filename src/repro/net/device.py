@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto import CertificateAuthority, CryptoBackend
+from repro.crypto import CertificateAuthority
 from repro.fingerprint import MasterFingerprint
 from repro.flock import FlockModule, TouchAuthEvent
 from repro.hardware import (
@@ -51,15 +51,14 @@ class MobileDevice:
                  ca: CertificateAuthority | None = None,
                  layout: SensorLayout | None = None,
                  processor_mode: str = "image",
-                 key_bits: int = 1024, now: int = 0,
-                 backend: CryptoBackend | None = None) -> None:
+                 key_bits: int = 1024, now: int = 0) -> None:
         self.device_id = device_id
         layout = default_layout() if layout is None else layout
         self.panel = TouchPanel(width_mm=layout.panel_width_mm,
                                 height_mm=layout.panel_height_mm)
         self.flock = FlockModule(device_id, seed, layout,
                                  processor_mode=processor_mode,
-                                 key_bits=key_bits, backend=backend)
+                                 key_bits=key_bits)
         self.browser = Browser()
         if ca is not None:
             self.flock.install_ca(ca.public_key)

@@ -23,11 +23,13 @@ from repro.crypto import (
     Certificate,
     CertificateAuthority,
     CertificateError,
-    CryptoBackend,
     DecryptionError,
+    HmacDrbg,
     RsaPublicKey,
     constant_time_equal,
-    default_backend,
+    generate_keypair,
+    hmac_sha256,
+    sha256,
 )
 from repro.obs import Instrumentation, MetricsRegistry, NOOP
 from .message import (
@@ -117,14 +119,11 @@ class WebServer:
     def __init__(self, domain: str, ca: CertificateAuthority, seed: bytes,
                  key_bits: int = 1024, now: int = 0,
                  verification_cache=None,
-                 obs: Instrumentation | None = None,
-                 backend: CryptoBackend | None = None) -> None:
+                 obs: Instrumentation | None = None) -> None:
         self.domain = domain
         self.ca = ca
-        self.backend = backend if backend is not None else default_backend()
-        self._rng = self.backend.make_drbg(seed,
-                                           personalization=domain.encode())
-        self._key = self.backend.generate_keypair(self._rng, bits=key_bits)
+        self._rng = HmacDrbg(seed, personalization=domain.encode())
+        self._key = generate_keypair(self._rng, bits=key_bits)
         self.certificate: Certificate = ca.issue(
             domain, "web-server", self._key.public_key, now=now)
         self._accounts: dict[str, _AccountRecord] = {}
@@ -152,8 +151,7 @@ class WebServer:
         if account in self._accounts:
             raise ValueError(f"account {account!r} exists")
         self._accounts[account] = _AccountRecord(
-            public_key=None,
-            password_hash=self.backend.sha256(password.encode()))
+            public_key=None, password_hash=sha256(password.encode()))
 
     def account_key(self, account: str) -> RsaPublicKey | None:
         """The device public key bound to an account, or None."""
@@ -166,7 +164,7 @@ class WebServer:
         if record is None:
             raise ProtocolError("unknown-account", account)
         if not constant_time_equal(record.password_hash,
-                                   self.backend.sha256(password.encode())):
+                                   sha256(password.encode())):
             self.rejections["bad-password"] += 1
             raise ProtocolError("bad-password", account)
         self._accounts[account] = _AccountRecord(
@@ -280,12 +278,10 @@ class WebServer:
         clock-dependent and recomputed by the caller every time.
         """
         if self.verification_cache is None:
-            return cert.signature_valid(self.ca.public_key,
-                                        backend=self.backend)
+            return cert.signature_valid(self.ca.public_key)
         return self.verification_cache.memoize(
-            "cert-signature", cert.fingerprint(backend=self.backend),
-            lambda: cert.signature_valid(self.ca.public_key,
-                                         backend=self.backend))
+            "cert-signature", cert.fingerprint(),
+            lambda: cert.signature_valid(self.ca.public_key))
 
     # -------------------------------------------------- Fig. 9 registration
     def registration_page(self) -> Envelope:
@@ -296,7 +292,7 @@ class WebServer:
             "page": self.pages["registration"],
             "server_cert": self.certificate.to_bytes(),
         })
-        return envelope.set_mac(self.backend.rsa_sign(self._key,envelope.signed_bytes()))
+        return envelope.set_mac(self._key.sign(envelope.signed_bytes()))
 
     @_endpoint(ENDPOINTS, MSG_REGISTRATION_SUBMIT,
                "Fig. 9 step 5: bind an account to a device public key")
@@ -323,9 +319,8 @@ class WebServer:
             device_cert.check_constraints(now, expected_role="flock-device")
         except CertificateError as exc:
             raise self._reject("bad-device-cert", str(exc)) from exc
-        if not self.backend.rsa_verify(device_cert.public_key,
-                                       envelope.signed_bytes(),
-                                       envelope.mac):
+        if not device_cert.public_key.verify(envelope.signed_bytes(),
+                                             envelope.mac):
             raise self._reject("bad-mac", "registration signature invalid")
 
         try:
@@ -348,7 +343,7 @@ class WebServer:
             "account": account,
             "page": b"<html>registration complete</html>",
         })
-        return ack.set_mac(self.backend.rsa_sign(self._key,ack.signed_bytes()))
+        return ack.set_mac(self._key.sign(ack.signed_bytes()))
 
     # ------------------------------------------------------ Fig. 10 login
     def login_page(self) -> Envelope:
@@ -358,7 +353,7 @@ class WebServer:
             "nonce": self._fresh_nonce("login"),
             "page": self.pages["login"],
         })
-        return envelope.set_mac(self.backend.rsa_sign(self._key,envelope.signed_bytes()))
+        return envelope.set_mac(self._key.sign(envelope.signed_bytes()))
 
     @_endpoint(ENDPOINTS, MSG_LOGIN_SUBMIT,
                "Fig. 10 step 3: open a session from a login submission")
@@ -375,11 +370,11 @@ class WebServer:
         self._consume_nonce(envelope.fields["nonce"], "login")
 
         try:
-            session_key = self.backend.rsa_decrypt(self._key,
+            session_key = self._key.decrypt(
                 envelope.fields["sealed_session_key"])
         except DecryptionError as exc:
             raise self._reject("bad-session-key", str(exc)) from exc
-        expected_mac = self.backend.hmac_sha256(session_key, envelope.signed_bytes())
+        expected_mac = hmac_sha256(session_key, envelope.signed_bytes())
         if not constant_time_equal(expected_mac, envelope.mac):
             raise self._reject("bad-mac", "login MAC invalid")
 
@@ -391,9 +386,8 @@ class WebServer:
                             {name: value
                              for name, value in envelope.fields.items()
                              if name != "signature"})
-        if not self.backend.rsa_verify(record.public_key,
-                                       unsigned.signed_bytes(),
-                                       envelope.fields["signature"]):
+        if not record.public_key.verify(unsigned.signed_bytes(),
+                                        envelope.fields["signature"]):
             raise self._reject("bad-device-signature",
                                "login not signed by the bound device key")
 
@@ -418,7 +412,7 @@ class WebServer:
             "nonce": next_nonce,
             "page": self.pages["content"],
         })
-        return page.set_mac(self.backend.hmac_sha256(session_key, page.signed_bytes()))
+        return page.set_mac(hmac_sha256(session_key, page.signed_bytes()))
 
     # ---------------------------------------- Fig. 10 continuous requests
     @_endpoint(ENDPOINTS, MSG_PAGE_REQUEST,
@@ -435,7 +429,7 @@ class WebServer:
         if not constant_time_equal(envelope.fields["nonce"],
                                    session.expected_nonce):
             raise self._reject("bad-nonce", "stale or replayed nonce")
-        expected_mac = self.backend.hmac_sha256(session.session_key,
+        expected_mac = hmac_sha256(session.session_key,
                                    envelope.signed_bytes())
         if not constant_time_equal(expected_mac, envelope.mac):
             raise self._reject("bad-mac", "request MAC invalid")
@@ -470,7 +464,7 @@ class WebServer:
                 "nonce": session.expected_nonce,
                 "challenge_nonce": session.pending_challenge,
             })
-            return challenge.set_mac(self.backend.hmac_sha256(session.session_key,
+            return challenge.set_mac(hmac_sha256(session.session_key,
                                                  challenge.signed_bytes()))
 
         session.request_count += 1
@@ -482,7 +476,7 @@ class WebServer:
             "page": self.pages["content"]
             + f" request #{session.request_count}".encode(),
         })
-        return page.set_mac(self.backend.hmac_sha256(session.session_key,
+        return page.set_mac(hmac_sha256(session.session_key,
                                         page.signed_bytes()))
 
     @_endpoint(ENDPOINTS, MSG_CHALLENGE_RESPONSE,
@@ -498,11 +492,11 @@ class WebServer:
         if not constant_time_equal(envelope.fields["nonce"],
                                    session.expected_nonce):
             raise self._reject("bad-nonce", "stale challenge response")
-        expected_mac = self.backend.hmac_sha256(session.session_key,
+        expected_mac = hmac_sha256(session.session_key,
                                    envelope.signed_bytes())
         if not constant_time_equal(expected_mac, envelope.mac):
             raise self._reject("bad-mac", "challenge response MAC invalid")
-        expected_attestation = self.backend.hmac_sha256(
+        expected_attestation = hmac_sha256(
             session.session_key,
             ATTEST_PREFIX + session.pending_challenge)
         if not constant_time_equal(envelope.fields["attestation"],
@@ -523,7 +517,7 @@ class WebServer:
             "nonce": session.expected_nonce,
             "page": self.pages["content"] + b" (challenge passed)",
         })
-        return page.set_mac(self.backend.hmac_sha256(session.session_key,
+        return page.set_mac(hmac_sha256(session.session_key,
                                         page.signed_bytes()))
 
     # ---------------------------------------------------------- audit API

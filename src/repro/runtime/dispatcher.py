@@ -16,7 +16,7 @@ from bisect import bisect_right
 from collections import Counter
 from typing import Iterable
 
-from repro.crypto import CertificateAuthority, CryptoBackend, default_backend
+from repro.crypto import CertificateAuthority, sha256
 from repro.net import WebServer
 
 __all__ = ["ConsistentHashRouter", "ServerPool"]
@@ -32,23 +32,19 @@ class ConsistentHashRouter:
     """
 
     def __init__(self, shard_ids: Iterable[str] = (),
-                 replicas: int = 64,
-                 backend: CryptoBackend | None = None) -> None:
+                 replicas: int = 64) -> None:
         if replicas < 1:
             raise ValueError("replicas must be positive")
         self.replicas = replicas
-        self.backend = backend if backend is not None else default_backend()
         self._ring: list[tuple[int, str]] = []
         self._points: list[int] = []  # ring points alone, for bisect
         self._shards: set[str] = set()
         for shard_id in shard_ids:
             self.add_shard(shard_id)
 
-    def _point(self, label: str) -> int:
-        # Ring geometry is backend-independent: every registered backend's
-        # SHA-256 agrees, so routing never shifts with the engine choice.
-        return int.from_bytes(
-            self.backend.sha256(label.encode("utf-8"))[:8], "big")
+    @staticmethod
+    def _point(label: str) -> int:
+        return int.from_bytes(sha256(label.encode("utf-8"))[:8], "big")
 
     def add_shard(self, shard_id: str) -> None:
         """Insert a shard's virtual points into the ring."""
@@ -101,7 +97,7 @@ class ServerPool:
     def __init__(self, domain: str, ca: CertificateAuthority,
                  key_seed: bytes, n_shards: int, key_bits: int = 1024,
                  verification_cache=None, ring_replicas: int = 64,
-                 obs=None, backend: CryptoBackend | None = None) -> None:
+                 obs=None) -> None:
         if n_shards < 1:
             raise ValueError("a pool needs at least one shard")
         self.domain = domain
@@ -112,11 +108,7 @@ class ServerPool:
         #: Instrumentation handed to every shard (including ones added
         #: later), so all replicas trace into one tree.
         self.obs = obs
-        #: Crypto engine shared by the router and every shard (including
-        #: ones added later), so the whole pool runs one backend.
-        self.backend = backend if backend is not None else default_backend()
-        self.router = ConsistentHashRouter(replicas=ring_replicas,
-                                           backend=self.backend)
+        self.router = ConsistentHashRouter(replicas=ring_replicas)
         self.shards: dict[str, WebServer] = {}
         self._next_index = 0
         for _ in range(n_shards):
@@ -133,8 +125,7 @@ class ServerPool:
         self._next_index += 1
         self.shards[shard_id] = WebServer(
             self.domain, self.ca, self._key_seed, key_bits=self.key_bits,
-            verification_cache=self.verification_cache, obs=self.obs,
-            backend=self.backend)
+            verification_cache=self.verification_cache, obs=self.obs)
         self.router.add_shard(shard_id)
         return shard_id
 

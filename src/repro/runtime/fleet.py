@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crypto import (
-    CertificateAuthority,
-    CryptoBackend,
-    default_backend,
-    get_backend,
-)
+from repro.crypto import CertificateAuthority, HmacDrbg, generate_keypair
 from repro.fingerprint import DEFAULT_PARTIAL_MODEL, enroll_master, synthesize_master
 from repro.net import MobileDevice, TrustClient, TrustSession
 
@@ -74,17 +69,6 @@ class FleetConfig:
     think_time_s: float = 2.0
     network_rtt_s: float = 0.040
     domain: str = "www.fleet.example"
-    #: Crypto engine name from the backend registry; empty string means
-    #: the process default (``REPRO_CRYPTO_BACKEND``).  Every registered
-    #: backend is byte-identical, so this choice moves host wall-clock
-    #: only — trace and summary stay bit-for-bit the same.
-    crypto_backend: str = ""
-
-    def resolve_backend(self) -> CryptoBackend:
-        """The :class:`CryptoBackend` instance this config selects."""
-        if self.crypto_backend:
-            return get_backend(self.crypto_backend)
-        return default_backend()
 
     def __post_init__(self) -> None:
         if self.n_devices < 1:
@@ -99,9 +83,6 @@ class FleetConfig:
             raise ValueError("challenge + hijack fractions must fit in [0, 1]")
         if self.processor_mode not in ("image", "modeled"):
             raise ValueError("processor_mode must be 'image' or 'modeled'")
-        if self.crypto_backend:
-            # Fail fast on a typo'd engine name, not mid-construction.
-            get_backend(self.crypto_backend)
 
 
 def _entropy(config: FleetConfig, *stream: int) -> bytes:
@@ -123,12 +104,9 @@ class DeviceFactory:
     """Builds fleet devices by cloning enrolled prototypes."""
 
     def __init__(self, config: FleetConfig, ca: CertificateAuthority,
-                 verification_cache=None,
-                 backend: CryptoBackend | None = None) -> None:
+                 verification_cache=None) -> None:
         self.config = config
         self.verification_cache = verification_cache
-        self.backend = backend if backend is not None \
-            else config.resolve_backend()
         #: The one physical finger every fleet user presents.  Sharing it
         #: is sound: the modeled processor decides genuine/impostor by
         #: finger id, and per-device score draws come from per-actor rngs.
@@ -141,19 +119,17 @@ class DeviceFactory:
             prototype = MobileDevice(
                 f"fleet-proto-{batch}", _entropy(config, 3, batch), ca=ca,
                 processor_mode=config.processor_mode,
-                key_bits=config.device_key_bits, backend=self.backend)
+                key_bits=config.device_key_bits)
             if config.processor_mode == "modeled":
                 prototype.flock.enroll_local_user(
                     template, score_model=DEFAULT_PARTIAL_MODEL)
             else:
                 prototype.flock.enroll_local_user(template)
             self.prototypes.append(prototype)
-        pool_drbg = self.backend.make_drbg(
-            _entropy(config, 4),
-            personalization=b"fleet-service-keypair-pool")
+        pool_drbg = HmacDrbg(_entropy(config, 4),
+                             personalization=b"fleet-service-keypair-pool")
         self._service_pool = [
-            self.backend.generate_keypair(pool_drbg,
-                                          bits=config.device_key_bits)
+            generate_keypair(pool_drbg, bits=config.device_key_bits)
             for _ in range(config.keypair_pool_size)]
 
     def build(self, index: int) -> MobileDevice:
@@ -166,9 +142,8 @@ class DeviceFactory:
         flock.device_id = device_id
         # Fresh per-clone DRBG: nonces, session keys and signature padding
         # diverge between clones even within one prototype batch.
-        flock._drbg = self.backend.make_drbg(
-            _entropy(self.config, 5, index),
-            personalization=device_id.encode())
+        flock._drbg = HmacDrbg(_entropy(self.config, 5, index),
+                               personalization=device_id.encode())
         flock.crypto.rng = flock._drbg
         pooled = self._service_pool[index % len(self._service_pool)]
         flock.crypto.keypair_source = lambda pooled=pooled: pooled

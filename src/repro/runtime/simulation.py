@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.crypto import CertificateAuthority
+from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.eval import render_table
 from repro.net import TrustClient, UntrustedChannel
 from repro.obs import Instrumentation, MetricsRegistry, NOOP
@@ -90,23 +90,17 @@ class FleetSimulation:
         registry = (self.obs.metrics
                     if isinstance(self.obs.metrics, MetricsRegistry)
                     else MetricsRegistry())
-        # One backend instance for the whole run: CA, every shard, every
-        # device.  Selection never reaches the trace or the summary —
-        # backends are byte-identical by contract.
-        self.backend = config.resolve_backend()
         self.ca = CertificateAuthority(
             name="fleet-ca",
-            rng=self.backend.make_drbg(
-                b"fleet-ca-root", personalization=config.domain.encode()),
-            key_bits=config.ca_key_bits, backend=self.backend)
+            rng=HmacDrbg(b"fleet-ca-root", personalization=config.domain.encode()),
+            key_bits=config.ca_key_bits)
         self.cache = VerificationCache(registry=registry)
         self.pool = ServerPool(
             config.domain, self.ca, b"fleet-service-key",
             config.n_shards, key_bits=config.server_key_bits,
-            verification_cache=self.cache, obs=obs, backend=self.backend)
+            verification_cache=self.cache, obs=obs)
         self.factory = DeviceFactory(config, self.ca,
-                                     verification_cache=self.cache,
-                                     backend=self.backend)
+                                     verification_cache=self.cache)
         self.loop = EventLoop(tracer=self.obs.tracer)
         # Spans opened inside events get virtual-clock timestamps, which
         # keeps traced fleet runs as replayable as untraced ones.

@@ -6,7 +6,8 @@ model (``is None``, membership, ``constant_time_equal``, public
 patterns) is pinned explicitly; the suppression audit proves the only
 SC suppressions in the tree live inside the documented modpow boundary
 and carry reasons; and the witness tests run the branch/opcode-trace
-harness over the three constant-time primitives.
+harness over the constant-time primitives — the same RSA code every
+caller runs, ladder and CRT included.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.analysis import analyze_sources
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.core import ModuleContext
 from repro.analysis.sidechannel.witness import (compare_traces, record_trace,
-                                                run_witness)
+                                                run_witness, witness_cases)
 
 from .conftest import rule_ids
 
@@ -386,32 +387,32 @@ class TestSuppressionAudit:
         assert audited > 0  # the boundary is real: rsa.py carries them
 
     def test_accelerated_backend_interior_is_in_the_boundary(self):
-        """The registry's hot path (CRT cache, Montgomery ladder) is part
-        of the audited modpow boundary and actually carries reason-coded
-        suppressions — the accelerated backend gets no free pass."""
+        """The accelerated paths folded into ``rsa.py`` — CRT parameters
+        derived once per key, the CRT private op, the Montgomery ladder —
+        are the whole boundary; pyproject declares the same set, and
+        every boundary function carries reason-coded suppressions (none
+        is listed for nothing)."""
         config = AnalysisConfig.default()
-        for qualname in ("repro.crypto.backend._crt_params",
-                         "repro.crypto.backend._crt_private_op",
-                         "repro.crypto.backend._ladder_pow",
-                         "repro.crypto.backend.AcceleratedBackend.rsa_decrypt"):
-            assert qualname in config.sc_modpow_boundary, qualname
+        assert set(config.sc_modpow_boundary) == {
+            "repro.crypto.rsa.RsaPrivateKey.__post_init__",
+            "repro.crypto.rsa.RsaPrivateKey._private_op",
+            "repro.crypto.rsa._ladder_pow"}
+        pyproject = AnalysisConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
+        assert pyproject.sc_modpow_boundary == config.sc_modpow_boundary
         spans = self._boundary_spans(config)
-        assert "repro.crypto.backend" in spans
-        path = REPO_ROOT / "src" / "repro" / "crypto" / "backend.py"
-        text = path.read_text()
+        assert set(spans) == {"repro.crypto.rsa"}
+        path = REPO_ROOT / "src" / "repro" / "crypto" / "rsa.py"
         rel = path.relative_to(REPO_ROOT / "src")
-        ctx = ModuleContext.build(path, str(rel), "repro.crypto.backend",
-                                  text)
+        ctx = ModuleContext.build(path, str(rel), "repro.crypto.rsa",
+                                  path.read_text())
         sc_lines = [line for line, rules in ctx.line_suppressions.items()
                     if any(r.startswith("SC") for r in (rules or ()))]
-        assert sc_lines, "backend.py carries no SC suppressions to audit"
+        for name, (lo, hi) in spans["repro.crypto.rsa"].items():
+            assert any(lo <= line <= hi for line in sc_lines), (
+                f"boundary function {name} carries no SC suppression")
         for line in sc_lines:
-            assert any(lo <= line <= hi
-                       for span in spans["repro.crypto.backend"].values()
-                       if span for lo, hi in [span]), (
-                f"backend.py:{line} suppression outside the boundary")
             assert ctx.suppression_reasons.get(line), (
-                f"backend.py:{line} suppression without a reason")
+                f"rsa.py:{line} suppression without a reason")
 
 
 @pytest.fixture(scope="module")
@@ -439,6 +440,16 @@ class TestWitness:
         result = witness_results["rsa-decrypt-unpad"]
         assert result.equal
         assert result.events_a > 0
+
+    @pytest.mark.parametrize("case,frame", [
+        ("rsa-private-op", "_private_op"),
+        ("rsa-decrypt-unpad", "_ladder_pow"),
+    ])
+    def test_rsa_traces_cover_the_code_that_runs(self, case, frame):
+        # Signing records the CRT op, decryption the ladder it runs on:
+        # the witness traces the fleet's RSA code, not a stand-in.
+        run_a = next(a for name, a, _ in witness_cases() if name == case)
+        assert frame in {event[1] for event in record_trace(run_a)}
 
     def test_harness_detects_an_early_exit_compare(self):
         # Negative control: a naive compare MUST diverge, or the

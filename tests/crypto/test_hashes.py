@@ -1,82 +1,50 @@
-"""SHA-256 and MD5 against published test vectors and stdlib hashlib."""
+"""SHA-256 and MD5 against published test vectors."""
 
 import hashlib
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.crypto import MD5, SHA256, md5_hex, sha256_hex
+from repro.crypto import md5, sha256
 
 
 class TestSha256Vectors:
+    """FIPS 180-4 example messages."""
+
     def test_empty(self):
-        assert sha256_hex(b"") == (
+        assert sha256(b"").hex() == (
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
         )
 
     def test_abc(self):
-        assert sha256_hex(b"abc") == (
+        assert sha256(b"abc").hex() == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
 
     def test_two_block_message(self):
         msg = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-        assert sha256_hex(msg) == (
+        assert sha256(msg).hex() == (
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         )
 
     def test_million_a(self):
-        digest = sha256_hex(b"a" * 1_000_000)
-        assert digest == (
+        assert sha256(b"a" * 1_000_000).hex() == (
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         )
 
     def test_exact_block_boundary(self):
         for size in (55, 56, 57, 63, 64, 65, 119, 120, 128):
             data = bytes(range(256))[:size] * 1
-            assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+            assert sha256(data) == hashlib.sha256(data).digest()
 
 
 class TestSha256Api:
-    def test_incremental_equals_oneshot(self):
-        h = SHA256()
-        h.update(b"hello ")
-        h.update(b"world")
-        assert h.hexdigest() == sha256_hex(b"hello world")
-
-    def test_digest_does_not_consume_state(self):
-        h = SHA256(b"abc")
-        first = h.digest()
-        second = h.digest()
-        assert first == second
-        h.update(b"def")
-        assert h.hexdigest() == sha256_hex(b"abcdef")
-
-    def test_copy_is_independent(self):
-        h = SHA256(b"abc")
-        clone = h.copy()
-        clone.update(b"def")
-        assert h.hexdigest() == sha256_hex(b"abc")
-        assert clone.hexdigest() == sha256_hex(b"abcdef")
-
     def test_rejects_str(self):
         with pytest.raises(TypeError):
-            SHA256().update("not bytes")  # type: ignore[arg-type]
+            sha256("not bytes")  # type: ignore[arg-type]
 
     def test_accepts_bytearray_and_memoryview(self):
-        assert SHA256(bytearray(b"abc")).hexdigest() == sha256_hex(b"abc")
-        assert SHA256(memoryview(b"abc")).hexdigest() == sha256_hex(b"abc")
-
-    @given(st.binary(max_size=300))
-    def test_matches_hashlib(self, data):
-        assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
-
-    @given(st.binary(max_size=150), st.binary(max_size=150))
-    def test_split_update_invariant(self, a, b):
-        h = SHA256()
-        h.update(a)
-        h.update(b)
-        assert h.digest() == SHA256(a + b).digest()
+        assert sha256(bytearray(b"abc")) == sha256(b"abc")
+        assert sha256(memoryview(b"abc")) == sha256(b"abc")
 
 
 class TestMd5Vectors:
@@ -95,86 +63,8 @@ class TestMd5Vectors:
 
     @pytest.mark.parametrize("message,expected", sorted(VECTORS.items()))
     def test_rfc1321_vector(self, message, expected):
-        assert md5_hex(message) == expected
-
-    @given(st.binary(max_size=300))
-    def test_matches_hashlib(self, data):
-        assert md5_hex(data) == hashlib.md5(data).hexdigest()
-
-    def test_incremental(self):
-        h = MD5()
-        for chunk in (b"mes", b"sage", b" digest"):
-            h.update(chunk)
-        assert h.hexdigest() == "f96b697d7cb7938d525a2f31aaf161d0"
-
-    def test_copy_is_independent(self):
-        h = MD5(b"abc")
-        clone = h.copy()
-        clone.update(b"x")
-        assert h.hexdigest() == md5_hex(b"abc")
+        assert md5(message).hex() == expected
 
     def test_rejects_str(self):
         with pytest.raises(TypeError):
-            MD5().update("oops")  # type: ignore[arg-type]
-
-
-class TestAcceleratedBackends:
-    """The accelerated registry backend and the reference must agree.
-
-    The old ``sha256.set_accelerated`` module toggle is retired: engine
-    selection now goes through the :mod:`repro.crypto.backend` registry,
-    and the pure-Python primitives above are always the reference path.
-    """
-
-    SIZES = (0, 1, 55, 56, 64, 65, 1000)
-
-    @pytest.fixture()
-    def backends(self):
-        from repro.crypto import get_backend
-        return get_backend("reference"), get_backend("accelerated")
-
-    def test_registry_lists_both_engines(self):
-        from repro.crypto import available_backends
-        names = available_backends()
-        assert "reference" in names
-        assert "accelerated" in names
-
-    def test_unknown_backend_is_a_loud_error(self):
-        from repro.crypto import get_backend
-        with pytest.raises(ValueError, match="unknown crypto backend"):
-            get_backend("no-such-engine")
-
-    def test_set_default_returns_previous_name(self):
-        from repro.crypto import default_backend, set_default_backend
-        before = default_backend().name
-        try:
-            assert set_default_backend("reference") == before
-            assert default_backend().name == "reference"
-            assert set_default_backend("accelerated") == "reference"
-        finally:
-            set_default_backend(before)
-
-    def test_sha256_backends_agree(self, backends):
-        reference, accelerated = backends
-        for size in self.SIZES:
-            data = (bytes(range(256)) * (size // 256 + 1))[:size]
-            expected = hashlib.sha256(data).digest()
-            assert reference.sha256(data) == expected
-            assert accelerated.sha256(data) == expected
-            assert reference.sha256_hex(data) == expected.hex()
-            assert accelerated.sha256_hex(data) == expected.hex()
-
-    def test_md5_backends_agree(self, backends):
-        reference, accelerated = backends
-        for size in self.SIZES:
-            data = (bytes(range(256)) * (size // 256 + 1))[:size]
-            expected = hashlib.md5(data).hexdigest()
-            assert reference.md5_hex(data) == expected
-            assert accelerated.md5_hex(data) == expected
-
-    def test_incremental_across_backends(self, backends):
-        """A reference streaming digest equals an accelerated one-shot."""
-        reference, accelerated = backends
-        pure = reference.new_sha256(b"split ")
-        pure.update(b"update")
-        assert pure.digest() == accelerated.sha256(b"split update")
+            md5("oops")  # type: ignore[arg-type]

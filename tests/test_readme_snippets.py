@@ -33,6 +33,13 @@ class TestReadmeQuickstart:
         assert "TRUST fleet load: 12 devices over 4 shards" in result.summary
         assert result.unexpected_rejections == {}
 
+    def test_crypto_block(self):
+        """The 'Crypto' block: flat primitives, no engine to pick."""
+        from repro.crypto import HmacDrbg, generate_keypair
+
+        key = generate_keypair(HmacDrbg(b"seed material"), bits=1024)
+        assert key.public_key.verify(b"frame", key.sign(b"frame"))
+
     def test_cross_layer_tracing_block(self):
         """The 'Cross-layer tracing' scripting block, with a real scenario."""
         from repro.obs import Instrumentation, render_trace_text
