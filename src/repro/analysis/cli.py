@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 from .baseline import apply_baseline, load_baseline, update_baseline
 from .config import AnalysisConfig, find_pyproject
 from .core import get_rule
-from .engine import analyze_paths, build_contexts, iter_python_files
+from .engine import (STAGES, AnalysisReport, analyze_paths, build_contexts,
+                     iter_python_files)
 from .reporters import (render_json, render_rule_list, render_sarif,
                         render_text)
 
@@ -44,18 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text",
                         help="report format (default: text)")
-    parser.add_argument("--taint", action="store_true",
-                        help="also run the interprocedural secret-flow "
-                        "pass (SF110/SF111, with full traces)")
-    parser.add_argument("--det", action="store_true",
-                        help="also run the determinism & shard-isolation "
-                        "pass (DT6xx/RC61x, with full traces)")
-    parser.add_argument("--contract", action="store_true",
-                        help="also run the wire-contract conformance "
-                        "pass (CT700-CT705)")
-    parser.add_argument("--sc", action="store_true",
-                        help="also run the constant-time / side-channel "
-                        "pass (SC800-SC805, with full traces)")
+    for stage in STAGES:
+        parser.add_argument(f"--{stage.name}", action="store_true",
+                            help=f"also run the {stage.summary}")
     parser.add_argument("--stats", action="store_true",
                         help="print a per-stage timing and finding-count "
                         "breakdown to stderr after the report")
@@ -66,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--since", metavar="REF", default="HEAD",
                         help="git ref --changed-only compares against "
                         "(default: HEAD)")
-    parser.add_argument("--jobs", type=int, metavar="N", default=None,
-                        help="worker processes for the per-file scan "
-                        "(default: automatic)")
     parser.add_argument("--baseline", metavar="FILE", default=None,
                         help="baseline file of grandfathered findings")
     parser.add_argument("--update-baseline", action="store_true",
@@ -181,40 +171,14 @@ def _expand_dependents(scan_files: list[Path],
     return sorted(changed | {path_of[m] for m in seen})
 
 
-#: Project-pass rule ids that per-module prefix matching would misfile.
-_TAINT_RULES = frozenset({"SF110", "SF111"})
-
-
-def _finding_stage(rule_id: str) -> str:
-    """Which stage a finding came from, by rule-id convention."""
-    if rule_id in _TAINT_RULES:
-        return "taint"
-    if rule_id.startswith(("DT", "RC")):
-        return "det"
-    if rule_id.startswith("CT"):
-        return "contract"
-    if rule_id.startswith("PV"):
-        return "verify"
-    if rule_id.startswith("SC"):
-        return "sc"
-    return "lint"
-
-
-def _print_stats(report, total_s: float) -> str:
+def _print_stats(report: AnalysisReport, total_s: float) -> str:
     """Per-stage breakdown (stderr) and one perf-log row (returned)."""
-    from collections import Counter
-    counts = Counter(_finding_stage(f.rule) for f in report.findings)
-    stages = ["lint"]
-    stages += ["taint"] if report.taint_ran else []
-    stages += ["det"] if report.det_ran else []
-    stages += ["contract"] if report.contract_ran else []
-    stages += ["sc"] if report.sc_ran else []
     cells = []
-    for stage in stages:
-        elapsed = report.stage_stats.get(stage, {}).get("elapsed_s", 0.0)
-        print(f"stats: {stage:8s} findings={counts.get(stage, 0):<3d} "
-              f"elapsed={elapsed:.2f}s", file=sys.stderr)
-        cells.append(f"{stage}={elapsed:.2f}s")
+    for stage in ("lint", *report.stages):
+        stats = report.stage_stats[stage]
+        print(f"stats: {stage:8s} findings={stats['findings']:<3d} "
+              f"elapsed={stats['elapsed_s']:.2f}s", file=sys.stderr)
+        cells.append(f"{stage}={stats['elapsed_s']:.2f}s")
     print(f"stats: total    findings={len(report.findings):<3d} "
           f"elapsed={total_s:.2f}s files={report.files_scanned}",
           file=sys.stderr)
@@ -269,31 +233,76 @@ def build_graph_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _UsageError(Exception):
+    """A usage or configuration error: ``repro-lint: <message>``, exit 2."""
+
+
 def _load_config(args: argparse.Namespace) -> AnalysisConfig:
-    if args.no_config:
-        config = AnalysisConfig.default()
-    else:
-        anchor = Path(args.paths[0]) if args.paths else Path.cwd()
-        pyproject = find_pyproject(anchor)
-        config = (AnalysisConfig.from_pyproject(pyproject)
-                  if pyproject is not None else AnalysisConfig.default())
-    if args.disable:
-        extra = tuple(r.strip() for r in args.disable.split(",") if r.strip())
+    """``[tool.trust-lint]`` from the pyproject above the first path (or
+    the working directory), plus any ``--disable`` rule ids."""
+    config = AnalysisConfig.default()
+    paths = getattr(args, "paths", None)
+    extra = tuple(r.strip() for r in getattr(args, "disable", "").split(",")
+                  if r.strip())
+    try:
+        if not args.no_config:
+            pyproject = find_pyproject(Path(paths[0]) if paths
+                                       else Path.cwd())
+            if pyproject is not None:
+                config = AnalysisConfig.from_pyproject(pyproject)
         for rule_id in extra:
             get_rule(rule_id)  # reject typos loudly
-        config = replace(config,
-                         disabled_rules=config.disabled_rules + extra)
-    return config
+    except (ValueError, OSError) as exc:
+        raise _UsageError(f"configuration error: {exc}") from None
+    return replace(config, disabled_rules=config.disabled_rules + extra)
+
+
+def _existing(paths: list[str]) -> list[str]:
+    """``paths``, once every one of them exists."""
+    missing = [p for p in paths if not Path(p).exists()]
+    if missing:
+        raise _UsageError(f"no such path(s): {', '.join(missing)}")
+    return paths
+
+
+def _load_baseline(args: argparse.Namespace,
+                   config: AnalysisConfig) -> tuple[str | None,
+                                                    dict[str, int]]:
+    """(baseline file, grandfathered fingerprints) for this run."""
+    path = args.baseline or config.baseline_path or None
+    if not path or args.update_baseline:
+        return path, {}
+    try:
+        return path, load_baseline(path)
+    except (ValueError, OSError) as exc:
+        raise _UsageError(f"bad baseline: {exc}") from None
+
+
+_RENDERERS = {"text": render_text, "json": render_json,
+              "sarif": render_sarif}
+
+
+def _finish(args: argparse.Namespace, report: AnalysisReport,
+            baseline_path: str | None) -> int:
+    """Rewrite the baseline (exit 0) or print the report (exit per
+    ``--fail-on``)."""
+    if args.update_baseline:
+        if not baseline_path:
+            raise _UsageError("--update-baseline needs --baseline FILE "
+                              "or a [tool.trust-lint] baseline setting")
+        added, removed, kept = update_baseline(
+            baseline_path, report.findings, merge=args.merge)
+        mode = "merged into" if args.merge else "written to"
+        print(f"baseline {mode} {baseline_path}: {added} added, "
+              f"{removed} removed, {kept} kept")
+        return 0
+    print(_RENDERERS[args.format](report))
+    return _exit_code(report, args.fail_on)
 
 
 def _graph_main(argv: list[str]) -> int:
     args = build_graph_parser().parse_args(argv)
-    paths = args.paths or ["src"]
-    missing = [p for p in paths if not Path(p).exists()]
-    if missing:
-        print(f"repro-lint: no such path(s): {', '.join(missing)}",
-              file=sys.stderr)
-        return 2
+    paths = _existing(args.paths or ["src"])
     from .taint import run_taint
     contexts, errors = build_contexts(
         iter_python_files([Path(p) for p in paths]))
@@ -362,7 +371,6 @@ def build_verify_parser() -> argparse.ArgumentParser:
 
 
 def _verify_main(argv: list[str]) -> int:
-    from .engine import AnalysisReport
     from .verify import MUTATIONS, SCENARIOS, run_verify
     args = build_verify_parser().parse_args(argv)
 
@@ -375,19 +383,8 @@ def _verify_main(argv: list[str]) -> int:
             print(f"--mutate {name}: {MUTATIONS[name]}")
         return 0
 
-    if args.no_config:
-        config = AnalysisConfig.default()
-    else:
-        pyproject = find_pyproject(Path.cwd())
-        try:
-            config = (AnalysisConfig.from_pyproject(pyproject)
-                      if pyproject is not None
-                      else AnalysisConfig.default())
-        except (ValueError, OSError) as exc:
-            print(f"repro-lint: configuration error: {exc}",
-                  file=sys.stderr)
-            return 2
-
+    config = _load_config(args)
+    baseline_path, baseline = _load_baseline(args, config)
     try:
         findings, stats = run_verify(
             config,
@@ -398,115 +395,11 @@ def _verify_main(argv: list[str]) -> int:
             mutations=tuple(args.mutate or ()),
         )
     except ValueError as exc:
-        print(f"repro-lint: {exc}", file=sys.stderr)
-        return 2
-
-    baseline_path = args.baseline or config.baseline_path or None
-    report = AnalysisReport(findings=findings, verify_stats=stats)
-    if baseline_path and not args.update_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"repro-lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-        report.findings, report.baselined_count = apply_baseline(
-            findings, baseline)
-
-    if args.update_baseline:
-        if not baseline_path:
-            print("repro-lint: --update-baseline needs --baseline FILE "
-                  "or a [tool.trust-lint] baseline setting",
-                  file=sys.stderr)
-            return 2
-        added, removed, kept = update_baseline(
-            baseline_path, report.findings, merge=args.merge)
-        mode = "merged into" if args.merge else "written to"
-        print(f"baseline {mode} {baseline_path}: {added} added, "
-              f"{removed} removed, {kept} kept")
-        return 0
-
-    renderers = {"text": render_text, "json": render_json,
-                 "sarif": render_sarif}
-    print(renderers[args.format](report))
-    return _exit_code(report, args.fail_on)
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "graph":
-        return _graph_main(argv[1:])
-    if argv and argv[0] == "verify":
-        return _verify_main(argv[1:])
-    if argv and argv[0] == "contract":
-        return _contract_main(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        print(render_rule_list())
-        return 0
-
-    try:
-        config = _load_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"repro-lint: configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    paths = args.paths or list(config.default_paths)
-    missing = [p for p in paths if not Path(p).exists()]
-    if missing:
-        print(f"repro-lint: no such path(s): {', '.join(missing)}",
-              file=sys.stderr)
-        return 2
-
-    baseline_path = args.baseline or config.baseline_path or None
-    baseline: dict[str, int] = {}
-    if baseline_path and not args.update_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"repro-lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-
-    scan_paths: list[Path] | list[str] = paths
-    if args.changed_only:
-        changed = _changed_files(args.since)
-        if changed is None:
-            print(f"repro-lint: --changed-only: git diff against "
-                  f"{args.since!r} failed (not a git checkout, or bad ref)",
-                  file=sys.stderr)
-            return 2
-        all_files = iter_python_files([Path(p) for p in paths])
-        scan_paths = [p for p in all_files if p.resolve() in changed]
-        if scan_paths:
-            scan_paths = _expand_dependents(scan_paths, all_files)
-
-    import time
-    run_started = time.perf_counter()
-    report = analyze_paths(scan_paths, config, baseline=baseline,
-                           taint=args.taint, det=args.det,
-                           contract=args.contract, sc=args.sc,
-                           jobs=args.jobs)
-    run_elapsed = time.perf_counter() - run_started
-
-    if args.update_baseline:
-        if not baseline_path:
-            print("repro-lint: --update-baseline needs --baseline FILE "
-                  "or a [tool.trust-lint] baseline setting", file=sys.stderr)
-            return 2
-        added, removed, kept = update_baseline(
-            baseline_path, report.findings, merge=args.merge)
-        mode = "merged into" if args.merge else "written to"
-        print(f"baseline {mode} {baseline_path}: {added} added, "
-              f"{removed} removed, {kept} kept")
-        return 0
-
-    renderers = {"text": render_text, "json": render_json,
-                 "sarif": render_sarif}
-    print(renderers[args.format](report))
-    if args.stats:
-        _append_perf_row(_print_stats(report, run_elapsed))
-    return _exit_code(report, args.fail_on)
+        raise _UsageError(str(exc)) from None
+    report = AnalysisReport(verify_stats=stats)
+    report.findings, report.baselined_count = apply_baseline(findings,
+                                                             baseline)
+    return _finish(args, report, baseline_path)
 
 
 def build_contract_parser() -> argparse.ArgumentParser:
@@ -530,25 +423,8 @@ def build_contract_parser() -> argparse.ArgumentParser:
 
 def _contract_main(argv: list[str]) -> int:
     args = build_contract_parser().parse_args(argv)
-    if args.no_config:
-        config = AnalysisConfig.default()
-    else:
-        anchor = Path(args.paths[0]) if args.paths else Path.cwd()
-        pyproject = find_pyproject(anchor)
-        try:
-            config = (AnalysisConfig.from_pyproject(pyproject)
-                      if pyproject is not None
-                      else AnalysisConfig.default())
-        except (ValueError, OSError) as exc:
-            print(f"repro-lint: configuration error: {exc}",
-                  file=sys.stderr)
-            return 2
-    paths = args.paths or list(config.default_paths)
-    missing = [p for p in paths if not Path(p).exists()]
-    if missing:
-        print(f"repro-lint: no such path(s): {', '.join(missing)}",
-              file=sys.stderr)
-        return 2
+    config = _load_config(args)
+    paths = _existing(args.paths or list(config.default_paths))
     from .contract import (contract_payload, extract_contract,
                            render_contract)
     contexts, errors = build_contexts(
@@ -563,6 +439,54 @@ def _contract_main(argv: list[str]) -> int:
     else:
         sys.stdout.write(text)
     return 1 if errors else 0
+
+
+def _lint_main(argv: list[str]) -> int:
+    args = build_parser().parse_args(argv)
+    if args.list_rules:
+        print(render_rule_list())
+        return 0
+
+    config = _load_config(args)
+    paths = _existing(args.paths or list(config.default_paths))
+    baseline_path, baseline = _load_baseline(args, config)
+
+    scan_paths: list[Path] | list[str] = paths
+    if args.changed_only:
+        changed = _changed_files(args.since)
+        if changed is None:
+            raise _UsageError(f"--changed-only: git diff against "
+                              f"{args.since!r} failed (not a git "
+                              "checkout, or bad ref)")
+        all_files = iter_python_files([Path(p) for p in paths])
+        scan_paths = [p for p in all_files if p.resolve() in changed]
+        if scan_paths:
+            scan_paths = _expand_dependents(scan_paths, all_files)
+
+    run_started = time.perf_counter()
+    report = analyze_paths(scan_paths, config, baseline=baseline,
+                           **{stage.name: getattr(args, stage.name)
+                              for stage in STAGES})
+    run_elapsed = time.perf_counter() - run_started
+    code = _finish(args, report, baseline_path)
+    if args.stats and not args.update_baseline:
+        _append_perf_row(_print_stats(report, run_elapsed))
+    return code
+
+
+_SUBCOMMANDS = {"graph": _graph_main, "verify": _verify_main,
+                "contract": _contract_main}
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    try:
+        if argv and argv[0] in _SUBCOMMANDS:
+            return _SUBCOMMANDS[argv[0]](argv[1:])
+        return _lint_main(argv)
+    except _UsageError as exc:
+        print(f"repro-lint: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 __all__ = ["AnalysisConfig", "LAYERING", "find_pyproject"]
 
@@ -78,6 +79,10 @@ LAYERING: dict[str, frozenset[str]] = {
 
 def _lower_tuple(values) -> tuple[str, ...]:
     return tuple(str(v).lower() for v in values)
+
+
+def _str_tuple(values) -> tuple[str, ...]:
+    return tuple(str(v) for v in values)
 
 
 @lru_cache(maxsize=None)
@@ -510,22 +515,9 @@ class AnalysisConfig:
     def from_pyproject(cls, pyproject: Path) -> "AnalysisConfig":
         """Default config overlaid with ``[tool.trust-lint]`` from a file.
 
-        Recognized keys: ``paths`` (list of str), ``disable`` (list of rule
-        ids), ``baseline`` (str), ``extend-secret-patterns``,
-        ``extend-public-patterns`` (lists of fnmatch patterns), and a
-        ``taint`` sub-table with ``extend-sources`` / ``extend-sinks`` /
-        ``extend-sanitizers`` pattern lists, a ``verify`` sub-table
-        with ``depth`` / ``max-states`` / ``entries`` / ``adversary``,
-        and a ``det`` sub-table with ``exempt-modules`` /
-        ``extend-order-sinks`` / ``extend-accumulation-sinks`` /
-        ``extend-sanitizers`` / ``shard-packages`` / ``shard-roots`` /
-        ``extend-conduits``, and a ``contract`` sub-table with
-        ``server-modules`` / ``codec-modules`` / ``client-modules`` /
-        ``read-modules`` / ``consumer-paths`` / ``golden`` /
-        ``decode-patterns`` / ``envelope-names``, and an ``sc``
-        sub-table with ``modules`` / ``extend-declassifiers`` /
-        ``extend-secret-patterns`` / ``extend-public-patterns`` /
-        ``modpow-boundary``.  Unknown keys are rejected so typos fail
+        The recognized keys are those of :data:`_OVERRIDES`: the top
+        table plus its ``taint``, ``verify``, ``det``, ``contract`` and
+        ``sc`` sub-tables.  Unknown keys are rejected so typos fail
         loudly.
         """
         import tomllib
@@ -537,154 +529,81 @@ class AnalysisConfig:
 
     def with_overrides(self, section: dict) -> "AnalysisConfig":
         """Apply a ``[tool.trust-lint]``-shaped dict of overrides."""
-        known = {"paths", "disable", "baseline", "extend-secret-patterns",
-                 "extend-public-patterns", "taint", "verify", "det",
-                 "contract", "sc"}
-        unknown = set(section) - known
-        if unknown:
-            raise ValueError(
-                f"unknown [tool.trust-lint] options: {sorted(unknown)}")
-        taint = section.get("taint", {})
-        taint_known = {"extend-sources", "extend-sinks", "extend-sanitizers"}
-        taint_unknown = set(taint) - taint_known
-        if taint_unknown:
-            raise ValueError(
-                f"unknown [tool.trust-lint.taint] options: "
-                f"{sorted(taint_unknown)}")
-        verify = section.get("verify", {})
-        verify_known = {"depth", "max-states", "entries", "adversary"}
-        verify_unknown = set(verify) - verify_known
-        if verify_unknown:
-            raise ValueError(
-                f"unknown [tool.trust-lint.verify] options: "
-                f"{sorted(verify_unknown)}")
-        det = section.get("det", {})
-        det_known = {"exempt-modules", "extend-order-sinks",
-                     "extend-accumulation-sinks", "extend-sanitizers",
-                     "shard-packages", "shard-roots", "extend-conduits"}
-        det_unknown = set(det) - det_known
-        if det_unknown:
-            raise ValueError(
-                f"unknown [tool.trust-lint.det] options: "
-                f"{sorted(det_unknown)}")
-        contract = section.get("contract", {})
-        contract_known = {"server-modules", "codec-modules",
-                          "client-modules", "read-modules",
-                          "consumer-paths", "golden", "decode-patterns",
-                          "envelope-names"}
-        contract_unknown = set(contract) - contract_known
-        if contract_unknown:
-            raise ValueError(
-                f"unknown [tool.trust-lint.contract] options: "
-                f"{sorted(contract_unknown)}")
-        sc = section.get("sc", {})
-        sc_known = {"modules", "extend-declassifiers",
-                    "extend-secret-patterns", "extend-public-patterns",
-                    "modpow-boundary"}
-        sc_unknown = set(sc) - sc_known
-        if sc_unknown:
-            raise ValueError(
-                f"unknown [tool.trust-lint.sc] options: "
-                f"{sorted(sc_unknown)}")
+        subtables = {sub: section.get(sub, {}) for sub in _OVERRIDES if sub}
+        top = {k: v for k, v in section.items() if k not in subtables}
+        tables = {"": top, **subtables}
+        for sub, values in tables.items():
+            unknown = set(values) - set(_OVERRIDES[sub])
+            if unknown:
+                name = f"tool.trust-lint.{sub}" if sub else "tool.trust-lint"
+                raise ValueError(
+                    f"unknown [{name}] options: {sorted(unknown)}")
         updates = {}
-        if "modules" in sc:
-            updates["sc_modules"] = tuple(str(m) for m in sc["modules"])
-        if "extend-declassifiers" in sc:
-            updates["sc_declassifiers"] = self.sc_declassifiers + \
-                _lower_tuple(sc["extend-declassifiers"])
-        if "extend-secret-patterns" in sc:
-            updates["sc_secret_patterns"] = self.sc_secret_patterns + \
-                _lower_tuple(sc["extend-secret-patterns"])
-        if "extend-public-patterns" in sc:
-            updates["sc_public_patterns"] = self.sc_public_patterns + \
-                _lower_tuple(sc["extend-public-patterns"])
-        if "modpow-boundary" in sc:
-            updates["sc_modpow_boundary"] = tuple(
-                str(q) for q in sc["modpow-boundary"])
-        if "server-modules" in contract:
-            updates["contract_server_modules"] = tuple(
-                str(m) for m in contract["server-modules"])
-        if "codec-modules" in contract:
-            updates["contract_codec_modules"] = tuple(
-                str(m) for m in contract["codec-modules"])
-        if "client-modules" in contract:
-            updates["contract_client_modules"] = tuple(
-                str(m) for m in contract["client-modules"])
-        if "read-modules" in contract:
-            updates["contract_read_modules"] = tuple(
-                str(m) for m in contract["read-modules"])
-        if "consumer-paths" in contract:
-            updates["contract_consumer_paths"] = tuple(
-                str(p) for p in contract["consumer-paths"])
-        if "golden" in contract:
-            updates["contract_golden"] = str(contract["golden"])
-        if "decode-patterns" in contract:
-            updates["contract_decode_patterns"] = _lower_tuple(
-                contract["decode-patterns"])
-        if "envelope-names" in contract:
-            updates["contract_envelope_names"] = tuple(
-                str(n) for n in contract["envelope-names"])
-        if "exempt-modules" in det:
-            updates["det_exempt_modules"] = tuple(
-                str(m) for m in det["exempt-modules"])
-        if "extend-order-sinks" in det:
-            updates["det_order_sinks"] = self.det_order_sinks + _lower_tuple(
-                det["extend-order-sinks"])
-        if "extend-accumulation-sinks" in det:
-            updates["det_accumulation_sinks"] = (
-                self.det_accumulation_sinks + _lower_tuple(
-                    det["extend-accumulation-sinks"]))
-        if "extend-sanitizers" in det:
-            updates["det_order_sanitizers"] = (
-                self.det_order_sanitizers + _lower_tuple(
-                    det["extend-sanitizers"]))
-        if "shard-packages" in det:
-            updates["det_shard_packages"] = tuple(
-                str(p) for p in det["shard-packages"])
-        if "shard-roots" in det:
-            updates["det_shard_roots"] = tuple(
-                str(r) for r in det["shard-roots"])
-        if "extend-conduits" in det:
-            updates["det_conduits"] = self.det_conduits + tuple(
-                str(c) for c in det["extend-conduits"])
-        if "depth" in verify:
-            updates["verify_depth"] = int(verify["depth"])
-        if "max-states" in verify:
-            updates["verify_max_states"] = int(verify["max-states"])
-        if "entries" in verify:
-            updates["verify_entries"] = tuple(
-                str(e) for e in verify["entries"])
-        if "adversary" in verify:
-            updates["verify_adversary"] = bool(verify["adversary"])
-        if "extend-sources" in taint:
-            updates["taint_sources"] = self.taint_sources + _lower_tuple(
-                taint["extend-sources"])
-        if "extend-sinks" in taint:
-            updates["taint_sinks"] = self.taint_sinks + _lower_tuple(
-                taint["extend-sinks"])
-        if "extend-sanitizers" in taint:
-            updates["taint_sanitizers"] = (
-                self.taint_sanitizers + _lower_tuple(
-                    taint["extend-sanitizers"]))
-        if "paths" in section:
-            updates["default_paths"] = tuple(str(p) for p in section["paths"])
-        if "disable" in section:
-            updates["disabled_rules"] = tuple(
-                str(r) for r in section["disable"])
-        if "baseline" in section:
-            updates["baseline_path"] = str(section["baseline"])
-        if "extend-secret-patterns" in section:
-            updates["secret_patterns"] = self.secret_patterns + _lower_tuple(
-                section["extend-secret-patterns"])
-        if "extend-public-patterns" in section:
-            updates["public_patterns"] = self.public_patterns + _lower_tuple(
-                section["extend-public-patterns"])
+        for sub, values in tables.items():
+            for key, raw in values.items():
+                attr, convert = _OVERRIDES[sub][key]
+                value = convert(raw)
+                if key.startswith("extend-"):
+                    value = getattr(self, attr) + value
+                updates[attr] = value
         return replace(self, **updates)
 
     @classmethod
     def default(cls) -> "AnalysisConfig":
         """The stock configuration encoding the paper's invariants."""
         return cls()
+
+
+#: Every ``[tool.trust-lint]`` key: sub-table ("" for the top table) ->
+#: key -> (AnalysisConfig field, value conversion).  ``extend-*`` keys
+#: append to the field's current value; every other key replaces it.
+_OVERRIDES: dict[str, dict[str, tuple[str, Callable]]] = {
+    "": {
+        "paths": ("default_paths", _str_tuple),
+        "disable": ("disabled_rules", _str_tuple),
+        "baseline": ("baseline_path", str),
+        "extend-secret-patterns": ("secret_patterns", _lower_tuple),
+        "extend-public-patterns": ("public_patterns", _lower_tuple),
+    },
+    "taint": {
+        "extend-sources": ("taint_sources", _lower_tuple),
+        "extend-sinks": ("taint_sinks", _lower_tuple),
+        "extend-sanitizers": ("taint_sanitizers", _lower_tuple),
+    },
+    "verify": {
+        "depth": ("verify_depth", int),
+        "max-states": ("verify_max_states", int),
+        "entries": ("verify_entries", _str_tuple),
+        "adversary": ("verify_adversary", bool),
+    },
+    "det": {
+        "exempt-modules": ("det_exempt_modules", _str_tuple),
+        "extend-order-sinks": ("det_order_sinks", _lower_tuple),
+        "extend-accumulation-sinks": ("det_accumulation_sinks",
+                                      _lower_tuple),
+        "extend-sanitizers": ("det_order_sanitizers", _lower_tuple),
+        "shard-packages": ("det_shard_packages", _str_tuple),
+        "shard-roots": ("det_shard_roots", _str_tuple),
+        "extend-conduits": ("det_conduits", _str_tuple),
+    },
+    "contract": {
+        "server-modules": ("contract_server_modules", _str_tuple),
+        "codec-modules": ("contract_codec_modules", _str_tuple),
+        "client-modules": ("contract_client_modules", _str_tuple),
+        "read-modules": ("contract_read_modules", _str_tuple),
+        "consumer-paths": ("contract_consumer_paths", _str_tuple),
+        "golden": ("contract_golden", str),
+        "decode-patterns": ("contract_decode_patterns", _lower_tuple),
+        "envelope-names": ("contract_envelope_names", _str_tuple),
+    },
+    "sc": {
+        "modules": ("sc_modules", _str_tuple),
+        "extend-declassifiers": ("sc_declassifiers", _lower_tuple),
+        "extend-secret-patterns": ("sc_secret_patterns", _lower_tuple),
+        "extend-public-patterns": ("sc_public_patterns", _lower_tuple),
+        "modpow-boundary": ("sc_modpow_boundary", _str_tuple),
+    },
+}
 
 
 def find_pyproject(start: Path) -> Path | None:

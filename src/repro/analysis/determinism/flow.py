@@ -19,8 +19,9 @@ already caught because the taint propagates through its construction.
 The swap is done by wrapping the user's config in :class:`_DetView`,
 which turns off every secrecy/timing callback and answers the
 source/sanitizer/sink questions from the ``det_*`` knobs instead, so
-the inherited walker needs only three overrides: seeding in ``_eval``/
-``_eval_call``, and routing ``_emit_sf110`` to DT604/DT606.
+the inherited walker needs only these overrides: seeding in ``_eval``/
+``_eval_call``, routing ``_emit_sf110`` to DT604/DT606, and the
+``_in_scope`` predicate that skips the exempt modules.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import ast
 
 from ..config import AnalysisConfig
-from ..core import Finding, ModuleContext, get_rule
+from ..core import ModuleContext
 from ..taint.analysis import TaintAnalysis
 from ..taint.model import SECRECY, make_source, merge
 from ..taint.symbols import ProjectIndex
@@ -127,9 +128,10 @@ class OrderFlowAnalysis(TaintAnalysis):
         return result
 
     # ------------------------------------------------------------ reporting
+    def _in_scope(self, module):
+        return not self._det_config.in_det_exempt_module(module)
+
     def _emit_sf110(self, module, line, col, origin, label, trace, st):
-        if self._det_config.in_det_exempt_module(module):
-            return
         short = _sink_short_name(label)
         if (short is not None
                 and self._det_config.is_det_accumulation_sink_name(short)):
@@ -145,24 +147,6 @@ class OrderFlowAnalysis(TaintAnalysis):
                 f"set-iteration order reaches {label} — the observable "
                 "output depends on PYTHONHASHSEED; sort before emitting "
                 "(see trace)", trace, st)
-
-    def _emit(self, rule_id, module, line, col, message, trace, st):
-        if not st.report or not self._det_config.rule_enabled(rule_id):
-            return
-        if self._det_config.in_det_exempt_module(module):
-            return
-        ctx = self.index.modules.get(module)
-        if ctx is None or ctx.is_suppressed(rule_id, line):
-            return
-        marker = (rule_id, ctx.display_path, line, col)
-        if marker in self._emitted:
-            return
-        self._emitted.add(marker)
-        self.findings.append(Finding(
-            rule=rule_id, message=message, path=ctx.display_path,
-            module=module, line=line, col=col,
-            source_line=ctx.source_line(line), trace=tuple(trace),
-            severity=get_rule(rule_id).severity))
 
 
 def _sink_short_name(label: str) -> str | None:

@@ -6,17 +6,16 @@ findings": Python-file discovery, dotted-module-name recovery (walking up
 where the tree is checked out), rule execution, suppression filtering and
 baseline subtraction.
 
-Per-module scanning is embarrassingly parallel, so ``analyze_paths``
-fans files out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-when the file count justifies the fork cost; results are collected in
-submission order and globally sorted, so the output is byte-identical to
-a sequential run.  The project-wide passes (taint, determinism,
-side-channel) need every module's AST at once and are not parallelisable
-per file, but they are independent of the per-module scan *and* of each
-other: on a big tree the determinism and side-channel passes each run in
-a forked child that shares the parsed contexts copy-on-write, the taint
-and contract passes run in the parent, and the scan pool grinds
-alongside all of them.
+Two kinds of work run.  The per-module rules look at one file at a
+time; the project-wide stages of :data:`STAGES` (taint, det, contract,
+sc) each look at every module at once, on one symbol index built before
+any of them.  On a big tree (or an explicit ``jobs > 1``) one
+fork-context process pool carries both: the per-file scan in chunks
+and, when taint is requested, the det and sc stages as tasks that
+inherit the parsed modules and the index copy-on-write, while the parent
+runs taint and contract.  Results are merged in submission and table
+order and globally sorted, so the output is byte-identical to a
+sequential run.
 """
 
 from __future__ import annotations
@@ -24,21 +23,67 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .baseline import apply_baseline
 from .config import AnalysisConfig
+from .contract import run_contract
 from .core import Finding, ModuleContext, ProjectRule, all_rules
+from .determinism import run_det
+from .sidechannel import run_sc
+from .taint import TaintAnalysis
+from .taint.symbols import ProjectIndex, build_index
 
-__all__ = ["AnalysisReport", "analyze_paths", "analyze_source",
-           "analyze_sources", "build_contexts", "module_name_for"]
+__all__ = ["AnalysisReport", "STAGES", "Stage", "analyze_paths",
+           "analyze_source", "analyze_sources", "build_contexts",
+           "module_name_for"]
 
 #: Below this many files a process pool costs more than it saves.
 _PARALLEL_THRESHOLD = 24
 _MAX_WORKERS = 8
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One project-wide pass over every module of the run at once."""
+
+    #: CLI flag, ``analyze_paths`` keyword and ``--stats`` row.
+    name: str
+    #: What the pass checks (the CLI flag's help text).
+    summary: str
+    run: Callable[[list[ModuleContext], AnalysisConfig, ProjectIndex],
+                  list[Finding]]
+    #: Runs as a pool task beside the parent's taint pass when the pool
+    #: is up; the other stages run in the parent.
+    offload: bool = False
+
+
+def _taint(contexts: list[ModuleContext], config: AnalysisConfig,
+           index: ProjectIndex) -> list[Finding]:
+    return TaintAnalysis(contexts, config, index=index).run()
+
+
+def _contract(contexts: list[ModuleContext], config: AnalysisConfig,
+              index: ProjectIndex) -> list[Finding]:
+    return run_contract(contexts, config, index=index)[0]
+
+
+#: The project-wide stages, in report order.
+STAGES: tuple[Stage, ...] = (
+    Stage("taint", "interprocedural secret-flow pass (SF110/SF111, with "
+          "full traces)", _taint),
+    Stage("det", "determinism & shard-isolation pass (DT6xx/RC61x, with "
+          "full traces)", run_det, offload=True),
+    Stage("contract", "wire-contract conformance pass (CT700-CT705)",
+          _contract),
+    Stage("sc", "constant-time / side-channel pass (SC800-SC805, with "
+          "full traces)", run_sc, offload=True),
+)
 
 
 @dataclass
@@ -50,16 +95,13 @@ class AnalysisReport:
     files_scanned: int = 0
     suppressed_count: int = 0
     baselined_count: int = 0
-    taint_ran: bool = False
-    det_ran: bool = False
-    contract_ran: bool = False
-    sc_ran: bool = False
-    #: Canonical wire-contract payload when the contract pass ran; the
-    #: same dict ``repro-lint contract`` serialises as ``contract.json``.
-    contract_payload: dict | None = None
-    #: Wall-clock seconds per stage (``{"lint": {"elapsed_s": ...}}``).
-    #: Overlapped stages report their own clock, so the values can sum
-    #: to more than the run's total wall time.
+    #: Names of the project-wide stages that ran, in :data:`STAGES` order.
+    stages: tuple[str, ...] = ()
+    #: Busy seconds and reported findings per stage, ``"lint"`` (the
+    #: per-module scan) first: ``{"lint": {"elapsed_s": ...,
+    #: "findings": ...}}``.  Each stage reports its own clock (the scan
+    #: the sum of its per-file times), so overlapped stages can sum to
+    #: more than the run's total wall time.
     stage_stats: dict = field(default_factory=dict)
     #: Exploration statistics when this report came from ``repro-lint
     #: verify`` (states, transitions, per-scenario breakdown); else None.
@@ -119,77 +161,79 @@ def _load_context(file_path: Path,
     return ctx, None
 
 
+def _check_module(ctx: ModuleContext,
+                  config: AnalysisConfig) -> tuple[list[Finding], int]:
+    """The per-module rules over one module: (findings, suppressed)."""
+    findings: list[Finding] = []
+    suppressed = 0
+    for rule in all_rules():
+        if isinstance(rule, ProjectRule):
+            continue  # reported by the project-wide stages
+        if not config.rule_enabled(rule.id):
+            continue
+        for finding in rule.check(ctx, config):
+            if ctx.is_suppressed(finding.rule, finding.line):
+                suppressed += 1
+            else:
+                findings.append(finding)
+    return findings, suppressed
+
+
 def _scan_worker(payload: tuple[str, str, AnalysisConfig]) -> dict:
     """Scan one file with the per-module rules (process-pool safe)."""
     path_str, display, config = payload
+    started = time.perf_counter()
     ctx, error = _load_context(Path(path_str), display)
-    if ctx is None:
-        return {"display": display, "error": error, "findings": [],
-                "suppressed": 0}
     findings: list[Finding] = []
     suppressed = 0
-    try:
-        for rule in all_rules():
-            if isinstance(rule, ProjectRule):
-                continue  # computed by the project-wide taint pass
-            if not config.rule_enabled(rule.id):
-                continue
-            for finding in rule.check(ctx, config):
-                if ctx.is_suppressed(finding.rule, finding.line):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
-    except Exception as exc:  # trust-lint: disable=RB301
-        # A rule crash must not abort the whole run: surface the file it
-        # died on as a parse-style error and keep scanning the rest.
-        return {"display": display,
-                "error": f"rule crash: {type(exc).__name__}: {exc}",
-                "findings": [], "suppressed": 0}
-    return {"display": display, "error": None, "findings": findings,
-            "suppressed": suppressed}
+    if ctx is not None:
+        try:
+            findings, suppressed = _check_module(ctx, config)
+        except Exception as exc:  # trust-lint: disable=RB301
+            # A rule crash must not abort the whole run: surface the file
+            # it died on as a parse-style error and keep scanning the rest.
+            error = f"rule crash: {type(exc).__name__}: {exc}"
+    return {"display": display, "error": error, "findings": findings,
+            "suppressed": suppressed,
+            "elapsed_s": time.perf_counter() - started}
 
 
-def _det_worker(conn, contexts: list[ModuleContext],
-                config: AnalysisConfig) -> None:
-    """Forked child: run the determinism pass, ship findings back.
-
-    Only ever started via the ``fork`` start method, so ``contexts``
-    arrives through copy-on-write memory, not pickling; the findings go
-    back over the pipe (they are small, plain dataclasses).
-    """
-    from .determinism import run_det
-    try:
-        started = time.perf_counter()
-        findings = run_det(contexts, config)
-        conn.send(("ok", findings, time.perf_counter() - started))
-    # Crash shield: the error is surfaced to the parent, which re-runs
-    # the pass inline to attribute the failure.
-    except BaseException as exc:  # trust-lint: disable=RB301
-        conn.send(("error", f"{type(exc).__name__}: {exc}", 0.0))
-    finally:
-        conn.close()
+#: (contexts, config, index) in a pool worker: set by the pool's
+#: initializer, whose arguments a forked worker inherits copy-on-write
+#: instead of receiving them pickled.
+_worker_inputs: tuple = ()
 
 
-def _sc_worker(conn, contexts: list[ModuleContext],
-               config: AnalysisConfig) -> None:
-    """Forked child: run the side-channel pass, ship findings back."""
-    from .sidechannel import run_sc
-    try:
-        started = time.perf_counter()
-        findings = run_sc(contexts, config)
-        conn.send(("ok", findings, time.perf_counter() - started))
-    except BaseException as exc:  # trust-lint: disable=RB301
-        conn.send(("error", f"{type(exc).__name__}: {exc}", 0.0))
-    finally:
-        conn.close()
+def _init_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _stage_worker(stage: Stage,
+                  inputs: tuple = ()) -> tuple[list[Finding], float]:
+    """Run one stage: (findings, busy seconds).  A pool task passes no
+    ``inputs`` and runs on its worker's inherited ones."""
+    started = time.perf_counter()
+    findings = stage.run(*(inputs or _worker_inputs))
+    return findings, time.perf_counter() - started
 
 
 def _effective_jobs(jobs: int | None, file_count: int) -> int:
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1  # pool tasks inherit their inputs through fork
     if jobs is not None:
         return max(1, jobs)
     if file_count < _PARALLEL_THRESHOLD:
         return 1
     return max(1, min(_MAX_WORKERS, os.cpu_count() or 1))
+
+
+def _selected(**wanted: bool) -> tuple[Stage, ...]:
+    return tuple(stage for stage in STAGES if wanted[stage.name])
+
+
+def _location(finding: Finding) -> tuple:
+    return (finding.path, finding.line, finding.col, finding.rule)
 
 
 def build_contexts(
@@ -215,161 +259,77 @@ def analyze_paths(paths: list[Path] | list[str],
                   jobs: int | None = None) -> AnalysisReport:
     """Run every enabled rule over the Python files under ``paths``.
 
-    ``taint=True`` additionally runs the interprocedural secret-flow
-    pass (SF110/SF111) over the whole file set; ``det=True`` runs
-    the determinism & shard-isolation pass (DT6xx/RC61x);
-    ``contract=True`` runs the wire-contract conformance pass (CT7xx)
-    and records the canonical payload on the report; ``sc=True`` runs
-    the constant-time / side-channel pass (SC8xx).  The project passes
-    share one symbol table.  ``jobs`` forces a worker count for the
-    per-file scan (default: automatic — sequential for small trees, up
-    to 8 processes for large ones).
+    ``taint``, ``det``, ``contract`` and ``sc`` additionally run the
+    project-wide stages of the same names (see :data:`STAGES`) over the
+    whole file set.  ``jobs`` forces a pool size (default: automatic —
+    sequential for small trees, up to 8 processes for large ones); any
+    value above 1 uses the pool.
     """
     config = config if config is not None else AnalysisConfig.default()
-    report = AnalysisReport()
+    stages = _selected(taint=taint, det=det, contract=contract, sc=sc)
     file_paths = iter_python_files([Path(p) for p in paths])
     payloads = [(str(p), _display_path(p), config) for p in file_paths]
     workers = _effective_jobs(jobs, len(file_paths))
-    project = taint or det or contract or sc
-
-    contexts: list[ModuleContext] = []
-    if project:
-        contexts, _ = build_contexts(file_paths)  # errors already reported
-
-    # Multiple project passes on a big tree: fork the determinism and
-    # side-channel passes off first (before any pool exists), so they
-    # overlap the parent's taint run and the per-module scan.  Small
-    # trees stay single-process, and so do single-core hosts — each
-    # child rebuilds the symbol index, which only pays for itself when
-    # the passes genuinely run concurrently.
-    can_fork = (taint and len(file_paths) >= _PARALLEL_THRESHOLD
-                and (os.cpu_count() or 1) >= 2
-                and "fork" in multiprocessing.get_all_start_methods())
-    det_proc = None
-    det_conn = None
-    sc_proc = None
-    sc_conn = None
-    if can_fork and det:
-        mp = multiprocessing.get_context("fork")
-        det_conn, child_conn = mp.Pipe(duplex=False)
-        det_proc = mp.Process(target=_det_worker,
-                              args=(child_conn, contexts, config),
-                              daemon=True)
-        det_proc.start()
-        child_conn.close()
-    if can_fork and sc:
-        mp = multiprocessing.get_context("fork")
-        sc_conn, child_conn = mp.Pipe(duplex=False)
-        sc_proc = mp.Process(target=_sc_worker,
-                             args=(child_conn, contexts, config),
-                             daemon=True)
-        sc_proc.start()
-        child_conn.close()
-
-    def project_passes() -> list[Finding]:
-        found: list[Finding] = []
-        index = None
-        if taint:
-            started = time.perf_counter()
-            from .taint import TaintAnalysis
-            analysis = TaintAnalysis(contexts, config)
-            found.extend(analysis.run())
-            report.taint_ran = True
-            index = analysis.index
-            report.stage_stats["taint"] = {
-                "elapsed_s": time.perf_counter() - started}
-        if det:
-            started = time.perf_counter()
-            det_findings: list[Finding] | None = None
-            det_elapsed = 0.0
-            if det_proc is not None:
-                try:
-                    status, payload, det_elapsed = det_conn.recv()
-                    if status == "ok":
-                        det_findings = payload
-                except EOFError:
-                    det_findings = None  # child died: re-run inline
-                det_proc.join()
-            if det_findings is None:
-                from .determinism import run_det
-                det_findings = run_det(contexts, config, index=index)
-                det_elapsed = time.perf_counter() - started
-            found.extend(det_findings)
-            report.det_ran = True
-            report.stage_stats["det"] = {"elapsed_s": det_elapsed}
-        if contract:
-            started = time.perf_counter()
-            from .contract import run_contract
-            ct_findings, payload = run_contract(contexts, config,
-                                                index=index)
-            found.extend(ct_findings)
-            report.contract_ran = True
-            report.contract_payload = payload
-            report.stage_stats["contract"] = {
-                "elapsed_s": time.perf_counter() - started}
-        if sc:
-            started = time.perf_counter()
-            sc_findings: list[Finding] | None = None
-            sc_elapsed = 0.0
-            if sc_proc is not None:
-                try:
-                    status, payload, sc_elapsed = sc_conn.recv()
-                    if status == "ok":
-                        sc_findings = payload
-                except EOFError:
-                    sc_findings = None  # child died: re-run inline
-                sc_proc.join()
-            if sc_findings is None:
-                from .sidechannel import run_sc
-                sc_findings = run_sc(contexts, config, index=index)
-                sc_elapsed = time.perf_counter() - started
-            found.extend(sc_findings)
-            report.sc_ran = True
-            report.stage_stats["sc"] = {"elapsed_s": sc_elapsed}
-        return found
-
-    interproc: list[Finding] | None = None
-    scan_started = time.perf_counter()
+    inputs: tuple = ()
+    if stages:
+        contexts, _ = build_contexts(file_paths)  # the scan reports errors
+        inputs = (contexts, config, build_index(contexts))
+    # The det and sc stages only pay for a pool slot when the parent has
+    # the taint pass to overlap them with.
+    offload = [s for s in stages if s.offload and taint and workers > 1]
+    scanned: list[dict] | None = None
+    ran: dict[str, tuple[list[Finding], float]] = {}
     if workers > 1:
         chunk = max(1, len(payloads) // (workers * 4))
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                scan_iter = pool.map(_scan_worker, payloads,
-                                     chunksize=chunk)
-                # The pool grinds the per-module rules while the parent
-                # runs the project-wide passes; collect afterwards.
-                if project:
-                    interproc = project_passes()
-                results = list(scan_iter)
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_init_worker, initargs=inputs) as pool:
+                tasks = {s.name: pool.submit(_stage_worker, s)
+                         for s in offload}
+                scan = pool.map(_scan_worker, payloads, chunksize=chunk)
+                for stage in stages:
+                    if stage.name not in tasks:
+                        ran[stage.name] = _stage_worker(stage, inputs)
+                scanned = list(scan)
+                for name, task in tasks.items():
+                    ran[name] = task.result()
         except BrokenProcessPool:
-            # A worker died outright (OOM kill, unpicklable crash).  The
-            # scan itself is pure, so fall back to a sequential pass that
-            # can attribute any failure to the file that caused it.
-            results = [_scan_worker(payload) for payload in payloads]
-    else:
-        results = [_scan_worker(payload) for payload in payloads]
-    report.stage_stats["lint"] = {
-        "elapsed_s": time.perf_counter() - scan_started}
-    if interproc is None and project:
-        interproc = project_passes()
+            # A worker died outright (OOM kill, unpicklable crash).
+            # Everything is pure, so redo what is missing inline, where a
+            # failure is attributed to the file causing it.
+            pass
+    if scanned is None:
+        scanned = [_scan_worker(payload) for payload in payloads]
+    for stage in stages:
+        if stage.name not in ran:
+            ran[stage.name] = _stage_worker(stage, inputs)
 
+    report = AnalysisReport(stages=tuple(s.name for s in stages))
     raw_findings: list[Finding] = []
-    for result in results:  # submission order: deterministic
+    for result in scanned:  # submission order: deterministic
         if result["error"] is not None:
             report.parse_errors.append((result["display"], result["error"]))
             continue
         report.files_scanned += 1
         report.suppressed_count += result["suppressed"]
         raw_findings.extend(result["findings"])
-    if interproc:
-        raw_findings.extend(interproc)
-    raw_findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    if baseline:
-        new_findings, baselined = apply_baseline(raw_findings, baseline)
-        report.findings = new_findings
-        report.baselined_count = baselined
-    else:
-        report.findings = raw_findings
+    report.stage_stats["lint"] = {
+        "elapsed_s": sum(result["elapsed_s"] for result in scanned)}
+    stage_of_rule: dict[str, str] = {}
+    for stage in stages:
+        findings, elapsed = ran[stage.name]
+        raw_findings.extend(findings)
+        stage_of_rule.update((f.rule, stage.name) for f in findings)
+        report.stage_stats[stage.name] = {"elapsed_s": elapsed}
+    raw_findings.sort(key=_location)
+    report.findings, report.baselined_count = apply_baseline(
+        raw_findings, baseline or {})
+    counts = Counter(stage_of_rule.get(f.rule, "lint")
+                     for f in report.findings)
+    for name, stats in report.stage_stats.items():
+        stats["findings"] = counts[name]
     return report
 
 
@@ -403,31 +363,13 @@ def analyze_sources(sources: dict[str, str],
             is_package=is_package))
     findings: list[Finding] = []
     for ctx in contexts:
-        for rule in all_rules():
-            if isinstance(rule, ProjectRule):
-                continue
-            if not config.rule_enabled(rule.id):
-                continue
-            for finding in rule.check(ctx, config):
-                if not ctx.is_suppressed(finding.rule, finding.line):
-                    findings.append(finding)
-    index = None
-    if taint:
-        from .taint import TaintAnalysis
-        analysis = TaintAnalysis(contexts, config)
-        findings.extend(analysis.run())
-        index = analysis.index
-    if det:
-        from .determinism import run_det
-        findings.extend(run_det(contexts, config, index=index))
-    if contract:
-        from .contract import run_contract
-        ct_findings, _ = run_contract(contexts, config, index=index)
-        findings.extend(ct_findings)
-    if sc:
-        from .sidechannel import run_sc
-        findings.extend(run_sc(contexts, config, index=index))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+        findings.extend(_check_module(ctx, config)[0])
+    stages = _selected(taint=taint, det=det, contract=contract, sc=sc)
+    if stages:
+        index = build_index(contexts)
+        for stage in stages:
+            findings.extend(stage.run(contexts, config, index))
+    findings.sort(key=_location)
     return findings
 
 

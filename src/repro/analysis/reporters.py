@@ -83,7 +83,7 @@ def render_json(report: AnalysisReport) -> str:
         "files_scanned": report.files_scanned,
         "suppressed": report.suppressed_count,
         "baselined": report.baselined_count,
-        "taint_ran": report.taint_ran,
+        "taint_ran": "taint" in report.stages,
         "parse_errors": [
             {"path": display, "message": message}
             for display, message in report.parse_errors

@@ -48,7 +48,7 @@ from __future__ import annotations
 import ast
 
 from ..config import AnalysisConfig
-from ..core import Finding, ModuleContext, TraceHop, get_rule, terminal_name
+from ..core import ModuleContext, TraceHop, terminal_name
 from ..taint.analysis import TaintAnalysis, _WalkState
 from ..taint.model import (SECRECY, TIMING, FunctionSummary, SinkRecord,
                            Taint, make_source, merge)
@@ -432,23 +432,8 @@ class SidechannelAnalysis(TaintAnalysis):
     def _emit_sf110(self, module, line, col, origin, label, trace, st):
         return  # secrecy-sink reporting belongs to the taint pass
 
-    def _emit(self, rule_id, module, line, col, message, trace, st):
-        if not st.report or not self._sc_config.rule_enabled(rule_id):
-            return
-        if not self._sc_config.in_sc_module(module):
-            return
-        ctx = self.index.modules.get(module)
-        if ctx is None or ctx.is_suppressed(rule_id, line):
-            return
-        marker = (rule_id, ctx.display_path, line, col)
-        if marker in self._emitted:
-            return
-        self._emitted.add(marker)
-        self.findings.append(Finding(
-            rule=rule_id, message=message, path=ctx.display_path,
-            module=module, line=line, col=col,
-            source_line=ctx.source_line(line), trace=tuple(trace),
-            severity=get_rule(rule_id).severity))
+    def _in_scope(self, module):
+        return self._sc_config.in_sc_module(module)
 
 
 class _EarlyExitFinder(ast.NodeVisitor):

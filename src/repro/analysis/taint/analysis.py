@@ -43,7 +43,8 @@ import ast
 from dataclasses import dataclass, field
 
 from ..config import AnalysisConfig
-from ..core import Finding, ModuleContext, TraceHop, terminal_name
+from ..core import (Finding, ModuleContext, TraceHop, get_rule,
+                    terminal_name)
 from ..rules.secrets import (_LOG_BASES, _LOG_METHODS, _REPR_METHODS,
                              _secret_in_expr, _secrets_in_fstring)
 from .model import (SECRECY, TIMING, FunctionSummary, SinkRecord, Taint,
@@ -892,11 +893,17 @@ class TaintAnalysis:
             f"secret {origin!r} reaches {label} through aliasing/dataflow "
             "(see trace)", trace, st)
 
+    def _in_scope(self, module: str) -> bool:
+        """Does this pass report findings located in ``module``?"""
+        return True
+
     def _emit(self, rule_id: str, module: str, line: int, col: int,
               message: str, trace: tuple, st: _WalkState) -> None:
         if not st.report:
             return
         if not self.config.rule_enabled(rule_id):
+            return
+        if not self._in_scope(module):
             return
         ctx = self.index.modules.get(module)
         if ctx is None:
@@ -912,7 +919,8 @@ class TaintAnalysis:
         self.findings.append(Finding(
             rule=rule_id, message=message, path=ctx.display_path,
             module=module, line=line, col=col,
-            source_line=ctx.source_line(line), trace=tuple(trace)))
+            source_line=ctx.source_line(line), trace=tuple(trace),
+            severity=get_rule(rule_id).severity))
 
     # ------------------------------------------------------- call resolution
     def _resolve_callee(self, func: ast.expr, st: _WalkState):
