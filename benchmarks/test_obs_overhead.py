@@ -2,10 +2,14 @@
 
 Two invariants protect the substrate added for cross-layer tracing:
 
-- the *no-op path is free*: a default fleet run with instrumentation left
-  at its NOOP default reproduces the checked-in ``fleet_load.txt``
-  baseline — same summary bytes, throughput within 5% of the recorded
-  figure — and attaching a live bundle changes nothing the fleet reports;
+- *tracing is cheap and changes nothing*: a default fleet run with
+  instrumentation left at its NOOP default reproduces the checked-in
+  ``fleet_load.txt`` summary bytes; attaching a live bundle changes
+  nothing the fleet reports; and, timed on the host in interleaved pairs,
+  the smoke fleet with a live bundle takes at most 1.25x its NOOP time
+  (median ratio).  The modeled throughput the guard once compared is an
+  output of the virtual clock and cannot move, so host time is what is
+  bounded;
 - the *export format is pinned*: the trace CLI's JSON output for the
   default fleet scenario must match the golden
   ``results/trace_smoke.json`` byte for byte, so exporter or span-name
@@ -14,10 +18,11 @@ Two invariants protect the substrate added for cross-layer tracing:
 """
 
 import json
-import re
+import statistics
+import time
 
 from repro.cli import main
-from repro.obs import Instrumentation
+from repro.obs import NOOP, Instrumentation
 from repro.runtime import FleetConfig, FleetSimulation
 
 from .conftest import RESULTS_DIR, emit
@@ -25,38 +30,60 @@ from .conftest import RESULTS_DIR, emit
 BASELINE = RESULTS_DIR / "fleet_load.txt"
 GOLDEN_TRACE = RESULTS_DIR / "trace_smoke.json"
 
+#: The CI load-smoke fleet (48 devices, 4 shards, 2 requests each).
+SMOKE_FLEET = FleetConfig(n_devices=48, n_shards=4, seed=7,
+                          requests_per_device=2)
+#: Interleaved NOOP/live pairs, and the bound on their median host-time
+#: ratio (live / NOOP).
+OVERHEAD_PAIRS = 7
+OVERHEAD_GUARD = 1.25
 
-def _baseline_throughput() -> float:
-    match = re.search(r"throughput\s*\|\s*([0-9.]+) req/s",
-                      BASELINE.read_text())
-    assert match, "fleet_load.txt lacks a throughput row"
-    return float(match.group(1))
+
+def _host_seconds(obs: Instrumentation) -> float:
+    """Host wall-clock of building and running the smoke fleet."""
+    start = time.perf_counter()
+    FleetSimulation(SMOKE_FLEET, obs=obs).run()
+    return time.perf_counter() - start
 
 
 class TestNoopOverheadGuard:
     def test_noop_fleet_matches_checked_in_baseline(self):
         result = FleetSimulation(FleetConfig()).run()  # obs defaults to NOOP
-        recorded = _baseline_throughput()
-        measured = result.metrics.throughput_rps
-        # The summary must still be the baseline's bytes, and throughput
-        # must sit within the 5% guard band around the recorded figure.
         assert result.summary in BASELINE.read_text()
-        assert abs(measured - recorded) <= 0.05 * recorded
-        emit("obs_overhead", "\n".join([
-            "observability no-op overhead guard",
-            "",
-            f"baseline throughput | {recorded:.2f} req/s",
-            f"measured throughput | {measured:.2f} req/s",
-            f"deviation           | "
-            f"{abs(measured - recorded) / recorded * 100:.2f}% (guard 5%)",
-            "summary bytes       | identical to fleet_load.txt",
-        ]))
+
+    def test_live_tracing_host_overhead_within_guard(self):
+        _host_seconds(Instrumentation.live())  # warm-up, not measured
+        pairs = []
+        for index in range(OVERHEAD_PAIRS):
+            # Alternate which side runs first, so drift favours neither.
+            if index % 2:
+                live = _host_seconds(Instrumentation.live())
+                noop = _host_seconds(NOOP)
+            else:
+                noop = _host_seconds(NOOP)
+                live = _host_seconds(Instrumentation.live())
+            pairs.append((noop, live))
+        ratios = sorted(live / noop for noop, live in pairs)
+        median = statistics.median(ratios)
+        rows = [
+            ("fleet", "48 devices, 4 shards, 2 requests each"),
+            ("NOOP median", f"{statistics.median(n for n, _ in pairs):.3f} s"),
+            ("live median", f"{statistics.median(v for _, v in pairs):.3f} s"),
+            ("live/NOOP ratio", f"median {median:.2f} (range {ratios[0]:.2f}"
+                                f"-{ratios[-1]:.2f}, guard {OVERHEAD_GUARD})"),
+        ]
+        width = max(len(name) for name, _ in rows)
+        emit("obs_overhead", "\n".join(
+            ["observability overhead guard (measured: host wall-clock, "
+             f"{OVERHEAD_PAIRS} interleaved pairs after one warm-up run)", ""]
+            + [f"{name.ljust(width)} | {value}" for name, value in rows]))
+        assert median <= OVERHEAD_GUARD, (
+            f"live tracing costs x{median:.2f} host time (guard "
+            f"x{OVERHEAD_GUARD}); ratios {[round(r, 2) for r in ratios]}")
 
     def test_live_instrumentation_changes_no_reported_byte(self):
-        config = FleetConfig(n_devices=48, n_shards=4, seed=7,
-                             requests_per_device=2)
-        plain = FleetSimulation(config).run()
-        traced = FleetSimulation(config, obs=Instrumentation.live()).run()
+        plain = FleetSimulation(SMOKE_FLEET).run()
+        traced = FleetSimulation(SMOKE_FLEET, obs=Instrumentation.live()).run()
         assert plain.summary == traced.summary
         assert plain.trace == traced.trace
 

@@ -1,9 +1,14 @@
 """E13 — section IV-B: identity reset and identity transfer.
 
-Reset: after a device is lost, the password fallback severs the key
-binding and the old device can no longer log in.  Transfer: a fingerprint-
-authorized encrypted bundle moves every binding to a new device, which can
-immediately log in — with no server-side change at all.
+Transfer: a fingerprint-authorized encrypted bundle moves every binding of
+the user's old phone to a new one, which can immediately log in — with no
+server-side change at all — while the old phone is retired.  Reset: after
+a device is lost, the password fallback severs the key binding, and the
+device that holds it can no longer log in until it re-registers.
+
+The old phone is a device of this experiment's own: the transfer retires
+its records, and the harness's shared deployment device stays bound for
+the experiments that reuse it.
 """
 
 import numpy as np
@@ -21,13 +26,26 @@ from repro.net import (
 from .conftest import emit
 
 
-def test_reset_transfer(benchmark, rng):
+def test_reset_transfer(benchmark, rng, monkeypatch):
     world = standard_deployment(seed=42)
     server = WebServer("www.e13.example", world.ca, b"e13-server")
     server.create_account("alice", "fallback-password")
     channel = UntrustedChannel()
-    outcome = register_device(world.device, server, channel, "alice",
+    old_device = MobileDevice("alice-old-phone", b"e13-old-device",
+                              ca=world.ca)
+    old_device.flock.enroll_local_user(world.user_template)
+    outcome = register_device(old_device, server, channel, "alice",
                               LOGIN_BUTTON_XY, world.user_master, rng)
+    assert outcome.success, outcome.reason
+    # A second binding, so the transfer moves more than one.  Steps beyond
+    # register/transfer/login/rebind touch with a generator of their own:
+    # the session ``rng`` goes on to the experiments that run after this
+    # one, and their results depend on what this one draws from it.
+    own_rng = np.random.default_rng(13)
+    mail = WebServer("mail.e13.example", world.ca, b"e13-mail")
+    mail.create_account("alice", "mail-password")
+    outcome = register_device(old_device, mail, channel, "alice",
+                              LOGIN_BUTTON_XY, world.user_master, own_rng)
     assert outcome.success, outcome.reason
 
     rows = []
@@ -35,16 +53,26 @@ def test_reset_transfer(benchmark, rng):
     # ---- transfer --------------------------------------------------------
     new_device = MobileDevice("alice-new-phone", b"e13-new-device",
                               ca=world.ca)
+    # Measure the bundle this transfer delivers, not a second export.
+    bundles = []
+    import_identity = new_device.flock.import_identity
+
+    def receive(bundle):
+        bundles.append(bundle)
+        return import_identity(bundle)
+
+    monkeypatch.setattr(new_device.flock, "import_identity", receive)
 
     def do_transfer():
-        return transfer_identity(world.device, new_device, LOGIN_BUTTON_XY,
+        return transfer_identity(old_device, new_device, LOGIN_BUTTON_XY,
                                  world.user_master, rng)
 
     transferred = benchmark.pedantic(do_transfer, rounds=1, iterations=1)
-    bundle_size = len(world.device.flock.export_identity(
-        new_device.flock.public_key, authorizing_touch_verified=True))
     rows.append(["domains transferred", len(transferred)])
-    rows.append(["encrypted bundle size", f"{bundle_size} B"])
+    rows.append(["encrypted bundle size", f"{len(bundles[0])} B"])
+    old_retired = not any(old_device.flock.flash.has_record(domain)
+                          for domain in transferred)
+    rows.append(["old device retired by transfer", old_retired])
 
     new_login = login(new_device, server, channel, "alice", LOGIN_BUTTON_XY,
                       world.user_master, rng)
@@ -55,9 +83,9 @@ def test_reset_transfer(benchmark, rng):
     assert reset_identity(server, "alice", "fallback-password")
     rows.append(["binding removed by password reset",
                  server.account_key("alice") is None])
-    old_login = login(world.device, server, channel, "alice",
-                      LOGIN_BUTTON_XY, world.user_master, rng)
-    rows.append(["old device login after reset", old_login.reason])
+    reset_login = login(new_device, server, channel, "alice",
+                        LOGIN_BUTTON_XY, world.user_master, own_rng)
+    rows.append(["bound device login after reset", reset_login.reason])
 
     # Rebind from the new device (fresh Fig. 9 run).
     new_device.flock.unbind_service(server.domain)
@@ -68,10 +96,10 @@ def test_reset_transfer(benchmark, rng):
     table = render_table(["step", "result"], rows,
                          title="E13: identity transfer + identity reset")
     emit("E13_reset_transfer", table)
-    world.device.flock.unbind_service(server.domain)
 
     # Shape assertions.
     assert "www.e13.example" in transferred
     assert new_login.success
-    assert not old_login.success  # reset really severed the binding
+    assert not reset_login.success  # reset really severed the binding
     assert rebind.success
+    assert "mail.e13.example" in transferred and old_retired

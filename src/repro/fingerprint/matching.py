@@ -31,6 +31,11 @@ from .minutiae import Minutia
 
 __all__ = ["MatchResult", "MinutiaeMatcher", "minutiae_to_arrays"]
 
+#: Candidate (template, probe) minutia pairs scored per batch of
+#: hypotheses.  Bounds the matcher's working set: each batch array holds
+#: this many entries (512 KiB as float64) however large the probe.
+_PAIR_BUDGET = 1 << 16
+
 
 def minutiae_to_arrays(minutiae: list[Minutia]) -> tuple[np.ndarray, np.ndarray]:
     """Split minutiae into an (n, 2) position array and an (n,) angle array."""
@@ -56,22 +61,22 @@ def _local_descriptors(positions: np.ndarray, angles: np.ndarray,
     to the minutia direction), sorted by distance.
     """
     n = len(positions)
-    descriptors = np.zeros((n, 3 * k_neighbors), dtype=np.float64)
-    if n < 2:
-        return descriptors
-    deltas = positions[None, :, :] - positions[:, None, :]  # (n, n, 2)
-    distances = np.hypot(deltas[..., 0], deltas[..., 1])
-    np.fill_diagonal(distances, np.inf)
-    for i in range(n):
-        order = np.argsort(distances[i])[:k_neighbors]
-        for slot, j in enumerate(order):
-            if not np.isfinite(distances[i, j]):
-                break
-            bearing = np.arctan2(deltas[i, j, 0], deltas[i, j, 1])
-            descriptors[i, 3 * slot] = distances[i, j]
-            descriptors[i, 3 * slot + 1] = np.mod(bearing - angles[i], 2 * np.pi)
-            descriptors[i, 3 * slot + 2] = np.mod(angles[j] - angles[i], 2 * np.pi)
-    return descriptors
+    descriptors = np.zeros((n, k_neighbors, 3), dtype=np.float64)
+    if n >= 2:
+        deltas = positions[None, :, :] - positions[:, None, :]  # (n, n, 2)
+        distances = np.hypot(deltas[..., 0], deltas[..., 1])
+        np.fill_diagonal(distances, np.inf)
+        rows = np.arange(n)[:, None]
+        order = np.argsort(distances, axis=1)[:, :k_neighbors]
+        near = distances[rows, order]
+        # Slots past n - 1 neighbours (the minutia itself) stay zero.
+        found = np.isfinite(near)
+        bearing = np.arctan2(deltas[rows, order, 0], deltas[rows, order, 1])
+        slots = descriptors[:, :order.shape[1]]
+        slots[found, 0] = near[found]
+        slots[found, 1] = np.mod(bearing - angles[:, None], 2 * np.pi)[found]
+        slots[found, 2] = np.mod(angles[order] - angles[:, None], 2 * np.pi)[found]
+    return descriptors.reshape(n, 3 * k_neighbors)
 
 
 def _descriptor_cost(desc_a: np.ndarray, desc_b: np.ndarray,
@@ -128,89 +133,107 @@ class MinutiaeMatcher:
         self.max_hypotheses = int(max_hypotheses)
 
     def match(self, template: list[Minutia], probe: list[Minutia]) -> MatchResult:
-        """Score ``probe`` against ``template``."""
+        """Score ``probe`` against ``template``.
+
+        Hypotheses are scored in batches of at most ``_PAIR_BUDGET``
+        candidate pairs; the first hypothesis reaching the best score wins.
+        """
         pos_t, ang_t = minutiae_to_arrays(template)
         pos_p, ang_p = minutiae_to_arrays(probe)
         n_t, n_p = len(pos_t), len(pos_p)
+        best = MatchResult(0.0, 0, n_t, n_p, 0.0, (0.0, 0.0))
         if n_t == 0 or n_p == 0:
-            return MatchResult(0.0, 0, n_t, n_p, 0.0, (0.0, 0.0))
+            return best
 
         desc_t = _local_descriptors(pos_t, ang_t, self.k_neighbors)
         desc_p = _local_descriptors(pos_p, ang_p, self.k_neighbors)
         cost = _descriptor_cost(desc_t, desc_p, self.k_neighbors)
-
+        # Hypothesis h anchors probe minutia p_index[h] on template minutia
+        # t_index[h]; rotation[h] turns the probe onto the template.
         flat_order = np.argsort(cost, axis=None)[: self.max_hypotheses]
-        hypothesis_pairs = [np.unravel_index(i, cost.shape) for i in flat_order]
+        t_index, p_index = np.divmod(flat_order, n_p)
+        rotation = np.mod(ang_t[t_index] - ang_p[p_index], 2 * np.pi)
 
-        best = MatchResult(0.0, 0, n_t, n_p, 0.0, (0.0, 0.0))
-        for t_index, p_index in hypothesis_pairs:
-            rotation = float(np.mod(ang_t[t_index] - ang_p[p_index], 2 * np.pi))
-            cos_r, sin_r = np.cos(rotation), np.sin(rotation)
-            # Rotate probe positions about the anchor probe minutia, then
-            # translate the anchor onto the template minutia.
-            rel = pos_p - pos_p[p_index]
-            rotated = np.empty_like(rel)
-            rotated[:, 0] = rel[:, 1] * sin_r + rel[:, 0] * cos_r
-            rotated[:, 1] = rel[:, 1] * cos_r - rel[:, 0] * sin_r
-            transformed = rotated + pos_t[t_index]
-            transformed_angles = np.mod(ang_p + rotation, 2 * np.pi)
+        batch = max(1, _PAIR_BUDGET // (n_t * n_p))
+        scores, matched = [], []
+        for start in range(0, len(flat_order), batch):
+            part = slice(start, start + batch)
+            batch_scores, batch_matched = self._score_hypotheses(
+                pos_t, ang_t, pos_p, ang_p,
+                t_index[part], p_index[part], rotation[part])
+            scores.append(batch_scores)
+            matched.extend(batch_matched)
+        scores = np.concatenate(scores)
+        winner = int(np.argmax(scores))
+        if not scores[winner] > best.score:
+            return best
 
-            matched = self._count_matches(pos_t, ang_t, transformed,
-                                          transformed_angles)
-            score = self._overlap_score(pos_t, transformed, matched, n_p)
-            if score > best.score:
-                translation = (
-                    float(pos_t[t_index][0] - pos_p[p_index][0]),
-                    float(pos_t[t_index][1] - pos_p[p_index][1]),
-                )
-                anchor = pos_p[p_index]
-                rotated_anchor = (
-                    anchor[1] * sin_r + anchor[0] * cos_r,
-                    anchor[1] * cos_r - anchor[0] * sin_r,
-                )
-                offset = (
-                    float(pos_t[t_index][0] - rotated_anchor[0]),
-                    float(pos_t[t_index][1] - rotated_anchor[1]),
-                )
-                best = MatchResult(score, matched, n_t, n_p, rotation,
-                                   translation, offset)
-        return best
+        t, anchor = pos_t[t_index[winner]], pos_p[p_index[winner]]
+        angle = float(rotation[winner])
+        cos_r, sin_r = np.cos(angle), np.sin(angle)
+        translation = (float(t[0] - anchor[0]), float(t[1] - anchor[1]))
+        offset = (
+            float(t[0] - (anchor[1] * sin_r + anchor[0] * cos_r)),
+            float(t[1] - (anchor[1] * cos_r - anchor[0] * sin_r)),
+        )
+        return MatchResult(float(scores[winner]), matched[winner], n_t, n_p,
+                           angle, translation, offset)
 
-    def _overlap_score(self, pos_t: np.ndarray, transformed_probe: np.ndarray,
-                       matched: int, n_probe: int) -> float:
-        """Overlap-normalized score: matched^2 / (n_overlap * n_probe)."""
-        if matched == 0:
-            return 0.0
-        centroid = transformed_probe.mean(axis=0)
-        deltas = transformed_probe - centroid
-        footprint = np.hypot(deltas[:, 0], deltas[:, 1]).max() \
+    def _score_hypotheses(self, pos_t: np.ndarray, ang_t: np.ndarray,
+                          pos_p: np.ndarray, ang_p: np.ndarray,
+                          t_index: np.ndarray, p_index: np.ndarray,
+                          rotation: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Overlap-normalized scores and matched-pair counts of a batch.
+
+        Each hypothesis rotates the probe about its anchor minutia and
+        translates the anchor onto its template minutia.  Template and
+        transformed probe minutiae then pair greedily one-to-one within
+        tolerance, closest first (the ``argsort`` order of the whole
+        pair matrix, so ties resolve the same however the batch is cut).
+        The score is ``matched^2 / (n_overlap * n_probe)``.
+        """
+        n_hyp, n_t, n_p = len(rotation), len(pos_t), len(pos_p)
+        cos_r, sin_r = np.cos(rotation)[:, None], np.sin(rotation)[:, None]
+        rel = pos_p[None, :, :] - pos_p[p_index][:, None, :]
+        rotated = np.empty_like(rel)
+        rotated[..., 0] = rel[..., 1] * sin_r + rel[..., 0] * cos_r
+        rotated[..., 1] = rel[..., 1] * cos_r - rel[..., 0] * sin_r
+        probe = rotated + pos_t[t_index][:, None, :]  # (hyp, n_p, 2)
+
+        # Template minutia i against probe minutia j under hypothesis h.
+        # A distance is never below its row gap, so pairs further apart in
+        # rows than the tolerance need no exact test.
+        dr = pos_t[None, :, None, 0] - probe[:, None, :, 0]
+        tol = self.distance_tolerance
+        h, i, j = np.nonzero(np.abs(dr) <= tol)
+        distance = np.hypot(dr[h, i, j], pos_t[i, 1] - probe[h, j, 1])
+        probe_angle = np.mod(ang_p[j] + rotation[h], 2 * np.pi)
+        ok = (distance <= tol) & (_angle_difference(ang_t[i], probe_angle)
+                                  <= self.angle_tolerance)
+        h, i, j = h[ok], i[ok], j[ok]
+        costs = np.full((n_hyp, n_t * n_p), np.inf)
+        costs[h, i * n_p + j] = distance[ok]
+        n_eligible = np.bincount(h, minlength=n_hyp).tolist()
+        matched = []
+        for order, count in zip(np.argsort(costs, axis=1), n_eligible):
+            used_t, used_p = set(), set()
+            for flat in order[:count].tolist():
+                t, p = divmod(flat, n_p)
+                if t not in used_t and p not in used_p:
+                    used_t.add(t)
+                    used_p.add(p)
+            matched.append(len(used_t))
+
+        # Only the template region the probe's footprint covers counts.
+        centroid = probe.mean(axis=1)
+        spread = probe - centroid[:, None, :]
+        footprint = np.hypot(spread[..., 0], spread[..., 1]).max(axis=1) \
             + self.distance_tolerance
-        t_deltas = pos_t - centroid
-        n_overlap = int((np.hypot(t_deltas[:, 0], t_deltas[:, 1]) <= footprint).sum())
-        denominator = max(n_overlap, n_probe, 1) * n_probe
-        return float(min(matched * matched / denominator, 1.0))
-
-    def _count_matches(self, pos_t: np.ndarray, ang_t: np.ndarray,
-                       pos_p: np.ndarray, ang_p: np.ndarray) -> int:
-        """Greedy one-to-one pairing within tolerance, closest first."""
-        deltas = pos_t[:, None, :] - pos_p[None, :, :]
-        distances = np.hypot(deltas[..., 0], deltas[..., 1])
-        angle_ok = _angle_difference(ang_t[:, None], ang_p[None, :]) \
-            <= self.angle_tolerance
-        eligible = (distances <= self.distance_tolerance) & angle_ok
-        if not eligible.any():
-            return 0
-        candidate_costs = np.where(eligible, distances, np.inf)
-        matched = 0
-        used_t = np.zeros(len(pos_t), dtype=bool)
-        used_p = np.zeros(len(pos_p), dtype=bool)
-        order = np.argsort(candidate_costs, axis=None)
-        for flat in order:
-            if not np.isfinite(candidate_costs.flat[flat]):
-                break
-            i, j = np.unravel_index(flat, candidate_costs.shape)
-            if used_t[i] or used_p[j]:
-                continue
-            used_t[i] = used_p[j] = True
-            matched += 1
-        return matched
+        t_spread = pos_t[None, :, :] - centroid[:, None, :]
+        n_overlap = np.count_nonzero(
+            np.hypot(t_spread[..., 0], t_spread[..., 1]) <= footprint[:, None],
+            axis=1)
+        counts = np.array(matched)
+        scores = np.minimum(
+            counts * counts / (np.maximum(n_overlap, n_p) * n_p), 1.0)
+        return scores, matched

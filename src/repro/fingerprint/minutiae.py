@@ -107,27 +107,29 @@ def extract_minutiae(skeleton: np.ndarray, mask: np.ndarray,
         border_value=0,
     )
 
-    detections: list[Minutia] = []
-    for kind, cn_value in ((ENDING, 1), (BIFURCATION, 3)):
-        rows, cols = np.nonzero((cn == cn_value) & interior)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            direction = _resolve_direction(
-                skeleton, r, c, float(orientation_field[r, c]), kind
-            )
-            detections.append(Minutia(float(r), float(c), direction, kind))
+    # De-duplicate before orienting: clusters of detections within
+    # min_separation collapse to the first in row-major order.  Rows only
+    # grow, so a kept detection min_separation rows back can clash with
+    # no later one and leaves the window.
+    rows, cols = np.nonzero(((cn == 1) | (cn == 3)) & interior)
+    separation_sq = min_separation**2
+    kept: list[tuple[int, int]] = []
+    window = 0
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        while window < len(kept) and (r - kept[window][0]) ** 2 >= separation_sq:
+            window += 1
+        if all((r - kr) ** 2 + (c - kc) ** 2 >= separation_sq
+               for kr, kc in kept[window:]):
+            kept.append((r, c))
 
-    # De-duplicate: clusters of detections within min_separation collapse to
-    # one (keeps the first; ordering is deterministic row-major).
-    detections.sort(key=lambda m: (m.row, m.col))
-    kept: list[Minutia] = []
-    for minutia in detections:
-        if all(
-            (minutia.row - other.row) ** 2 + (minutia.col - other.col) ** 2
-            >= min_separation**2
-            for other in kept
-        ):
-            kept.append(minutia)
-    return kept
+    detections = []
+    for r, c in kept:
+        kind = ENDING if cn[r, c] == 1 else BIFURCATION
+        direction = _resolve_direction(
+            skeleton, r, c, float(orientation_field[r, c]), kind
+        )
+        detections.append(Minutia(float(r), float(c), direction, kind))
+    return detections
 
 
 def minutiae_from_image(image: np.ndarray, mask: np.ndarray | None = None,

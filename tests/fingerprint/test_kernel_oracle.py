@@ -1,0 +1,304 @@
+"""The vectorized matcher, thinning and extraction against their loop oracles.
+
+``reference.py`` keeps the one-at-a-time formulations; every property here
+demands exact equality with them (``dataclasses.astuple`` of
+``MatchResult``, ``np.array_equal`` skeletons, equal minutiae lists), not
+closeness.  The known answers pin the whole capture -> skeleton ->
+minutiae -> match path on captures of the harness's standard deployment.
+"""
+
+import dataclasses
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from repro.eval import standard_deployment
+from repro.fingerprint import (
+    CaptureCondition,
+    Minutia,
+    MinutiaeMatcher,
+    extract_minutiae,
+    minutiae_from_image,
+    minutiae_with_enhancement,
+    render_impression,
+    zhang_suen_thin,
+)
+from repro.fingerprint.matching import (
+    _PAIR_BUDGET,
+    _local_descriptors,
+    minutiae_to_arrays,
+)
+
+from . import reference
+
+TWO_PI = 2.0 * np.pi
+
+
+def _minutia(row, col, direction, kind="ending"):
+    return Minutia(float(row), float(col), float(direction), kind)
+
+
+def _random_set(rng, n, span=192.0):
+    return [_minutia(*rng.uniform(0.0, span, 2), rng.uniform(0.0, TWO_PI))
+            for _ in range(n)]
+
+
+#: Minutiae on a small integer grid, so sets often hold exact duplicates
+#: (zero-distance ties) and equal pair distances.
+grid_minutiae = st.builds(
+    _minutia,
+    st.integers(0, 12), st.integers(0, 12),
+    st.sampled_from([0.0, 0.5, 1.0, np.pi, 5.0]),
+    st.sampled_from(["ending", "bifurcation"]),
+)
+#: Minutiae anywhere in a capture frame with any direction.
+free_minutiae = st.builds(
+    _minutia,
+    st.floats(0.0, 192.0), st.floats(0.0, 192.0), st.floats(0.0, 6.283),
+)
+minutiae_sets = st.one_of(st.lists(grid_minutiae, max_size=25),
+                          st.lists(free_minutiae, max_size=40))
+matchers = st.builds(
+    MinutiaeMatcher,
+    distance_tolerance=st.floats(0.5, 30.0),
+    angle_tolerance=st.sampled_from([1e-300, 0.05, 0.3, 1.0, 4.0]),
+    k_neighbors=st.integers(0, 8),
+    max_hypotheses=st.sampled_from([1, 3, 64, 1000]),
+)
+
+
+def _oracle_match(matcher, template, probe):
+    return reference.match(
+        template, probe, distance_tolerance=matcher.distance_tolerance,
+        angle_tolerance=matcher.angle_tolerance,
+        k_neighbors=matcher.k_neighbors,
+        max_hypotheses=matcher.max_hypotheses)
+
+
+def _assert_same_match(matcher, template, probe):
+    got = matcher.match(template, probe)
+    want = _oracle_match(matcher, template, probe)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert type(got.matched_pairs) is int and type(got.score) is float
+    return got
+
+
+class TestMatcherOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(matchers, minutiae_sets, minutiae_sets)
+    def test_random_sets_match_exactly(self, matcher, template, probe):
+        _assert_same_match(matcher, template, probe)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(grid_minutiae, min_size=1, max_size=20),
+           st.lists(grid_minutiae, min_size=1, max_size=20),
+           st.floats(0.5, 6.0))
+    def test_every_hypothesis_scores_exactly(self, template, probe, tolerance):
+        # Every (template, probe) anchor, not only the winner: on a grid,
+        # equal distances make the greedy pairing depend on tie order.
+        matcher = MinutiaeMatcher(distance_tolerance=tolerance)
+        pos_t, ang_t = minutiae_to_arrays(template)
+        pos_p, ang_p = minutiae_to_arrays(probe)
+        t_index = np.repeat(np.arange(len(pos_t)), len(pos_p))
+        p_index = np.tile(np.arange(len(pos_p)), len(pos_t))
+        rotation = np.mod(ang_t[t_index] - ang_p[p_index], TWO_PI)
+        scores, matched = matcher._score_hypotheses(
+            pos_t, ang_t, pos_p, ang_p, t_index, p_index, rotation)
+        assert [(float(s), m) for s, m in zip(scores, matched)] == [
+            reference.score_hypothesis(pos_t, ang_t, pos_p, ang_p, t, p,
+                                       tolerance, matcher.angle_tolerance)
+            for t, p in zip(t_index, p_index)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(minutiae_sets, st.integers(0, 12))
+    def test_descriptors_match_exactly(self, minutiae, k_neighbors):
+        positions = np.array([[m.row, m.col] for m in minutiae]).reshape(-1, 2)
+        angles = np.array([m.direction for m in minutiae])
+        assert np.array_equal(
+            _local_descriptors(positions, angles, k_neighbors),
+            reference.local_descriptors(positions, angles, k_neighbors))
+
+    @pytest.mark.parametrize("n_template, n_probe", [(0, 0), (0, 5), (5, 0),
+                                                     (1, 1), (1, 7), (7, 1)])
+    def test_empty_and_single_minutia_sets(self, n_template, n_probe):
+        rng = np.random.default_rng(n_template * 10 + n_probe)
+        _assert_same_match(MinutiaeMatcher(), _random_set(rng, n_template),
+                           _random_set(rng, n_probe))
+
+    def test_more_neighbours_than_minutiae(self):
+        rng = np.random.default_rng(3)
+        template, probe = _random_set(rng, 3), _random_set(rng, 4)
+        _assert_same_match(MinutiaeMatcher(k_neighbors=9), template, probe)
+
+    def test_duplicate_minutiae_tie_at_zero_distance(self):
+        base = [_minutia(20, 20, 1.0), _minutia(20, 26, 1.1),
+                _minutia(26, 20, 0.9)]
+        template = base + base[:2]
+        probe = base[::-1] + base
+        result = _assert_same_match(MinutiaeMatcher(), template, probe)
+        assert result.matched_pairs == len(template)  # every copy pairs
+
+    def test_tied_pairs_resolve_in_whole_matrix_argsort_order(self):
+        # Under the identity hypothesis (anchor 0 on anchor 0) each row
+        # offers three pairs at distance 1, and taking (t0, p0) first
+        # blocks the other two: the count depends on tie order.  With
+        # numpy 2.4 the loop matches 40 here, while a stable sort of the
+        # eligible pairs would give 21.
+        template, probe = [_minutia(0, 300, 1.0)], [_minutia(0, 300, 1.0)]
+        for k in range(20):
+            template += [_minutia(10 * k, 0, 1.0), _minutia(10 * k, 2, 1.0)]
+            probe += [_minutia(10 * k, 1, 1.0), _minutia(10 * k, -1, 1.0)]
+        matcher = MinutiaeMatcher(distance_tolerance=2.0)
+        pos_t, ang_t = minutiae_to_arrays(template)
+        pos_p, ang_p = minutiae_to_arrays(probe)
+        anchor = np.zeros(1, dtype=np.int64)
+        scores, matched = matcher._score_hypotheses(
+            pos_t, ang_t, pos_p, ang_p, anchor, anchor, np.zeros(1))
+        want = reference.score_hypothesis(pos_t, ang_t, pos_p, ang_p, 0, 0,
+                                          2.0, matcher.angle_tolerance)
+        assert (float(scores[0]), matched[0]) == want
+        _assert_same_match(matcher, template, probe)
+
+    def test_large_probes_span_several_batches(self):
+        rng = np.random.default_rng(33)
+        template = _random_set(rng, 33)
+        for n_probe in (300, 360):
+            probe = _random_set(rng, n_probe)
+            assert 33 * n_probe * 64 > 4 * _PAIR_BUDGET
+            _assert_same_match(MinutiaeMatcher(), template, probe)
+
+    def test_hypothesis_without_eligible_pair_scores_zero(self):
+        # The aligned anchor direction lands 4.4e-16 off the template's,
+        # outside a 1e-300 tolerance: no pair is ever eligible.
+        matcher = MinutiaeMatcher(angle_tolerance=1e-300)
+        result = _assert_same_match(matcher, [_minutia(10, 10, 0.1)],
+                                    [_minutia(50, 50, 0.3)])
+        assert result.matched_pairs == 0 and result.score == 0.0
+
+
+class TestThinningOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(arrays(bool, st.tuples(st.integers(0, 40), st.integers(0, 40))))
+    def test_random_images_thin_exactly(self, image):
+        assert np.array_equal(zhang_suen_thin(image),
+                              reference.zhang_suen_thin(image))
+
+    @pytest.mark.parametrize("density", [0.3, 0.5, 0.8])
+    def test_dense_frames_thin_exactly(self, density):
+        image = np.random.default_rng(7).random((96, 96)) < density
+        got = zhang_suen_thin(image)
+        assert got.dtype == bool
+        assert np.array_equal(got, reference.zhang_suen_thin(image))
+
+    def test_iteration_cap_is_respected(self):
+        image = np.ones((30, 30), dtype=bool)
+        for cap in (0, 1, 2):
+            assert np.array_equal(zhang_suen_thin(image, max_iterations=cap),
+                                  reference.zhang_suen_thin(image, cap))
+
+
+class TestExtractionOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.2, 0.8),
+           st.integers(0, 6), st.sampled_from([0.0, 2.5, 6.0, 11.0]))
+    def test_random_skeletons_extract_exactly(self, seed, density,
+                                              border_margin, min_separation):
+        rng = np.random.default_rng(seed)
+        skeleton = zhang_suen_thin(rng.random((48, 48)) < density)
+        mask = rng.random((48, 48)) < 0.9
+        orientation = rng.uniform(0.0, np.pi, (48, 48))
+        kwargs = dict(border_margin=border_margin,
+                      min_separation=min_separation)
+        assert extract_minutiae(skeleton, mask, orientation, **kwargs) \
+            == reference.extract_minutiae(skeleton, mask, orientation,
+                                          **kwargs)
+
+    def test_raw_skeleton_detections_extract_exactly(self):
+        # Unthinned noise: over a thousand raw detections, most dropped.
+        rng = np.random.default_rng(11)
+        skeleton = rng.random((96, 96)) < 0.35
+        mask = np.ones((96, 96), dtype=bool)
+        orientation = rng.uniform(0.0, np.pi, (96, 96))
+        got = extract_minutiae(skeleton, mask, orientation, border_margin=1)
+        assert got == reference.extract_minutiae(skeleton, mask, orientation,
+                                                 border_margin=1)
+        assert len(got) > 50
+
+
+def test_one_match_working_set_is_bounded():
+    """A 33 x 360 match scores in batches: its peak allocation stays small."""
+    rng = np.random.default_rng(360)
+    template, probe = _random_set(rng, 33), _random_set(rng, 360)
+    matcher = MinutiaeMatcher()
+    matcher.match(template, probe)  # warm numpy's caches outside the window
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        matcher.match(template, probe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"match peaked at {peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# Known answers: captures of ``standard_deployment(42)``'s fingers, recorded
+# from the loop implementations.  Each entry is the probe's minutiae count,
+# the SHA-256 of its minutiae reprs, and ``astuple`` of the match against
+# the enrolled template.
+# ---------------------------------------------------------------------------
+
+#: name -> (finger, capture condition, rng seed, use enhancement)
+CAPTURES = {
+    "full-press": ("user", CaptureCondition(rotation_deg=10.0), 1, False),
+    "partial-90px": ("user", CaptureCondition(center=(96.0, 96.0),
+                                              radius=90.0,
+                                              rotation_deg=10.0), 2, False),
+    "light-noisy": ("user", CaptureCondition(rotation_deg=10.0, noise=0.2,
+                                             pressure=0.15), 3, False),
+    "light-noisy-enhanced": ("user", CaptureCondition(
+        rotation_deg=10.0, noise=0.2, pressure=0.15), 3, True),
+    "impostor": ("impostor", CaptureCondition(rotation_deg=10.0), 5, False),
+}
+
+KNOWN_ANSWERS = {
+    'full-press': (30, '7ebad37ad7022885290e878486ba7c1fee5ff236357838a22b2f57188f97756b',
+        (0.6313131313131313, 25, 33, 30, 6.130241476803569, (7.0, -6.0), (18.21301479403391, -12.34324914403345))),
+    'impostor': (35, '9446d63b9a8b0a773b67906497d364d0a331c1a0e6b8f3d9f4b0f0591e5906ac',
+        (0.007346938775510204, 3, 33, 35, 5.64122138421852, (22.0, 27.0), (119.77090859799503, 22.934077074262348))),
+    'light-noisy': (377, '87b231d292a32c586744bdc765fff28e0c86d70c82ba15b2f2d47d4810ef35e9',
+        (0.0025399461052987076, 19, 33, 377, 6.109201323958704, (-8.0, -16.0), (2.952084389621433, -19.579874851093706))),
+    'light-noisy-enhanced': (26, 'a03e8de6922d59f83961bfa914f03ede836e40ca76052b1b1b531af6d089db44',
+        (0.5641025641025641, 22, 33, 26, 6.096901448118515, (-9.0, 0.0), (24.343695299290133, -12.952192674934253))),
+    'partial-90px': (22, '61d7c38135fa800a52549a4dbc5c6f9b18da0f9354d53fcda7c6f908f1cdac01',
+        (0.5890909090909091, 18, 33, 22, 6.127760775827927, (-2.0, -7.0), (17.73567202305179, -10.446822690457566))),
+}
+
+
+@pytest.fixture(scope="module")
+def deployment():
+    return standard_deployment(42)
+
+
+def _probe_digest(minutiae):
+    text = "|".join(repr((m.row, m.col, m.direction, m.kind))
+                    for m in minutiae)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CAPTURES))
+def test_capture_known_answers(deployment, name):
+    finger, condition, seed, enhanced = CAPTURES[name]
+    master = (deployment.user_master if finger == "user"
+              else deployment.impostor_master)
+    impression = render_impression(master, condition,
+                                   np.random.default_rng(seed))
+    extract = minutiae_with_enhancement if enhanced else minutiae_from_image
+    probe = extract(impression.image, impression.mask)
+    result = MinutiaeMatcher().match(deployment.user_template.minutiae, probe)
+    assert (len(probe), _probe_digest(probe), dataclasses.astuple(result)) \
+        == KNOWN_ANSWERS[name]
