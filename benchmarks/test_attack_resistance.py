@@ -22,7 +22,7 @@ from repro.attacks import (
 from repro.baselines import CookieWebServer
 from repro.core import LocalIdentityManager
 from repro.eval import LOGIN_BUTTON_XY, render_table, standard_deployment
-from repro.net import WebServer, login, session_request
+from repro.net import TrustClient, WebServer
 from repro.touchgen import UserTouchModel
 from .conftest import emit
 
@@ -44,12 +44,12 @@ def _run_all_attacks(world, rng):
 
     # Channel attacks: record honest traffic first, then replay.
     channel = world.fresh_channel()
-    outcome = login(world.device, world.server, channel, world.account,
-                    LOGIN_BUTTON_XY, world.user_master, rng)
+    client = TrustClient(world.device, world.server, channel)
+    outcome = client.login(world.account, LOGIN_BUTTON_XY, world.user_master,
+                           rng)
     assert outcome.success, outcome.reason
     for _ in range(3):
-        session_request(world.device, world.server, channel,
-                        outcome.session, risk=0.0, rng=rng)
+        client.request(outcome.session, risk=0.0, rng=rng)
     results.append(replay_trust_traffic(world.server, channel,
                                         "page-request"))
     world.device.flock.close_session(world.server.domain)

@@ -9,7 +9,7 @@ is what makes per-touch reporting viable.
 import numpy as np
 
 from repro.eval import render_table, standard_deployment
-from repro.net import login, session_request
+from repro.net import TrustClient
 from .conftest import emit
 
 BUTTON_XY = (28.0, 80.0)
@@ -18,19 +18,17 @@ N_REQUESTS = 20
 
 def test_continuous_auth(benchmark, rng):
     world = standard_deployment(seed=42)
-    channel = world.fresh_channel()
+    client = TrustClient(world.device, world.server, world.fresh_channel())
 
-    login_outcome = login(world.device, world.server, channel,
-                          world.account, BUTTON_XY, world.user_master,
-                          np.random.default_rng(91))
+    login_outcome = client.login(world.account, BUTTON_XY, world.user_master,
+                                 np.random.default_rng(91))
     assert login_outcome.success, login_outcome.reason
     session = login_outcome.session
 
     request_costs = []
 
     def one_request():
-        result = session_request(world.device, world.server, channel,
-                                 session, risk=0.05, rng=rng)
+        result = client.request(session, risk=0.05, rng=rng)
         assert result.success, result.reason
         request_costs.append(result)
         return result

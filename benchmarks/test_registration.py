@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.eval import render_table, standard_deployment
-from repro.net import WebServer, register_device
+from repro.net import TrustClient, WebServer
 from .conftest import emit
 
 BUTTON_XY = (28.0, 80.0)
@@ -29,9 +29,9 @@ def test_registration(benchmark, rng):
                            f"e8-server-{index}".encode())
         server.create_account("alice", "pw")
         ops_before = dict(world.device.flock.crypto.ops)
-        outcome = register_device(world.device, server, world.channel,
-                                  "alice", BUTTON_XY, world.user_master,
-                                  np.random.default_rng(index))
+        outcome = TrustClient(world.device, server, world.channel).register(
+            "alice", BUTTON_XY, world.user_master,
+            np.random.default_rng(index))
         assert outcome.success, outcome.reason
         world.device.flock.unbind_service(server.domain)
         ops_after = world.device.flock.crypto.ops

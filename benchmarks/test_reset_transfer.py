@@ -16,10 +16,9 @@ import numpy as np
 from repro.eval import LOGIN_BUTTON_XY, render_table, standard_deployment
 from repro.net import (
     MobileDevice,
+    TrustClient,
     UntrustedChannel,
     WebServer,
-    login,
-    register_device,
     transfer_identity,
     reset_identity,
 )
@@ -34,8 +33,8 @@ def test_reset_transfer(benchmark, rng, monkeypatch):
     old_device = MobileDevice("alice-old-phone", b"e13-old-device",
                               ca=world.ca)
     old_device.flock.enroll_local_user(world.user_template)
-    outcome = register_device(old_device, server, channel, "alice",
-                              LOGIN_BUTTON_XY, world.user_master, rng)
+    outcome = TrustClient(old_device, server, channel).register(
+        "alice", LOGIN_BUTTON_XY, world.user_master, rng)
     assert outcome.success, outcome.reason
     # A second binding, so the transfer moves more than one.  Steps beyond
     # register/transfer/login/rebind touch with a generator of their own:
@@ -44,8 +43,8 @@ def test_reset_transfer(benchmark, rng, monkeypatch):
     own_rng = np.random.default_rng(13)
     mail = WebServer("mail.e13.example", world.ca, b"e13-mail")
     mail.create_account("alice", "mail-password")
-    outcome = register_device(old_device, mail, channel, "alice",
-                              LOGIN_BUTTON_XY, world.user_master, own_rng)
+    outcome = TrustClient(old_device, mail, channel).register(
+        "alice", LOGIN_BUTTON_XY, world.user_master, own_rng)
     assert outcome.success, outcome.reason
 
     rows = []
@@ -74,8 +73,9 @@ def test_reset_transfer(benchmark, rng, monkeypatch):
                           for domain in transferred)
     rows.append(["old device retired by transfer", old_retired])
 
-    new_login = login(new_device, server, channel, "alice", LOGIN_BUTTON_XY,
-                      world.user_master, rng)
+    new_client = TrustClient(new_device, server, channel)
+    new_login = new_client.login("alice", LOGIN_BUTTON_XY, world.user_master,
+                                 rng)
     rows.append(["new device logs in after transfer", new_login.reason])
     new_device.flock.close_session(server.domain)
 
@@ -83,14 +83,14 @@ def test_reset_transfer(benchmark, rng, monkeypatch):
     assert reset_identity(server, "alice", "fallback-password")
     rows.append(["binding removed by password reset",
                  server.account_key("alice") is None])
-    reset_login = login(new_device, server, channel, "alice",
-                        LOGIN_BUTTON_XY, world.user_master, own_rng)
+    reset_login = new_client.login("alice", LOGIN_BUTTON_XY,
+                                   world.user_master, own_rng)
     rows.append(["bound device login after reset", reset_login.reason])
 
     # Rebind from the new device (fresh Fig. 9 run).
     new_device.flock.unbind_service(server.domain)
-    rebind = register_device(new_device, server, channel, "alice",
-                             LOGIN_BUTTON_XY, world.user_master, rng)
+    rebind = new_client.register("alice", LOGIN_BUTTON_XY, world.user_master,
+                                 rng)
     rows.append(["re-registration from new device", rebind.reason])
 
     table = render_table(["step", "result"], rows,

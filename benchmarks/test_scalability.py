@@ -15,11 +15,9 @@ from repro.eval import render_table
 from repro.fingerprint import DEFAULT_PARTIAL_MODEL, enroll_master, synthesize_master
 from repro.net import (
     MobileDevice,
+    TrustClient,
     UntrustedChannel,
     WebServer,
-    login,
-    register_device,
-    session_request,
 )
 from .conftest import emit
 
@@ -34,7 +32,7 @@ def test_scalability(benchmark, rng):
     master = synthesize_master("scale-user", np.random.default_rng(600))
     template = enroll_master(master, np.random.default_rng(601))
 
-    devices = []
+    clients = []
     channel = UntrustedChannel()
     for index in range(N_DEVICES):
         account = f"user{index:02d}"
@@ -44,26 +42,25 @@ def test_scalability(benchmark, rng):
                               processor_mode="modeled")
         device.flock.enroll_local_user(template,
                                        score_model=DEFAULT_PARTIAL_MODEL)
-        outcome = register_device(device, server, channel, account,
-                                  BUTTON_XY, master,
+        client = TrustClient(device, server, channel)
+        outcome = client.register(account, BUTTON_XY, master,
                                   np.random.default_rng(700 + index))
         assert outcome.success, outcome.reason
-        devices.append((account, device))
+        clients.append((account, client))
 
     sessions = []
-    for index, (account, device) in enumerate(devices):
-        outcome = login(device, server, channel, account, BUTTON_XY, master,
-                        np.random.default_rng(800 + index))
+    for index, (account, client) in enumerate(clients):
+        outcome = client.login(account, BUTTON_XY, master,
+                               np.random.default_rng(800 + index))
         assert outcome.success, outcome.reason
-        sessions.append((device, outcome.session))
+        sessions.append((client, outcome.session))
     assert server.active_sessions == N_DEVICES
 
     def drive_all_sessions():
         served = 0
         for round_index in range(REQUESTS_PER_SESSION):
-            for device, session in sessions:
-                result = session_request(device, server, channel, session,
-                                         risk=0.05, rng=rng)
+            for client, session in sessions:
+                result = client.request(session, risk=0.05, rng=rng)
                 assert result.success, result.reason
                 served += 1
         return served
@@ -84,8 +81,8 @@ def test_scalability(benchmark, rng):
         title=f"S1: one server, {N_DEVICES} live continuous-auth sessions")
     emit("S1_scalability", table)
 
-    for device, _ in sessions:
-        device.flock.close_session(server.domain)
+    for client, _ in sessions:
+        client.device.flock.close_session(server.domain)
 
     # Shape assertions: every request served, state linear in sessions,
     # exactly one outstanding nonce per live session.

@@ -15,11 +15,8 @@ from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.fingerprint import enroll_master, synthesize_master
 from repro.net import (
     MobileDevice,
-    UntrustedChannel,
+    TrustClient,
     WebServer,
-    login,
-    register_device,
-    session_request,
 )
 
 LOGIN_BUTTON = (28.0, 80.0)  # over the bottom-centre fingerprint sensor
@@ -50,9 +47,8 @@ def main() -> None:
           f"(stored only inside FLock's protected flash)")
 
     print("\n=== 4. Device-to-account binding (Fig. 9) ===")
-    channel = UntrustedChannel()
-    outcome = register_device(device, server, channel, "alice",
-                              LOGIN_BUTTON, alice_finger, rng)
+    client = TrustClient(device, server)
+    outcome = client.register("alice", LOGIN_BUTTON, alice_finger, rng)
     print(f"registration: {outcome.reason} "
           f"({outcome.messages} messages, "
           f"{outcome.bytes_to_server + outcome.bytes_to_device} bytes, "
@@ -60,15 +56,13 @@ def main() -> None:
     assert outcome.success
 
     print("\n=== 5. Login + continuous authentication (Fig. 10) ===")
-    outcome = login(device, server, channel, "alice", LOGIN_BUTTON,
-                    alice_finger, rng)
+    outcome = client.login("alice", LOGIN_BUTTON, alice_finger, rng)
     print(f"login: {outcome.reason}; session {outcome.session.session_id}")
     assert outcome.success
     for index in range(5):
-        result = session_request(
-            device, server, channel, outcome.session, risk=0.0, rng=rng,
-            touch_xy=LOGIN_BUTTON, master=alice_finger,
-            time_s=10.0 + index)
+        result = client.request(
+            outcome.session, risk=0.0, rng=rng, touch_xy=LOGIN_BUTTON,
+            master=alice_finger, time_s=10.0 + index)
         print(f"  request {index + 1}: {result.reason} "
               f"(fresh nonce, frame hash attested, "
               f"{result.bytes_to_server} B up)")

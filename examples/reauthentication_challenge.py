@@ -16,29 +16,28 @@ import numpy as np
 
 from repro.eval import LOGIN_BUTTON_XY, standard_deployment
 from repro.flock import FlockError
-from repro.net import UntrustedChannel, answer_challenge, login, session_request
+from repro.net import TrustClient
 
 
 def main() -> None:
     world = standard_deployment(seed=2024)
     rng = np.random.default_rng(3)
-    channel = UntrustedChannel()
+    client = TrustClient(world.device, world.server)
 
     print("=== Login ===")
-    outcome = login(world.device, world.server, channel, world.account,
-                    LOGIN_BUTTON_XY, world.user_master, rng)
+    outcome = client.login(world.account, LOGIN_BUTTON_XY, world.user_master,
+                           rng)
     print(f"login: {outcome.reason}")
     session = outcome.session
 
     print("\n=== Risk drifts up (a stretch of unverified touches) ===")
-    result = session_request(world.device, world.server, channel, session,
-                             risk=0.6, rng=rng)
+    result = client.request(session, risk=0.6, rng=rng)
     print(f"request at risk 0.60: {result.reason}")
     assert result.reason == "challenge-required"
 
     print("\n=== An impostor tries to answer the challenge ===")
-    bad = answer_challenge(world.device, world.server, channel, session,
-                           LOGIN_BUTTON_XY, world.impostor_master, rng)
+    bad = client.answer_challenge(session, LOGIN_BUTTON_XY,
+                                  world.impostor_master, rng)
     print(f"impostor's answer: {bad.reason}")
 
     print("\n=== Malware tries to forge the attestation directly ===")
@@ -50,12 +49,11 @@ def main() -> None:
         print(f"FLock refused: {exc}")
 
     print("\n=== The genuine user touches once ===")
-    good = answer_challenge(world.device, world.server, channel, session,
-                            LOGIN_BUTTON_XY, world.user_master, rng)
+    good = client.answer_challenge(session, LOGIN_BUTTON_XY,
+                                   world.user_master, rng)
     print(f"genuine answer: {good.reason}")
 
-    result = session_request(world.device, world.server, channel, session,
-                             risk=0.1, rng=rng)
+    result = client.request(session, risk=0.1, rng=rng)
     print(f"follow-up request: {result.reason}")
     state = world.server.session(session.session_id)
     print(f"\nserver stats: {state.challenges_issued} challenge issued, "

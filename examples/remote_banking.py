@@ -19,7 +19,7 @@ from repro.attacks import fake_touch_attack, replay_trust_traffic
 from repro.core import TrustCoordinator
 from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.fingerprint import enroll_master, synthesize_master
-from repro.net import MobileDevice, UntrustedChannel, WebServer, register_device
+from repro.net import MobileDevice, TrustClient, UntrustedChannel, WebServer
 from repro.touchgen import SessionConfig, SessionGenerator, example_users
 
 LOGIN_BUTTON = (28.0, 80.0)
@@ -37,8 +37,8 @@ def main() -> None:
     device.flock.enroll_local_user(enroll_master(alice_finger, rng))
 
     channel = UntrustedChannel()
-    assert register_device(device, bank, channel, "alice", LOGIN_BUTTON,
-                           alice_finger, rng).success
+    assert TrustClient(device, bank, channel).register(
+        "alice", LOGIN_BUTTON, alice_finger, rng).success
     print("device bound to account 'alice' at", bank.domain)
 
     # ---- Act 1: honest banking -------------------------------------------

@@ -11,12 +11,12 @@ a drop.  Its knowledge set is the closure of the pool (see
 ``properties.close_knowledge``).
 
 Honest protocol runs are *atomic* transitions mirroring the synchronous
-orchestration functions in ``repro.net.protocol`` (one transition =
-one ``login(...)`` call, including the device-side cleanup its failure
-paths perform).  Interrupted variants model the adversary dropping the
-uplink mid-run.  This keeps the interleaving explosion bounded while
-the recorded messages still give the adversary every replay
-opportunity the fully asynchronous system would.
+:class:`~repro.net.protocol.TrustClient` methods (one transition = one
+``TrustClient.login(...)`` call, including the device-side cleanup its
+failure paths perform).  Interrupted variants model the adversary
+dropping the uplink mid-run.  This keeps the interleaving explosion
+bounded while the recorded messages still give the adversary every
+replay opportunity the fully asynchronous system would.
 
 ``MUTATIONS`` are deliberate protocol breakages used by tests (and the
 ``--mutate`` CLI flag) to prove the checker finds the bugs this repo
@@ -864,7 +864,7 @@ class Scenario:
     """One verification entry point: start state + allowed actions."""
 
     name: str
-    entry: str          # the repro.net function this scenario enters at
+    entry: str          # the repro.net callable this scenario enters at
     description: str
     devices: tuple
     setup: tuple        # honest steps applied (unmutated) to build state
@@ -873,20 +873,20 @@ class Scenario:
 
 
 SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
-    Scenario("register", "register_device",
+    Scenario("register", "TrustClient.register",
              "Fig. 9 binding from a blank device",
              ("A",), (),
              frozenset({"register"}), (RISK_OK,)),
-    Scenario("login", "login",
+    Scenario("login", "TrustClient.login",
              "Fig. 10 login against a bound account",
              ("A",), ("register:A",),
              frozenset({"login", "request"}), (RISK_OK, RISK_TERMINATE)),
-    Scenario("session", "session_request",
+    Scenario("session", "TrustClient.request",
              "post-login continuous requests at every risk level",
              ("A",), ("register:A", "login:A"),
              frozenset({"request", "answer"}),
              (RISK_OK, RISK_CHALLENGE, RISK_TERMINATE)),
-    Scenario("challenge", "answer_challenge",
+    Scenario("challenge", "TrustClient.answer_challenge",
              "a pending re-authentication challenge",
              ("A",), ("register:A", "login:A", "challenge:A"),
              frozenset({"request", "answer"}),

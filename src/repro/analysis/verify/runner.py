@@ -22,31 +22,33 @@ from .model import MUTATIONS, SCENARIOS, VerifyOptions
 __all__ = ["run_verify"]
 
 #: Where each rule's finding is anchored: the concrete function whose
-#: contract the invariant checks.
+#: contract the invariant checks, by qualified name within its file.
 _RULE_ANCHORS = {
     "PV400": ("repro/analysis/verify/explorer.py", "explore"),
-    "PV401": ("repro/net/channel.py", "send"),
-    "PV402": ("repro/net/webserver.py", "_serve_login"),
-    "PV403": ("repro/net/webserver.py", "_serve_request"),
+    "PV401": ("repro/net/channel.py", "UntrustedChannel.send"),
+    "PV402": ("repro/net/webserver.py", "WebServer._serve_login"),
+    "PV403": ("repro/net/webserver.py", "WebServer._serve_request"),
     "PV404": ("repro/net/reset_transfer.py", "transfer_identity"),
-    "PV405": ("repro/net/webserver.py", "reset_identity"),
+    "PV405": ("repro/net/webserver.py", "WebServer.reset_identity"),
 }
 
 #: Where each transition kind's trace hops point.
 _KIND_ANCHORS = {
     "init": ("repro/analysis/verify/model.py", "build_world"),
-    "register": ("repro/net/protocol.py", "register_device"),
-    "login": ("repro/net/protocol.py", "login"),
-    "request": ("repro/net/protocol.py", "session_request"),
-    "answer": ("repro/net/protocol.py", "answer_challenge"),
-    "reset": ("repro/net/webserver.py", "reset_identity"),
+    "register": ("repro/net/protocol.py", "TrustClient.register"),
+    "login": ("repro/net/protocol.py", "TrustClient.login"),
+    "request": ("repro/net/protocol.py", "TrustClient.request"),
+    "answer": ("repro/net/protocol.py", "TrustClient.answer_challenge"),
+    "reset": ("repro/net/webserver.py", "WebServer.reset_identity"),
     "transfer": ("repro/net/reset_transfer.py", "transfer_identity"),
-    "adv-register": ("repro/net/webserver.py", "_serve_registration"),
-    "adv-login": ("repro/net/webserver.py", "_serve_login"),
-    "adv-request": ("repro/net/webserver.py", "_serve_request"),
-    "adv-answer": ("repro/net/webserver.py", "_serve_challenge_response"),
-    "adv-channel": ("repro/net/channel.py", "send"),
-    "malware": ("repro/flock/module.py", "session_mac"),
+    "adv-register": ("repro/net/webserver.py",
+                     "WebServer._serve_registration"),
+    "adv-login": ("repro/net/webserver.py", "WebServer._serve_login"),
+    "adv-request": ("repro/net/webserver.py", "WebServer._serve_request"),
+    "adv-answer": ("repro/net/webserver.py",
+                   "WebServer._serve_challenge_response"),
+    "adv-channel": ("repro/net/channel.py", "UntrustedChannel.send"),
+    "malware": ("repro/flock/module.py", "FlockModule.session_mac"),
 }
 
 _SRC_ROOT = Path(__file__).resolve().parents[3]
@@ -55,7 +57,11 @@ _anchor_cache: dict[tuple[str, str], tuple[str, str, int, str]] = {}
 
 
 def _anchor(rel: str, func: str) -> tuple[str, str, int, str]:
-    """(display_path, module, line, source_line) for a function def."""
+    """(display_path, module, line, source_line) for a function def.
+
+    ``func`` is the def's qualified name within the file, dotted through
+    its enclosing classes (``"TrustClient.login"``).
+    """
     slot = (rel, func)
     cached = _anchor_cache.get(slot)
     if cached is not None:
@@ -66,14 +72,17 @@ def _anchor(rel: str, func: str) -> tuple[str, str, int, str]:
     line, text = 1, ""
     try:
         source = path.read_text(encoding="utf-8")
-        tree = ast.parse(source)
-        lines = source.splitlines()
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name == func):
-                line = node.lineno
-                text = lines[line - 1] if line <= len(lines) else ""
+        scope = ast.parse(source)
+        for name in func.split("."):
+            scope = next((node for node in scope.body
+                          if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                               ast.AsyncFunctionDef))
+                          and node.name == name), None)
+            if scope is None:
                 break
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            line = scope.lineno
+            text = source.splitlines()[line - 1]
     except (OSError, SyntaxError):  # pragma: no cover - source moved
         display = f"<{module}>"
     result = (display, module, line, text)

@@ -27,7 +27,6 @@ from .webserver import Endpoint, SessionState, WebServer
 from .browser import Browser, Malware
 from .device import MobileDevice, default_layout
 from .protocol import (
-    answer_challenge,
     ChallengeResult,
     LoginResult,
     ProtocolOutcome,
@@ -35,9 +34,6 @@ from .protocol import (
     RequestResult,
     TrustClient,
     TrustSession,
-    login,
-    register_device,
-    session_request,
 )
 from .reset_transfer import TransferError, reset_identity, transfer_identity
 from .audit import AuditFinding, AuditReport, FrameAuditor
@@ -56,7 +52,6 @@ __all__ = [
     "MobileDevice", "default_layout",
     "ProtocolOutcome", "RegistrationResult", "LoginResult", "RequestResult",
     "ChallengeResult", "TrustClient", "TrustSession",
-    "register_device", "login", "session_request", "answer_challenge",
     "TransferError", "reset_identity", "transfer_identity",
     "AuditFinding", "AuditReport", "FrameAuditor",
     "encode_cookie", "decode_cookie", "cookie_size_bytes",

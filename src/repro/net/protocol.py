@@ -1,24 +1,20 @@
 """The TRUST wire protocols: registration (Fig. 9) and continuous
 authentication (Fig. 10), run end-to-end over the untrusted channel.
 
-The client surface is :class:`TrustClient` — a facade owning one device /
-channel pair and a (reassignable) server endpoint — whose methods play the
-honest roles faithfully: every verification the paper requires happens, in
-order, inside the component the paper assigns it to (certificate + MAC
-checks in FLock, nonce/session/risk checks in the server).  Each method
-returns a typed result object (:class:`RegistrationResult`,
-:class:`LoginResult`, :class:`RequestResult`, :class:`ChallengeResult`)
-carrying success/failure, the failure reason code, and cost accounting
-(message count, bytes each way, FLock crypto time).
-
-The pre-facade module-level functions (``register_device``, ``login``,
-``session_request``, ``answer_challenge``) remain as shims that construct a
-throwaway client and emit :class:`DeprecationWarning`.
+The one client surface is :class:`TrustClient` — a facade owning one
+device / channel pair and a (reassignable) server endpoint — whose methods
+(``register``, ``login``, ``request``, ``answer_challenge``) play the honest
+roles faithfully: every verification the paper requires happens, in order,
+inside the component the paper assigns it to (certificate + MAC checks in
+FLock, nonce/session/risk checks in the server).  Each method returns a
+typed result object (:class:`RegistrationResult`, :class:`LoginResult`,
+:class:`RequestResult`, :class:`ChallengeResult`) carrying success/failure,
+the failure reason code, and cost accounting (message count, bytes each
+way, FLock crypto time).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +37,7 @@ from .message import (
 from .webserver import WebServer
 
 __all__ = ["ProtocolOutcome", "RegistrationResult", "LoginResult",
-           "RequestResult", "ChallengeResult", "TrustSession", "TrustClient",
-           "register_device", "login", "session_request", "answer_challenge"]
+           "RequestResult", "ChallengeResult", "TrustSession", "TrustClient"]
 
 
 @dataclass
@@ -516,63 +511,3 @@ class TrustClient:
         session.challenge_nonce = None
         return meter.outcome(True, "ok", session=session)
 
-
-# ------------------------------------------------------ deprecated shims
-# The pre-facade free functions.  Each builds a throwaway TrustClient over
-# the caller's (device, server, channel) triple and delegates; results are
-# subclasses of ProtocolOutcome, so existing callers keep working.
-
-def register_device(device: MobileDevice, server: WebServer,
-                    channel: UntrustedChannel, account: str,
-                    touch_xy: tuple[float, float],
-                    master: MasterFingerprint,
-                    rng: np.random.Generator, now: int = 0,
-                    time_s: float = 0.0,
-                    max_attempts: int = 4) -> ProtocolOutcome:
-    """Deprecated: use :meth:`TrustClient.register`."""
-    warnings.warn("register_device() is deprecated; use "
-                  "TrustClient.register", DeprecationWarning, stacklevel=2)
-    return TrustClient(device, server, channel).register(
-        account, touch_xy, master, rng, now=now, time_s=time_s,
-        max_attempts=max_attempts)
-
-
-def login(device: MobileDevice, server: WebServer,
-          channel: UntrustedChannel, account: str,
-          touch_xy: tuple[float, float], master: MasterFingerprint,
-          rng: np.random.Generator, risk: float = 0.0,
-          time_s: float = 0.0, max_attempts: int = 4) -> ProtocolOutcome:
-    """Deprecated: use :meth:`TrustClient.login`."""
-    warnings.warn("login() is deprecated; use TrustClient.login",
-                  DeprecationWarning, stacklevel=2)
-    return TrustClient(device, server, channel).login(
-        account, touch_xy, master, rng, risk=risk, time_s=time_s,
-        max_attempts=max_attempts)
-
-
-def session_request(device: MobileDevice, server: WebServer,
-                    channel: UntrustedChannel, session: TrustSession,
-                    risk: float, rng: np.random.Generator,
-                    touch_xy: tuple[float, float] | None = None,
-                    master: MasterFingerprint | None = None,
-                    time_s: float = 0.0) -> ProtocolOutcome:
-    """Deprecated: use :meth:`TrustClient.request`."""
-    warnings.warn("session_request() is deprecated; use "
-                  "TrustClient.request", DeprecationWarning, stacklevel=2)
-    return TrustClient(device, server, channel).request(
-        session, risk, rng, touch_xy=touch_xy, master=master, time_s=time_s)
-
-
-def answer_challenge(device: MobileDevice, server: WebServer,
-                     channel: UntrustedChannel, session: TrustSession,
-                     touch_xy: tuple[float, float],
-                     master: MasterFingerprint,
-                     rng: np.random.Generator, time_s: float = 0.0,
-                     max_attempts: int = 4) -> ProtocolOutcome:
-    """Deprecated: use :meth:`TrustClient.answer_challenge`."""
-    warnings.warn("answer_challenge() is deprecated; use "
-                  "TrustClient.answer_challenge",
-                  DeprecationWarning, stacklevel=2)
-    return TrustClient(device, server, channel).answer_challenge(
-        session, touch_xy, master, rng, time_s=time_s,
-        max_attempts=max_attempts)

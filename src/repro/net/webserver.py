@@ -31,7 +31,7 @@ from repro.crypto import (
     hmac_sha256,
     sha256,
 )
-from repro.obs import Instrumentation, MetricsRegistry, NOOP
+from repro.obs import CounterMetric, Instrumentation, NOOP
 from .message import (
     MSG_CHALLENGE,
     MSG_CHALLENGE_RESPONSE,
@@ -130,12 +130,14 @@ class WebServer:
         self._sessions: dict[str, SessionState] = {}
         self._outstanding_nonces: dict[bytes, str] = {}  # nonce -> purpose
         self.frame_audit_log: list[tuple[str, bytes]] = []
+        #: Per-replica rejection counts by reason code; pools sum them.
         self.rejections: Counter = Counter()
-        #: Injected bundle supplies the tracer; metrics always go to the
-        #: server's own live registry so per-shard endpoint accounting
-        #: (:attr:`endpoint_calls`) works even when tracing is off.
+        #: Dispatched envelopes by endpoint: the server's own live
+        #: instrument, so per-shard accounting works with tracing off.
+        self.dispatch_calls = CounterMetric(
+            "server.dispatch_calls", help="dispatched envelopes by endpoint")
+        #: Injected bundle supplies the tracer.
         self.obs = obs if obs is not None else NOOP
-        self.metrics = MetricsRegistry()
         # Duck-typed memoizer (``memoize(kind, key, compute)``); only the
         # clock-independent signature predicate ever goes through it.
         self.verification_cache = verification_cache
@@ -243,10 +245,7 @@ class WebServer:
         endpoint = self.ENDPOINTS.get(envelope.msg_type)
         if endpoint is None:
             raise self._reject("unknown-endpoint", envelope.msg_type)
-        self.metrics.counter(
-            "server.dispatch_calls",
-            help="dispatched envelopes by endpoint").inc(
-            endpoint=envelope.msg_type)
+        self.dispatch_calls.inc(endpoint=envelope.msg_type)
         with self.obs.tracer.span("server.dispatch", domain=self.domain,
                                   endpoint=envelope.msg_type) as span:
             if envelope.trace_id is not None:
@@ -260,15 +259,6 @@ class WebServer:
                 raise
             span.set_attribute("decision", "ok")
             return reply
-
-    @property
-    def endpoint_calls(self) -> Counter:
-        """Per-endpoint dispatch counts, derived from the live registry."""
-        counter = self.metrics.counter(
-            "server.dispatch_calls",
-            help="dispatched envelopes by endpoint")
-        return Counter({labels["endpoint"]: value
-                        for labels, value in counter.series()})
 
     def _cert_signature_valid(self, cert: Certificate) -> bool:
         """CA-signature predicate, memoized when a cache is installed.

@@ -27,7 +27,7 @@ Quickstart::
 from .cache import VerificationCache
 from .dispatcher import ConsistentHashRouter, ServerPool
 from .fleet import BUTTON_XY, DeviceActor, DeviceFactory, FleetConfig, draw_risk
-from .metrics import FleetMetrics, LatencyHistogram
+from .metrics import FleetMetrics
 from .scheduler import EventLoop, ServiceQueue
 from .simulation import EXPECTED_REJECTIONS, SERVICE_TIME_S, FleetResult, FleetSimulation
 
@@ -42,7 +42,6 @@ __all__ = [
     "FleetMetrics",
     "FleetResult",
     "FleetSimulation",
-    "LatencyHistogram",
     "SERVICE_TIME_S",
     "ServerPool",
     "ServiceQueue",

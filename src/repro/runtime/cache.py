@@ -13,16 +13,16 @@ and never import this module, keeping the layering DAG acyclic.  Anything
 clock- or policy-dependent (certificate validity windows, role checks,
 risk thresholds) must stay outside the cache and be recomputed per use.
 
-Hit/miss/eviction accounting lives in a :class:`~repro.obs.MetricsRegistry`
-(``cache.hits``/``cache.misses`` labeled by predicate kind,
-``cache.evictions``); the historical ``hits``/``misses`` Counter views are
-derived from it, so callers keep indexing by kind while exporters see the
-same counters as every other layer.
+Hit/miss/eviction accounting lives only in a
+:class:`~repro.obs.MetricsRegistry` (``cache.hits``/``cache.misses``
+labeled by predicate kind, ``cache.evictions``): :meth:`stats`,
+:meth:`lookups` and :meth:`hit_rate` read those instruments, and exporters
+see the same counters as every other layer.
 """
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 
 from repro.obs import MetricsRegistry
 
@@ -71,18 +71,6 @@ class VerificationCache:
 
     # ------------------------------------------------------------ accounting
     @property
-    def hits(self) -> Counter:
-        """Per-kind hit counts (a derived view of the registry counter)."""
-        return Counter({labels["kind"]: value
-                        for labels, value in self._hits.series()})
-
-    @property
-    def misses(self) -> Counter:
-        """Per-kind miss counts (a derived view of the registry counter)."""
-        return Counter({labels["kind"]: value
-                        for labels, value in self._misses.series()})
-
-    @property
     def evictions(self) -> int:
         """Total LRU evictions."""
         return self._evictions.total()
@@ -104,10 +92,12 @@ class VerificationCache:
 
     def stats(self) -> list[tuple[str, int, int, float]]:
         """Sorted per-kind rows: (kind, hits, misses, hit_rate)."""
-        hits, misses = self.hits, self.misses
-        kinds = sorted(set(hits) | set(misses))
-        return [(kind, hits[kind], misses[kind],
-                 self.hit_rate(kind)) for kind in kinds]
+        kinds = sorted({labels["kind"]
+                        for counter in (self._hits, self._misses)
+                        for labels in counter.labelsets()})
+        return [(kind, self._hits.value(kind=kind),
+                 self._misses.value(kind=kind), self.hit_rate(kind))
+                for kind in kinds]
 
     def __len__(self) -> int:
         return len(self._store)

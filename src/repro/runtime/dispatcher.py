@@ -183,13 +183,6 @@ class ServerPool:
             totals.update(self.shards[shard_id].rejections)
         return totals
 
-    def endpoint_totals(self) -> Counter:
-        """Dispatch endpoint-call counters summed across shards."""
-        totals: Counter = Counter()
-        for shard_id in sorted(self.shards):
-            totals.update(self.shards[shard_id].endpoint_calls)
-        return totals
-
     def account_totals(self) -> dict[str, int]:
         """Accounts per shard (sorted by shard id)."""
         return {shard_id: len(self.shards[shard_id].accounts())

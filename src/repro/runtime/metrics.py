@@ -5,30 +5,17 @@ iteration over unsorted byte keys — so two runs of the same seeded
 simulation render byte-identical summaries (the replay tests and the load
 benchmark both assert exactly that).
 
-Since the observability refactor the numbers live in a
-:class:`~repro.obs.MetricsRegistry` (``fleet.interactions``,
-``fleet.latency_seconds``, ...) instead of private Counters; the public
-query surface (``outcomes``, ``latency``, ``horizon_s``, row renderers) is
-unchanged and derives its values from the registry, so existing reports
-render byte-identically while exporters see the same instruments.
+The numbers live only in a :class:`~repro.obs.MetricsRegistry`
+(``fleet.interactions``, ``fleet.latency_seconds``, ...): the queries
+(``count``, ``horizon_s``, ``latency_rows``) read those instruments
+directly, so reports and exporters see one store.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from repro.obs import MetricsRegistry
 
-from repro.obs import HistogramSeries, MetricsRegistry
-
-__all__ = ["LatencyHistogram", "FleetMetrics"]
-
-
-class LatencyHistogram(HistogramSeries):
-    """Latency samples with nearest-rank percentiles.
-
-    Kept as a named subclass of the registry's series type for API
-    compatibility; semantics (raw samples, exact p50/p99, the negative-
-    sample error message) are inherited unchanged.
-    """
+__all__ = ["FleetMetrics"]
 
 
 class FleetMetrics:
@@ -66,18 +53,6 @@ class FleetMetrics:
         self.horizon_s = max(self.horizon_s, finished_s)
 
     # ------------------------------------------------- registry-backed state
-    @property
-    def outcomes(self) -> Counter:
-        """``(op, reason)`` -> count, e.g. ``("request", "ok")``."""
-        return Counter({(labels["op"], labels["reason"]): value
-                        for labels, value in self._outcomes.series()})
-
-    @property
-    def latency(self) -> dict[str, HistogramSeries]:
-        """Per-op latency distributions."""
-        return {labels["op"]: series
-                for labels, series in self._latency.series()}
-
     @property
     def horizon_s(self) -> float:
         """Virtual time of the latest interaction completion."""
@@ -131,14 +106,8 @@ class FleetMetrics:
             return 0.0
         return self.interactions / self.horizon_s
 
-    def outcome_rows(self) -> list[tuple[str, str, int]]:
-        """Sorted ``(op, reason, count)`` rows for rendering."""
-        outcomes = self.outcomes
-        return [(op, reason, outcomes[(op, reason)])
-                for op, reason in sorted(outcomes)]
-
     def latency_rows(self) -> list[tuple[str, int, float, float, float]]:
         """Sorted ``(op, count, mean_s, p50_s, p99_s)`` rows."""
-        return [(op, hist.count, hist.mean, hist.percentile(50),
+        return [(labels["op"], hist.count, hist.mean, hist.percentile(50),
                  hist.percentile(99))
-                for op, hist in sorted(self.latency.items())]
+                for labels, hist in self._latency.series()]

@@ -251,11 +251,8 @@ class FleetSimulation:
             title="\nverification cache"))
 
         accounts = self.pool.account_totals()
-        endpoint_calls = {
-            shard_id: sum(self.pool.shards[shard_id].endpoint_calls.values())
-            for shard_id in self.pool.shard_ids}
         shard_rows = [[shard_id, accounts[shard_id],
-                       endpoint_calls[shard_id],
+                       self.pool.shards[shard_id].dispatch_calls.total(),
                        f"{self._queues[shard_id].utilization(metrics.horizon_s):.1%}"]
                       for shard_id in self.pool.shard_ids]
         parts.append(render_table(

@@ -26,6 +26,7 @@ from repro.analysis.verify.model import (
     sess_k,
 )
 from repro.analysis.verify.properties import close_knowledge, is_secret
+from repro.analysis.verify.runner import _KIND_ANCHORS, _RULE_ANCHORS, _anchor
 
 #: Test depth: deep enough that every mutation's counterexample appears
 #: (the deepest lives at depth 4), shallow enough to stay fast.
@@ -164,6 +165,28 @@ class TestMutationCounterexamples:
         assert deeper["PV403"].depth == shallow.depth
         assert shallow.depth <= 4
         assert shallow.steps
+
+
+class TestTraceAnchors:
+    """Findings and trace hops point at real ``def`` lines: a renamed or
+    deleted function would otherwise fall back to line 1 silently."""
+
+    @pytest.mark.parametrize("rel,func", sorted(
+        set(_RULE_ANCHORS.values()) | set(_KIND_ANCHORS.values())))
+    def test_anchor_resolves_to_its_def(self, rel, func):
+        _display, _module, line, text = _anchor(rel, func)
+        assert line > 1
+        assert text.lstrip().startswith(f"def {func.rsplit('.', 1)[-1]}(")
+
+    def test_honest_login_hops_point_into_the_client(self):
+        findings, _stats = _verify(depth=4, entries=("login",),
+                                   mutations=("skip-login-signature-check",))
+        (finding,) = [f for f in findings if f.rule == "PV402"]
+        login_line = _anchor("repro/net/protocol.py", "TrustClient.login")[2]
+        client_hops = [hop for hop in finding.trace
+                       if hop.path == "src/repro/net/protocol.py"]
+        assert client_hops
+        assert all(hop.line == login_line for hop in client_hops)
 
 
 class TestAdversaryMatters:

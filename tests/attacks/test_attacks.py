@@ -18,7 +18,7 @@ from repro.attacks import (
 from repro.baselines import CookieWebServer
 from repro.core import LocalIdentityManager
 from repro.eval import LOGIN_BUTTON_XY, standard_deployment
-from repro.net import login, session_request
+from repro.net import TrustClient
 from repro.touchgen import UserTouchModel
 
 
@@ -82,12 +82,12 @@ class TestChannelAttacks:
     def test_trust_rejects_request_replay(self, world):
         rng = np.random.default_rng(5)
         channel = world.fresh_channel()
-        outcome = login(world.device, world.server, channel, world.account,
-                        LOGIN_BUTTON_XY, world.user_master, rng)
+        client = TrustClient(world.device, world.server, channel)
+        outcome = client.login(world.account, LOGIN_BUTTON_XY,
+                               world.user_master, rng)
         assert outcome.success, outcome.reason
         for _ in range(3):
-            result = session_request(world.device, world.server, channel,
-                                     outcome.session, risk=0.0, rng=rng)
+            result = client.request(outcome.session, risk=0.0, rng=rng)
             assert result.success
         replay = replay_trust_traffic(world.server, channel, "page-request")
         assert not replay.succeeded
@@ -98,8 +98,8 @@ class TestChannelAttacks:
     def test_trust_rejects_login_replay(self, world):
         rng = np.random.default_rng(6)
         channel = world.fresh_channel()
-        outcome = login(world.device, world.server, channel, world.account,
-                        LOGIN_BUTTON_XY, world.user_master, rng)
+        outcome = TrustClient(world.device, world.server, channel).login(
+            world.account, LOGIN_BUTTON_XY, world.user_master, rng)
         assert outcome.success
         world.device.flock.close_session(world.server.domain)
         replay = replay_trust_traffic(world.server, channel, "login-submit")
@@ -168,8 +168,8 @@ class TestMalwareAttacks:
         world.device.browser.infect(malware)
         channel = world.fresh_channel()
         rng = np.random.default_rng(12)
-        outcome = login(world.device, world.server, channel, world.account,
-                        LOGIN_BUTTON_XY, world.user_master, rng)
+        outcome = TrustClient(world.device, world.server, channel).login(
+            world.account, LOGIN_BUTTON_XY, world.user_master, rng)
         world.device.browser.malware = None
         assert outcome.success
         record = world.device.flock.flash.record(world.server.domain)

@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.fingerprint import enroll_master, synthesize_master
-from repro.net import MobileDevice, UntrustedChannel, WebServer, register_device
+from repro.net import MobileDevice, TrustClient, UntrustedChannel, WebServer
 from repro.touchgen import (
     SessionConfig,
     SessionGenerator,
@@ -183,9 +183,8 @@ class TestRemoteCoordinator:
         server = WebServer("www.bank.com", ca, b"server-core")
         server.create_account("alice", "pw")
         channel = UntrustedChannel()
-        outcome = register_device(device, server, channel, "alice",
-                                  UNLOCK_XY, alice_master,
-                                  np.random.default_rng(0))
+        outcome = TrustClient(device, server, channel).register(
+            "alice", UNLOCK_XY, alice_master, np.random.default_rng(0))
         assert outcome.success
         return device, server, channel
 

@@ -13,11 +13,9 @@ from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.fingerprint import enroll_master, synthesize_master
 from repro.net import (
     MobileDevice,
+    TrustClient,
     UntrustedChannel,
     WebServer,
-    login,
-    register_device,
-    session_request,
 )
 
 BUTTON_XY = (28.0, 80.0)
@@ -51,9 +49,8 @@ class TestRegistrationDrops:
     def test_any_drop_fails_cleanly_and_retry_works(self, world, drop_index):
         ca, device, server, master = world
         rng = np.random.default_rng(10 + drop_index)
-        channel = _drop_nth(drop_index)
-        outcome = register_device(device, server, channel, "alice",
-                                  BUTTON_XY, master, rng)
+        outcome = TrustClient(device, server, _drop_nth(drop_index)).register(
+            "alice", BUTTON_XY, master, rng)
         assert outcome.reason == "message-dropped"
         assert not outcome.success
 
@@ -66,8 +63,8 @@ class TestRegistrationDrops:
             # completed step-2; unbind to model a fresh attempt).
             if device.flock.flash.has_record(server.domain):
                 device.flock.unbind_service(server.domain)
-            retry = register_device(device, server, _drop_nth(999), "alice",
-                                    BUTTON_XY, master, rng)
+            retry = TrustClient(device, server, _drop_nth(999)).register(
+                "alice", BUTTON_XY, master, rng)
             assert retry.success, retry.reason
             # Reset for other parametrizations.
             server.reset_identity("alice", "pw")
@@ -89,13 +86,13 @@ class TestLoginDrops:
         if not device.flock.flash.has_record(server.domain):
             if server.account_key("alice") is not None:
                 server.reset_identity("alice", "pw")
-            outcome = register_device(device, server, UntrustedChannel(),
-                                      "alice", BUTTON_XY, master, rng)
+            outcome = TrustClient(device, server).register(
+                "alice", BUTTON_XY, master, rng)
             assert outcome.success, outcome.reason
         elif server.account_key("alice") is None:
             device.flock.unbind_service(server.domain)
-            outcome = register_device(device, server, UntrustedChannel(),
-                                      "alice", BUTTON_XY, master, rng)
+            outcome = TrustClient(device, server).register(
+                "alice", BUTTON_XY, master, rng)
             assert outcome.success, outcome.reason
         return device, server, master
 
@@ -104,8 +101,8 @@ class TestLoginDrops:
         device, server, master = bound
         rng = np.random.default_rng(40 + drop_index)
         sessions_before = server.active_sessions
-        outcome = login(device, server, _drop_nth(drop_index), "alice",
-                        BUTTON_XY, master, rng)
+        outcome = TrustClient(device, server, _drop_nth(drop_index)).login(
+            "alice", BUTTON_XY, master, rng)
         assert outcome.reason == "message-dropped"
         # No dangling session key on the device.
         assert not device.flock.has_session(server.domain)
@@ -116,11 +113,11 @@ class TestLoginDrops:
     def test_retry_after_drop_succeeds(self, bound):
         device, server, master = bound
         rng = np.random.default_rng(50)
-        failed = login(device, server, _drop_nth(1), "alice", BUTTON_XY,
-                       master, rng)
+        failed = TrustClient(device, server, _drop_nth(1)).login(
+            "alice", BUTTON_XY, master, rng)
         assert not failed.success
-        retry = login(device, server, UntrustedChannel(), "alice",
-                      BUTTON_XY, master, rng)
+        retry = TrustClient(device, server).login(
+            "alice", BUTTON_XY, master, rng)
         assert retry.success, retry.reason
         device.flock.close_session(server.domain)
 
@@ -135,19 +132,19 @@ class TestRequestDrops:
         if not device.flock.flash.has_record(server.domain):
             if server.account_key("alice") is not None:
                 server.reset_identity("alice", "pw")
-            assert register_device(device, server, UntrustedChannel(),
-                                   "alice", BUTTON_XY, master, rng).success
-        outcome = login(device, server, UntrustedChannel(), "alice",
-                        BUTTON_XY, master, rng)
+            assert TrustClient(device, server).register(
+                "alice", BUTTON_XY, master, rng).success
+        outcome = TrustClient(device, server).login(
+            "alice", BUTTON_XY, master, rng)
         assert outcome.success, outcome.reason
         session = outcome.session
 
-        dropped = session_request(device, server, _drop_nth(0), session,
-                                  risk=0.0, rng=rng)
+        dropped = TrustClient(device, server, _drop_nth(0)).request(
+            session, risk=0.0, rng=rng)
         assert dropped.reason == "message-dropped"
         assert server.session(session.session_id) is not None
 
-        retry = session_request(device, server, UntrustedChannel(), session,
-                                risk=0.0, rng=rng)
+        retry = TrustClient(device, server).request(session, risk=0.0,
+                                                     rng=rng)
         assert retry.success, retry.reason
         device.flock.close_session(server.domain)

@@ -7,11 +7,9 @@ from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.fingerprint import enroll_master, synthesize_master
 from repro.net import (
     MobileDevice,
+    TrustClient,
     UntrustedChannel,
     WebServer,
-    login,
-    register_device,
-    session_request,
 )
 
 BUTTON_XY = (28.0, 80.0)
@@ -31,8 +29,8 @@ def multi_world():
     for index, domain in enumerate(DOMAINS):
         server = WebServer(domain, ca, f"srv-{index}".encode())
         server.create_account("alice", "pw")
-        outcome = register_device(device, server, channel, "alice",
-                                  BUTTON_XY, master, rng)
+        outcome = TrustClient(device, server, channel).register(
+            "alice", BUTTON_XY, master, rng)
         assert outcome.success, (domain, outcome.reason)
         servers[domain] = server
     return device, servers, master
@@ -59,17 +57,18 @@ class TestMultiService:
         device, servers, master = multi_world
         rng = np.random.default_rng(8)
         channel = UntrustedChannel()
+        clients = {domain: TrustClient(device, servers[domain], channel)
+                   for domain in DOMAINS}
         sessions = {}
         for domain in DOMAINS:
-            outcome = login(device, servers[domain], channel, "alice",
-                            BUTTON_XY, master, rng)
+            outcome = clients[domain].login("alice", BUTTON_XY, master, rng)
             assert outcome.success, (domain, outcome.reason)
             sessions[domain] = outcome.session
         # Interleave requests across the three live sessions.
         for round_index in range(3):
             for domain in DOMAINS:
-                result = session_request(device, servers[domain], channel,
-                                         sessions[domain], risk=0.0, rng=rng)
+                result = clients[domain].request(sessions[domain], risk=0.0,
+                                                 rng=rng)
                 assert result.success, (domain, result.reason)
         for domain in DOMAINS:
             state = servers[domain].session(sessions[domain].session_id)
@@ -80,10 +79,10 @@ class TestMultiService:
         device, servers, master = multi_world
         rng = np.random.default_rng(9)
         channel = UntrustedChannel()
-        outcome_a = login(device, servers[DOMAINS[0]], channel, "alice",
-                          BUTTON_XY, master, rng)
-        outcome_b = login(device, servers[DOMAINS[1]], channel, "alice",
-                          BUTTON_XY, master, rng)
+        outcome_a = TrustClient(device, servers[DOMAINS[0]], channel).login(
+            "alice", BUTTON_XY, master, rng)
+        outcome_b = TrustClient(device, servers[DOMAINS[1]], channel).login(
+            "alice", BUTTON_XY, master, rng)
         assert outcome_a.success and outcome_b.success
         tag = device.flock.session_mac(DOMAINS[0], b"payload")
         assert not device.flock.verify_session_mac(DOMAINS[1], b"payload", tag)
@@ -99,6 +98,6 @@ class TestMultiService:
         rng = np.random.default_rng(10)
         channel = UntrustedChannel()
         servers[DOMAINS[2]].reset_identity("alice", "pw")
-        outcome = register_device(device, servers[DOMAINS[2]], channel,
-                                  "alice", BUTTON_XY, master, rng)
+        outcome = TrustClient(device, servers[DOMAINS[2]], channel).register(
+            "alice", BUTTON_XY, master, rng)
         assert outcome.success

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.eval import LOGIN_BUTTON_XY, standard_deployment
-from repro.net import UntrustedChannel, login, session_request
+from repro.net import TrustClient, UntrustedChannel
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +59,13 @@ class TestRequestTampering:
                                                  byte_index)
             return envelope
 
-        channel = UntrustedChannel()
-        outcome = login(world.device, world.server, channel, world.account,
-                        LOGIN_BUTTON_XY, world.user_master, rng)
+        outcome = TrustClient(world.device, world.server).login(
+            world.account, LOGIN_BUTTON_XY, world.user_master, rng)
         assert outcome.success, outcome.reason
         try:
-            tampering = UntrustedChannel(tamper_hook=tamper)
-            result = session_request(world.device, world.server, tampering,
-                                     outcome.session, risk=0.0, rng=rng)
+            tampering = TrustClient(world.device, world.server,
+                                    UntrustedChannel(tamper_hook=tamper))
+            result = tampering.request(outcome.session, risk=0.0, rng=rng)
             assert not result.success
             assert result.reason in ("bad-mac", "bad-nonce",
                                      "unknown-session", "wrong-account",
@@ -92,9 +91,8 @@ class TestLoginTampering:
 
         try:
             channel = UntrustedChannel(tamper_hook=tamper)
-            outcome = login(world.device, world.server, channel,
-                            world.account, LOGIN_BUTTON_XY,
-                            world.user_master, rng)
+            outcome = TrustClient(world.device, world.server, channel).login(
+                world.account, LOGIN_BUTTON_XY, world.user_master, rng)
             assert not outcome.success
             assert outcome.reason in (
                 "bad-mac", "bad-nonce", "bad-session-key", "wrong-domain",
@@ -125,9 +123,8 @@ class TestServerResponseTampering:
 
         try:
             channel = UntrustedChannel(tamper_hook=tamper)
-            outcome = login(world.device, world.server, channel,
-                            world.account, LOGIN_BUTTON_XY,
-                            world.user_master, rng)
+            outcome = TrustClient(world.device, world.server, channel).login(
+                world.account, LOGIN_BUTTON_XY, world.user_master, rng)
             assert not outcome.success
             assert outcome.reason == "bad-content-mac"
         finally:
@@ -146,7 +143,7 @@ class TestRegistrationTampering:
     @given(field=st.sampled_from(REGISTRATION_SUBMIT_FIELDS),
            byte_index=st.integers(min_value=0, max_value=63))
     def test_any_submission_mutation_rejected(self, field, byte_index):
-        from repro.net import WebServer, register_device
+        from repro.net import WebServer
 
         world = standard_deployment(seed=55)
         server = WebServer(f"www.fuzz-{field}-{byte_index % 4}.example",
@@ -163,9 +160,8 @@ class TestRegistrationTampering:
 
         channel = UntrustedChannel(tamper_hook=tamper)
         try:
-            outcome = register_device(world.device, server, channel, "alice",
-                                      LOGIN_BUTTON_XY, world.user_master,
-                                      rng)
+            outcome = TrustClient(world.device, server, channel).register(
+                "alice", LOGIN_BUTTON_XY, world.user_master, rng)
         finally:
             world.device.flock._pending_bindings.pop(server.domain, None)
             if world.device.flock.flash.has_record(server.domain):
@@ -185,7 +181,7 @@ class TestRegistrationTampering:
     @given(field=st.sampled_from(REGISTRATION_PAGE_FIELDS),
            byte_index=st.integers(min_value=0, max_value=63))
     def test_any_page_mutation_rejected_by_device(self, field, byte_index):
-        from repro.net import WebServer, register_device
+        from repro.net import WebServer
 
         world = standard_deployment(seed=55)
         server = WebServer(f"www.fuzzp-{field}-{byte_index % 4}.example",
@@ -202,9 +198,8 @@ class TestRegistrationTampering:
 
         channel = UntrustedChannel(tamper_hook=tamper)
         try:
-            outcome = register_device(world.device, server, channel, "alice",
-                                      LOGIN_BUTTON_XY, world.user_master,
-                                      rng)
+            outcome = TrustClient(world.device, server, channel).register(
+                "alice", LOGIN_BUTTON_XY, world.user_master, rng)
         finally:
             world.device.flock._pending_bindings.pop(server.domain, None)
             if world.device.flock.flash.has_record(server.domain):

@@ -10,7 +10,7 @@ import pytest
 
 from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.fingerprint import enroll_master, synthesize_master
-from repro.net import MobileDevice, UntrustedChannel, WebServer, register_device
+from repro.net import MobileDevice, TrustClient, UntrustedChannel, WebServer
 
 #: The registration/login button location: over the bottom-centre sensor.
 BUTTON_XY = (28.0, 80.0)
@@ -39,10 +39,8 @@ def deployment(ca, alice_master):
     device.flock.enroll_local_user(template)
     server = WebServer("www.xyz.com", ca, b"server-net")
     server.create_account("alice", "alice-password")
-    channel = UntrustedChannel()
-    outcome = register_device(device, server, channel, "alice",
-                              BUTTON_XY, alice_master,
-                              np.random.default_rng(10))
+    outcome = TrustClient(device, server).register(
+        "alice", BUTTON_XY, alice_master, np.random.default_rng(10))
     assert outcome.success, outcome.reason
     return device, server
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.net import FrameAuditor, Malware, UntrustedChannel, login, session_request
+from repro.net import FrameAuditor, Malware, TrustClient
 from .conftest import BUTTON_XY
 
 
@@ -11,13 +11,11 @@ class TestFrameAuditor:
     def test_honest_session_audits_clean(self, deployment, alice_master):
         device, server = deployment
         rng = np.random.default_rng(50)
-        channel = UntrustedChannel()
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        client = TrustClient(device, server)
+        outcome = client.login("alice", BUTTON_XY, alice_master, rng)
         assert outcome.success
         for _ in range(4):
-            session_request(device, server, channel, outcome.session,
-                            risk=0.0, rng=rng)
+            client.request(outcome.session, risk=0.0, rng=rng)
         device.flock.close_session(server.domain)
 
         report = FrameAuditor(server).audit_account("alice")
@@ -30,10 +28,9 @@ class TestFrameAuditor:
         rng = np.random.default_rng(51)
         device.browser.infect(Malware(
             page_rewriter=lambda page: b"<html>EVIL OVERLAY</html>"))
-        channel = UntrustedChannel()
         try:
-            outcome = login(device, server, channel, "alice", BUTTON_XY,
-                            alice_master, rng)
+            outcome = TrustClient(device, server).login(
+                "alice", BUTTON_XY, alice_master, rng)
         finally:
             device.browser.malware = None
         assert outcome.success  # crypto is intact; only the display lied
@@ -50,14 +47,12 @@ class TestFrameAuditor:
         device, server = deployment
         log_start = len(server.frame_audit_log)
         rng = np.random.default_rng(52)
-        channel = UntrustedChannel()
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        client = TrustClient(device, server)
+        outcome = client.login("alice", BUTTON_XY, alice_master, rng)
         assert outcome.success
         # Zoom the displayed page, then issue a request attesting the new view.
         device.flock.display.apply_view_change(zoom=2.0, scroll_px=64)
-        result = session_request(device, server, channel, outcome.session,
-                                 risk=0.0, rng=rng)
+        result = client.request(outcome.session, risk=0.0, rng=rng)
         assert result.success
         device.flock.close_session(server.domain)
 

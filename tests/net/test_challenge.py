@@ -8,10 +8,8 @@ from repro.flock import FlockError
 from repro.net import (
     Envelope,
     ProtocolError,
+    TrustClient,
     UntrustedChannel,
-    answer_challenge,
-    login,
-    session_request,
 )
 from .conftest import BUTTON_XY
 
@@ -19,22 +17,20 @@ from .conftest import BUTTON_XY
 @pytest.fixture()
 def live_session(deployment, alice_master):
     device, server = deployment
-    channel = UntrustedChannel()
+    client = TrustClient(device, server, UntrustedChannel())
     rng = np.random.default_rng(60)
-    outcome = login(device, server, channel, "alice", BUTTON_XY,
-                    alice_master, rng)
+    outcome = client.login("alice", BUTTON_XY, alice_master, rng)
     assert outcome.success, outcome.reason
     device.flock._pending_challenges.pop(server.domain, None)
-    yield device, server, channel, outcome.session, rng
+    yield device, server, client, outcome.session, rng
     device.flock._pending_challenges.pop(server.domain, None)
     device.flock.close_session(server.domain)
 
 
 class TestChallengeFlow:
     def test_elevated_risk_triggers_challenge(self, live_session):
-        device, server, channel, session, rng = live_session
-        result = session_request(device, server, channel, session,
-                                 risk=0.6, rng=rng)
+        device, server, client, session, rng = live_session
+        result = client.request(session, risk=0.6, rng=rng)
         assert not result.success
         assert result.reason == "challenge-required"
         assert session.challenge_nonce is not None
@@ -43,48 +39,42 @@ class TestChallengeFlow:
         assert state.pending_challenge is not None
 
     def test_low_risk_not_challenged(self, live_session):
-        device, server, channel, session, rng = live_session
-        result = session_request(device, server, channel, session,
-                                 risk=0.2, rng=rng)
+        device, server, client, session, rng = live_session
+        result = client.request(session, risk=0.2, rng=rng)
         assert result.success
 
     def test_genuine_user_passes_challenge(self, live_session, alice_master):
-        device, server, channel, session, rng = live_session
-        session_request(device, server, channel, session, risk=0.6, rng=rng)
-        result = answer_challenge(device, server, channel, session,
-                                  BUTTON_XY, alice_master, rng)
+        device, server, client, session, rng = live_session
+        client.request(session, risk=0.6, rng=rng)
+        result = client.answer_challenge(session, BUTTON_XY, alice_master, rng)
         assert result.success, result.reason
         assert session.challenge_nonce is None
         # Session resumes normally.
-        follow_up = session_request(device, server, channel, session,
-                                    risk=0.1, rng=rng)
+        follow_up = client.request(session, risk=0.1, rng=rng)
         assert follow_up.success
         state = server.session(session.session_id)
         assert state.challenges_passed == 1
 
     def test_impostor_cannot_pass_challenge(self, live_session, eve_master):
-        device, server, channel, session, rng = live_session
-        session_request(device, server, channel, session, risk=0.6, rng=rng)
-        result = answer_challenge(device, server, channel, session,
-                                  BUTTON_XY, eve_master, rng)
+        device, server, client, session, rng = live_session
+        client.request(session, risk=0.6, rng=rng)
+        result = client.answer_challenge(session, BUTTON_XY, eve_master, rng)
         assert not result.success
         assert result.reason == "fingerprint-not-verified"
         # Content stays withheld: the next request is challenged again.
-        frozen = session_request(device, server, channel, session,
-                                 risk=0.6, rng=rng)
+        frozen = client.request(session, risk=0.6, rng=rng)
         assert frozen.reason == "challenge-required"
 
     def test_challenge_without_pending_rejected(self, live_session,
                                                 alice_master):
-        device, server, channel, session, rng = live_session
-        result = answer_challenge(device, server, channel, session,
-                                  BUTTON_XY, alice_master, rng)
+        device, server, client, session, rng = live_session
+        result = client.answer_challenge(session, BUTTON_XY, alice_master, rng)
         assert result.reason == "no-challenge-pending"
 
     def test_forged_attestation_rejected(self, live_session, alice_master):
         """Malware holding the session-MAC oracle still cannot attest."""
-        device, server, channel, session, rng = live_session
-        session_request(device, server, channel, session, risk=0.6, rng=rng)
+        device, server, client, session, rng = live_session
+        client.request(session, risk=0.6, rng=rng)
         forged = Envelope("challenge-response", {
             "account": session.account,
             "session": session.session_id,

@@ -8,11 +8,11 @@ from repro.crypto import hmac_sha256
 from repro.net import (
     Envelope,
     ProtocolError,
+    TrustClient,
     UntrustedChannel,
     cookie_size_bytes,
     decode_cookie,
     encode_cookie,
-    login,
 )
 from .conftest import BUTTON_XY
 
@@ -94,8 +94,8 @@ class TestOverhead:
         device, server = deployment
         rng = np.random.default_rng(70)
         channel = UntrustedChannel()
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        outcome = TrustClient(device, server, channel).login(
+            "alice", BUTTON_XY, alice_master, rng)
         assert outcome.success
         device.flock.close_session(server.domain)
         for record in channel.log:

@@ -71,12 +71,13 @@ class TestDispatch:
     def test_dispatch_counts_endpoint_calls(self, deployment, alice_master,
                                             channel):
         device, server = deployment
-        before = server.endpoint_calls[MSG_LOGIN_SUBMIT]
+        before = server.dispatch_calls.value(endpoint=MSG_LOGIN_SUBMIT)
         client = TrustClient(device, server, channel)
         outcome = client.login("alice", BUTTON_XY, alice_master,
                                np.random.default_rng(40))
         assert outcome.success, outcome.reason
-        assert server.endpoint_calls[MSG_LOGIN_SUBMIT] == before + 1
+        assert server.dispatch_calls.value(
+            endpoint=MSG_LOGIN_SUBMIT) == before + 1
         device.flock.close_session(server.domain)
 
 

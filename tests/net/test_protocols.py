@@ -9,12 +9,10 @@ from repro.net import (
     MobileDevice,
     ProtocolError,
     TransferError,
+    TrustClient,
     UntrustedChannel,
     WebServer,
-    login,
-    register_device,
     reset_identity,
-    session_request,
     transfer_identity,
 )
 from .conftest import BUTTON_XY
@@ -27,10 +25,8 @@ class TestRegistration:
         device.flock.enroll_local_user(template)
         server = WebServer("www.reg.com", ca, b"server-r1")
         server.create_account("alice", "pw")
-        channel = UntrustedChannel()
-        outcome = register_device(device, server, channel, "alice",
-                                  BUTTON_XY, alice_master,
-                                  np.random.default_rng(0))
+        outcome = TrustClient(device, server).register(
+            "alice", BUTTON_XY, alice_master, np.random.default_rng(0))
         assert outcome.success
         bound = server.account_key("alice")
         assert bound == device.flock.service_view("www.reg.com").public_key
@@ -44,10 +40,8 @@ class TestRegistration:
         device = MobileDevice("dev-r2", b"seed-r2", ca=ca)
         device.flock.enroll_local_user(template)
         server = WebServer("www.reg2.com", ca, b"server-r2")
-        channel = UntrustedChannel()
-        outcome = register_device(device, server, channel, "nobody",
-                                  BUTTON_XY, alice_master,
-                                  np.random.default_rng(0))
+        outcome = TrustClient(device, server).register(
+            "nobody", BUTTON_XY, alice_master, np.random.default_rng(0))
         assert not outcome.success
         assert outcome.reason == "unknown-account"
 
@@ -58,10 +52,8 @@ class TestRegistration:
         device.flock.enroll_local_user(template)
         server = WebServer("www.reg3.com", ca, b"server-r3")
         server.create_account("alice", "pw")
-        channel = UntrustedChannel()
-        outcome = register_device(device, server, channel, "alice",
-                                  BUTTON_XY, eve_master,
-                                  np.random.default_rng(0))
+        outcome = TrustClient(device, server).register(
+            "alice", BUTTON_XY, eve_master, np.random.default_rng(0))
         assert not outcome.success
         assert outcome.reason == "fingerprint-not-verified"
         assert server.account_key("alice") is None
@@ -74,9 +66,8 @@ class TestRegistration:
         server = WebServer("www.reg4.com", ca, b"server-r4")
         server.create_account("alice", "pw")
         channel = UntrustedChannel()
-        outcome = register_device(device, server, channel, "alice",
-                                  BUTTON_XY, alice_master,
-                                  np.random.default_rng(0))
+        outcome = TrustClient(device, server, channel).register(
+            "alice", BUTTON_XY, alice_master, np.random.default_rng(0))
         assert outcome.success
         recorded = channel.recorded("registration-submit")[0].envelope
         with pytest.raises(ProtocolError) as exc_info:
@@ -87,16 +78,15 @@ class TestRegistration:
 class TestContinuousAuth:
     def test_login_and_requests(self, deployment, channel, alice_master):
         device, server = deployment
+        client = TrustClient(device, server, channel)
         rng = np.random.default_rng(20)
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        outcome = client.login("alice", BUTTON_XY, alice_master, rng)
         assert outcome.success, outcome.reason
         session = outcome.session
         for i in range(5):
-            result = session_request(device, server, channel, session,
-                                     risk=0.05, rng=rng,
-                                     touch_xy=BUTTON_XY, master=alice_master,
-                                     time_s=100.0 + i)
+            result = client.request(session, risk=0.05, rng=rng,
+                                    touch_xy=BUTTON_XY, master=alice_master,
+                                    time_s=100.0 + i)
             assert result.success, result.reason
         state = server.session(session.session_id)
         assert state.request_count == 5
@@ -105,15 +95,14 @@ class TestContinuousAuth:
 
     def test_fresh_nonce_per_request(self, deployment, channel, alice_master):
         device, server = deployment
+        client = TrustClient(device, server, channel)
         rng = np.random.default_rng(21)
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        outcome = client.login("alice", BUTTON_XY, alice_master, rng)
         assert outcome.success
         session = outcome.session
         nonces = {bytes(session.next_nonce)}
         for i in range(4):
-            session_request(device, server, channel, session, risk=0.0,
-                            rng=rng, time_s=200.0 + i)
+            client.request(session, risk=0.0, rng=rng, time_s=200.0 + i)
             nonces.add(bytes(session.next_nonce))
         assert len(nonces) == 5
         device.flock.close_session(server.domain)
@@ -121,13 +110,12 @@ class TestContinuousAuth:
     def test_high_risk_terminates_session(self, deployment, channel,
                                           alice_master):
         device, server = deployment
+        client = TrustClient(device, server, channel)
         rng = np.random.default_rng(22)
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        outcome = client.login("alice", BUTTON_XY, alice_master, rng)
         assert outcome.success
         session = outcome.session
-        result = session_request(device, server, channel, session,
-                                 risk=0.9, rng=rng)
+        result = client.request(session, risk=0.9, rng=rng)
         assert not result.success
         assert result.reason == "risk-too-high"
         assert server.session(session.session_id) is None
@@ -138,8 +126,8 @@ class TestContinuousAuth:
                                            alice_master):
         device, server = deployment
         rng = np.random.default_rng(23)
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng, risk=0.95)
+        outcome = TrustClient(device, server, channel).login(
+            "alice", BUTTON_XY, alice_master, rng, risk=0.95)
         assert not outcome.success
         assert outcome.reason == "risk-too-high"
         assert not device.flock.has_session(server.domain)
@@ -147,21 +135,20 @@ class TestContinuousAuth:
     def test_impostor_cannot_login(self, deployment, channel, eve_master):
         device, server = deployment
         rng = np.random.default_rng(24)
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        eve_master, rng)
+        outcome = TrustClient(device, server, channel).login(
+            "alice", BUTTON_XY, eve_master, rng)
         assert not outcome.success
         assert outcome.reason == "fingerprint-not-verified"
 
     def test_session_crypto_cost_accounted(self, deployment, channel,
                                            alice_master):
         device, server = deployment
+        client = TrustClient(device, server, channel)
         rng = np.random.default_rng(25)
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        outcome = client.login("alice", BUTTON_XY, alice_master, rng)
         assert outcome.success
         assert outcome.crypto_time_s > 0
-        result = session_request(device, server, channel, outcome.session,
-                                 risk=0.0, rng=rng)
+        result = client.request(outcome.session, risk=0.0, rng=rng)
         # Post-login requests use only symmetric crypto: much cheaper.
         assert result.crypto_time_s < outcome.crypto_time_s
         device.flock.close_session(server.domain)
@@ -176,9 +163,8 @@ class TestResetAndTransfer:
         server = WebServer("www.t.com", ca, b"server-t1")
         server.create_account("alice", "correct-password")
         channel = UntrustedChannel()
-        outcome = register_device(device, server, channel, "alice",
-                                  BUTTON_XY, alice_master,
-                                  np.random.default_rng(0))
+        outcome = TrustClient(device, server, channel).register(
+            "alice", BUTTON_XY, alice_master, np.random.default_rng(0))
         assert outcome.success
         return device, server, channel
 
@@ -187,16 +173,15 @@ class TestResetAndTransfer:
         assert reset_identity(server, "alice", "correct-password")
         assert server.account_key("alice") is None
         # Old device's binding is dead: login fails server-side.
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, np.random.default_rng(1))
+        outcome = TrustClient(device, server, channel).login(
+            "alice", BUTTON_XY, alice_master, np.random.default_rng(1))
         assert not outcome.success
         # Re-register from a new device.
         template = enroll_master(alice_master, np.random.default_rng(6))
         new_device = MobileDevice("dev-t2", b"seed-t2", ca=ca)
         new_device.flock.enroll_local_user(template)
-        outcome = register_device(new_device, server, channel, "alice",
-                                  BUTTON_XY, alice_master,
-                                  np.random.default_rng(2))
+        outcome = TrustClient(new_device, server, channel).register(
+            "alice", BUTTON_XY, alice_master, np.random.default_rng(2))
         assert outcome.success
 
     def test_reset_wrong_password(self, fresh_deployment):
@@ -213,8 +198,8 @@ class TestResetAndTransfer:
         domains = transfer_identity(device, new_device, BUTTON_XY,
                                     alice_master, rng)
         assert domains == ["www.t.com"]
-        outcome = login(new_device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        outcome = TrustClient(new_device, server, channel).login(
+            "alice", BUTTON_XY, alice_master, rng)
         assert outcome.success, outcome.reason
         new_device.flock.close_session(server.domain)
 

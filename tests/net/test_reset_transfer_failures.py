@@ -16,13 +16,10 @@ from repro.net import (
     MobileDevice,
     ProtocolError,
     TransferError,
+    TrustClient,
     UntrustedChannel,
     WebServer,
-    answer_challenge,
-    login,
-    register_device,
     reset_identity,
-    session_request,
     transfer_identity,
 )
 from .conftest import BUTTON_XY
@@ -36,9 +33,8 @@ def fresh_world(ca, alice_master):
         enroll_master(alice_master, np.random.default_rng(7)))
     server = WebServer("www.rtf.example", ca, b"server-rtf")
     server.create_account("alice", "alice-password")
-    outcome = register_device(device, server, UntrustedChannel(), "alice",
-                              BUTTON_XY, alice_master,
-                              np.random.default_rng(11))
+    outcome = TrustClient(device, server).register(
+        "alice", BUTTON_XY, alice_master, np.random.default_rng(11))
     assert outcome.success, outcome.reason
     return device, server
 
@@ -46,13 +42,12 @@ def fresh_world(ca, alice_master):
 @pytest.fixture()
 def live_session(deployment, alice_master):
     device, server = deployment
-    channel = UntrustedChannel()
+    client = TrustClient(device, server, UntrustedChannel())
     rng = np.random.default_rng(81)
-    outcome = login(device, server, channel, "alice", BUTTON_XY,
-                    alice_master, rng)
+    outcome = client.login("alice", BUTTON_XY, alice_master, rng)
     assert outcome.success, outcome.reason
     device.flock._pending_challenges.pop(server.domain, None)
-    yield device, server, channel, outcome.session, rng
+    yield device, server, client, outcome.session, rng
     device.flock._pending_challenges.pop(server.domain, None)
     device.flock.close_session(server.domain)
 
@@ -61,12 +56,11 @@ class TestChallengeAnswerReplay:
     """Model trace: adv-login replays a recorded chal-resp (PV403)."""
 
     def test_replay_after_pass_rejected(self, live_session, alice_master):
-        device, server, channel, session, rng = live_session
-        session_request(device, server, channel, session, risk=0.6, rng=rng)
-        result = answer_challenge(device, server, channel, session,
-                                  BUTTON_XY, alice_master, rng)
+        device, server, client, session, rng = live_session
+        client.request(session, risk=0.6, rng=rng)
+        result = client.answer_challenge(session, BUTTON_XY, alice_master, rng)
         assert result.success, result.reason
-        replayed = channel.recorded("challenge-response")[-1].envelope
+        replayed = client.channel.recorded("challenge-response")[-1].envelope
         with pytest.raises(ProtocolError) as exc_info:
             server.dispatch(replayed)
         assert exc_info.value.reason == "no-challenge-pending"
@@ -74,14 +68,13 @@ class TestChallengeAnswerReplay:
     def test_replay_against_new_challenge_rejected(self, live_session,
                                                    alice_master):
         """A stale answer must not clear a *later* challenge."""
-        device, server, channel, session, rng = live_session
-        session_request(device, server, channel, session, risk=0.6, rng=rng)
-        result = answer_challenge(device, server, channel, session,
-                                  BUTTON_XY, alice_master, rng)
+        device, server, client, session, rng = live_session
+        client.request(session, risk=0.6, rng=rng)
+        result = client.answer_challenge(session, BUTTON_XY, alice_master, rng)
         assert result.success, result.reason
-        stale = channel.recorded("challenge-response")[-1].envelope
+        stale = client.channel.recorded("challenge-response")[-1].envelope
         # A second elevated-risk request opens a fresh challenge.
-        session_request(device, server, channel, session, risk=0.6, rng=rng)
+        client.request(session, risk=0.6, rng=rng)
         state = server.session(session.session_id)
         assert state.pending_challenge is not None
         with pytest.raises(ProtocolError) as exc_info:
@@ -97,12 +90,11 @@ class TestOutOfOrderDelivery:
 
     def test_reordered_challenge_desyncs_but_grants_nothing(
             self, live_session, alice_master):
-        device, server, channel, session, rng = live_session
-        session_request(device, server, channel, session, risk=0.6, rng=rng)
-        result = answer_challenge(device, server, channel, session,
-                                  BUTTON_XY, alice_master, rng)
+        device, server, client, session, rng = live_session
+        client.request(session, risk=0.6, rng=rng)
+        result = client.answer_challenge(session, BUTTON_XY, alice_master, rng)
         assert result.success, result.reason
-        stale_challenge = channel.recorded("challenge")[-1].envelope
+        stale_challenge = client.channel.recorded("challenge")[-1].envelope
 
         def reorder(envelope, direction):
             if (direction == "to-device"
@@ -113,18 +105,17 @@ class TestOutOfOrderDelivery:
         reordering = UntrustedChannel(tamper_hook=reorder)
         # The stale challenge carries a valid session MAC, so the device
         # accepts it and re-enters the challenge flow with a stale nonce.
-        result = session_request(device, server, reordering, session,
-                                 risk=0.0, rng=rng)
+        result = TrustClient(device, server, reordering).request(
+            session, risk=0.0, rng=rng)
         assert result.reason == "challenge-required"
         # Answering the resurrected challenge grants nothing: the server
         # has no challenge pending and the nonce is stale.
-        answered = answer_challenge(device, server, channel, session,
-                                    BUTTON_XY, alice_master, rng)
+        answered = client.answer_challenge(session, BUTTON_XY, alice_master,
+                                           rng)
         assert not answered.success
         assert answered.reason in ("no-challenge-pending", "bad-nonce")
         # The desynced device cannot continue the session either.
-        follow_up = session_request(device, server, channel, session,
-                                    risk=0.0, rng=rng)
+        follow_up = client.request(session, risk=0.0, rng=rng)
         assert not follow_up.success
         assert follow_up.reason == "bad-nonce"
 
@@ -133,10 +124,9 @@ class TestResetFailurePaths:
     def test_wrong_password_leaves_binding_and_sessions(self, fresh_world,
                                                         alice_master):
         device, server = fresh_world
-        channel = UntrustedChannel()
+        client = TrustClient(device, server)
         rng = np.random.default_rng(21)
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        outcome = client.login("alice", BUTTON_XY, alice_master, rng)
         assert outcome.success, outcome.reason
         before = server.rejections["bad-password"]
         with pytest.raises(ProtocolError) as exc_info:
@@ -146,8 +136,7 @@ class TestResetFailurePaths:
         # Nothing was revoked: binding and session both survive.
         assert server.account_key("alice") is not None
         assert server.active_sessions == 1
-        result = session_request(device, server, channel, outcome.session,
-                                 risk=0.0, rng=rng)
+        result = client.request(outcome.session, risk=0.0, rng=rng)
         assert result.success, result.reason
         device.flock.close_session(server.domain)
 
@@ -159,17 +148,15 @@ class TestResetFailurePaths:
     def test_reset_terminates_live_sessions(self, fresh_world, alice_master):
         """Model invariant PV405: no session may outlive its binding."""
         device, server = fresh_world
-        channel = UntrustedChannel()
+        client = TrustClient(device, server)
         rng = np.random.default_rng(22)
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        outcome = client.login("alice", BUTTON_XY, alice_master, rng)
         assert outcome.success, outcome.reason
         assert server.active_sessions == 1
         assert reset_identity(server, "alice", "alice-password")
         assert server.account_key("alice") is None
         assert server.active_sessions == 0
-        result = session_request(device, server, channel, outcome.session,
-                                 risk=0.0, rng=rng)
+        result = client.request(outcome.session, risk=0.0, rng=rng)
         assert not result.success
         assert result.reason == "unknown-session"
         device.flock.close_session(server.domain)
@@ -185,8 +172,8 @@ class TestTransferFailurePaths:
                               np.random.default_rng(31))
         # The old device keeps its binding and can still log in.
         assert device.flock.flash.has_record(server.domain)
-        outcome = login(device, server, UntrustedChannel(), "alice",
-                        BUTTON_XY, alice_master, np.random.default_rng(32))
+        outcome = TrustClient(device, server).login(
+            "alice", BUTTON_XY, alice_master, np.random.default_rng(32))
         assert outcome.success, outcome.reason
         device.flock.close_session(server.domain)
 
@@ -206,8 +193,8 @@ class TestTransferFailurePaths:
         # Old device untouched, new device got nothing.
         assert device.flock.flash.has_record(server.domain)
         assert not new_device.flock.flash.has_record(server.domain)
-        outcome = login(device, server, UntrustedChannel(), "alice",
-                        BUTTON_XY, alice_master, np.random.default_rng(34))
+        outcome = TrustClient(device, server).login(
+            "alice", BUTTON_XY, alice_master, np.random.default_rng(34))
         assert outcome.success, outcome.reason
         device.flock.close_session(server.domain)
 
@@ -215,10 +202,9 @@ class TestTransferFailurePaths:
                                                alice_master):
         """Model invariant PV404: only one device bound per account."""
         device, server = fresh_world
-        channel = UntrustedChannel()
+        client = TrustClient(device, server)
         rng = np.random.default_rng(35)
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        outcome = client.login("alice", BUTTON_XY, alice_master, rng)
         assert outcome.success, outcome.reason
         new_device = MobileDevice("dev-rtf-up", b"seed-rtf-up", ca=ca)
         domains = transfer_identity(device, new_device, BUTTON_XY,
@@ -226,15 +212,14 @@ class TestTransferFailurePaths:
         assert server.domain in domains
         # The old device's record *and* open session are gone.
         assert not device.flock.flash.has_record(server.domain)
-        stale = session_request(device, server, channel, outcome.session,
-                                risk=0.0, rng=rng)
+        stale = client.request(outcome.session, risk=0.0, rng=rng)
         assert not stale.success
         assert stale.reason.startswith("device-rejected")
-        old_login = login(device, server, UntrustedChannel(), "alice",
-                          BUTTON_XY, alice_master, rng)
+        old_login = TrustClient(device, server).login(
+            "alice", BUTTON_XY, alice_master, rng)
         assert not old_login.success
         # The new device logs in with no server-side change at all.
-        new_login = login(new_device, server, UntrustedChannel(), "alice",
-                          BUTTON_XY, alice_master, rng)
+        new_login = TrustClient(new_device, server).login(
+            "alice", BUTTON_XY, alice_master, rng)
         assert new_login.success, new_login.reason
         new_device.flock.close_session(server.domain)

@@ -8,9 +8,8 @@ from repro.flock import Frame, FrameHashEngine
 from repro.net import (
     Envelope,
     ProtocolError,
+    TrustClient,
     UntrustedChannel,
-    login,
-    session_request,
 )
 from .conftest import BUTTON_XY
 
@@ -27,8 +26,9 @@ class TestServerVerification:
             return envelope
 
         tampering = UntrustedChannel(tamper_hook=tamper)
-        outcome = login(device, server, tampering, "alice", BUTTON_XY,
-                        alice_master, np.random.default_rng(0), risk=0.4)
+        outcome = TrustClient(device, server, tampering).login(
+            "alice", BUTTON_XY, alice_master, np.random.default_rng(0),
+            risk=0.4)
         assert not outcome.success
         assert outcome.reason == "bad-mac"
         assert server.rejections["bad-mac"] >= 1
@@ -37,8 +37,8 @@ class TestServerVerification:
                                                   alice_master):
         device, server = deployment
         rng = np.random.default_rng(1)
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        outcome = TrustClient(device, server, channel).login(
+            "alice", BUTTON_XY, alice_master, rng)
         assert outcome.success
 
         def tamper(envelope, direction):
@@ -47,8 +47,8 @@ class TestServerVerification:
             return envelope
 
         tampering = UntrustedChannel(tamper_hook=tamper)
-        result = session_request(device, server, tampering, outcome.session,
-                                 risk=0.0, rng=rng)
+        result = TrustClient(device, server, tampering).request(
+            outcome.session, risk=0.0, rng=rng)
         assert not result.success
         assert result.reason == "bad-mac"
         device.flock.close_session(server.domain)
@@ -58,8 +58,8 @@ class TestServerVerification:
         """Malware knows account/session/nonce but not the session key."""
         device, server = deployment
         rng = np.random.default_rng(2)
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        outcome = TrustClient(device, server, channel).login(
+            "alice", BUTTON_XY, alice_master, rng)
         assert outcome.success
         session = outcome.session
         forged = Envelope("page-request", {
@@ -79,11 +79,10 @@ class TestServerVerification:
                                        alice_master):
         device, server = deployment
         rng = np.random.default_rng(3)
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        client = TrustClient(device, server, channel)
+        outcome = client.login("alice", BUTTON_XY, alice_master, rng)
         assert outcome.success
-        result = session_request(device, server, channel, outcome.session,
-                                 risk=0.0, rng=rng)
+        result = client.request(outcome.session, risk=0.0, rng=rng)
         assert result.success
         replayed = channel.recorded("page-request")[-1].envelope
         with pytest.raises(ProtocolError) as exc_info:
@@ -112,12 +111,11 @@ class TestFrameHashAudit:
                                       alice_master):
         device, server = deployment
         rng = np.random.default_rng(4)
-        outcome = login(device, server, channel, "alice", BUTTON_XY,
-                        alice_master, rng)
+        client = TrustClient(device, server, channel)
+        outcome = client.login("alice", BUTTON_XY, alice_master, rng)
         assert outcome.success
         for i in range(3):
-            session_request(device, server, channel, outcome.session,
-                            risk=0.0, rng=rng)
+            client.request(outcome.session, risk=0.0, rng=rng)
         # The server enumerates the finite reachable-view hash set of the
         # pages it served and checks the logged hashes against it.
         engine = FrameHashEngine()

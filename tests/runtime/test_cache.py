@@ -11,6 +11,11 @@ from repro.flock.fingerprint_processor import ImageFingerprintProcessor
 from repro.runtime import VerificationCache
 
 
+def _hits_misses(cache, kind):
+    """One predicate kind's ``(hits, misses)``, read from the stats rows."""
+    return {row[0]: row[1:3] for row in cache.stats()}[kind]
+
+
 class TestCacheMechanics:
     def test_memoize_computes_once(self):
         cache = VerificationCache()
@@ -23,8 +28,7 @@ class TestCacheMechanics:
         assert cache.memoize("k", b"key", compute) == "answer"
         assert cache.memoize("k", b"key", compute) == "answer"
         assert len(calls) == 1
-        assert cache.hits["k"] == 1
-        assert cache.misses["k"] == 1
+        assert _hits_misses(cache, "k") == (1, 1)
         assert cache.hit_rate("k") == 0.5
         assert len(cache) == 1
 
@@ -45,7 +49,7 @@ class TestCacheMechanics:
         assert len(cache) == 2
         cache.memoize("k", b"1", lambda: pytest.fail("1 was evicted"))
         cache.memoize("k", b"2", lambda: "recomputed")
-        assert cache.misses["k"] == 4  # 1, 2, 3, and 2 again
+        assert _hits_misses(cache, "k")[1] == 4  # 1, 2, 3, and 2 again
 
     def test_clear_resets_everything(self):
         cache = VerificationCache()
@@ -92,7 +96,7 @@ class TestCachedEqualsUncached:
 
         assert valid_seen == {True, False}  # both outcomes were exercised
         assert cache.lookups("cert-signature") == 1000
-        assert cache.misses["cert-signature"] == len(certs)
+        assert _hits_misses(cache, "cert-signature")[1] == len(certs)
         assert cache.hit_rate("cert-signature") == (1000 - len(certs)) / 1000
 
     def test_template_match_scores(self):
@@ -112,5 +116,5 @@ class TestCachedEqualsUncached:
             expected = plain._best_score(probe)
             assert cached._best_score(probe) == expected  # miss
             assert cached._best_score(probe) == expected  # hit
-        assert cache.misses["template-match"] == len(probes)
-        assert cache.hits["template-match"] == len(probes)
+        assert _hits_misses(cache, "template-match") == (len(probes),
+                                                         len(probes))
