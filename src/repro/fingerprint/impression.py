@@ -11,6 +11,11 @@ master fingerprint under a parameterized capture condition:
 - motion blur (finger moving during the scan),
 - additive sensor noise and dropout (dry skin / dirt),
 - a circular contact region (partial capture) of given radius.
+
+Bilinear sampling is a flat gather from the master that repeats
+``ndimage.map_coordinates(order=1, mode="constant", cval=0.5)``'s
+arithmetic term for term, so every render is bit-identical to one through
+scipy, at only the pixels the render keeps.
 """
 
 from __future__ import annotations
@@ -99,6 +104,52 @@ def _elastic_displacement(shape: tuple[int, int], amplitude: float,
     return fields[0], fields[1]
 
 
+def _bilinear(image: np.ndarray, src_r: np.ndarray,
+              src_c: np.ndarray) -> np.ndarray:
+    """Bilinear samples of a finite ``image`` at coordinates in ``[0, n - 1]``.
+
+    The value is scipy's order-1 spline sum, term for term: weights
+    ``w0 = 1 - frac`` and ``w1 = 1 - w0``, each corner ``p * wr * wc``
+    added in the order 00, 01, 10, 11.  On the last row or column the far
+    corner's weight is exactly 0, so whichever pixel its flat index lands
+    on (the next row's first, or the last one under ``mode="clip"``) adds
+    exactly 0, as the mirrored pixel scipy reads there does.
+
+    The coordinate arrays are overwritten with weights: every temporary
+    here is as large as the contact, and on a touch-sized frame each one
+    more would cost page faults that outweigh the arithmetic.
+    """
+    stride = image.shape[1]
+    flat = src_r.astype(np.intp)
+    col = src_c.astype(np.intp)
+    w_r = np.subtract(src_r, flat, out=src_r)
+    w_c1 = np.subtract(src_c, col, out=src_c)
+    flat *= stride
+    flat += col
+    del col
+    np.subtract(1.0, w_r, out=w_r)  # the row's w0
+    w_c0 = 1.0 - w_c1
+    np.subtract(1.0, w_c0, out=w_c1)
+    pixels = image.ravel()
+    total = pixels.take(flat)
+    total *= w_r
+    total *= w_c0
+    flat += 1
+    term = pixels.take(flat, mode="clip")
+    term *= w_r
+    term *= w_c1
+    total += term
+    np.subtract(1.0, w_r, out=w_r)  # the row's w1
+    flat += stride - 1
+    for w_c in (w_c0, w_c1):
+        pixels.take(flat, out=term, mode="clip")
+        term *= w_r
+        term *= w_c
+        total += term
+        flat += 1
+    return total
+
+
 def render_impression(master: MasterFingerprint, condition: CaptureCondition,
                       rng: np.random.Generator,
                       output_shape: tuple[int, int] | None = None) -> Impression:
@@ -134,12 +185,13 @@ def render_impression(master: MasterFingerprint, condition: CaptureCondition,
 
     # Contact mask: circular patch (partial print) or everything that landed
     # inside the master area (full print).
-    mask = src_r >= 0
-    mask &= src_r <= master.shape[0] - 1
-    mask &= src_c >= 0
-    mask &= src_c <= master.shape[1] - 1
+    inside = src_r >= 0
+    inside &= src_r <= master.shape[0] - 1
+    inside &= src_c >= 0
+    inside &= src_c <= master.shape[1] - 1
+    mask = inside
     if condition.radius is not None:
-        mask &= rel_sq <= condition.radius**2
+        mask = inside & (rel_sq <= condition.radius**2)
 
     pressure_bias = (condition.pressure - 0.5) * 0.5
 
@@ -147,14 +199,12 @@ def render_impression(master: MasterFingerprint, condition: CaptureCondition,
         # Masked fast path.  Every pixel outside the contact mask ends up
         # at exactly 0.5 (the final masking step), and without motion blur
         # every post-sampling operation is elementwise, so only the masked
-        # pixels need sampling and processing at all.  map_coordinates
-        # interpolates each coordinate independently, so the gathered
-        # values are bit-identical to a full-frame render; the two rng
-        # fields are still drawn at full frame shape to keep the stream
-        # identical to the reference path.
-        vals = ndimage.map_coordinates(
-            master.image, [src_r[mask], src_c[mask]], order=1,
-            mode="constant", cval=0.5)
+        # pixels need sampling and processing at all.  Each pixel is
+        # interpolated independently, so the gathered values are
+        # bit-identical to a full-frame render; the two rng fields are
+        # still drawn at full frame shape to keep the stream identical to
+        # the full-frame path.
+        vals = _bilinear(master.image, src_r[mask], src_c[mask])
         shifted = vals - 0.5
         shifted *= pressure_bias
         shifted *= 2.0
@@ -172,8 +222,10 @@ def render_impression(master: MasterFingerprint, condition: CaptureCondition,
         return Impression(finger_id=master.finger_id, image=image, mask=mask,
                           condition=condition)
 
-    image = ndimage.map_coordinates(master.image, [src_r, src_c], order=1,
-                                    mode="constant", cval=0.5)
+    # Motion blur mixes neighbours, so the whole frame is sampled; a pixel
+    # that landed outside the master reads the constant 0.5.
+    image = np.full((rows, cols), 0.5)
+    image[inside] = _bilinear(master.image, src_r[inside], src_c[inside])
 
     # Pressure: shift the ridge/valley duty cycle.  Hard presses flatten
     # ridges outward (thicker), light touches record only ridge crests.

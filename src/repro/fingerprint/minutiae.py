@@ -2,25 +2,29 @@
 
 On a one-pixel skeleton, the crossing number CN of a ridge pixel — half the
 sum of absolute differences around its 8-neighbourhood — classifies it:
-CN=1 is a ridge ending, CN=3 a bifurcation.  Raw detections are filtered
-against the foreground mask border (where ridge truncation creates spurious
-endings) and de-duplicated within a minimum separation.
+CN=1 is a ridge ending, CN=3 a bifurcation.  CN depends only on the
+8-neighbour code thinning already computes, so it is read from a 256-entry
+table.  Raw detections are filtered against the foreground mask border
+(where ridge truncation creates spurious endings) and de-duplicated within
+a minimum separation.
 
 Each minutia carries a direction (the local ridge orientation, resolved to
 [0, 2*pi) by probing the skeleton) so the matcher can reject pairings with
-inconsistent angles.
+inconsistent angles.  From an image, the orientation is evaluated only at
+the detections that survive de-duplication.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .image_ops import binarize, segment_foreground
-from .orientation import estimate_orientation
-from .thinning import zhang_suen_thin
+from .orientation import _orientation_at
+from .thinning import _neighbour_bits, _neighbour_code, _ring, zhang_suen_thin
 
 __all__ = ["Minutia", "extract_minutiae", "minutiae_from_image"]
 
@@ -50,17 +54,42 @@ class Minutia:
         return self
 
 
+def _crossing_table() -> np.ndarray:
+    """CN per 8-neighbour code: half the changes around P2..P9, P2."""
+    table = np.zeros(256, dtype=np.uint8)
+    for code in range(256):
+        ring = _neighbour_bits(code)
+        changes = sum(abs(a - b) for a, b in zip(ring, ring[1:] + ring[:1]))
+        table[code] = changes // 2
+    return table
+
+
+_CROSSING_NUMBER = _crossing_table()
+
+
 def _crossing_number(skeleton: np.ndarray) -> np.ndarray:
     """Crossing number at each skeleton pixel (0 elsewhere)."""
-    padded = np.pad(skeleton.astype(np.int32), 1)
-    # P2..P9 clockwise, then close the cycle.
-    ring = [
-        padded[:-2, 1:-1], padded[:-2, 2:], padded[1:-1, 2:], padded[2:, 2:],
-        padded[2:, 1:-1], padded[2:, :-2], padded[1:-1, :-2], padded[:-2, :-2],
-    ]
-    ring.append(ring[0])
-    cn = sum(np.abs(ring[i] - ring[i + 1]) for i in range(8)) // 2
-    return np.where(skeleton, cn, 0)
+    cells = np.pad(skeleton, 1).view(np.uint8)
+    cn = np.take(_CROSSING_NUMBER, _neighbour_code(_ring(cells)))
+    cn *= skeleton
+    return cn
+
+
+def _border_interior(mask: np.ndarray, border_margin: int) -> np.ndarray:
+    """Mask pixels whose ``border_margin``-px neighbourhood is all mask.
+
+    The neighbourhood is the ``(2m+1)``-square and pixels off the frame
+    count as background: the erosion by the 3x3 square iterated ``m``
+    times, done as two separable running minima.  A margin of 0 keeps the
+    whole mask.
+    """
+    if border_margin < 0:
+        raise ValueError("border_margin must be non-negative")
+    size = 2 * border_margin + 1
+    interior = ndimage.minimum_filter1d(np.asarray(mask, dtype=bool), size,
+                                        axis=0, mode="constant", cval=0)
+    return ndimage.minimum_filter1d(interior, size, axis=1, output=interior,
+                                    mode="constant", cval=0)
 
 
 def _resolve_direction(skeleton: np.ndarray, row: int, col: int,
@@ -87,25 +116,15 @@ def _resolve_direction(skeleton: np.ndarray, row: int, col: int,
     return (orientation + np.pi) % (2.0 * np.pi)
 
 
-def extract_minutiae(skeleton: np.ndarray, mask: np.ndarray,
-                     orientation_field: np.ndarray,
-                     border_margin: int = 8,
-                     min_separation: float = 6.0) -> list[Minutia]:
-    """Detect, filter and orient minutiae on a skeleton.
-
-    ``border_margin`` pixels next to the mask boundary are excluded: mask
-    truncation manufactures ridge endings there that do not exist on the
-    finger (critical for the paper's partial captures, whose border is most
-    of the patch).
-    """
+def _extract(skeleton: np.ndarray, mask: np.ndarray,
+             orientation_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
+             border_margin: int, min_separation: float) -> list[Minutia]:
+    """Detect, de-duplicate, then orient: ``orientation_at(rows, cols)``
+    gives the ridge orientation at the kept detections."""
     if skeleton.dtype != bool:
         raise ValueError("skeleton must be boolean")
     cn = _crossing_number(skeleton)
-
-    interior = ndimage.binary_erosion(
-        mask, structure=np.ones((3, 3)), iterations=border_margin,
-        border_value=0,
-    )
+    interior = _border_interior(mask, border_margin)
 
     # De-duplicate before orienting: clusters of detections within
     # min_separation collapse to the first in row-major order.  Rows only
@@ -122,22 +141,46 @@ def extract_minutiae(skeleton: np.ndarray, mask: np.ndarray,
                for kr, kc in kept[window:]):
             kept.append((r, c))
 
+    kept_rows = np.array([r for r, _ in kept], dtype=np.intp)
+    kept_cols = np.array([c for _, c in kept], dtype=np.intp)
+    orientations = orientation_at(kept_rows, kept_cols)
     detections = []
-    for r, c in kept:
+    for (r, c), orientation in zip(kept, orientations):
         kind = ENDING if cn[r, c] == 1 else BIFURCATION
-        direction = _resolve_direction(
-            skeleton, r, c, float(orientation_field[r, c]), kind
-        )
+        direction = _resolve_direction(skeleton, r, c, float(orientation), kind)
         detections.append(Minutia(float(r), float(c), direction, kind))
     return detections
 
 
+def extract_minutiae(skeleton: np.ndarray, mask: np.ndarray,
+                     orientation_field: np.ndarray,
+                     border_margin: int = 8,
+                     min_separation: float = 6.0) -> list[Minutia]:
+    """Detect, filter and orient minutiae on a skeleton.
+
+    ``border_margin`` pixels next to the mask boundary are excluded: mask
+    truncation manufactures ridge endings there that do not exist on the
+    finger (critical for the paper's partial captures, whose border is most
+    of the patch).  A margin of 0 excludes nothing; a negative one raises
+    ValueError.
+    """
+    return _extract(skeleton, mask,
+                    lambda rows, cols: orientation_field[rows, cols],
+                    border_margin, min_separation)
+
+
 def minutiae_from_image(image: np.ndarray, mask: np.ndarray | None = None,
                         block: int = 12, border_margin: int = 5) -> list[Minutia]:
-    """Full pipeline: image -> mask -> binarize -> thin -> minutiae."""
+    """Full pipeline: image -> mask -> binarize -> thin -> minutiae.
+
+    The result equals ``extract_minutiae`` on the skeleton with the full
+    ``estimate_orientation(image, block)`` field, which is evaluated only
+    at the kept detections.
+    """
     if mask is None:
         mask = segment_foreground(image, block=block)
-    orientation = estimate_orientation(image, block=block)
     ridges = binarize(image, mask=mask, block=block)
     skeleton = zhang_suen_thin(ridges)
-    return extract_minutiae(skeleton, mask, orientation, border_margin=border_margin)
+    return _extract(skeleton, mask,
+                    lambda rows, cols: _orientation_at(image, rows, cols, block),
+                    border_margin, 6.0)

@@ -4,7 +4,9 @@ Orientation fields are the backbone of both synthesis (the Gabor growth
 process follows the field) and enhancement (filters are steered by the
 estimated field).  Orientations are ridge *directions* in radians in
 [0, pi): an orientation field is a pi-periodic quantity, so all averaging is
-done in the doubled-angle domain.
+done in the doubled-angle domain.  Minutiae extraction reads the estimated
+field only at its kept detections, and evaluates it at those pixels alone,
+bit-identical to the full field.
 
 Synthetic fields use the Sherlock-Monro zero-pole model: the orientation at
 point z is half the argument of a rational function with zeros at loop
@@ -63,6 +65,37 @@ def _uniform_filter(array: np.ndarray, block: int,
     return output
 
 
+def _doubled_angle_products(image: np.ndarray, block: int) -> np.ndarray:
+    """The box-filtered structure tensor as ``(2 gxy, gxx - gyy)``, stacked.
+
+    These are the doubled-angle gradient products that
+    :func:`estimate_orientation` smooths; :func:`_orientation_at` reads
+    the same two planes.
+    """
+    image = np.asarray(image, dtype=np.float64)
+    gy, gx = _gradient_pair(image)
+    # Each box filter writes where its result is needed, and 2 * gxy and
+    # gxx - gyy are taken in place: the same float ops, fewer buffers.
+    # (The wrapper, not _uniform_filter: at block=1 it copies, where a
+    # size-1 running mean would round.)
+    products = np.empty((2,) + image.shape)
+    sin2 = ndimage.uniform_filter(gx * gy, size=block, output=products[0])
+    sin2 *= 2.0
+    gx *= gx
+    cos2 = ndimage.uniform_filter(gx, size=block, output=products[1])
+    gy *= gy
+    cos2 -= ndimage.uniform_filter(gy, size=block, output=gy)
+    return products
+
+
+def _ridge_angle(sin2: np.ndarray, cos2: np.ndarray) -> np.ndarray:
+    """Ridge orientation in [0, pi) from the smoothed doubled-angle field."""
+    # Doubled-angle representation of the *gradient* orientation.
+    gradient_angle = 0.5 * np.arctan2(sin2, cos2)
+    # Ridge orientation is perpendicular to the gradient.
+    return np.mod(gradient_angle + np.pi / 2.0, np.pi)
+
+
 def estimate_orientation(image: np.ndarray, block: int = 12,
                          smooth_sigma: float = 2.0) -> np.ndarray:
     """Gradient-based least-squares orientation estimation (per pixel).
@@ -72,17 +105,50 @@ def estimate_orientation(image: np.ndarray, block: int = 12,
     dominant gradient orientation, computed by smoothing the doubled-angle
     gradient products.
     """
-    image = np.asarray(image, dtype=np.float64)
-    gy, gx = _gradient_pair(image)
-    gxx = ndimage.uniform_filter(gx * gx, size=block)
-    gyy = ndimage.uniform_filter(gy * gy, size=block)
-    gxy = ndimage.uniform_filter(gx * gy, size=block)
-    # Doubled-angle representation of the *gradient* orientation.
-    sin2 = ndimage.gaussian_filter(2.0 * gxy, smooth_sigma)
-    cos2 = ndimage.gaussian_filter(gxx - gyy, smooth_sigma)
-    gradient_angle = 0.5 * np.arctan2(sin2, cos2)
-    # Ridge orientation is perpendicular to the gradient.
-    return np.mod(gradient_angle + np.pi / 2.0, np.pi)
+    sin2, cos2 = _doubled_angle_products(image, block)
+    return _ridge_angle(ndimage.gaussian_filter(sin2, smooth_sigma),
+                        ndimage.gaussian_filter(cos2, smooth_sigma))
+
+
+def _reflect(index: np.ndarray, length: int) -> np.ndarray:
+    """scipy's ``reflect`` boundary (``dcba|abcd|dcba``) as an index map.
+
+    The extension repeats with period ``2 * length``, so offsets more
+    than one frame past an edge map too.
+    """
+    index = np.mod(index, 2 * length)
+    return np.where(index < length, index, 2 * length - 1 - index)
+
+
+def _orientation_at(image: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    block: int = 12, smooth_sigma: float = 2.0) -> np.ndarray:
+    """``estimate_orientation(image, block, smooth_sigma)[rows, cols]``.
+
+    The structure tensor is box-filtered over the whole frame, but the
+    Gaussian and the angle run only at the queried pixels.  Each pixel's
+    Gaussian window is gathered with the ``reflect`` boundary of the
+    full-frame filter and smoothed down its rows, then across its columns,
+    by the same ``gaussian_filter1d``.  The centre of the window reads
+    exactly the values the full-frame filter reads at that pixel, in the
+    same order, so each result is bit-identical.
+    """
+    # The tensor comes first, so a frame too small for a gradient raises
+    # as estimate_orientation does, whatever is queried.
+    products = _doubled_angle_products(image, block)
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    if rows.size == 0:
+        return np.empty(0)
+    # gaussian_filter1d's own reach: truncate=4 standard deviations.
+    radius = int(4.0 * float(smooth_sigma) + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    window_r = _reflect(rows[:, None] + offsets, products.shape[1])
+    window_c = _reflect(cols[:, None] + offsets, products.shape[2])
+    windows = products[:, window_r[:, :, None], window_c[:, None, :]]
+    down = ndimage.gaussian_filter1d(windows, smooth_sigma, axis=2)
+    across = ndimage.gaussian_filter1d(down[:, :, radius], smooth_sigma,
+                                       axis=2)
+    return _ridge_angle(across[0, :, radius], across[1, :, radius])
 
 
 def orientation_coherence(image: np.ndarray, block: int = 12) -> np.ndarray:

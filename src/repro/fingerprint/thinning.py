@@ -8,7 +8,8 @@ phase's removal rule is a 256-entry table indexed by the neighbourhood code
 phase is eight multiply-or passes for the codes plus one table lookup
 instead of dozens of full-frame array operations.  The tables are built
 from the textbook conditions below, so the skeleton is exactly the one the
-condition-by-condition formulation produces.
+condition-by-condition formulation produces.  Minutiae extraction reads
+the crossing number from a table over the same code.
 """
 
 from __future__ import annotations
@@ -21,11 +22,30 @@ __all__ = ["zhang_suen_thin"]
 _WEIGHTS = tuple(np.uint8(1 << bit) for bit in range(8))
 
 
+def _neighbour_bits(code: int) -> tuple[int, ...]:
+    """P2..P9 of one 8-neighbour code, 0 or 1 each."""
+    return tuple((code >> bit) & 1 for bit in range(8))
+
+
+def _ring(cells: np.ndarray) -> tuple[np.ndarray, ...]:
+    """P2..P9 of every interior pixel of a zero-padded uint8 frame, as views."""
+    return (cells[:-2, 1:-1], cells[:-2, 2:], cells[1:-1, 2:], cells[2:, 2:],
+            cells[2:, 1:-1], cells[2:, :-2], cells[1:-1, :-2], cells[:-2, :-2])
+
+
+def _neighbour_code(ring: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The 8-neighbour code of every pixel whose P2..P9 are ``ring``."""
+    code = ring[0].copy()
+    for weight, neighbour in zip(_WEIGHTS[1:], ring[1:]):
+        code |= neighbour * weight
+    return code
+
+
 def _removal_table(phase: int) -> np.ndarray:
     """Zhang-Suen's removal rule for ``phase``, per 8-neighbour code."""
     table = np.zeros(256, dtype=bool)
     for code in range(256):
-        p2, p3, p4, p5, p6, p7, p8, p9 = ((code >> bit) & 1 for bit in range(8))
+        p2, p3, p4, p5, p6, p7, p8, p9 = _neighbour_bits(code)
         ring = (p2, p3, p4, p5, p6, p7, p8, p9, p2)
         # Transitions 0->1 in the circular sequence P2..P9,P2.
         transitions = sum(a == 0 and b == 1 for a, b in zip(ring, ring[1:]))
@@ -51,18 +71,13 @@ def zhang_suen_thin(binary: np.ndarray, max_iterations: int = 200) -> np.ndarray
         raise ValueError("zhang_suen_thin expects a boolean array")
     padded = np.pad(binary, 1)
     img = padded[1:-1, 1:-1]
-    cells = padded.view(np.uint8)
     # P2..P9 as views, so every removal shows in the next phase's codes.
-    ring = (cells[:-2, 1:-1], cells[:-2, 2:], cells[1:-1, 2:], cells[2:, 2:],
-            cells[2:, 1:-1], cells[2:, :-2], cells[1:-1, :-2], cells[:-2, :-2])
+    ring = _ring(padded.view(np.uint8))
 
     for _ in range(max_iterations):
         changed = False
         for table in _REMOVABLE:
-            code = ring[0].copy()
-            for weight, neighbour in zip(_WEIGHTS[1:], ring[1:]):
-                code |= neighbour * weight
-            removable = img & np.take(table, code)
+            removable = img & np.take(table, _neighbour_code(ring))
             if removable.any():
                 img[removable] = False
                 changed = True

@@ -2,10 +2,15 @@
 
 These are the straightforward one-hypothesis / one-pixel-rule / one-
 detection-at-a-time versions of ``MinutiaeMatcher.match``,
-``_local_descriptors``, ``zhang_suen_thin`` and ``extract_minutiae``.
-The library's batched code must reproduce them bit for bit; the oracle
-tests in ``test_kernel_oracle.py`` hold it to that.  Keep them simple:
-they are the specification, not an implementation to optimize.
+``_local_descriptors``, ``zhang_suen_thin`` and ``extract_minutiae``, plus
+the whole-frame forms of the capture kernels: scipy's bilinear
+``map_coordinates`` sampling and a render through it, the ring-formula
+crossing number, the iterated border erosion, and ``estimate_orientation``
+through the generic filters.  (The library's full-field
+``estimate_orientation`` is in turn the oracle for point orientations.)
+The library's code must reproduce them bit for bit; the oracle tests in
+``test_kernel_oracle.py`` hold it to that.  Keep them simple: they are the
+specification, not an implementation to optimize.
 """
 
 from __future__ import annotations
@@ -13,6 +18,11 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
+from repro.fingerprint.impression import (
+    Impression,
+    _centred_grid,
+    _elastic_displacement,
+)
 from repro.fingerprint.matching import (
     MatchResult,
     _descriptor_cost,
@@ -22,7 +32,6 @@ from repro.fingerprint.minutiae import (
     BIFURCATION,
     ENDING,
     Minutia,
-    _crossing_number,
     _resolve_direction,
 )
 
@@ -195,6 +204,99 @@ def zhang_suen_thin(binary: np.ndarray, max_iterations: int = 200) -> np.ndarray
     return img.astype(bool)
 
 
+def sample_bilinear(image: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray) -> np.ndarray:
+    """Bilinear samples; coordinates off the image read 0.5."""
+    return ndimage.map_coordinates(image, [rows, cols], order=1,
+                                   mode="constant", cval=0.5)
+
+
+def render_impression(master, condition, rng, output_shape=None):
+    """Every pixel of the frame sampled through ``map_coordinates``."""
+    condition.validate()
+    rows, cols = master.shape if output_shape is None else output_shape
+    center = condition.center
+    if center is None:
+        center = (master.shape[0] / 2.0, master.shape[1] / 2.0)
+    rel_r, rel_c, rel_sq = _centred_grid(rows, cols)
+    theta = np.deg2rad(condition.rotation_deg)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    src_r = rel_r * cos_t + (center[0] + condition.translation[0]) \
+        - rel_c * sin_t
+    src_c = rel_r * sin_t + (center[1] + condition.translation[1]) \
+        + rel_c * cos_t
+    if condition.distortion > 0.0:
+        d_r, d_c = _elastic_displacement((rows, cols), condition.distortion,
+                                         rng)
+        src_r = src_r + d_r
+        src_c = src_c + d_c
+    mask = ((src_r >= 0) & (src_r <= master.shape[0] - 1)
+            & (src_c >= 0) & (src_c <= master.shape[1] - 1))
+    if condition.radius is not None:
+        mask &= rel_sq <= condition.radius**2
+
+    image = sample_bilinear(master.image, src_r, src_c)
+    pressure_bias = (condition.pressure - 0.5) * 0.5
+    image = np.clip(image + (image - 0.5) * pressure_bias * 2.0, 0.0, 1.0)
+    if condition.motion_px > 0.0:
+        angle = rng.uniform(0.0, np.pi)
+        length = max(int(round(condition.motion_px)), 1)
+        kernel = np.zeros((2 * length + 1, 2 * length + 1))
+        for step in np.linspace(-length, length, 2 * length + 1):
+            kr = int(round(length + step * np.sin(angle)))
+            kc = int(round(length + step * np.cos(angle)))
+            kernel[kr, kc] = 1.0
+        kernel /= kernel.sum()
+        image = ndimage.convolve(image, kernel, mode="nearest")
+    if condition.noise > 0.0:
+        image = rng.normal(0.0, condition.noise, size=image.shape) + image
+    if condition.dropout > 0.0:
+        image = np.where(rng.random(image.shape) < condition.dropout, 0.5,
+                         image)
+    image = np.where(mask, np.clip(image, 0.0, 1.0), 0.5)
+    return Impression(finger_id=master.finger_id, image=image, mask=mask,
+                      condition=condition)
+
+
+def estimate_orientation(image: np.ndarray, block: int = 12,
+                         smooth_sigma: float = 2.0) -> np.ndarray:
+    """Structure-tensor orientation through the generic scipy filters."""
+    gy, gx = np.gradient(np.asarray(image, dtype=np.float64))
+    gxx = ndimage.uniform_filter(gx * gx, size=block)
+    gyy = ndimage.uniform_filter(gy * gy, size=block)
+    gxy = ndimage.uniform_filter(gx * gy, size=block)
+    sin2 = ndimage.gaussian_filter(2.0 * gxy, smooth_sigma)
+    cos2 = ndimage.gaussian_filter(gxx - gyy, smooth_sigma)
+    return np.mod(0.5 * np.arctan2(sin2, cos2) + np.pi / 2.0, np.pi)
+
+
+def crossing_number(skeleton: np.ndarray) -> np.ndarray:
+    """Half the changes around P2..P9, P2 at each skeleton pixel."""
+    padded = np.pad(skeleton.astype(np.int32), 1)
+    # P2..P9 clockwise, then close the cycle.
+    ring = [
+        padded[:-2, 1:-1], padded[:-2, 2:], padded[1:-1, 2:], padded[2:, 2:],
+        padded[2:, 1:-1], padded[2:, :-2], padded[1:-1, :-2], padded[:-2, :-2],
+    ]
+    ring.append(ring[0])
+    cn = sum(np.abs(ring[i] - ring[i + 1]) for i in range(8)) // 2
+    return np.where(skeleton, cn, 0)
+
+
+def border_interior(mask: np.ndarray, border_margin: int) -> np.ndarray:
+    """The 3x3 erosion iterated ``border_margin`` times, frame edge outside.
+
+    scipy reads ``iterations < 1`` as "erode until nothing changes", which
+    empties any finite mask; a margin of 0 must exclude nothing instead.
+    """
+    if border_margin < 0:
+        raise ValueError("border_margin must be non-negative")
+    if border_margin == 0:
+        return np.asarray(mask, dtype=bool).copy()
+    return ndimage.binary_erosion(mask, structure=np.ones((3, 3)),
+                                  iterations=border_margin, border_value=0)
+
+
 def extract_minutiae(skeleton: np.ndarray, mask: np.ndarray,
                      orientation_field: np.ndarray,
                      border_margin: int = 8,
@@ -202,11 +304,8 @@ def extract_minutiae(skeleton: np.ndarray, mask: np.ndarray,
     """Resolve every raw detection, then de-duplicate against all kept."""
     if skeleton.dtype != bool:
         raise ValueError("skeleton must be boolean")
-    cn = _crossing_number(skeleton)
-    interior = ndimage.binary_erosion(
-        mask, structure=np.ones((3, 3)), iterations=border_margin,
-        border_value=0,
-    )
+    cn = crossing_number(skeleton)
+    interior = border_interior(mask, border_margin)
     detections: list[Minutia] = []
     for kind, cn_value in ((ENDING, 1), (BIFURCATION, 3)):
         rows, cols = np.nonzero((cn == cn_value) & interior)

@@ -1,10 +1,12 @@
-"""The vectorized matcher, thinning and extraction against their loop oracles.
+"""The vectorized image kernels against their loop and whole-frame oracles.
 
-``reference.py`` keeps the one-at-a-time formulations; every property here
-demands exact equality with them (``dataclasses.astuple`` of
-``MatchResult``, ``np.array_equal`` skeletons, equal minutiae lists), not
-closeness.  The known answers pin the whole capture -> skeleton ->
-minutiae -> match path on captures of the harness's standard deployment.
+``reference.py`` keeps the one-at-a-time and whole-frame formulations;
+every property here demands exact equality with them
+(``dataclasses.astuple`` of ``MatchResult``, ``np.array_equal`` arrays,
+equal minutiae lists), not closeness.  Point orientations are held to the
+full-frame ``estimate_orientation``.  The known answers pin the whole
+capture -> quality -> skeleton -> minutiae -> match path on captures of
+the harness's standard deployment.
 """
 
 import dataclasses
@@ -15,23 +17,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from repro.eval import standard_deployment
 from repro.fingerprint import (
     CaptureCondition,
     Minutia,
     MinutiaeMatcher,
+    assess_quality,
     extract_minutiae,
     minutiae_from_image,
     minutiae_with_enhancement,
     render_impression,
     zhang_suen_thin,
 )
+from repro.fingerprint.impression import _bilinear
 from repro.fingerprint.matching import (
     _PAIR_BUDGET,
     _local_descriptors,
     minutiae_to_arrays,
 )
+from repro.fingerprint.minutiae import _border_interior, _crossing_number
+from repro.fingerprint.orientation import _orientation_at, estimate_orientation
+from repro.fingerprint.synthesis import MasterFingerprint
 
 from . import reference
 
@@ -229,6 +237,214 @@ class TestExtractionOracle:
         assert len(got) > 50
 
 
+def _sampled_exactly(image, rows, cols):
+    """``_bilinear`` in frame and 0.5 off it equal ``map_coordinates``."""
+    want = reference.sample_bilinear(image, rows, cols)
+    inside = ((rows >= 0) & (rows <= image.shape[0] - 1)
+              & (cols >= 0) & (cols <= image.shape[1] - 1))
+    assert np.all(want[~inside] == 0.5)
+    assert np.array_equal(_bilinear(image, rows[inside], cols[inside]),
+                          want[inside])
+
+
+#: Coordinates on exact integers, on the last row/column, just past it,
+#: and far outside the frame, mixed with arbitrary ones.
+_edge_coordinates = st.one_of(
+    st.floats(-3.0, 45.0), st.integers(-2, 42).map(float),
+    st.sampled_from([-0.0, -1e-12, 0.5, 1e-300]))
+
+
+class TestSamplerOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 30),
+                                        st.integers(1, 30)),
+                  elements=st.floats(0.0, 1.0)),
+           st.integers(0, 2**32 - 1))
+    def test_random_images_sample_exactly(self, image, seed):
+        rng = np.random.default_rng(seed)
+        n_rows, n_cols = image.shape
+        rows = rng.uniform(-2.0, n_rows + 1.0, 400)
+        cols = rng.uniform(-2.0, n_cols + 1.0, 400)
+        _sampled_exactly(image, rows, cols)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40),
+           st.lists(st.tuples(_edge_coordinates, _edge_coordinates),
+                    min_size=1, max_size=60),
+           st.integers(0, 2**32 - 1))
+    def test_integer_edge_and_outside_coordinates(self, n_rows, n_cols,
+                                                  points, seed):
+        image = np.random.default_rng(seed).random((n_rows, n_cols))
+        rows = np.array([r for r, _ in points])
+        cols = np.array([c for _, c in points])
+        # The last row and column, exactly, on every image shape.
+        rows = np.append(rows, [n_rows - 1.0, n_rows - 1.0, 0.0])
+        cols = np.append(cols, [n_cols - 1.0, 0.0, n_cols - 1.0])
+        _sampled_exactly(image, rows, cols)
+
+
+#: Capture conditions over every render branch: masked or full-frame
+#: (motion blur), distorted or rigid, full or partial contact, centred or
+#: overhanging the master edge.
+conditions = st.builds(
+    CaptureCondition,
+    center=st.one_of(st.none(), st.tuples(st.floats(-20.0, 60.0),
+                                          st.floats(-20.0, 60.0))),
+    radius=st.one_of(st.none(), st.floats(2.0, 40.0)),
+    rotation_deg=st.floats(-45.0, 45.0),
+    translation=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+    distortion=st.sampled_from([0.0, 0.0, 2.0]),
+    pressure=st.floats(0.0, 1.0),
+    motion_px=st.sampled_from([0.0, 0.0, 0.4, 2.0, 3.6]),
+    noise=st.sampled_from([0.0, 0.05]),
+    dropout=st.sampled_from([0.0, 0.1]),
+)
+
+
+class TestRenderOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(conditions, st.sampled_from([None, (31, 36), (48, 20)]),
+           st.integers(0, 2**32 - 1))
+    def test_random_conditions_render_exactly(self, condition, shape, seed):
+        image = np.random.default_rng(seed).random((40, 44))
+        master = MasterFingerprint("oracle", "random", image,
+                                   np.zeros_like(image), 8.5)
+        got = render_impression(master, condition,
+                                np.random.default_rng(seed),
+                                output_shape=shape)
+        want = reference.render_impression(master, condition,
+                                           np.random.default_rng(seed),
+                                           output_shape=shape)
+        assert np.array_equal(got.image, want.image)
+        assert np.array_equal(got.mask, want.mask)
+
+
+def _orientations_exactly(image, rows, cols, block, smooth_sigma=2.0):
+    if min(image.shape) < 2:  # no central difference to take
+        with pytest.raises(IndexError):
+            estimate_orientation(image, block, smooth_sigma)
+        with pytest.raises(IndexError):
+            _orientation_at(image, rows, cols, block, smooth_sigma)
+        return
+    want = estimate_orientation(image, block, smooth_sigma)[rows, cols]
+    assert np.array_equal(
+        _orientation_at(image, rows, cols, block, smooth_sigma), want)
+
+
+class TestPointOrientationOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(2, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 3, 12]))
+    def test_full_field_matches_generic_filters(self, n_rows, n_cols, seed,
+                                                block):
+        image = np.random.default_rng(seed).random((n_rows, n_cols))
+        assert np.array_equal(estimate_orientation(image, block=block),
+                              reference.estimate_orientation(image, block))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([3, 12]), st.sampled_from([0.7, 2.0, 3.3]))
+    def test_every_pixel_exactly(self, n_rows, n_cols, seed, block,
+                                 smooth_sigma):
+        image = np.random.default_rng(seed).random((n_rows, n_cols))
+        rows, cols = np.indices(image.shape).reshape(2, -1)
+        _orientations_exactly(image, rows, cols, block, smooth_sigma)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+           st.data())
+    def test_single_pixel_queries(self, n_rows, n_cols, seed, data):
+        image = np.random.default_rng(seed).random((n_rows, n_cols))
+        row = data.draw(st.integers(0, n_rows - 1))
+        col = data.draw(st.integers(0, n_cols - 1))
+        _orientations_exactly(image, np.array([row]), np.array([col]), 12)
+
+    def test_ridge_frame_kept_detections(self, deployment):
+        impression = render_impression(deployment.user_master,
+                                       CaptureCondition(rotation_deg=10.0),
+                                       np.random.default_rng(1))
+        image = impression.image
+        rows, cols = np.nonzero(np.random.default_rng(2).random(image.shape)
+                                < 0.01)
+        _orientations_exactly(image, rows, cols, 12)
+        assert _orientation_at(image, rows[:0], cols[:0]).shape == (0,)
+
+
+class TestBorderAndCrossingOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(arrays(bool, st.tuples(st.integers(0, 40), st.integers(0, 40))),
+           st.integers(1, 6))
+    def test_random_masks_erode_exactly(self, mask, margin):
+        got = _border_interior(mask, margin)
+        assert got.dtype == bool
+        assert np.array_equal(got, reference.border_interior(mask, margin))
+
+    @pytest.mark.parametrize("margin", [1, 3, 5, 8])
+    def test_dense_masks_erode_exactly(self, margin):
+        rng = np.random.default_rng(margin)
+        mask = ndimage.binary_opening(rng.random((96, 90)) < 0.8)
+        assert np.array_equal(_border_interior(mask, margin),
+                              reference.border_interior(mask, margin))
+
+    def test_zero_margin_keeps_the_mask_and_negative_raises(self):
+        mask = np.random.default_rng(0).random((20, 24)) < 0.7
+        assert np.array_equal(_border_interior(mask, 0), mask)
+        with pytest.raises(ValueError):
+            _border_interior(mask, -1)
+        with pytest.raises(ValueError):
+            reference.border_interior(mask, -1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(arrays(bool, st.tuples(st.integers(0, 40), st.integers(0, 40))))
+    def test_random_images_cross_exactly(self, skeleton):
+        assert np.array_equal(_crossing_number(skeleton),
+                              reference.crossing_number(skeleton))
+
+    def test_every_neighbour_code_crosses_exactly(self):
+        # All 256 neighbourhoods of a set centre pixel: one 3x3 tile per
+        # code, P2..P9 from bit 0 up, with a blank column between tiles.
+        ring = [(0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0), (0, 0)]
+        frame = np.zeros((3, 4 * 256), dtype=bool)
+        for code in range(256):
+            frame[1, 4 * code + 1] = True
+            for bit, (r, c) in enumerate(ring):
+                frame[r, 4 * code + c] = bool(code >> bit & 1)
+        got = _crossing_number(frame)
+        assert np.array_equal(got, reference.crossing_number(frame))
+        assert sorted(set(got[1, 1::4].tolist())) == [0, 1, 2, 3, 4]
+
+
+class TestBorderMargin:
+    """``border_margin=0`` excludes nothing; a negative margin raises.
+
+    scipy's ``binary_erosion`` reads ``iterations < 1`` as "until nothing
+    changes", which empties any finite mask: a margin passed to it as an
+    iteration count drops every detection at 0.
+    """
+
+    @pytest.fixture(scope="class")
+    def skeleton(self):
+        return zhang_suen_thin(np.random.default_rng(5).random((60, 60))
+                               < 0.45)
+
+    def test_zero_margin_keeps_every_detection(self, skeleton):
+        mask = np.ones(skeleton.shape, dtype=bool)
+        orientation = np.zeros(skeleton.shape)
+        at_zero = extract_minutiae(skeleton, mask, orientation,
+                                   border_margin=0)
+        at_one = extract_minutiae(skeleton, mask, orientation,
+                                  border_margin=1)
+        assert len(at_zero) >= len(at_one) > 0
+        assert any(m.row == 0 or m.col == 0 or m.row == 59 or m.col == 59
+                   for m in at_zero)
+
+    def test_negative_margin_raises(self, skeleton):
+        mask = np.ones(skeleton.shape, dtype=bool)
+        with pytest.raises(ValueError):
+            extract_minutiae(skeleton, mask, np.zeros(skeleton.shape),
+                             border_margin=-1)
+
+
 def test_one_match_working_set_is_bounded():
     """A 33 x 360 match scores in batches: its peak allocation stays small."""
     rng = np.random.default_rng(360)
@@ -302,3 +518,56 @@ def test_capture_known_answers(deployment, name):
     result = MinutiaeMatcher().match(deployment.user_template.minutiae, probe)
     assert (len(probe), _probe_digest(probe), dataclasses.astuple(result)) \
         == KNOWN_ANSWERS[name]
+
+
+# ---------------------------------------------------------------------------
+# Render-branch known answers: the captures above all take the masked
+# render (no motion blur, no distortion).  These three take the other
+# branches — full-frame motion blur at a controller-shaped sensor frame,
+# elastic distortion, and a blurred contact that overhangs the master's
+# edge, so out-of-frame samples (0.5) blur into the contact.  Each entry
+# is the SHA-256 of the image and mask bytes, ``astuple`` of the quality
+# report, the probe's minutiae digest and ``astuple`` of the match.
+# ---------------------------------------------------------------------------
+
+#: name -> (capture condition, rng seed, sensor frame shape)
+RENDER_CAPTURES = {
+    "motion-controller-frame": (CaptureCondition(
+        center=(96.0, 96.0), radius=70.0, rotation_deg=-12.0, pressure=0.6,
+        motion_px=2.0, dropout=0.02), 21, (155, 160)),
+    "distorted": (CaptureCondition(rotation_deg=5.0, distortion=3.0), 22,
+                  None),
+    "motion-overhang": (CaptureCondition(
+        center=(24.0, 176.0), radius=80.0, rotation_deg=20.0,
+        motion_px=3.0), 23, (155, 160)),
+}
+
+RENDER_KNOWN_ANSWERS = {
+    'distorted': ('23c82091e0cb31ca64431716fb366f14fc7e7aad9dbbd81b573f403430afe587',
+        (0.9587673611111112, 0.9364606841685919, 1.0, 1.0, 0.9734209692789733),
+        '1ee37ed865949bd3f1f3725504bb60cf4fb4f2fe7f8639fd8d059503dd8a9aa3',
+        (0.7063740856844305, 26, 33, 29, 6.229202487369745, (2.0, -1.0), (7.87392829989361, -2.5692857397587403))),
+    'motion-controller-frame': ('3ceaba84ec248b7bec75d576c5234e9883d5761dd93bdf852818b3d16f99742d',
+        (0.6204838709677419, 0.8732811574961004, 1.0, 1.0, 0.8579681116692977),
+        'dc0efa947dc342f3ea9fe4334eb2eafb6767fc9e3ef60056bf7ab9d6959b1299',
+        (0.3712121212121212, 7, 33, 11, 0.3299378896768337, (19.0, 19.0), (-0.7677084027139074, 48.262150323446456))),
+    'motion-overhang': ('3f87abd5cf5da501611377e0989273fac5169768461461d5420810a6c6186166',
+        (0.34096774193548385, 0.4310840698713315, 0.3575654621334308, 1.0, 0.47880393140088146),
+        'ab77e5eee1a478e4e843136a65fe90a591b88acd65e86d0d2f17dac311806205',
+        (0.006186087615200101, 7, 33, 89, 5.861113386391757, (-30.0, 14.0), (-13.088428259112312, -2.942774516896989))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_CAPTURES))
+def test_render_branch_known_answers(deployment, name):
+    condition, seed, shape = RENDER_CAPTURES[name]
+    impression = render_impression(deployment.user_master, condition,
+                                   np.random.default_rng(seed),
+                                   output_shape=shape)
+    pixels = hashlib.sha256(impression.image.tobytes()
+                            + impression.mask.tobytes()).hexdigest()
+    probe = minutiae_from_image(impression.image, impression.mask)
+    result = MinutiaeMatcher().match(deployment.user_template.minutiae, probe)
+    assert (pixels, dataclasses.astuple(assess_quality(impression)),
+            _probe_digest(probe), dataclasses.astuple(result)) \
+        == RENDER_KNOWN_ANSWERS[name]
