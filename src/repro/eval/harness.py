@@ -1,9 +1,9 @@
 """Standard experiment deployments shared by benchmarks and examples.
 
 Building a full TRUST deployment means synthesizing fingers, enrolling
-templates, minting a CA and RSA keys — a couple of seconds of work that
-every benchmark needs.  The harness builds it once per (seed, mode) and
-caches it per process.
+templates, minting a CA and RSA keys — about half a second of work on a
+2-core x86 VM, which every benchmark needs.  The harness builds it once
+per (seed, mode) and caches it per process.
 """
 
 from __future__ import annotations

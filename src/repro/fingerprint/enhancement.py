@@ -37,9 +37,13 @@ def enhance(image: np.ndarray, mask: np.ndarray | None = None,
     """One contextual-filtering pass.
 
     ``wavelength`` is the expected ridge period in pixels; the default
-    matches this package's synthesis range (7.5-9.5 px).
+    matches this package's synthesis range (7.5-9.5 px).  A ``mask`` must
+    have the image's exact shape.
     """
-    image = normalize(np.asarray(image, dtype=np.float64))
+    image = np.asarray(image, dtype=np.float64)
+    if mask is not None and np.shape(mask) != image.shape:
+        raise ValueError("mask and image shapes differ")
+    image = normalize(image)
     if mask is None:
         mask = segment_foreground(image, block=block)
     orientation = estimate_orientation(image, block=block)

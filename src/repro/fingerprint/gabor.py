@@ -8,14 +8,24 @@ Used in two directions:
   before binarization and thinning.
 
 For speed, orientations are quantized into ``n_orientations`` bins, the
-image is FFT-convolved once per bin, and per-pixel outputs are composed from
-the bin selected by the local orientation.
+image is FFT-convolved once per used bin, and per-pixel outputs are composed
+from the bin selected by the local orientation.
+
+Each convolution repeats scipy's ``fftconvolve(image, kernel,
+mode="same")`` step for step on ``scipy.fft`` (``_SameConvolution``), so
+the results are bit-identical to it, while the transforms are shared: one
+``filter`` call transforms the image once for all of its bins, and
+``synthesize`` transforms each used kernel once for all of its passes.  No
+spectrum outlives the call that made it.  scipy's signal-processing
+package, where ``fftconvolve`` lives, is not imported at all: with scipy
+1.17 it alone adds about 48 MB resident and 431 modules to
+``import repro``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
+from scipy import fft
 
 __all__ = ["gabor_kernel", "GaborBank"]
 
@@ -71,17 +81,9 @@ class GaborBank:
     def filter(self, image: np.ndarray, orientation_field: np.ndarray) -> np.ndarray:
         """Filter ``image`` with the locally appropriate kernel everywhere."""
         image = np.asarray(image, dtype=np.float64)
-        if image.shape != orientation_field.shape:
-            raise ValueError("image and orientation field shapes differ")
-        bins = self.bin_of(orientation_field)
-        output = np.zeros_like(image)
-        for index, kernel in enumerate(self.kernels):
-            selection = bins == index
-            if not selection.any():
-                continue
-            filtered = signal.fftconvolve(image, kernel, mode="same")
-            output[selection] = filtered[selection]
-        return output
+        bins, used, convolution = self._plan(image, orientation_field)
+        return _steer(image, bins, used, convolution,
+                      lambda index: convolution.spectrum(self.kernels[index]))
 
     def synthesize(self, seed_image: np.ndarray, orientation_field: np.ndarray,
                    iterations: int = 6, gain: float = 3.0) -> np.ndarray:
@@ -95,8 +97,12 @@ class GaborBank:
         if iterations < 1:
             raise ValueError("need at least one iteration")
         state = np.asarray(seed_image, dtype=np.float64)
+        bins, used, convolution = self._plan(state, orientation_field)
+        # Every pass steers by the same field: transform its kernels once.
+        spectra = {index: convolution.spectrum(self.kernels[index])
+                   for index in used}
         for _ in range(iterations):
-            state = self.filter(state, orientation_field)
+            state = _steer(state, bins, used, convolution, spectra.__getitem__)
             scale = np.abs(state).max()
             if scale < 1e-12:
                 raise ValueError("synthesis collapsed to a flat image; "
@@ -104,3 +110,66 @@ class GaborBank:
             state = np.tanh(gain * state / scale)
         # Map [-1, 1] to [0, 1] with ridges at 1.
         return 0.5 * (state + 1.0)
+
+    def _plan(self, image: np.ndarray, orientation_field: np.ndarray):
+        """Per-pixel bins, the bins in use, and the image's convolution."""
+        if image.shape != orientation_field.shape:
+            raise ValueError("image and orientation field shapes differ")
+        bins = self.bin_of(orientation_field)
+        used = np.flatnonzero(np.bincount(bins.ravel(),
+                                          minlength=self.n_orientations))
+        return bins, used, _SameConvolution(image.shape, self.kernels[0].shape)
+
+
+class _SameConvolution:
+    """``fftconvolve(image, kernel, mode="same")`` of one shape, in steps.
+
+    The FFT axes are those where neither side is 1; a length-1 axis
+    broadcasts in the spectra's product instead.  The full shape is
+    ``s1 + s2 - 1`` on FFT axes and ``max(s1, s2)`` elsewhere, each FFT
+    axis is padded to ``next_fast_len(n, True)``, and the inverse of the
+    product is cropped to the centre ``image_shape`` of the full shape.
+    With no FFT axis (a 1 x 1 image) the "spectra" are the arrays and
+    their product is the full result.
+    """
+
+    def __init__(self, image_shape: tuple[int, ...],
+                 kernel_shape: tuple[int, ...]) -> None:
+        sides = list(zip(image_shape, kernel_shape))
+        self.axes = [axis for axis, (s1, s2) in enumerate(sides)
+                     if s1 != 1 and s2 != 1]
+        full = [s1 + s2 - 1 if axis in self.axes else max(s1, s2)
+                for axis, (s1, s2) in enumerate(sides)]
+        self.lengths = [fft.next_fast_len(full[axis], True)
+                        for axis in self.axes]
+        self.crop = tuple(slice((n - s) // 2, (n - s) // 2 + s)
+                          for n, s in zip(full, image_shape))
+
+    def spectrum(self, array: np.ndarray) -> np.ndarray:
+        if not self.axes:
+            return array
+        return fft.rfftn(array, self.lengths, axes=self.axes)
+
+    def same(self, image_spectrum: np.ndarray,
+             kernel_spectrum: np.ndarray) -> np.ndarray:
+        product = image_spectrum * kernel_spectrum
+        if self.axes:
+            product = fft.irfftn(product, self.lengths, axes=self.axes)
+        return product[self.crop]
+
+
+def _steer(image: np.ndarray, bins: np.ndarray, used: np.ndarray,
+           convolution: _SameConvolution, kernel_spectrum) -> np.ndarray:
+    """Each pixel from the convolution with its bin's kernel.
+
+    The image is transformed once; ``kernel_spectrum(bin)`` gives each
+    used bin's kernel spectrum.
+    """
+    output = np.zeros_like(image)
+    if used.size:
+        image_spectrum = convolution.spectrum(image)
+        for index in used:
+            filtered = convolution.same(image_spectrum, kernel_spectrum(index))
+            selection = bins == index
+            output[selection] = filtered[selection]
+    return output

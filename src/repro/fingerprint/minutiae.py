@@ -175,8 +175,10 @@ def minutiae_from_image(image: np.ndarray, mask: np.ndarray | None = None,
 
     The result equals ``extract_minutiae`` on the skeleton with the full
     ``estimate_orientation(image, block)`` field, which is evaluated only
-    at the kept detections.
+    at the kept detections.  A ``mask`` must have the image's exact shape.
     """
+    if mask is not None and np.shape(mask) != np.shape(image):
+        raise ValueError("mask and image shapes differ")
     if mask is None:
         mask = segment_foreground(image, block=block)
     ridges = binarize(image, mask=mask, block=block)

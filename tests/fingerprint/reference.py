@@ -8,6 +8,9 @@ the whole-frame forms of the capture kernels: scipy's bilinear
 crossing number, the iterated border erosion, and ``estimate_orientation``
 through the generic filters.  (The library's full-field
 ``estimate_orientation`` is in turn the oracle for point orientations.)
+The Gabor bank's ``filter`` and ``synthesize`` run one
+``scipy.signal.fftconvolve`` per used bin and pass, and ``enhance`` runs
+through them.
 The library's code must reproduce them bit for bit; the oracle tests in
 ``test_kernel_oracle.py`` hold it to that.  Keep them simple: they are the
 specification, not an implementation to optimize.
@@ -16,8 +19,11 @@ specification, not an implementation to optimize.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, signal
 
+from repro.fingerprint.enhancement import EnhancementResult
+from repro.fingerprint.gabor import GaborBank
+from repro.fingerprint.image_ops import normalize, segment_foreground
 from repro.fingerprint.impression import (
     Impression,
     _centred_grid,
@@ -324,3 +330,57 @@ def extract_minutiae(skeleton: np.ndarray, mask: np.ndarray,
         ):
             kept.append(minutia)
     return kept
+
+
+def gabor_filter(bank: GaborBank, image: np.ndarray,
+                 orientation_field: np.ndarray) -> np.ndarray:
+    """``GaborBank.filter``: one ``fftconvolve`` per used bin."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.shape != orientation_field.shape:
+        raise ValueError("image and orientation field shapes differ")
+    bins = bank.bin_of(orientation_field)
+    output = np.zeros_like(image)
+    for index, kernel in enumerate(bank.kernels):
+        selection = bins == index
+        if not selection.any():
+            continue
+        filtered = signal.fftconvolve(image, kernel, mode="same")
+        output[selection] = filtered[selection]
+    return output
+
+
+def gabor_synthesize(bank: GaborBank, seed_image: np.ndarray,
+                     orientation_field: np.ndarray, iterations: int = 6,
+                     gain: float = 3.0) -> np.ndarray:
+    """``GaborBank.synthesize``: every pass runs ``gabor_filter`` anew."""
+    if iterations < 1:
+        raise ValueError("need at least one iteration")
+    state = np.asarray(seed_image, dtype=np.float64)
+    for _ in range(iterations):
+        state = gabor_filter(bank, state, orientation_field)
+        scale = np.abs(state).max()
+        if scale < 1e-12:
+            raise ValueError("synthesis collapsed to a flat image; "
+                             "seed the image with non-zero content")
+        state = np.tanh(gain * state / scale)
+    return 0.5 * (state + 1.0)
+
+
+def enhance(image: np.ndarray, mask: np.ndarray | None = None,
+            wavelength: float = 8.5, n_orientations: int = 16,
+            block: int = 12) -> EnhancementResult:
+    """One contextual-filtering pass through ``gabor_filter``."""
+    image = normalize(np.asarray(image, dtype=np.float64))
+    if mask is None:
+        mask = segment_foreground(image, block=block)
+    orientation = estimate_orientation(image, block=block)
+    bank = GaborBank(wavelength, n_orientations=n_orientations)
+    filtered = gabor_filter(bank, image - image.mean(), orientation)
+    peak = np.abs(filtered).max()
+    if peak > 1e-12:
+        enhanced = 0.5 + 0.5 * np.tanh(2.5 * filtered / peak)
+    else:
+        enhanced = np.full_like(image, 0.5)
+    enhanced = np.where(mask, enhanced, 0.5)
+    return EnhancementResult(image=enhanced, orientation=orientation,
+                             mask=mask)

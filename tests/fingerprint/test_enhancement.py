@@ -79,6 +79,31 @@ class TestEnhance:
         assert max(scores) < 0.16  # below the enhanced-pass threshold
 
 
+class TestMaskShape:
+    """A mask must have the image's exact shape.
+
+    A (1, 192) or (192, 1) all-True mask broadcasts to a 192 x 192 frame,
+    and both extractors would silently find no minutiae through it.
+    """
+
+    @pytest.fixture(scope="class")
+    def capture(self, master):
+        return render_impression(master, CaptureCondition(rotation_deg=10.0),
+                                 np.random.default_rng(1))
+
+    def test_own_mask_extracts(self, capture):
+        assert len(minutiae_from_image(capture.image, capture.mask)) == 56
+        assert enhance(capture.image, capture.mask).mask is capture.mask
+
+    @pytest.mark.parametrize("shape", [(1, 192), (192, 1), (191, 192),
+                                       (192, 192, 1)])
+    @pytest.mark.parametrize("extract", [enhance, minutiae_with_enhancement,
+                                         minutiae_from_image])
+    def test_other_shapes_raise(self, capture, extract, shape):
+        with pytest.raises(ValueError, match="mask and image shapes differ"):
+            extract(capture.image, np.ones(shape, dtype=bool))
+
+
 class TestProcessorIntegration:
     def test_enhanced_threshold_validation(self, template):
         with pytest.raises(ValueError, match="enhanced-pass threshold"):

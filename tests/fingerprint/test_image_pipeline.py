@@ -179,6 +179,8 @@ class TestGabor:
         bank = GaborBank(9.0)
         with pytest.raises(ValueError):
             bank.filter(np.zeros((10, 10)), np.zeros((12, 12)))
+        with pytest.raises(ValueError):
+            bank.synthesize(np.ones((10, 10)), np.zeros((12, 12)))
 
     def test_synthesize_rejects_flat_seed(self):
         bank = GaborBank(9.0)

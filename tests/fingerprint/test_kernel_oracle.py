@@ -4,9 +4,10 @@
 every property here demands exact equality with them
 (``dataclasses.astuple`` of ``MatchResult``, ``np.array_equal`` arrays,
 equal minutiae lists), not closeness.  Point orientations are held to the
-full-frame ``estimate_orientation``.  The known answers pin the whole
-capture -> quality -> skeleton -> minutiae -> match path on captures of
-the harness's standard deployment.
+full-frame ``estimate_orientation``, and the Gabor bank to per-bin
+``fftconvolve``.  The known answers pin the whole capture -> quality ->
+skeleton -> minutiae -> match path on captures of the harness's standard
+deployment, and the masters and one enhancement pass by their bytes.
 """
 
 import dataclasses
@@ -22,13 +23,16 @@ from scipy import ndimage
 from repro.eval import standard_deployment
 from repro.fingerprint import (
     CaptureCondition,
+    GaborBank,
     Minutia,
     MinutiaeMatcher,
     assess_quality,
+    enhance,
     extract_minutiae,
     minutiae_from_image,
     minutiae_with_enhancement,
     render_impression,
+    synthesize_master,
     zhang_suen_thin,
 )
 from repro.fingerprint.impression import _bilinear
@@ -445,6 +449,83 @@ class TestBorderMargin:
                              border_margin=-1)
 
 
+def _gabor_frame(seed, shape, field_kind):
+    """A random image and an orientation field of ``field_kind``."""
+    rng = np.random.default_rng(seed)
+    image = rng.normal(0.0, 1.0, shape)
+    if field_kind == "uniform":
+        field = rng.uniform(0.0, np.pi, shape)
+    elif field_kind == "wrapping":  # outside [0, pi): bins wrap around
+        field = rng.uniform(-7.0, 7.0, shape)
+    else:  # one bin, or a few
+        angles = rng.uniform(0.0, np.pi, 1 if field_kind == "one" else 3)
+        field = rng.choice(angles, shape)
+    return image, field
+
+
+field_kinds = st.sampled_from(["uniform", "wrapping", "one", "few"])
+banks = st.builds(GaborBank, st.floats(2.5, 12.0), st.integers(4, 16))
+
+
+class TestGaborOracle:
+    """``GaborBank`` on ``scipy.fft`` against per-bin ``fftconvolve``.
+
+    Frames with a 1-px side are where the two can part: ``fftconvolve``
+    transforms only axes where neither side is 1, and a transform over a
+    length-1 axis rounds differently.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(banks, st.integers(1, 48), st.integers(1, 48), field_kinds,
+           st.integers(0, 2**32 - 1))
+    def test_random_frames_filter_exactly(self, bank, n_rows, n_cols,
+                                          field_kind, seed):
+        image, field = _gabor_frame(seed, (n_rows, n_cols), field_kind)
+        assert np.array_equal(bank.filter(image, field),
+                              reference.gabor_filter(bank, image, field))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 37), (48, 1),
+                                       (2, 1), (2, 2), (0, 0), (0, 5),
+                                       (7, 0)])
+    @pytest.mark.parametrize("wavelength", [2.5, 8.5, 12.0])
+    def test_edge_shapes_filter_exactly(self, shape, wavelength):
+        bank = GaborBank(wavelength)
+        for seed in range(8):
+            image, field = _gabor_frame(seed, shape, "uniform")
+            got = bank.filter(image, field)
+            assert got.shape == shape
+            assert np.array_equal(got,
+                                  reference.gabor_filter(bank, image, field))
+
+    @settings(max_examples=60, deadline=None)
+    @given(banks, st.integers(1, 40), st.integers(1, 40), field_kinds,
+           st.integers(1, 6), st.floats(0.5, 5.0), st.integers(0, 2**32 - 1))
+    def test_random_seeds_synthesize_exactly(self, bank, n_rows, n_cols,
+                                             field_kind, iterations, gain,
+                                             seed):
+        image, field = _gabor_frame(seed, (n_rows, n_cols), field_kind)
+        assert np.array_equal(
+            bank.synthesize(image, field, iterations, gain),
+            reference.gabor_synthesize(bank, image, field, iterations, gain))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 48), st.integers(2, 48), st.booleans(),
+           st.floats(2.5, 12.0), st.integers(4, 16), st.sampled_from([3, 12]),
+           st.integers(0, 2**32 - 1))
+    def test_random_frames_enhance_exactly(self, n_rows, n_cols, masked,
+                                           wavelength, n_orientations, block,
+                                           seed):
+        rng = np.random.default_rng(seed)
+        image = rng.random((n_rows, n_cols))
+        mask = rng.random((n_rows, n_cols)) < 0.8 if masked else None
+        kwargs = dict(mask=mask, wavelength=wavelength,
+                      n_orientations=n_orientations, block=block)
+        got, want = enhance(image, **kwargs), reference.enhance(image, **kwargs)
+        assert np.array_equal(got.image, want.image)
+        assert np.array_equal(got.orientation, want.orientation)
+        assert np.array_equal(got.mask, want.mask)
+
+
 def test_one_match_working_set_is_bounded():
     """A 33 x 360 match scores in batches: its peak allocation stays small."""
     rng = np.random.default_rng(360)
@@ -571,3 +652,35 @@ def test_render_branch_known_answers(deployment, name):
     assert (pixels, dataclasses.astuple(assess_quality(impression)),
             _probe_digest(probe), dataclasses.astuple(result)) \
         == RENDER_KNOWN_ANSWERS[name]
+
+
+# ---------------------------------------------------------------------------
+# Gabor known answers, recorded from per-bin ``fftconvolve``: the SHA-256 of
+# the image bytes of three synthesized masters (``standard_deployment(42)``'s
+# two fingers and the fleet's finger at ``FleetConfig(seed=7)``) and of the
+# "light-noisy" capture's enhancement.
+# ---------------------------------------------------------------------------
+
+GABOR_KNOWN_ANSWERS = {
+    "user-master": "25a18b75b3b6e580e6d793766295fd93159539b11a12cefcd76fd2393d571d0b",
+    "impostor-master": "60ce2fd4e9281799037b3182aba4efc26594c753ce0a9396744f5bf5b172d641",
+    "fleet-master": "417e23b4f2d798bbd6c9b3e6a886ee78c4651ebd3f14e34346183d590d3353d5",
+    "light-noisy-enhanced": "144adb5050a98db27ec8f9dd1d89473798347203fbfd60f580c196bcd5ae8d63",
+}
+
+
+def test_gabor_known_answers(deployment):
+    # The finger ``DeviceFactory`` synthesizes for ``FleetConfig(seed=7)``.
+    fleet = synthesize_master("fleet-right-thumb",
+                              np.random.default_rng((7, 1)))
+    condition, seed = CAPTURES["light-noisy"][1:3]
+    capture = render_impression(deployment.user_master, condition,
+                                np.random.default_rng(seed))
+    images = {
+        "user-master": deployment.user_master.image,
+        "impostor-master": deployment.impostor_master.image,
+        "fleet-master": fleet.image,
+        "light-noisy-enhanced": enhance(capture.image, capture.mask).image,
+    }
+    assert {name: hashlib.sha256(image.tobytes()).hexdigest()
+            for name, image in images.items()} == GABOR_KNOWN_ANSWERS
