@@ -4,7 +4,10 @@ Each benchmark module regenerates one table/figure of the paper (see
 DESIGN.md's experiment index).  The regenerated artifact is both written to
 ``benchmarks/results/<experiment>.txt`` and echoed to the real stdout
 (bypassing pytest capture), so ``pytest benchmarks/ --benchmark-only``
-leaves a full set of reproduced tables behind.
+leaves a full set of reproduced tables behind (pytest's default fd-level
+capture swallows the echo; ``-s`` shows it).  Host timings differ from run
+to run, so they are only echoed (:func:`show`): every committed result file
+is a function of the tree alone.
 """
 
 from __future__ import annotations
@@ -23,7 +26,12 @@ def emit(experiment: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{experiment}.txt"
     path.write_text(text + "\n")
-    banner = f"\n{'=' * 72}\n{experiment}\n{'=' * 72}\n"
+    show(experiment, text)
+
+
+def show(title: str, text: str) -> None:
+    """Display ``text`` on the real stdout only (host timings)."""
+    banner = f"\n{'=' * 72}\n{title}\n{'=' * 72}\n"
     print(banner + text, file=sys.__stdout__, flush=True)
 
 

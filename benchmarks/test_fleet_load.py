@@ -6,14 +6,20 @@ The acceptance experiment for the multi-tenant runtime: the default
 run's report byte for byte — metrics summary *and* event trace.  The
 regenerated report lands in ``benchmarks/results/fleet_load.txt``: the
 summary's throughput, p50/p99 latency and utilization are modeled on the
-virtual clock; the one host wall-clock row is measured.
+virtual clock.  The host wall-clock of the run is measured, so it is
+printed, not committed.
+
+The CI smoke fleet (48 devices, 4 shards, 2 requests each) is pinned too:
+``python -m repro load --devices 48 --shards 4 --requests 2`` must print
+``benchmarks/results/load_smoke.txt`` byte for byte.
 """
 
 import time
 
+from repro.cli import main
 from repro.runtime import EXPECTED_REJECTIONS, FleetConfig, FleetSimulation
 
-from .conftest import emit
+from .conftest import RESULTS_DIR, emit, show
 
 
 def _timed_run(config: FleetConfig):
@@ -45,10 +51,17 @@ class TestFleetLoad:
             first.summary,
             "",
             f"replay check: two runs byte-identical ({events} events)",
-            "",
-            "host wall-clock (measured: one run, warm-up included):",
-            f"  {first_wall:6.1f} s  {events / first_wall:7.1f} events/s",
         ]))
+        show("fleet_load host wall-clock (measured: one run, warm-up "
+             "included; not committed)",
+             f"  {first_wall:6.1f} s  {events / first_wall:7.1f} events/s")
+
+    def test_smoke_fleet_matches_golden(self, capsys):
+        assert main(["load", "--devices", "48", "--shards", "4",
+                     "--requests", "2"]) == 0
+        assert capsys.readouterr().out == \
+            (RESULTS_DIR / "load_smoke.txt").read_text(), \
+            "smoke fleet drifted from benchmarks/results/load_smoke.txt"
 
     def test_thousand_device_fleet_is_hash_seed_invariant(self):
         """The full-scale dynamic determinism witness: same-process

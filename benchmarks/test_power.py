@@ -25,10 +25,10 @@ N_SENSORS = 4  # the default device layout
 def test_power(benchmark):
     model = PowerModel()
     array = SensorArray(FLOCK_SENSOR_WIDE)
-    cell_image = np.full((FLOCK_SENSOR_WIDE.rows, FLOCK_SENSOR_WIDE.cols), 0.6)
     window = CaptureWindow.around(128, 192, 80, FLOCK_SENSOR_WIDE.rows,
                                   FLOCK_SENSOR_WIDE.cols)
-    touch_capture = array.capture(cell_image, window)
+    touch_capture = array.capture(
+        np.full((window.n_rows, window.n_cols), 0.6), window)
 
     def sweep():
         results = {}

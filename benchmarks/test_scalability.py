@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.eval import render_table
-from repro.fingerprint import DEFAULT_PARTIAL_MODEL, enroll_master, synthesize_master
+from repro.fingerprint import enroll_master, synthesize_master
 from repro.net import (
     MobileDevice,
     TrustClient,
@@ -40,8 +40,7 @@ def test_scalability(benchmark, rng):
         device = MobileDevice(f"scale-dev-{index}",
                               f"scale-seed-{index}".encode(), ca=ca,
                               processor_mode="modeled")
-        device.flock.enroll_local_user(template,
-                                       score_model=DEFAULT_PARTIAL_MODEL)
+        device.flock.enroll_local_user(template)
         client = TrustClient(device, server, channel)
         outcome = client.register(account, BUTTON_XY, master,
                                   np.random.default_rng(700 + index))

@@ -171,33 +171,15 @@ def _expand_dependents(scan_files: list[Path],
     return sorted(changed | {path_of[m] for m in seen})
 
 
-def _print_stats(report: AnalysisReport, total_s: float) -> str:
-    """Per-stage breakdown (stderr) and one perf-log row (returned)."""
-    cells = []
+def _print_stats(report: AnalysisReport, total_s: float) -> None:
+    """Per-stage finding counts and elapsed times, on stderr."""
     for stage in ("lint", *report.stages):
         stats = report.stage_stats[stage]
         print(f"stats: {stage:8s} findings={stats['findings']:<3d} "
               f"elapsed={stats['elapsed_s']:.2f}s", file=sys.stderr)
-        cells.append(f"{stage}={stats['elapsed_s']:.2f}s")
     print(f"stats: total    findings={len(report.findings):<3d} "
           f"elapsed={total_s:.2f}s files={report.files_scanned}",
           file=sys.stderr)
-    return (f"repro-lint --stats: files={report.files_scanned} "
-            f"findings={len(report.findings)} " + " ".join(cells)
-            + f" total={total_s:.2f}s")
-
-
-def _append_perf_row(row: str) -> None:
-    """Append the --stats row to the committed perf log, when present."""
-    root = find_pyproject(Path.cwd())
-    if root is None:
-        return
-    results = root.parent / "benchmarks" / "results"
-    if not results.is_dir():
-        return
-    log = results / "analysis_perf.txt"
-    with log.open("a", encoding="utf-8") as handle:
-        handle.write(row + "\n")
 
 
 def _add_fail_on(parser: argparse.ArgumentParser) -> None:
@@ -470,7 +452,7 @@ def _lint_main(argv: list[str]) -> int:
     run_elapsed = time.perf_counter() - run_started
     code = _finish(args, report, baseline_path)
     if args.stats and not args.update_baseline:
-        _append_perf_row(_print_stats(report, run_elapsed))
+        _print_stats(report, run_elapsed)
     return code
 
 

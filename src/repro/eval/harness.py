@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.fingerprint import (
-    DEFAULT_PARTIAL_MODEL,
     FingerprintTemplate,
     MasterFingerprint,
     enroll_master,
@@ -62,11 +61,7 @@ def _cached_deployment(seed: int, processor_mode: str,
 
     device = MobileDevice(f"device-{seed}", f"device-seed-{seed}".encode(),
                           ca=ca, processor_mode=processor_mode)
-    if processor_mode == "modeled":
-        device.flock.enroll_local_user(template,
-                                       score_model=DEFAULT_PARTIAL_MODEL)
-    else:
-        device.flock.enroll_local_user(template)
+    device.flock.enroll_local_user(template)
 
     server = WebServer("www.bank.example", ca, f"server-{seed}".encode())
     server.create_account("alice", "correct horse battery staple")

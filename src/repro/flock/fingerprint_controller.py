@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.fingerprint import CaptureCondition, Impression, MasterFingerprint, render_impression
 from repro.hardware import (
     CaptureResult,
@@ -139,12 +137,9 @@ class FingerprintController:
             master, condition, rng,
             output_shape=(window.n_rows, window.n_cols))
 
-        # Drive the array over the window; the analog cell values are the
-        # impression registered into the full cell grid.
-        cell_image = np.full((spec.rows, spec.cols), 0.5)
-        cell_image[window.row0:window.row1, window.col0:window.col1] = \
-            impression.image
-        hardware = array.capture(cell_image, window)
+        # Drive the array over the window; the rendered impression is the
+        # window's analog cell values.
+        hardware = array.capture(impression.image, window)
 
         self.touches_captured += 1
         return TouchCapture(

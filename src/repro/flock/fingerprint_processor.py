@@ -1,15 +1,19 @@
 """Fingerprint processor: quality gate + template matching (Fig. 5/6).
 
-Two interchangeable implementations share the :class:`AuthDecision`
-interface:
+FLock has one fingerprint processor: gate the capture on quality, match it
+against the enrolled template, accept or reject.  It runs at one of two
+fidelities, picked by ``FlockModule.enroll_local_user`` from the module's
+``processor_mode``; both share the :class:`AuthDecision` interface, the
+quality gate, and thresholds fixed below:
 
 - :class:`ImageFingerprintProcessor` runs the full image pipeline on every
   capture (extraction + minutiae matching against the stored template) —
   the honest path, used by the matcher benchmarks and the examples.
-- :class:`ModeledFingerprintProcessor` draws match scores from a calibrated
-  score model — the fast path for experiments simulating tens of thousands
-  of touches (E1/E6/E10), where only score *distributions* matter.  The
-  substitution is documented in DESIGN.md.
+- :class:`ModeledFingerprintProcessor` draws match scores from the
+  calibrated partial-touch score model — the fast path for fleets and for
+  experiments simulating tens of thousands of touches (E1/E6/E10), where
+  only score *distributions* matter.  The substitution is documented in
+  DESIGN.md.
 
 Both account a modeled processing latency so end-to-end response numbers
 include matching, not just sensor scan-out.
@@ -19,14 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto import sha256
 from repro.fingerprint import (
-    CalibratedScoreModel,
+    DEFAULT_PARTIAL_MODEL,
     FingerprintTemplate,
     MinutiaeMatcher,
     QualityGate,
     QualityReport,
-    assess_quality,
     minutiae_from_image,
 )
 from repro.fingerprint.enhancement import minutiae_with_enhancement
@@ -49,16 +51,23 @@ EXTRACTION_CELLS_PER_S = 40_000_000
 #: embedded core).
 MATCH_TIME_S = 0.004
 
+#: Minimum capture quality score; lower-quality captures are discarded
+#: before matching (Fig. 6 "incomplete data").
+QUALITY_THRESHOLD = 0.45
 
-def _minutiae_digest(minutiae) -> bytes:
-    """Canonical SHA-256 digest of a minutiae set (match-cache key).
+#: Image processor: minimum minutiae-match score on the raw capture.
+IMAGE_ACCEPT_THRESHOLD = 0.10
 
-    Position/direction floats are serialized via ``repr`` (exact), so two
-    digests are equal iff the two sets would match identically.
-    """
-    parts = [f"{m.row!r},{m.col!r},{m.direction!r},{m.kind}"
-             for m in minutiae]
-    return sha256("|".join(parts).encode("utf-8"))
+#: Image processor: minimum score after contextual Gabor enhancement,
+#: stricter than the raw pass because enhancement also hallucinates some
+#: structure for impostors.
+ENHANCED_ACCEPT_THRESHOLD = 0.16
+
+#: Modeled processor: minimum score drawn from the partial-touch model.
+MODELED_ACCEPT_THRESHOLD = 0.25
+
+#: The minutiae matcher (stateless per call, so one serves every device).
+_MATCHER = MinutiaeMatcher()
 
 
 def _annotate_decision(span, decision: "AuthDecision") -> None:
@@ -94,30 +103,10 @@ class ImageFingerprintProcessor:
     multi-finger extension of the paper's design.
     """
 
-    def __init__(self, template: FingerprintTemplate,
-                 accept_threshold: float = 0.10,
-                 quality_threshold: float = 0.45,
-                 matcher: MinutiaeMatcher | None = None,
-                 use_enhancement: bool = True,
-                 enhanced_threshold: float = 0.16) -> None:
-        if not 0.0 <= accept_threshold <= 1.0:
-            raise ValueError("accept threshold must be in [0, 1]")
-        if enhanced_threshold < accept_threshold:
-            raise ValueError(
-                "the enhanced-pass threshold must be at least the raw "
-                "threshold (enhancement slightly inflates impostor scores)")
+    def __init__(self, template: FingerprintTemplate) -> None:
         self.templates = [template]
-        self.accept_threshold = float(accept_threshold)
-        self.gate = QualityGate(threshold=quality_threshold)
-        self.matcher = matcher if matcher is not None else MinutiaeMatcher()
-        self.use_enhancement = bool(use_enhancement)
-        self.enhanced_threshold = float(enhanced_threshold)
+        self.gate = QualityGate(threshold=QUALITY_THRESHOLD)
         self.enhancement_passes = 0
-        #: Optional duck-typed memoizer (``memoize(kind, key, compute)``)
-        #: for template-match scores, keyed on (template, probe) minutiae
-        #: digests.  Matching is a pure function of the two minutiae sets,
-        #: so a cached score is exactly the recomputed score.
-        self.match_cache = None
         #: Instrumentation bundle (re-wired by ``FlockModule.obs``).
         self.obs = NOOP
 
@@ -133,21 +122,9 @@ class ImageFingerprintProcessor:
                 f"finger {template.finger_id!r} is already enrolled")
         self.templates.append(template)
 
-    def _match_score(self, template: FingerprintTemplate,
-                     minutiae, probe_digest: bytes | None) -> float:
-        """Score one probe against one template, via the cache if set."""
-        if self.match_cache is None or probe_digest is None:
-            return self.matcher.match(template.minutiae, minutiae).score
-        return self.match_cache.memoize(
-            "template-match",
-            _minutiae_digest(template.minutiae) + probe_digest,
-            lambda: self.matcher.match(template.minutiae, minutiae).score)
-
     def _best_score(self, minutiae) -> float:
         """Best score of one probe across every enrolled template."""
-        probe_digest = (_minutiae_digest(minutiae)
-                        if self.match_cache is not None else None)
-        return max(self._match_score(template, minutiae, probe_digest)
+        return max(_MATCHER.match(template.minutiae, minutiae).score
                    for template in self.templates)
 
     def authenticate(self, capture: TouchCapture,
@@ -173,13 +150,12 @@ class ImageFingerprintProcessor:
             return AuthDecision(False, report, 0.0, False, extraction_time)
         best_score = self._best_score(minutiae)
         total_time = extraction_time + MATCH_TIME_S * len(self.templates)
-        accepted = best_score >= self.accept_threshold
+        accepted = best_score >= IMAGE_ACCEPT_THRESHOLD
 
-        if not accepted and self.use_enhancement:
+        if not accepted:
             # Second chance: contextual Gabor enhancement recovers ridge
-            # structure on marginal captures (light pressure, noise).  The
-            # enhanced pass uses a stricter threshold — enhancement also
-            # hallucinates some structure for impostors.
+            # structure on marginal captures (light pressure, noise), under
+            # the stricter enhanced-pass threshold.
             enhanced = minutiae_with_enhancement(capture.impression.image,
                                                  capture.impression.mask)
             if len(enhanced) >= 4:
@@ -187,7 +163,7 @@ class ImageFingerprintProcessor:
                 enhanced_score = self._best_score(enhanced)
                 total_time += (extraction_time
                                + MATCH_TIME_S * len(self.templates))
-                if enhanced_score >= self.enhanced_threshold:
+                if enhanced_score >= ENHANCED_ACCEPT_THRESHOLD:
                     best_score = enhanced_score
                     accepted = True
 
@@ -203,18 +179,13 @@ class ModeledFingerprintProcessor:
 
     ``genuine`` is decided by comparing the touching finger's id with the
     enrolled finger id — the physical ground truth the simulation knows.
-    Quality gating is driven by the capture's measured quality, matching
-    the image processor's gate semantics.
+    Captures pass the same quality gate as in the image processor; scores
+    come from :data:`~repro.fingerprint.DEFAULT_PARTIAL_MODEL`.
     """
 
-    def __init__(self, enrolled_finger_id: str,
-                 score_model: CalibratedScoreModel,
-                 accept_threshold: float = 0.25,
-                 quality_threshold: float = 0.45) -> None:
+    def __init__(self, enrolled_finger_id: str) -> None:
         self.enrolled_finger_id = enrolled_finger_id
-        self.score_model = score_model
-        self.accept_threshold = float(accept_threshold)
-        self.quality_threshold = float(quality_threshold)
+        self.gate = QualityGate(threshold=QUALITY_THRESHOLD)
         #: Instrumentation bundle (re-wired by ``FlockModule.obs``).
         self.obs = NOOP
 
@@ -228,14 +199,14 @@ class ModeledFingerprintProcessor:
 
     def _authenticate(self, capture: TouchCapture,
                       rng: SimulationRng) -> AuthDecision:
-        report = assess_quality(capture.impression)
+        quality_ok, report = self.gate.evaluate(capture.impression)
         extraction_time = capture.hardware.cells_sensed / EXTRACTION_CELLS_PER_S
-        if report.score < self.quality_threshold:
+        if not quality_ok:
             return AuthDecision(False, report, 0.0, False, extraction_time)
         genuine = capture.touch.event.finger_id == self.enrolled_finger_id
-        score = self.score_model.sample(genuine, rng)
+        score = DEFAULT_PARTIAL_MODEL.sample(genuine, rng)
         return AuthDecision(
             quality_ok=True, quality=report, score=score,
-            accepted=score >= self.accept_threshold,
+            accepted=score >= MODELED_ACCEPT_THRESHOLD,
             processing_time_s=extraction_time + MATCH_TIME_S,
         )

@@ -6,6 +6,11 @@ the crypto processor.  Its public methods are the *only* operations the
 untrusted host can request; private keys, fingerprint templates and raw
 captures never appear in a return value (the identity-transfer bundle is the
 sole exception, and it leaves encrypted under the receiving device's key).
+
+The module's ``processor_mode`` ("image" or "modeled") is the only switch
+between the two fidelities of the fingerprint processor, and
+:meth:`FlockModule.enroll_local_user` is the one place that turns it into a
+processor: local enrollment and an imported identity both go through it.
 """
 
 from __future__ import annotations
@@ -128,42 +133,21 @@ class FlockModule:
         return self._ca_public_key
 
     # ----------------------------------------------------- local enrollment
-    def enroll_local_user(self, template: FingerprintTemplate,
-                          score_model=None,
-                          accept_threshold: float | None = None) -> None:
-        """Store the device-unlock template and build the local processor."""
+    def enroll_local_user(self, template: FingerprintTemplate) -> None:
+        """Store the device-unlock template and build the local processor
+        that the module's ``processor_mode`` picks."""
         self.flash.store_device_template(template)
         if self.processor_mode == "image":
-            kwargs = {}
-            if accept_threshold is not None:
-                kwargs["accept_threshold"] = accept_threshold
-            self._local_processor = ImageFingerprintProcessor(template, **kwargs)
+            self._local_processor = ImageFingerprintProcessor(template)
         else:
-            if score_model is None:
-                raise FlockError("modeled processor requires a score model")
-            kwargs = {}
-            if accept_threshold is not None:
-                kwargs["accept_threshold"] = accept_threshold
             self._local_processor = ModeledFingerprintProcessor(
-                template.finger_id, score_model, **kwargs)
+                template.finger_id)
         self._local_processor.obs = self._obs
 
     @property
     def is_enrolled(self) -> bool:
         """Whether a local user template is enrolled."""
         return self._local_processor is not None
-
-    def install_verification_cache(self, cache) -> None:
-        """Attach a duck-typed match-score memoizer to the local processor.
-
-        ``cache`` must expose ``memoize(kind, key, compute)``.  Only the
-        image processor matches minutiae (a pure function of the two sets),
-        so only it benefits; the modeled processor draws random scores and
-        is left untouched.
-        """
-        if self._local_processor is not None and hasattr(
-                self._local_processor, "match_cache"):
-            self._local_processor.match_cache = cache
 
     def enroll_additional_finger(self, template: FingerprintTemplate) -> None:
         """Add another finger to the local identity (same user).
@@ -444,12 +428,8 @@ class FlockModule:
                 raise FlockError(f"import failed: {exc}") from exc
             installed.append(record.domain)
         if "device_template" in payload:
-            template = FingerprintTemplate.from_bytes(
-                bytes.fromhex(payload["device_template"]))
-            if self.processor_mode == "image":
-                # The biometric identity moves with the bundle: the new
-                # device is immediately usable for local authentication.
-                self.enroll_local_user(template)
-            else:
-                self.flash.store_device_template(template)
+            # The biometric identity moves with the bundle: the new device
+            # is immediately usable for local authentication.
+            self.enroll_local_user(FingerprintTemplate.from_bytes(
+                bytes.fromhex(payload["device_template"])))
         return installed

@@ -5,7 +5,6 @@ latencies and energies are *modeled* quantities derived from array geometry
 and clocking — deterministic and machine-independent.
 """
 
-from .timing import NS_PER_MS, NS_PER_S, NS_PER_US, SimClock
 from .specs import AddressingMode, FLOCK_SENSOR, FLOCK_SENSOR_WIDE, SensorSpec, TABLE2_SPECS
 from .touchscreen import LocatedTouch, TouchEvent, TouchPanel
 from .sensor_array import CaptureResult, CaptureWindow, SensorArray
@@ -27,7 +26,6 @@ from .placement import (
 )
 
 __all__ = [
-    "SimClock", "NS_PER_MS", "NS_PER_US", "NS_PER_S",
     "SensorSpec", "AddressingMode", "TABLE2_SPECS", "FLOCK_SENSOR",
     "FLOCK_SENSOR_WIDE",
     "TouchEvent", "LocatedTouch", "TouchPanel",

@@ -15,10 +15,9 @@ The model accounts cycles for:
   or zero when transfer overlaps conversion;
 - fixed setup overhead (decoder settle, reference ramp).
 
-``capture`` also *produces the data*: given an impression image registered
-to the array, it thresholds each addressed cell against the comparator
-reference, returning the binary fingerprint image exactly as the hardware
-would.
+``capture`` also *produces the data*: given the analog values of the
+addressed window, it thresholds each cell against the comparator reference,
+returning the binary fingerprint image exactly as the hardware would.
 """
 
 from __future__ import annotations
@@ -136,28 +135,26 @@ class SensorArray:
         """Modeled full-array response time in ms (Table II comparison)."""
         return self.capture_time_s(CaptureWindow.full(self.spec)) * 1000.0
 
-    def capture(self, cell_image: np.ndarray,
+    def capture(self, analog: np.ndarray,
                 window: CaptureWindow | None = None) -> CaptureResult:
-        """Scan ``cell_image`` (float analog values registered to the array).
+        """Scan ``window`` (default: the whole array) of analog cell values.
 
-        ``cell_image`` must have shape (spec.rows, spec.cols); the capture
-        reads only ``window`` and returns the comparator's binary output.
+        ``analog`` holds the float values of the window's cells only, in
+        the clamped window's shape (n_rows, n_cols); the capture returns
+        the comparator's binary output for them.
         """
-        if cell_image.shape != (self.spec.rows, self.spec.cols):
-            raise ValueError(
-                f"cell image shape {cell_image.shape} does not match array "
-                f"({self.spec.rows}, {self.spec.cols})"
-            )
         window = CaptureWindow.full(self.spec) if window is None else window
         window = window.clamp(self.spec.rows, self.spec.cols)
+        if analog.shape != (window.n_rows, window.n_cols):
+            raise ValueError(
+                f"analog shape {analog.shape} does not match the capture "
+                f"window ({window.n_rows}, {window.n_cols})"
+            )
         with self.obs.tracer.span("sensor.capture") as span:
-            analog = cell_image[window.row0:window.row1,
-                                window.col0:window.col1]
-            binary = analog > self.comparator_reference
             cycles = self.cycles_for(window)
             result = CaptureResult(
                 window=window,
-                image=binary.copy(),
+                image=analog > self.comparator_reference,
                 cycles=cycles,
                 time_s=cycles / self.spec.clock_hz,
                 cells_sensed=window.n_cells,

@@ -1,17 +1,17 @@
 """Digest-keyed verification-result cache with hit-rate accounting.
 
 Fleet-scale simulation repeats a lot of *pure* verification work: every
-registration presents a CA-signed device certificate (devices cloned from
-the same manufacturing prototype share one), and every image-mode match
-scores the same (template, probe) minutiae pair the same way.  The cache
-memoizes exactly those clock-independent predicates, keyed on content
-digests, so a cached answer is byte-identical to a recomputed one.
+registration presents a CA-signed device certificate, and devices cloned
+from the same manufacturing prototype share one.  The cache memoizes that
+clock-independent predicate (kind ``cert-signature``), keyed on the
+certificate's content digest, so a cached answer is byte-identical to a
+recomputed one and the cache grows only with distinct certificates.
 
-The cache is deliberately duck-typed: consumers (``WebServer``,
-``ImageFingerprintProcessor``) only call ``memoize(kind, key, compute)``
-and never import this module, keeping the layering DAG acyclic.  Anything
-clock- or policy-dependent (certificate validity windows, role checks,
-risk thresholds) must stay outside the cache and be recomputed per use.
+The cache is deliberately duck-typed: its consumer (``WebServer``) only
+calls ``memoize(kind, key, compute)`` and never imports this module,
+keeping the layering DAG acyclic.  Anything clock- or policy-dependent
+(certificate validity windows, role checks, risk thresholds) must stay
+outside the cache and be recomputed per use.
 
 Hit/miss/eviction accounting lives only in a
 :class:`~repro.obs.MetricsRegistry` (``cache.hits``/``cache.misses``
@@ -33,8 +33,8 @@ class VerificationCache:
     """LRU memoizer for pure verification predicates.
 
     Entries are keyed ``(kind, key)`` where ``kind`` names the predicate
-    ("cert-signature", "template-match", ...) and ``key`` is a content
-    digest covering *every* input of the computation.  Per-kind hit/miss
+    ("cert-signature") and ``key`` is a content digest covering *every*
+    input of the computation.  Per-kind hit/miss
     counters feed the fleet metrics layer.  Pass ``registry`` to account
     into a shared registry (the fleet simulation shares one across the
     whole run); by default the cache owns a private one.

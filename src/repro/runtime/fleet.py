@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.crypto import CertificateAuthority, HmacDrbg, generate_keypair
-from repro.fingerprint import DEFAULT_PARTIAL_MODEL, enroll_master, synthesize_master
+from repro.fingerprint import enroll_master, synthesize_master
 from repro.net import MobileDevice, TrustClient, TrustSession
 
 __all__ = ["BUTTON_XY", "FleetConfig", "DeviceFactory", "DeviceActor",
@@ -42,7 +42,12 @@ BUTTON_XY = (28.0, 80.0)
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """One fleet scenario: population, sharding, workload mix, seeds."""
+    """One fleet scenario: population, sharding, workload mix, seeds.
+
+    Fleet devices always run FLock's modeled fingerprint processor: only
+    score distributions matter at fleet scale (the image pipeline is what
+    the ``continuous-image`` sessions measure).
+    """
 
     n_devices: int = 1000
     n_shards: int = 4
@@ -55,7 +60,6 @@ class FleetConfig:
     #: Fraction of requests reporting breach-level risk (> 0.75) — the
     #: server terminates the session (``risk-too-high``).
     hijack_fraction: float = 0.01
-    processor_mode: str = "modeled"
     #: Key sizes are deliberately small: fleet runs measure *scheduling*,
     #: not RSA arithmetic; protocol costs use modeled latencies anyway.
     device_key_bits: int = 512
@@ -81,8 +85,6 @@ class FleetConfig:
             raise ValueError("prototype/keypair pools must be non-empty")
         if not 0.0 <= self.challenge_fraction + self.hijack_fraction <= 1.0:
             raise ValueError("challenge + hijack fractions must fit in [0, 1]")
-        if self.processor_mode not in ("image", "modeled"):
-            raise ValueError("processor_mode must be 'image' or 'modeled'")
 
 
 def _entropy(config: FleetConfig, *stream: int) -> bytes:
@@ -103,10 +105,8 @@ def draw_risk(rng: np.random.Generator, config: FleetConfig) -> float:
 class DeviceFactory:
     """Builds fleet devices by cloning enrolled prototypes."""
 
-    def __init__(self, config: FleetConfig, ca: CertificateAuthority,
-                 verification_cache=None) -> None:
+    def __init__(self, config: FleetConfig, ca: CertificateAuthority) -> None:
         self.config = config
-        self.verification_cache = verification_cache
         #: The one physical finger every fleet user presents.  Sharing it
         #: is sound: the modeled processor decides genuine/impostor by
         #: finger id, and per-device score draws come from per-actor rngs.
@@ -118,13 +118,8 @@ class DeviceFactory:
         for batch in range(config.prototype_count):
             prototype = MobileDevice(
                 f"fleet-proto-{batch}", _entropy(config, 3, batch), ca=ca,
-                processor_mode=config.processor_mode,
-                key_bits=config.device_key_bits)
-            if config.processor_mode == "modeled":
-                prototype.flock.enroll_local_user(
-                    template, score_model=DEFAULT_PARTIAL_MODEL)
-            else:
-                prototype.flock.enroll_local_user(template)
+                processor_mode="modeled", key_bits=config.device_key_bits)
+            prototype.flock.enroll_local_user(template)
             self.prototypes.append(prototype)
         pool_drbg = HmacDrbg(_entropy(config, 4),
                              personalization=b"fleet-service-keypair-pool")
@@ -147,10 +142,6 @@ class DeviceFactory:
         flock.crypto.rng = flock._drbg
         pooled = self._service_pool[index % len(self._service_pool)]
         flock.crypto.keypair_source = lambda pooled=pooled: pooled
-        if self.verification_cache is not None:
-            # Only the image processor has a match cache to accept; the
-            # install is a no-op for modeled fleets.
-            flock.install_verification_cache(self.verification_cache)
         return device
 
 

@@ -99,8 +99,7 @@ class FleetSimulation:
             config.domain, self.ca, b"fleet-service-key",
             config.n_shards, key_bits=config.server_key_bits,
             verification_cache=self.cache, obs=obs)
-        self.factory = DeviceFactory(config, self.ca,
-                                     verification_cache=self.cache)
+        self.factory = DeviceFactory(config, self.ca)
         self.loop = EventLoop(tracer=self.obs.tracer)
         # Spans opened inside events get virtual-clock timestamps, which
         # keeps traced fleet runs as replayable as untraced ones.
@@ -211,8 +210,7 @@ class FleetSimulation:
         config, metrics = self.config, self.metrics
         rejections = self.pool.rejection_totals()
         parts = [f"TRUST fleet load: {config.n_devices} devices over "
-                 f"{config.n_shards} shards ({config.processor_mode} "
-                 f"processors)"]
+                 f"{config.n_shards} shards (modeled processors)"]
 
         overview = [
             ["devices", config.n_devices],

@@ -520,16 +520,17 @@ class TestCli:
         assert "stats: contract" in err
         assert "stats: total" in err
 
-    def test_stats_appends_perf_row_when_log_dir_exists(self, tmp_path,
-                                                        monkeypatch):
+    def test_stats_writes_nothing_under_results(self, tmp_path, monkeypatch,
+                                                capsys):
+        """Committed results are a function of the tree: ``--stats``
+        timings go to stderr only, never into ``benchmarks/results/``."""
         proj = _write_project(tmp_path)
         results = proj / "benchmarks" / "results"
         results.mkdir(parents=True)
         monkeypatch.chdir(proj)
         assert main(["--contract", "--stats"]) == 0
-        row = (results / "analysis_perf.txt").read_text(encoding="utf-8")
-        assert row.startswith("repro-lint --stats:")
-        assert "contract=" in row
+        assert "stats: total" in capsys.readouterr().err
+        assert list(results.iterdir()) == []
 
     def test_sarif_output_carries_ct_rule(self, tmp_path, monkeypatch,
                                           capsys):

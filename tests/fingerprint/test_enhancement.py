@@ -13,7 +13,10 @@ from repro.fingerprint import (
     render_impression,
     synthesize_master,
 )
-from repro.flock import ImageFingerprintProcessor
+from repro.flock.fingerprint_processor import (
+    ENHANCED_ACCEPT_THRESHOLD,
+    IMAGE_ACCEPT_THRESHOLD,
+)
 
 
 @pytest.fixture(scope="module")
@@ -105,17 +108,6 @@ class TestMaskShape:
 
 
 class TestProcessorIntegration:
-    def test_enhanced_threshold_validation(self, template):
-        with pytest.raises(ValueError, match="enhanced-pass threshold"):
-            ImageFingerprintProcessor(template, accept_threshold=0.2,
-                                      enhanced_threshold=0.1)
-
-    def test_enhancement_can_be_disabled(self, template):
-        processor = ImageFingerprintProcessor(template,
-                                              use_enhancement=False)
-        assert not processor.use_enhancement
-        assert processor.enhancement_passes == 0
-
     def test_enhancement_pass_counter_increments(self, master, template):
         """Touches that fail the raw pass trigger the enhancement pass."""
         from repro.net import MobileDevice
@@ -127,3 +119,28 @@ class TestProcessorIntegration:
             device.touch_at(28.0, 80.0, float(i), impostor, rng)
         processor = device.flock._local_processor
         assert processor.enhancement_passes > 0
+
+    def test_enhanced_pass_accepts_at_its_own_threshold(self, master,
+                                                       template):
+        """A raw-pass accept needs IMAGE_ACCEPT_THRESHOLD; an accept that
+        took the enhancement pass needs the stricter enhanced threshold."""
+        from repro.net import MobileDevice
+        device = MobileDevice("enh-dev2", b"enh-seed")
+        device.flock.enroll_local_user(template)
+        processor = device.flock._local_processor
+        rng = np.random.default_rng(7)
+        impostor = synthesize_master("enh-imp2", np.random.default_rng(88))
+        enhanced_accepts = 0
+        for i in range(18):
+            finger = master if i < 12 else impostor
+            passes = processor.enhancement_passes
+            _, event = device.touch_at(28.0, 80.0, float(i), finger, rng,
+                                       pressure=[0.5, 0.3, 0.2][i % 3])
+            decision = event.decision
+            assert decision.accepted == (
+                decision.quality_ok
+                and decision.score >= IMAGE_ACCEPT_THRESHOLD)
+            if decision.accepted and processor.enhancement_passes > passes:
+                assert decision.score >= ENHANCED_ACCEPT_THRESHOLD
+                enhanced_accepts += 1
+        assert enhanced_accepts > 0

@@ -16,19 +16,27 @@ from repro.fingerprint import (
     synthesize_master,
 )
 from repro.flock import (
+    FingerprintController,
     FlockError,
     FlockModule,
     Frame,
     FrameHashEngine,
+    ImageFingerprintProcessor,
+    ModeledFingerprintProcessor,
     ProtectedFlash,
     ServiceRecord,
     SramModel,
     StorageError,
 )
 from repro.flock.display import SCROLL_QUANTUM_PX, DisplayRepeater
+from repro.flock.fingerprint_processor import (
+    MODELED_ACCEPT_THRESHOLD,
+    QUALITY_THRESHOLD,
+)
 from repro.hardware import (
     FLOCK_SENSOR,
     PlacedSensor,
+    SensorArray,
     SensorLayout,
     TouchEvent,
     TouchPanel,
@@ -66,6 +74,28 @@ def _touch_on_sensor(panel, i=0, finger="alice-thumb", pressure=0.5):
     return panel.locate(TouchEvent(
         time_s=float(i), x_mm=26.0 + (i % 5) * 0.5, y_mm=65.0 + (i % 3),
         pressure=pressure, finger_id=finger))
+
+
+#: (pressure, speed mm/s): two steady touches, then four light, fast ones
+#: that smear into captures below the quality gate.
+_STEADY_AND_EVASIVE = [(0.5, 0.0), (0.8, 10.0), (0.02, 200.0),
+                       (0.05, 150.0), (0.1, 100.0), (0.2, 80.0)]
+
+
+def _captures(layout, master, touches, seed=11):
+    """Capture one touch per (pressure, speed) pair over the sensor."""
+    controller = FingerprintController(layout)
+    panel = TouchPanel()
+    rng = np.random.default_rng(seed)
+    captures = []
+    for i, (pressure, speed) in enumerate(touches):
+        touch = panel.locate(TouchEvent(
+            time_s=float(i), x_mm=26.0, y_mm=65.0, pressure=pressure,
+            speed_mm_s=speed, finger_id=master.finger_id))
+        capture = controller.capture(touch, master, rng)
+        assert capture is not None
+        captures.append(capture)
+    return captures
 
 
 class TestStorage:
@@ -247,11 +277,13 @@ class TestTouchPipeline:
             module.handle_touch(_touch_on_sensor(panel), alice_master,
                                 np.random.default_rng(0))
 
-    def test_modeled_processor_mode(self, layout, alice_template, alice_master):
-        module = FlockModule("dev-m", b"seed-m", layout,
-                             processor_mode="modeled")
-        module.enroll_local_user(alice_template,
-                                 score_model=DEFAULT_PARTIAL_MODEL)
+    @pytest.mark.parametrize("mode", ["image", "modeled"])
+    def test_processor_mode(self, layout, alice_template, alice_master,
+                            mode):
+        """The mode alone picks the processor: one enrollment call."""
+        module = FlockModule("dev-m", b"seed-m", layout, processor_mode=mode)
+        module.enroll_local_user(alice_template)
+        assert module.is_enrolled
         panel = TouchPanel()
         rng = np.random.default_rng(0)
         results = [
@@ -260,11 +292,53 @@ class TestTouchPipeline:
         ]
         assert sum(r.verified for r in results) >= 5
 
-    def test_modeled_mode_requires_score_model(self, layout, alice_template):
-        module = FlockModule("dev-m2", b"seed", layout,
-                             processor_mode="modeled")
-        with pytest.raises(FlockError, match="score model"):
-            module.enroll_local_user(alice_template)
+    def test_modeled_processor_gates_like_image(self, layout, alice_template,
+                                                alice_master):
+        """Both fidelities run the same quality gate: same report, same
+        pass/fail, and a discarded capture is never scored."""
+        image = ImageFingerprintProcessor(alice_template)
+        modeled = ModeledFingerprintProcessor(alice_template.finger_id)
+        for capture in _captures(layout, alice_master, _STEADY_AND_EVASIVE):
+            by_image = image.authenticate(capture, np.random.default_rng(0))
+            by_model = modeled.authenticate(capture, np.random.default_rng(0))
+            assert by_model.quality == by_image.quality
+            assert by_model.quality_ok == by_image.quality_ok == (
+                by_model.quality.score >= QUALITY_THRESHOLD)
+            if not by_model.quality_ok:
+                assert by_model.score == 0.0 and not by_model.accepted
+        assert (modeled.gate.accepted, modeled.gate.rejected) == \
+            (image.gate.accepted, image.gate.rejected)
+        assert modeled.gate.accepted > 0 and modeled.gate.rejected > 0
+
+    def test_modeled_scores_come_from_the_partial_model(self, layout,
+                                                        alice_master,
+                                                        eve_master):
+        """The modeled processor holds the calibrated partial-touch model:
+        the enrolled finger draws genuine scores, any other impostor ones."""
+        modeled = ModeledFingerprintProcessor("alice-thumb")
+        scores = {}
+        for master, genuine in ((alice_master, True), (eve_master, False)):
+            capture, = _captures(layout, master, [(0.5, 0.0)])
+            decision = modeled.authenticate(capture, np.random.default_rng(3))
+            expected = DEFAULT_PARTIAL_MODEL.sample(genuine,
+                                                    np.random.default_rng(3))
+            assert decision.quality_ok
+            assert decision.score == expected
+            assert decision.accepted == (expected >= MODELED_ACCEPT_THRESHOLD)
+            scores[genuine] = decision.score
+        assert scores[True] != scores[False]
+
+    def test_controller_scans_the_rendered_window(self, layout, alice_master):
+        """The sensor thresholds the rendered window's own values: same
+        bits as the comparator applied to the impression, in its shape."""
+        reference = SensorArray(FLOCK_SENSOR).comparator_reference
+        for capture in _captures(layout, alice_master, _STEADY_AND_EVASIVE):
+            window = capture.hardware.window
+            assert capture.impression.image.shape == \
+                (window.n_rows, window.n_cols)
+            assert np.array_equal(capture.hardware.image,
+                                  capture.impression.image > reference)
+            assert capture.hardware.cells_sensed == window.n_cells
 
     def test_invalid_processor_mode(self, layout):
         with pytest.raises(ValueError):

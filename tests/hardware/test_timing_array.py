@@ -1,4 +1,4 @@
-"""SimClock, SensorSpec, SensorArray, readout policies, power model."""
+"""SensorSpec, SensorArray, readout policies, power model."""
 
 import numpy as np
 import pytest
@@ -13,31 +13,10 @@ from repro.hardware import (
     ReadoutPolicy,
     SensorArray,
     SensorSpec,
-    SimClock,
     compare_policies,
     policy_capture_time_s,
 )
 from repro.hardware.sensor_array import SETUP_CYCLES
-
-
-class TestSimClock:
-    def test_starts_at_zero(self):
-        assert SimClock().now_ns == 0
-
-    def test_advance(self):
-        clock = SimClock()
-        clock.advance_ms(4.0)
-        assert clock.now_ms == pytest.approx(4.0)
-        clock.advance_s(1.0)
-        assert clock.now_s == pytest.approx(1.004)
-
-    def test_monotonic(self):
-        with pytest.raises(ValueError):
-            SimClock().advance_ns(-1)
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock(start_ns=-5)
 
 
 class TestSensorSpec:
@@ -150,7 +129,7 @@ class TestSensorArrayCapture:
     def test_capture_window_subset(self):
         spec = SensorSpec("s", "x", 50.0, 16, 16, 1e6, AddressingMode.SERIAL)
         array = SensorArray(spec)
-        result = array.capture(np.ones((16, 16)), CaptureWindow(4, 8, 2, 10))
+        result = array.capture(np.ones((4, 8)), CaptureWindow(4, 8, 2, 10))
         assert result.image.shape == (4, 8)
         assert result.cells_sensed == 32
 
@@ -158,6 +137,37 @@ class TestSensorArrayCapture:
         array = SensorArray(FLOCK_SENSOR)
         with pytest.raises(ValueError):
             array.capture(np.zeros((10, 10)))
+
+    def test_capture_takes_the_clamped_window_values(self):
+        """A window scan reads the window's values, not the full array's."""
+        spec = SensorSpec("s", "x", 50.0, 16, 16, 1e6, AddressingMode.SERIAL)
+        array = SensorArray(spec)
+        window = CaptureWindow(12, 20, -2, 6)  # clamps to rows 12-16, cols 0-6
+        analog = np.zeros((4, 6))
+        analog[1, 2] = 0.9
+        result = array.capture(analog, window)
+        assert result.window == CaptureWindow(12, 16, 0, 6)
+        assert result.image.shape == (4, 6)
+        assert result.image.sum() == 1 and result.image[1, 2]
+        with pytest.raises(ValueError, match="capture window"):
+            array.capture(np.zeros((16, 16)), window)
+
+    def test_window_scan_matches_full_array_scan(self):
+        """Scanning a window's values gives the full-array scan's bits
+        there, and the same cycle count as the window alone."""
+        spec = SensorSpec("s", "x", 50.0, 16, 16, 1e6, AddressingMode.SERIAL)
+        array = SensorArray(spec)
+        analog = np.random.default_rng(4).random((16, 16))
+        full = array.capture(analog)
+        for window in (CaptureWindow(4, 8, 2, 10),
+                       CaptureWindow(12, 20, -2, 6),
+                       CaptureWindow.full(spec)):
+            clamped = window.clamp(16, 16)
+            rows = slice(clamped.row0, clamped.row1)
+            cols = slice(clamped.col0, clamped.col1)
+            result = array.capture(analog[rows, cols], window)
+            assert np.array_equal(result.image, full.image[rows, cols])
+            assert result.cycles == array.cycles_for(clamped)
 
     def test_bad_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -208,7 +218,7 @@ class TestPowerModel:
     @pytest.fixture()
     def capture(self):
         array = SensorArray(FLOCK_SENSOR)
-        return array.capture(np.full((256, 256), 0.7),
+        return array.capture(np.full((96, 96), 0.7),
                              CaptureWindow.around(128, 128, 48, 256, 256))
 
     def test_capture_energy_positive(self, capture):

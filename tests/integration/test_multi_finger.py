@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fingerprint import DEFAULT_PARTIAL_MODEL, enroll_master, synthesize_master
+from repro.fingerprint import enroll_master, synthesize_master
 from repro.flock import FlockError
 from repro.net import MobileDevice
 
@@ -64,8 +64,7 @@ class TestMultiFinger:
         device = MobileDevice("multi-dev3", b"multi-seed3",
                               processor_mode="modeled")
         rng = np.random.default_rng(5)
-        device.flock.enroll_local_user(enroll_master(fingers["thumb"], rng),
-                                       score_model=DEFAULT_PARTIAL_MODEL)
+        device.flock.enroll_local_user(enroll_master(fingers["thumb"], rng))
         with pytest.raises(FlockError, match="image-mode"):
             device.flock.enroll_additional_finger(
                 enroll_master(fingers["index"], rng))

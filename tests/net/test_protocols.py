@@ -203,6 +203,30 @@ class TestResetAndTransfer:
         assert outcome.success, outcome.reason
         new_device.flock.close_session(server.domain)
 
+    def test_modeled_transfer_enrolls_new_device(self, ca, alice_master):
+        """An imported identity enrolls the new device in modeled mode too,
+        so its first login succeeds instead of raising "no user enrolled"."""
+        template = enroll_master(alice_master, np.random.default_rng(6))
+        old_device = MobileDevice("dev-m1", b"seed-m1", ca=ca,
+                                  processor_mode="modeled", key_bits=512)
+        old_device.flock.enroll_local_user(template)
+        server = WebServer("www.modeled.com", ca, b"server-m1", key_bits=512)
+        server.create_account("alice", "pw")
+        channel = UntrustedChannel()
+        rng = np.random.default_rng(12)
+        outcome = TrustClient(old_device, server, channel).register(
+            "alice", BUTTON_XY, alice_master, rng)
+        assert outcome.success, outcome.reason
+        new_device = MobileDevice("dev-m2", b"seed-m2", ca=ca,
+                                  processor_mode="modeled", key_bits=512)
+        assert transfer_identity(old_device, new_device, BUTTON_XY,
+                                 alice_master, rng) == ["www.modeled.com"]
+        assert new_device.flock.is_enrolled
+        outcome = TrustClient(new_device, server, channel).login(
+            "alice", BUTTON_XY, alice_master, rng)
+        assert outcome.reason == "ok"
+        new_device.flock.close_session(server.domain)
+
     def test_transfer_blocked_for_impostor(self, fresh_deployment, ca,
                                            eve_master):
         device, _, _ = fresh_deployment

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.crypto import HmacDrbg, generate_keypair
-from repro.fingerprint import enroll_master, synthesize_master
-from repro.flock.fingerprint_processor import ImageFingerprintProcessor
 from repro.runtime import VerificationCache
 
 
@@ -98,23 +96,3 @@ class TestCachedEqualsUncached:
         assert cache.lookups("cert-signature") == 1000
         assert _hits_misses(cache, "cert-signature")[1] == len(certs)
         assert cache.hit_rate("cert-signature") == (1000 - len(certs)) / 1000
-
-    def test_template_match_scores(self):
-        alice = synthesize_master("alice-thumb", np.random.default_rng(5))
-        eve = synthesize_master("eve-thumb", np.random.default_rng(900))
-        template = enroll_master(alice, np.random.default_rng(6))
-        probes = [enroll_master(alice, np.random.default_rng(7)).minutiae,
-                  enroll_master(eve, np.random.default_rng(8)).minutiae,
-                  template.minutiae]
-
-        plain = ImageFingerprintProcessor(template)
-        cached = ImageFingerprintProcessor(template)
-        cache = VerificationCache()
-        cached.match_cache = cache
-
-        for probe in probes:
-            expected = plain._best_score(probe)
-            assert cached._best_score(probe) == expected  # miss
-            assert cached._best_score(probe) == expected  # hit
-        assert _hits_misses(cache, "template-match") == (len(probes),
-                                                         len(probes))

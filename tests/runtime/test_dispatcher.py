@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fingerprint import DEFAULT_PARTIAL_MODEL, enroll_master, synthesize_master
+from repro.fingerprint import enroll_master, synthesize_master
 from repro.net import MobileDevice, ProtocolError, TrustClient, UntrustedChannel
 from repro.runtime import BUTTON_XY, ConsistentHashRouter, ServerPool
 
@@ -77,8 +77,7 @@ class TestServerPool:
         template = enroll_master(master, np.random.default_rng(51))
         device = MobileDevice("pool-dev", b"pool-dev-seed", ca=ca,
                               processor_mode="modeled", key_bits=512)
-        device.flock.enroll_local_user(template,
-                                       score_model=DEFAULT_PARTIAL_MODEL)
+        device.flock.enroll_local_user(template)
         pool.create_account(account, "pool-reset-phrase")
         client = TrustClient(device, pool.shard_for(account),
                              UntrustedChannel())

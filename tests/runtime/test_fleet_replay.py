@@ -16,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.runtime import (
     EXPECTED_REJECTIONS,
+    DeviceFactory,
     FleetConfig,
     FleetSimulation,
     draw_risk,
@@ -97,6 +99,12 @@ class TestFleetBehavior:
         assert misses == SMALL.prototype_count
         assert hits == SMALL.n_devices - SMALL.prototype_count
 
+    def test_cache_holds_one_entry_per_device_certificate(self, result):
+        # Certificate signatures are the only memoized predicate, so the
+        # cache grows with distinct device certificates and nothing else.
+        assert [row[0] for row in result.cache.stats()] == ["cert-signature"]
+        assert len(result.cache) == SMALL.prototype_count
+
     def test_latency_respects_the_floor(self, result):
         from repro.runtime import SERVICE_TIME_S
         for op, count, mean, p50, p99 in result.metrics.latency_rows():
@@ -154,6 +162,21 @@ class TestHashSeedWitness:
         assert first == second
 
 
+class TestDeviceFactory:
+    def test_every_device_runs_the_enrolled_modeled_processor(self):
+        """Fleets are always modeled: prototypes and their clones come
+        enrolled with the fleet finger, ready for their first login."""
+        config = FleetConfig(n_devices=3, prototype_count=2,
+                             keypair_pool_size=1, seed=11)
+        ca = CertificateAuthority(rng=HmacDrbg(b"factory-ca"), key_bits=512)
+        factory = DeviceFactory(config, ca)
+        clones = [factory.build(index) for index in range(config.n_devices)]
+        for device in factory.prototypes + clones:
+            assert device.flock.processor_mode == "modeled"
+            assert device.flock.enrolled_finger_ids == \
+                [factory.master.finger_id]
+
+
 class TestWorkloadDraw:
     def test_risk_bands_match_fractions(self):
         config = SMALL
@@ -175,5 +198,3 @@ class TestWorkloadDraw:
             FleetConfig(n_shards=0)
         with pytest.raises(ValueError):
             FleetConfig(challenge_fraction=0.9, hijack_fraction=0.2)
-        with pytest.raises(ValueError):
-            FleetConfig(processor_mode="quantum")
