@@ -5,7 +5,9 @@ so it runs on every merge; this smoke check keeps it from quietly
 degrading into something nobody wants to run.  Budgets: 10 s for the
 per-module scan over ``src/``, 5 s for the interprocedural taint pass
 on top of it, and 8 s total for the combined lint + taint + det +
-contract + sc run (the exact command the CI analysis job executes).
+contract + sc run (the exact command the CI analysis job executes),
+taken as the median of three runs: one sample swings with whatever else
+the host is running.
 
 Two rows answer whether the process pool pays for itself: the
 pool-vs-sequential scan, as the median of three interleaved pairs, and
@@ -34,6 +36,7 @@ BUDGET_SECONDS = 10.0
 TAINT_BUDGET_SECONDS = 5.0
 COMBINED_BUDGET_SECONDS = 8.0
 SCAN_PAIRS = 3
+COMBINED_RUNS = 3
 ALL_STAGES = {"taint": True, "det": True, "contract": True, "sc": True}
 
 #: The repo's own policy (pyproject [tool.trust-lint]) — what the CI
@@ -64,7 +67,9 @@ def test_full_tree_pass_under_budget(monkeypatch):
     report_det, elapsed_det = _timed(det=True)
     report_ct, elapsed_ct = _timed(contract=True)
     report_sc, elapsed_sc = _timed(sc=True)
-    report_all, elapsed_all = _timed(**ALL_STAGES)
+    all_runs = [_timed(**ALL_STAGES) for _ in range(COMBINED_RUNS)]
+    report_all = all_runs[0][0]
+    elapsed_all = median(seconds for _, seconds in all_runs)
     report_all_seq, elapsed_all_seq = _timed(jobs=1, **ALL_STAGES)
 
     per_file = elapsed / max(report.files_scanned, 1)
@@ -97,7 +102,8 @@ def test_full_tree_pass_under_budget(monkeypatch):
         f"  scan + det pass    : {elapsed_det * 1000:.1f} ms\n"
         f"  scan + contract    : {elapsed_ct * 1000:.1f} ms\n"
         f"  scan + sc pass     : {elapsed_sc * 1000:.1f} ms\n"
-        f"  six-stage run      : {elapsed_all * 1000:.1f} ms\n"
+        f"  six-stage run      : {elapsed_all * 1000:.1f} ms"
+        f"  (median of {COMBINED_RUNS})\n"
         f"  six-stage, jobs=1  : {elapsed_all_seq * 1000:.1f} ms"
         f"  (pool + overlap speedup "
         f"x{elapsed_all_seq / max(elapsed_all, 1e-9):.2f})",
@@ -130,11 +136,12 @@ def test_full_tree_pass_under_budget(monkeypatch):
         f"(> {BUDGET_SECONDS + TAINT_BUDGET_SECONDS}s budget)")
     assert elapsed_all < COMBINED_BUDGET_SECONDS, (
         f"six-stage lint+taint+det+contract+sc pass took {elapsed_all:.1f}s "
-        f"(> {COMBINED_BUDGET_SECONDS}s budget)")
+        f"(median of {COMBINED_RUNS}; > {COMBINED_BUDGET_SECONDS}s budget)")
     # Pooled and sequential runs must agree exactly (determinism).
     for (pool_report, _), (seq_report, _) in pairs:
         assert _fingerprints(pool_report) == _fingerprints(seq_report)
-    assert _fingerprints(report_all) == _fingerprints(report_all_seq)
+    for run, _ in all_runs:
+        assert _fingerprints(run) == _fingerprints(report_all_seq)
 
 
 VERIFY_DEPTH = 10

@@ -14,9 +14,6 @@ Rule      Invariant
 TB001     trust-boundary imports: the layering DAG of ``repro.*`` packages
           (``repro.flock``/``repro.crypto`` may never import the untrusted
           ``repro.net``/``repro.core``/``repro.baselines``/``repro.attacks``)
-SF101     secret-flow hygiene: secret-named identifiers must not reach
-          ``print``/logging sinks, exception messages or ``__repr__`` bodies
-          outside the trusted layers
 CD201     crypto discipline: no stdlib ``random`` inside ``repro.crypto`` or
           ``repro.flock`` — key material comes from ``repro.crypto.rng``
 CD202     crypto discipline: no ``==``/``!=`` on secret-named byte values —
@@ -24,8 +21,11 @@ CD202     crypto discipline: no ``==``/``!=`` on secret-named byte values —
 CD203     crypto discipline: MD5 only on the frame-hash display path
 RB301     robustness: no bare/broad ``except`` that swallows silently
 RB302     robustness: no mutable default arguments
-SF110     interprocedural secret flow: an aliased/derived secret value
-          reaches an observable sink, with the full source-to-sink trace
+SF110     secret flow: a secret, by its own name or through any chain of
+          aliases, containers, f-strings and calls, reaches ``print``,
+          logging, ``warnings.warn``, an exception argument, a
+          ``__repr__``/``__str__`` return or a configured sink outside the
+          trusted layers, with the full source-to-sink trace
 SF111     trust boundary dataflow: a secret crosses from the trusted
           FLock layer into untrusted code without an approved wrapper
 SC800-805 constant-time discipline: no secret-dependent branches, loop
@@ -38,7 +38,8 @@ SF110/SF111 come from the opt-in interprocedural taint pass
 (``repro.analysis.taint``): a project-wide symbol table and call graph,
 per-function taint summaries iterated to a fixed point, and findings
 that carry every hop from source to sink.  Enable it with ``--taint``
-(tune it via the ``[tool.trust-lint.taint]`` sub-table); ``repro-lint
+(tune it via the ``[tool.trust-lint.taint]`` sub-table): the default
+run is lint only, so secret-sink findings need the flag.  ``repro-lint
 graph`` dumps the call graph the pass resolves.  SC800–SC805 come from
 the side-channel pass (``repro.analysis.sidechannel``, ``--sc``), which
 re-reads the same lattice as timing taint and pairs with a dynamic

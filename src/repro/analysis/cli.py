@@ -221,7 +221,8 @@ class _UsageError(Exception):
 
 def _load_config(args: argparse.Namespace) -> AnalysisConfig:
     """``[tool.trust-lint]`` from the pyproject above the first path (or
-    the working directory), plus any ``--disable`` rule ids."""
+    the working directory), plus any ``--disable`` rule ids.  A rule id
+    that names no rule, in either list, is an error."""
     config = AnalysisConfig.default()
     paths = getattr(args, "paths", None)
     extra = tuple(r.strip() for r in getattr(args, "disable", "").split(",")
@@ -232,8 +233,8 @@ def _load_config(args: argparse.Namespace) -> AnalysisConfig:
                                        else Path.cwd())
             if pyproject is not None:
                 config = AnalysisConfig.from_pyproject(pyproject)
-        for rule_id in extra:
-            get_rule(rule_id)  # reject typos loudly
+        for rule_id in config.disabled_rules + extra:
+            get_rule(rule_id)  # reject typos and retired ids loudly
     except (ValueError, OSError) as exc:
         raise _UsageError(f"configuration error: {exc}") from None
     return replace(config, disabled_rules=config.disabled_rules + extra)

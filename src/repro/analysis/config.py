@@ -100,7 +100,7 @@ class AnalysisConfig:
     layering: dict[str, frozenset[str]] = field(
         default_factory=lambda: dict(LAYERING))
 
-    #: Packages whose internals legitimately hold secrets; SF101 does not
+    #: Packages whose internals legitimately hold secrets; SF110 does not
     #: fire inside them (the trusted boundary is what keeps them safe).
     trusted_packages: tuple[str, ...] = ("repro.crypto", "repro.flock")
 
@@ -360,13 +360,6 @@ class AnalysisConfig:
     verify_adversary: bool = True
 
     # ------------------------------------------------------------ matching
-    def is_secret_name(self, name: str) -> bool:
-        """Does ``name`` denote secret material (SF101)?"""
-        low = name.lower()
-        if _match(low, self.public_patterns):
-            return False
-        return _match(low, self.secret_patterns)
-
     def is_secret_bytes_name(self, name: str) -> bool:
         """Does ``name`` denote a secret byte string (CD202)?"""
         low = name.lower()
@@ -375,7 +368,7 @@ class AnalysisConfig:
         return _match(low, self.secret_bytes_patterns)
 
     def in_trusted_package(self, module: str) -> bool:
-        """Is ``module`` inside a trusted layer (SF101 exempt)?"""
+        """Is ``module`` inside a trusted layer (SF110 exempt)?"""
         return any(module == pkg or module.startswith(pkg + ".")
                    for pkg in self.trusted_packages)
 
@@ -423,8 +416,8 @@ class AnalysisConfig:
         The taint pass treats an assignment or attribute store *into* a
         public-named location as declassification: names are the audit
         surface in this codebase, and a secret landing in ``device_id``
-        or ``public_key`` is either fine or a naming bug SF101-style
-        review would catch.
+        or ``public_key`` is either fine or a naming bug that review of
+        the names would catch.
         """
         low = name.lower()
         return (_match(low, self.public_patterns)
@@ -479,10 +472,6 @@ class AnalysisConfig:
     def is_sc_declassifier_name(self, name: str) -> bool:
         """Does a call to ``name`` declassify timing taint?"""
         return _match(name.lower(), self.sc_declassifiers)
-
-    def in_sc_modpow_boundary(self, qualname: str) -> bool:
-        """Is ``qualname`` inside the audited variable-time boundary?"""
-        return qualname in self.sc_modpow_boundary
 
     # --------------------------------------------------- contract matching
     def in_contract_server_module(self, module: str) -> bool:

@@ -69,11 +69,6 @@ class _DetView:
     def is_ctime_producer_name(self, name: str) -> bool:
         return False
 
-    # ``_secret_in_expr`` / f-string skips in ``_check_sink_args`` key on
-    # this; nothing is "already reported by SF101" in the det pass.
-    def is_secret_name(self, name: str) -> bool:
-        return False
-
     def is_declassified_name(self, name: str) -> bool:
         return False  # public-sounding names do not launder order
 

@@ -2,4 +2,4 @@
 
 from . import (boundaries, contract, crypto_discipline,  # noqa: F401
                determinism, observability, protocol_verify, robustness,
-               secret_flow_taint, secrets, sidechannel)
+               secret_flow_taint, sidechannel)

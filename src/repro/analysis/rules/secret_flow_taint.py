@@ -11,10 +11,14 @@ Rule → paper-invariant mapping:
 
 SF110
     Key material, templates and minutiae must never become *observable*
-    outside the trusted layers.  SF101 catches a secret name written
-    directly into a sink; SF110 catches the same secret after any number
-    of assignments, tuple unpackings, container hops, f-strings or calls
-    (``x = session_key; print(x)`` and far longer chains).
+    outside the trusted layers.  SF110 fires where a secret reaches an
+    observable sink — ``print``, a logging call, ``warnings.warn``, an
+    exception argument, a ``__repr__``/``__str__``/``__format__`` return
+    value, or a ``[tool.trust-lint.taint] extend-sinks`` call — whether
+    by its own name (``print(session_key)``) or after any number of
+    assignments, tuple unpackings, container hops, f-strings or calls
+    (``x = session_key; print(x)`` and far longer chains), in any scope:
+    nested defs, lambdas and class bodies included.
 SF111
     The FLock module is the paper's trust boundary: raw secrets it holds
     (device template, session keys, private keys) may only leave it as
@@ -28,22 +32,25 @@ CD210 (retired)
     MAC/digest lattice interprocedurally across all six SC sinks.
     Stale CD210 baseline entries simply never match; rewrite them with
     ``--update-baseline`` (without ``--merge``) at the next refresh.
+SF101 (retired)
+    Folded into SF110: a secret passed by its own name reports there.
 """
 
 from __future__ import annotations
 
 from ..core import ProjectRule, register
 
-__all__ = ["AliasedSecretSink", "BoundarySecretExport"]
+__all__ = ["SecretSink", "BoundarySecretExport"]
 
 
 @register
-class AliasedSecretSink(ProjectRule):
+class SecretSink(ProjectRule):
     id = "SF110"
-    name = "aliased-secret-sink"
-    summary = ("an aliased or derived secret reaches an observable sink "
-               "(print/logging/exception/__repr__) outside the trusted "
-               "layers — interprocedural companion to SF101")
+    name = "secret-sink"
+    summary = ("a secret, by name or through any aliasing/dataflow, "
+               "reaches an observable sink (print/logging/warnings/"
+               "exception/__repr__ or a configured sink) outside the "
+               "trusted layers")
 
 
 @register

@@ -185,6 +185,18 @@ class SidechannelAnalysis(TaintAnalysis):
         self._loop_depth = 0
         super()._walk_module(ctx, report)
 
+    def _walk_scope(self, node: ast.AST, st: _WalkState) -> None:
+        name = getattr(node, "name", None)  # a lambda has none
+        if name is not None and self._sc_config.is_sc_declassifier_name(name):
+            return  # a nested ``verify_*``/``Hmac*`` body: see _sc_skipped
+        # A nested def or lambda runs when called, not inside the loop
+        # that defines it.
+        depth, self._loop_depth = self._loop_depth, 0
+        try:
+            super()._walk_scope(node, st)
+        finally:
+            self._loop_depth = depth
+
     # ------------------------------------------------------------ control flow
     def _exec(self, stmt: ast.stmt, st: _WalkState) -> None:
         if isinstance(stmt, (ast.If, ast.While)):

@@ -1,12 +1,12 @@
 """TRUST-taint: project-wide secret-flow dataflow analysis.
 
-The per-module rules in :mod:`repro.analysis.rules` are deliberately
-syntactic — SF101 only fires when a secret *name* appears directly in a
-sink expression.  This package closes the gap the paper actually cares
-about: key material, fingerprint templates and minutiae must never leave
-the FLock trust boundary, no matter how many assignments, tuple
-unpackings, container hops or function calls sit between the source and
-the sink.
+This package checks what the paper cares about most: key material,
+fingerprint templates and minutiae must never leave the FLock trust
+boundary, whether a secret reaches an observable sink by its own name
+or through any number of assignments, tuple unpackings, container hops
+or function calls between the source and the sink.  It is the one
+owner of that property: the per-module rules in
+:mod:`repro.analysis.rules` do not check secret sinks.
 
 Pipeline (all stdlib, all AST-level):
 

@@ -19,13 +19,15 @@ The analysis runs in two phases over the :class:`ProjectIndex`:
    assembled from the source token's hops, the call-site hop, and the
    hops recorded inside callee summaries.
 
-Seeding follows the repo's name-based philosophy (the same one SF101
-and CD202 use): loading an identifier whose name matches the secret
-patterns *is* a source, wherever it happens.  Two taint classes flow:
+Seeding follows the repo's name-based philosophy (the same one CD202
+uses): loading an identifier whose name matches the secret patterns
+*is* a source, wherever it happens.  Two taint classes flow:
 
 - ``secret`` — confidentiality (SF110: reaches an observable sink in
-  untrusted code; SF111: materialises in an untrusted frame straight
-  from a trusted-layer call without an approved wrapper);
+  untrusted code, whether by its own name or through any chain of
+  aliases, containers, f-strings and calls; SF111: materialises in an
+  untrusted frame straight from a trusted-layer call without an
+  approved wrapper);
 - ``ctime`` — timing sensitivity, seeded from key-material names and
   MAC/digest producers.  This pass only *propagates* it; the reporting
   moved to the side-channel stage (SC805, which retired the old local
@@ -35,6 +37,10 @@ Sanitizers (HMAC, hashes, ciphertext, signatures, ``len``...) stop
 ``secret`` taint; MAC/digest producers *start* ``ctime`` taint even
 though they launder secrecy — a tag may be public, comparing it with
 ``==`` still leaks through timing.
+
+The index models top-level functions and the methods of top-level
+classes; every other scope (a nested def, a lambda, a class body and
+the methods defined in it) is walked where it appears, for its sinks.
 """
 
 from __future__ import annotations
@@ -45,8 +51,6 @@ from dataclasses import dataclass, field
 from ..config import AnalysisConfig
 from ..core import (Finding, ModuleContext, TraceHop, get_rule,
                     terminal_name)
-from ..rules.secrets import (_LOG_BASES, _LOG_METHODS, _REPR_METHODS,
-                             _secret_in_expr, _secrets_in_fstring)
 from .model import (SECRECY, TIMING, FunctionSummary, SinkRecord, Taint,
                     Token, make_source, merge, source_tokens, with_hop)
 from .symbols import ClassInfo, FunctionInfo, ProjectIndex, build_index
@@ -61,24 +65,35 @@ _MUTATORS = frozenset({
     "append", "add", "insert", "extend", "update", "setdefault",
     "appendleft", "push", "write",
 })
+#: The built-in observable sinks: logging calls (``<base>.<method>()``)
+#: and the returns of the string-conversion dunders.
+_LOG_METHODS = frozenset({
+    "debug", "info", "warning", "warn", "error", "exception", "critical",
+    "log",
+})
+_LOG_BASES = frozenset({"logging", "logger", "log", "_logger", "_log"})
+_REPR_METHODS = frozenset({"__repr__", "__str__", "__format__"})
+#: ``try`` statements: ``except*`` (``ast.TryStar``) arrived in 3.11.
+_TRY_NODES = (ast.Try, getattr(ast, "TryStar", ast.Try))
 
 
 @dataclass
 class _WalkState:
-    """Mutable cursor for one walk of one function (or module) body."""
+    """Mutable cursor for one walk of a function, module or nested scope."""
 
     ctx: ModuleContext
-    fn: FunctionInfo | None  # None for module-level code
-    summary: FunctionSummary | None  # None for module-level code
+    #: Calls and attribute reads are recorded under this name: the
+    #: function's, ``<module>``'s, or that of the walk a scope sits in.
+    qualname: str
+    fn: FunctionInfo | None  # None for module-level code and nested scopes
+    summary: FunctionSummary | None  # None likewise: nothing to summarise
     report: bool
+    #: The def whose returns this walk sees (a ``__repr__``'s are a sink).
+    def_name: str | None = None
     env: dict = field(default_factory=dict)  # var name -> Taint
     var_types: dict = field(default_factory=dict)  # var -> class qualname
     sanitizer_depth: int = 0
     in_raise: bool = False
-
-    @property
-    def qualname(self) -> str:
-        return self.fn.qualname if self.fn else f"{self.ctx.module}.<module>"
 
 
 class TaintAnalysis:
@@ -104,6 +119,10 @@ class TaintAnalysis:
         #: name -> (seeds secrecy, seeds timing); the same identifiers
         #: recur thousands of times per walk, the config match is not free.
         self._name_seed_cache: dict[str, tuple[bool, bool]] = {}
+        #: Def nodes the index walks on their own; any other def is a
+        #: nested scope of whatever body it appears in.
+        self._indexed_defs = {info.node
+                              for info in self.index.functions.values()}
 
     # ------------------------------------------------------------- driving
     def run(self) -> list[Finding]:
@@ -127,8 +146,9 @@ class TaintAnalysis:
                                     report=False)
                 if self.summaries[qualname].shape() != before:
                     grown.add(qualname)
-            # Module bodies are tiny (imports and defs are filtered out):
-            # re-walking them every round is cheaper than tracking deps.
+            # Module bodies are small (indexed defs are skipped, class
+            # bodies are mostly field declarations): re-walking them every
+            # round is cheaper than tracking deps.
             for module in modules:
                 self._walk_module(self.index.modules[module], report=False)
             # Comparing slot-key sets, not byte-string key material.
@@ -159,7 +179,9 @@ class TaintAnalysis:
     def _walk_function(self, info: FunctionInfo, report: bool) -> None:
         summary = self.summaries.setdefault(
             info.qualname, FunctionSummary(qualname=info.qualname))
-        st = _WalkState(ctx=info.ctx, fn=info, summary=summary, report=report)
+        st = _WalkState(ctx=info.ctx, qualname=info.qualname, fn=info,
+                        summary=summary, report=report,
+                        def_name=info.short_name)
         st.var_types.update(info.param_types)
         self._seed_params(info, st)
         # Two passes per walk so taint reaching a name late in the body
@@ -168,12 +190,52 @@ class TaintAnalysis:
             self._exec_stmts(info.node.body, st)
 
     def _walk_module(self, ctx: ModuleContext, report: bool) -> None:
-        st = _WalkState(ctx=ctx, fn=None, summary=None, report=report)
-        body = [stmt for stmt in ctx.tree.body
-                if not isinstance(stmt, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef, ast.ClassDef))]
+        st = _WalkState(ctx=ctx, qualname=f"{ctx.module}.<module>", fn=None,
+                        summary=None, report=report)
         for _ in range(2):
-            self._exec_stmts(body, st)
+            self._exec_stmts(ctx.tree.body, st)
+
+    def _eval_header(self, node: ast.FunctionDef | ast.AsyncFunctionDef
+                     | ast.ClassDef | ast.Lambda, st: _WalkState) -> None:
+        """What a def, class or lambda evaluates where it is defined:
+        its decorators, argument defaults, bases and class keywords."""
+        if isinstance(node, ast.ClassDef):
+            header = [*node.bases, *(kw.value for kw in node.keywords)]
+        else:
+            header = [*node.args.defaults, *node.args.kw_defaults]
+        for expr in (*getattr(node, "decorator_list", ()), *header):
+            self._eval(expr, st)
+
+    def _walk_scope(self, node: ast.FunctionDef | ast.AsyncFunctionDef
+                    | ast.ClassDef | ast.Lambda, st: _WalkState) -> None:
+        """Walk a scope the index does not model, for its sinks.
+
+        The scope reads a copy of the enclosing names, its own
+        parameters seed by name, and nothing it binds flows back out.
+        """
+        inner = _WalkState(ctx=st.ctx, qualname=st.qualname, fn=None,
+                           summary=None, report=st.report,
+                           env=dict(st.env), var_types=dict(st.var_types))
+        if st.fn is not None and st.fn.class_qualname is not None:
+            # A closure in a method reads the method's self and cls.
+            inner.var_types.update(dict.fromkeys(("self", "cls"),
+                                                 st.fn.class_qualname))
+        if isinstance(node, ast.ClassDef):
+            self._exec_stmts(node.body, inner)
+            return
+        args = node.args
+        hop = self._hop(st, node, "parameter of a nested scope")
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                    args.vararg, args.kwarg):
+            if arg is not None:
+                inner.env[arg.arg] = self._name_sources(arg.arg, hop)
+                inner.var_types.pop(arg.arg, None)
+        if isinstance(node, ast.Lambda):
+            self._eval(node.body, inner)
+            return
+        inner.def_name = node.name
+        for _ in range(2):
+            self._exec_stmts(node.body, inner)
 
     def _seed_params(self, info: FunctionInfo, st: _WalkState) -> None:
         args = info.node.args
@@ -252,7 +314,7 @@ class TaintAnalysis:
                     self._assign(item.optional_vars, taint,
                                  item.context_expr, st)
             self._exec_stmts(stmt.body, st)
-        elif isinstance(stmt, ast.Try):
+        elif isinstance(stmt, _TRY_NODES):
             self._exec_stmts(stmt.body, st)
             for handler in stmt.handlers:
                 if handler.name:
@@ -280,17 +342,18 @@ class TaintAnalysis:
         elif isinstance(stmt, ast.Match):
             self._eval(stmt.subject, st)
             for case in stmt.cases:
+                self._eval(case.guard, st)
                 self._exec_stmts(case.body, st)
-        # Nested defs/classes and imports are not walked: the index only
-        # models top-level functions and methods.
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            self._eval_header(stmt, st)
+            if stmt not in self._indexed_defs:
+                self._walk_scope(stmt, st)
 
     def _exec_return(self, stmt: ast.Return, st: _WalkState) -> None:
         taint = self._eval(stmt.value, st) if stmt.value is not None else {}
-        fn = st.fn
-        if fn is None:
-            return
         if st.summary is not None and taint:
-            ret_hop = self._hop(st, stmt, f"returned from {fn.short_name}()")
+            ret_hop = self._hop(st, stmt, f"returned from {st.def_name}()")
             for token in taint.values():
                 if token.kind == "source":
                     if token.local:
@@ -300,10 +363,9 @@ class TaintAnalysis:
                         token.slot, hopped[token.slot])
                 else:
                     st.summary.param_returns.add(token.name)
-        if fn.short_name in _REPR_METHODS and stmt.value is not None:
-            if _secret_in_expr(stmt.value, self.config) is None:
-                self._sink_hit(taint, "sink",
-                               f"{fn.short_name}() return value", stmt, st)
+        if st.def_name in _REPR_METHODS and taint:
+            self._sink_hit(taint, "sink", f"{st.def_name}() return value",
+                           stmt, st)
 
     # ---------------------------------------------------------- assignment
     def _assign(self, target: ast.expr, taint: Taint,
@@ -403,7 +465,7 @@ class TaintAnalysis:
 
     # ---------------------------------------------------------- expressions
     def _eval(self, node: ast.expr | None, st: _WalkState) -> Taint:
-        if node is None:
+        if node is None or isinstance(node, ast.Constant):
             return {}
         if isinstance(node, ast.Name):
             env = st.env.get(node.id)
@@ -441,7 +503,10 @@ class TaintAnalysis:
                 if node.elts else {}
         if isinstance(node, ast.Dict):
             # Values taint the container; keys do not (a dict indexed *by*
-            # a secret does not itself contain the secret).
+            # a secret does not itself contain the secret), but a sink
+            # inside a key still runs.
+            for key in node.keys:
+                self._eval(key, st)
             return merge(*(self._eval(v, st) for v in node.values
                            if v is not None)) if node.values else {}
         if isinstance(node, ast.Subscript):
@@ -508,6 +573,7 @@ class TaintAnalysis:
                 for cond in gen.ifs:
                     self._eval(cond, st)
             if isinstance(node, ast.DictComp):
+                self._eval(node.key, st)
                 element = self._eval(node.value, st)
             else:
                 element = self._eval(node.elt, st)
@@ -516,7 +582,11 @@ class TaintAnalysis:
             for part in (node.lower, node.upper, node.step):
                 self._eval(part, st)
             return {}
-        return {}  # constants, lambdas, ellipsis, ...
+        if isinstance(node, ast.Lambda):
+            self._eval_header(node, st)
+            self._walk_scope(node, st)
+            return {}  # the function object, not what it returns
+        return {}
 
     def _eval_attribute(self, node: ast.Attribute, st: _WalkState) -> Taint:
         base_taint = self._eval(node.value, st)
@@ -590,8 +660,10 @@ class TaintAnalysis:
         if short is not None and self.config.is_taint_sink_name(short):
             self._check_sink_args(
                 all_args, f"configured sink {short}()", st)
-        if in_raise and not isinstance(resolved, FunctionInfo):
-            # Constructing an exception: its args surface in tracebacks.
+        if in_raise:
+            # The raised call builds the exception, by its class or by a
+            # factory such as ``self._reject(reason, detail)``: its args
+            # surface in tracebacks.
             self._check_sink_args(all_args, "exception argument", st)
 
         if isinstance(resolved, FunctionInfo):
@@ -856,13 +928,8 @@ class TaintAnalysis:
     def _check_sink_args(self, args: list[tuple], label: str,
                          st: _WalkState) -> None:
         for taint, anode in args:
-            if not taint:
-                continue
-            if _secret_in_expr(anode, self.config) is not None:
-                continue  # direct secret name: SF101 already fires here
-            if any(True for _ in _secrets_in_fstring(anode, self.config)):
-                continue
-            self._sink_hit(taint, "sink", label, anode, st)
+            if taint:
+                self._sink_hit(taint, "sink", label, anode, st)
 
     def _sink_hit(self, taint: Taint, kind: str, label: str,
                   anchor: ast.AST, st: _WalkState) -> None:
@@ -888,10 +955,8 @@ class TaintAnalysis:
                     label: str, trace: tuple, st: _WalkState) -> None:
         if self.config.in_trusted_package(module):
             return  # trusted layers legitimately handle secrets
-        self._emit(
-            "SF110", module, line, col,
-            f"secret {origin!r} reaches {label} through aliasing/dataflow "
-            "(see trace)", trace, st)
+        self._emit("SF110", module, line, col,
+                   f"secret {origin!r} reaches {label} (see trace)", trace, st)
 
     def _in_scope(self, module: str) -> bool:
         """Does this pass report findings located in ``module``?"""
@@ -960,8 +1025,7 @@ class TaintAnalysis:
                           slot: tuple[str, str]) -> None:
         """Remember who reads an attr slot — even while it is still
         clean, so the worklist revisits the reader once taint lands."""
-        if st.fn is not None:
-            self.attr_readers.setdefault(slot, set()).add(st.fn.qualname)
+        self.attr_readers.setdefault(slot, set()).add(st.qualname)
 
     def _infer_type(self, node: ast.expr | None,
                     st: _WalkState) -> str | None:

@@ -59,11 +59,6 @@ def dev_pk(name: str) -> tuple:
     return ("devcert", name, "pk")
 
 
-def svc_sk(name: str) -> tuple:
-    """The per-service signing key a device mints at registration."""
-    return ("svc", name, "sk")
-
-
 def svc_pk(name: str) -> tuple:
     return ("svc", name, "pk")
 

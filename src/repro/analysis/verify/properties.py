@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .model import (
     ATK, ATK_PK, ATK_SESS, ATK_SK_PRIV, SRV_PK,
-    dev_pk, fmt, msg_fields, sk_for,
+    dev_pk, fmt, sk_for,
 )
 
 __all__ = ["close_knowledge", "is_secret", "state_violations",
@@ -155,7 +155,3 @@ def event_violations(events):
                    "a re-authentication challenge was cleared without a "
                    "genuine FLock attestation (no verified touch behind "
                    "it)")
-
-
-def describe_message(m: tuple) -> str:  # pragma: no cover - debug aid
-    return f"{m[1]}: {msg_fields(m)}"

@@ -68,8 +68,6 @@ class FingerprintController:
         # overlapping sensors, so positions are unique — and positional
         # keys survive deepcopy (the fleet factory clones whole devices).
         self._arrays = [SensorArray(s.spec) for s in layout.sensors]
-        self.touches_routed = 0
-        self.touches_captured = 0
         self.obs = obs if obs is not None else NOOP
 
     @property
@@ -99,7 +97,6 @@ class FingerprintController:
         waiting for future touch events").  ``master`` is the ground-truth
         finger of whoever is touching — the simulation's physical reality.
         """
-        self.touches_routed += 1
         sensor = self.sensor_for(touch)
         if sensor is None:
             return None
@@ -141,7 +138,6 @@ class FingerprintController:
         # window's analog cell values.
         hardware = array.capture(impression.image, window)
 
-        self.touches_captured += 1
         return TouchCapture(
             sensor=sensor,
             hardware=hardware,
@@ -149,10 +145,3 @@ class FingerprintController:
             capture_time_s=hardware.time_s,
             touch=touch,
         )
-
-    @property
-    def capture_opportunity_rate(self) -> float:
-        """Fraction of routed touches that landed on a sensor."""
-        if self.touches_routed == 0:
-            return 0.0
-        return self.touches_captured / self.touches_routed

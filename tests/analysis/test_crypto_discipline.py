@@ -1,5 +1,11 @@
 """CD201/CD202/CD203 — crypto discipline rule fixtures."""
 
+import textwrap
+
+import pytest
+
+from repro.analysis import analyze_sources
+
 from .conftest import rule_ids
 
 
@@ -82,6 +88,33 @@ class TestTimingUnsafeComparison:
             "    return constant_time_equal(expected_mac, received_mac)\n",
             module="repro.net.goodmod")
         assert findings == []
+
+
+class TestCD202CoversWhatSC805Skips:
+    """Why CD202 is not folded into SC805.
+
+    SC805 never walks the body of a declassifier-named function
+    (``verify*``, ``sign*``, ``*_mac``, ``compare_*``...), nor any module
+    outside ``[tool.trust-lint.sc] modules`` (``repro.runtime``,
+    ``repro.core``).  There, CD202 is the only check on ``==``.
+    """
+
+    VERIFY_MAC = """
+        def verify_mac(tag, expected_tag):
+            return tag == expected_tag
+    """
+    MODULES = ["repro.net.fixture", "repro.runtime.fixture"]
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_mac_compare_in_verify_function_fires_cd202(self, lint, module):
+        findings = lint(self.VERIFY_MAC, module=module)
+        assert [(f.rule, f.line) for f in findings] == [("CD202", 3)]
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_sc805_does_not_see_the_compare(self, module):
+        findings = analyze_sources(
+            {module: textwrap.dedent(self.VERIFY_MAC)}, taint=True, sc=True)
+        assert rule_ids(findings) == ["CD202"]
 
 
 class TestWeakHash:

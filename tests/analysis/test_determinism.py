@@ -142,6 +142,16 @@ class TestNondeterminismSources:
         assert any("reaches" in note for note in notes)
         assert all(hop.path and hop.line for hop in finding.trace)
 
+    def test_dt604_inside_a_nested_def(self):
+        findings = by_rule(det_lint("""
+            def summarize(shards):
+                def render():
+                    active = {name for name in shards if shards[name]}
+                    return ", ".join(active)
+                return render
+        """), "DT604")
+        assert [f.line for f in findings] == [5]
+
     def test_dt604_sorted_launders_order(self):
         clean = """
         def summarize(shards):

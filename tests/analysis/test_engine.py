@@ -59,9 +59,9 @@ class TestAnalyzePaths:
     def test_violations_found_across_tree(self, tmp_path):
         _write_pkg(tmp_path, "repro.crypto", "badmod", "import random\n")
         _write_pkg(tmp_path, "repro.net", "leaky", "print(session_key)\n")
-        report = analyze_paths([tmp_path])
+        report = analyze_paths([tmp_path], taint=True)
         assert sorted(f.rule for f in report.findings) \
-            == ["CD201", "OB501", "SF101"]
+            == ["CD201", "OB501", "SF110"]
         assert report.files_scanned >= 2
         assert not report.clean
 
@@ -234,8 +234,8 @@ class TestConfig:
         config = AnalysisConfig.from_pyproject(pyproject)
         assert config.default_paths == ("lib",)
         assert not config.rule_enabled("RB302")
-        assert not config.is_secret_name("monkeypatch")
-        assert config.is_secret_name("session_key")
+        assert not config.is_taint_source_name("monkeypatch")
+        assert config.is_taint_source_name("session_key")
 
     def test_unknown_option_is_rejected(self, tmp_path):
         pyproject = tmp_path / "pyproject.toml"
@@ -280,13 +280,13 @@ class TestConfig:
 
     def test_secret_name_matching(self):
         config = AnalysisConfig.default()
-        assert config.is_secret_name("session_key")
-        assert config.is_secret_name("device_template")
-        assert config.is_secret_name("minutiae")
-        assert config.is_secret_name("seed")
-        assert not config.is_secret_name("public_key")
-        assert not config.is_secret_name("keystroke_timings")
-        assert not config.is_secret_name("domain")
+        assert config.is_taint_source_name("session_key")
+        assert config.is_taint_source_name("device_template")
+        assert config.is_taint_source_name("minutiae")
+        assert config.is_taint_source_name("seed")
+        assert not config.is_taint_source_name("public_key")
+        assert not config.is_taint_source_name("keystroke_timings")
+        assert not config.is_taint_source_name("domain")
 
     def test_secret_bytes_matching(self):
         config = AnalysisConfig.default()

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import textwrap
 
+import pytest
+
 from repro.analysis import (analyze_paths, render_json, render_sarif,
                             render_text)
 from repro.analysis.cli import main
@@ -74,7 +76,8 @@ class TestReporters:
         run = sarif["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-lint"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"SF101", "SF110", "SF111", "SC805"} <= rule_ids
+        assert {"SF110", "SF111", "SC805"} <= rule_ids
+        assert "SF101" not in rule_ids  # retired into SF110
         (result,) = [r for r in run["results"] if r["ruleId"] == "SF110"]
         assert result["partialFingerprints"]["trustLint/v1"]
         locations = result["codeFlows"][0]["threadFlows"][0]["locations"]
@@ -115,13 +118,26 @@ class TestCli:
         code = main([str(tmp_path), "--no-config", "--disable", "XX999"])
         assert code == 2
 
+    @pytest.mark.parametrize("rule_id", ["XX999", "SF101"])
+    def test_unknown_rule_in_pyproject_disable_is_an_error(
+            self, tmp_path, capsys, rule_id):
+        # A typo or a retired id in the config would otherwise disable
+        # nothing, silently.
+        (tmp_path / "pyproject.toml").write_text(
+            f'[tool.trust-lint]\ndisable = ["{rule_id}"]\n')
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        code = main([str(tmp_path)])
+        assert code == 2
+        assert f"unknown rule id {rule_id!r}" in capsys.readouterr().err
+
     def test_list_rules(self, capsys):
         code = main(["--list-rules"])
         assert code == 0
         out = capsys.readouterr().out
-        for rule_id in ("TB001", "SF101", "CD201", "CD202", "CD203",
+        for rule_id in ("TB001", "SF110", "CD201", "CD202", "CD203",
                         "RB301", "RB302"):
             assert rule_id in out
+        assert "SF101" not in out
 
     def test_json_format(self, tmp_path, capsys):
         _plant(tmp_path)
@@ -152,7 +168,7 @@ class TestCli:
     def test_taint_flag_runs_interprocedural_pass(self, tmp_path, capsys):
         _plant(tmp_path, _TAINT_LEAK, package="net", name="leaky")
         code = main([str(tmp_path), "--no-config"])
-        assert code == 0  # clean without --taint: SF101 cannot see the alias
+        assert code == 0  # clean without --taint: secret sinks need it
         code = main([str(tmp_path), "--no-config", "--taint"])
         assert code == 1
         out = capsys.readouterr().out

@@ -40,11 +40,10 @@ def test_analysis_pass_is_clean_over_src():
 
 def test_examples_and_benchmarks_parse_cleanly():
     # The satellite trees are linted too, but only for the robustness
-    # rules: examples legitimately print keys they generate for display.
-    from repro.analysis import AnalysisConfig, analyze_paths
+    # rules and without the taint pass: examples legitimately print keys
+    # they generate for display.
+    from repro.analysis import analyze_paths
 
-    config = AnalysisConfig(disabled_rules=("SF101",))
-    report = analyze_paths(
-        [REPO_ROOT / "examples", REPO_ROOT / "benchmarks"], config)
+    report = analyze_paths([REPO_ROOT / "examples", REPO_ROOT / "benchmarks"])
     assert report.parse_errors == []
     assert [f for f in report.findings if f.rule.startswith("RB")] == []

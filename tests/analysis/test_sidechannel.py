@@ -116,6 +116,24 @@ class TestSC801Loops:
         """), "SC801")
         assert len(hits) == 1
 
+    def test_nested_def_in_a_loop_branches_outside_it(self):
+        # The nested def runs when called, not inside the loop that
+        # defines it: its early return is a branch (SC800), not a loop
+        # exit (SC801).
+        findings = sc_lint("""
+            def build(items):
+                handlers = []
+                for item in items:
+                    def handler(session_key):
+                        if session_key:
+                            return item
+                        return None
+                    handlers.append(handler)
+                return handlers
+        """)
+        assert [(f.rule, f.line) for f in findings
+                if f.rule.startswith("SC")] == [("SC800", 6)]
+
     def test_fixed_trip_arithmetic_select_is_clean(self):
         findings = sc_lint("""
             def fold(private_d):
@@ -327,6 +345,29 @@ class TestDeclassification:
                 return result == 0
         """)
         assert [f for f in findings if f.rule.startswith("SC")] == []
+
+    @pytest.mark.parametrize("scope", [
+        "def make(session_key):\n"
+        "    def verify_tag(t):\n"
+        "        if session_key[0]:\n"
+        "            return t\n"
+        "    return verify_tag\n",
+        "def make(session_key):\n"
+        "    class HmacState:\n"
+        "        def step(self):\n"
+        "            if session_key[0]:\n"
+        "                return 1\n"
+        "    return HmacState\n",
+    ], ids=["nested-def", "local-class-method"])
+    def test_nested_declassifier_bodies_are_not_walked(self, scope):
+        # The walker reads nested scopes, but one named like a
+        # declassifier is exempt there exactly as at top level.
+        findings = sc_lint(scope)
+        assert [f for f in findings if f.rule.startswith("SC")] == []
+        branching = scope.replace("verify_tag", "route_tag") \
+            .replace("HmacState", "RouteState")
+        assert [f.rule for f in sc_lint(branching)
+                if f.rule.startswith("SC")] == ["SC800"]
 
 
 class TestSuppressionAudit:

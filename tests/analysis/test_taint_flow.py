@@ -11,7 +11,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.analysis import analyze_source, analyze_sources
+from repro.analysis import all_rules, analyze_source, analyze_sources
 from repro.analysis.core import ModuleContext
 from repro.analysis.taint import run_taint
 from repro.analysis.config import AnalysisConfig
@@ -87,7 +87,7 @@ class TestSF110:
         hits = by_rule(findings, "SF110")
         assert len(hits) == 1
         assert "session_key" in hits[0].message
-        assert "SF101" not in rule_ids(findings)
+        assert hits[0].line == 4  # at the sink, not at the alias
 
     def test_cross_module_return_flow_is_flagged(self):
         findings = taint_lint({"repro.core.vault": CORE_VAULT,
@@ -149,21 +149,29 @@ class TestSF110:
 
 
 class TestSF101BlindSpotRetired:
-    """The aliasing blind spot documented on SF101 is now covered.
-
-    The same snippet, side by side: the syntactic rule cannot see
-    through ``alias = session_key`` (by design — it has no dataflow),
-    and the taint pass can.
+    """The retired syntactic rule SF101 could not see through
+    ``alias = session_key``; SF110 reports the direct name and the alias
+    alike, so one rule owns the property and no sink has a blind side.
     """
 
-    def test_sf101_misses_the_alias(self):
-        findings = analyze_source(textwrap.dedent(ALIAS_LEAK),
-                                  module="repro.net.fixture")
-        assert "SF101" not in rule_ids(findings)
+    def test_sf110_catches_the_direct_name(self):
+        findings = taint_lint("""
+            def show(session_key):
+                print(session_key)
+        """)
+        assert len(by_rule(findings, "SF110")) == 1
+        assert "SF101" not in {rule.id for rule in all_rules()}
 
     def test_sf110_catches_the_alias(self):
         hits = by_rule(taint_lint(ALIAS_LEAK), "SF110")
         assert len(hits) == 1
+
+    def test_lint_alone_reports_no_secret_sink(self):
+        # The default, lint-only run leaves every secret sink, direct
+        # names included, to --taint.
+        findings = analyze_source("print(session_key)\n",
+                                  module="repro.net.fixture")
+        assert not [f for f in findings if f.rule.startswith("SF")]
 
 
 class TestSF111:
@@ -267,6 +275,20 @@ class TestProjectIndex:
         findings, analysis = run_taint(contexts, AnalysisConfig.default())
         assert "repro.net.holder.Holder.dump" in analysis.index.functions
         assert [f.rule for f in findings] == ["SF110"]
+
+    def test_closure_in_a_method_resolves_self(self):
+        contexts = _contexts({"repro.net.holder": """
+            class Holder:
+                def __init__(self, session_key):
+                    self._raw = session_key
+
+                def dump(self):
+                    def show():
+                        print(self._raw)
+                    show()
+        """})
+        findings, _ = run_taint(contexts, AnalysisConfig.default())
+        assert [(f.rule, f.line) for f in findings] == [("SF110", 8)]
 
 
 class TestTraces:
