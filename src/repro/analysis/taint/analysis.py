@@ -168,10 +168,18 @@ class TaintAnalysis:
             # Module-level callers carry a ``<module>`` qualname; their
             # bodies are re-walked unconditionally above.
             pending &= self.index.functions.keys()
+        # At the fixed point a walk adds no state, only findings, so code
+        # whose findings this pass drops is walked only if it can report
+        # elsewhere.  Short of it, every walk may still feed a later one.
+        converged = not pending
         for qualname in order:
-            self._walk_function(self.index.functions[qualname], report=True)
+            info = self.index.functions[qualname]
+            if not converged or self._reports_from(qualname, info.module):
+                self._walk_function(info, report=True)
         for module in modules:
-            self._walk_module(self.index.modules[module], report=True)
+            if (not converged
+                    or self._reports_from(f"{module}.<module>", module)):
+                self._walk_module(self.index.modules[module], report=True)
         self.findings.sort(
             key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
         return self.findings
@@ -961,6 +969,18 @@ class TaintAnalysis:
     def _in_scope(self, module: str) -> bool:
         """Does this pass report findings located in ``module``?"""
         return True
+
+    def _reports_from(self, unit: str, module: str) -> bool:
+        """Can walking ``unit`` (a function or ``<module>`` body in
+        ``module``) emit a finding this pass keeps?  Its own sinks report
+        in ``module``; a sink recorded in a callee's summary reports
+        where that sink is."""
+        return self._in_scope(module) or any(
+            self._in_scope(record.module)
+            for callee in self.call_edges.get(unit, ())
+            if callee in self.summaries
+            for records in self.summaries[callee].param_sinks.values()
+            for record in records.values())
 
     def _emit(self, rule_id: str, module: str, line: int, col: int,
               message: str, trace: tuple, st: _WalkState) -> None:

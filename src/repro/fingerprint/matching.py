@@ -29,7 +29,8 @@ import numpy as np
 
 from .minutiae import Minutia
 
-__all__ = ["MatchResult", "MinutiaeMatcher", "minutiae_to_arrays"]
+__all__ = ["MatchResult", "MinutiaeMatcher", "PreparedMinutiae",
+           "minutiae_to_arrays"]
 
 #: Candidate (template, probe) minutia pairs scored per batch of
 #: hypotheses.  Bounds the matcher's working set: each batch array holds
@@ -116,6 +117,25 @@ class MatchResult:
         return self.n_template == 0 or self.n_probe == 0
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedMinutiae:
+    """A minutiae set in the form the matcher reads it.
+
+    Built by :meth:`MinutiaeMatcher.prepare`: positions ``(n, 2)``,
+    direction angles ``(n,)``, local descriptors for ``k_neighbors``
+    neighbours, and ``by_row``, the indices that sort the positions by
+    row (stably), with ``sorted_rows`` the rows in that order.  An
+    enrolled template is prepared once; a match reads it for every probe.
+    """
+
+    positions: np.ndarray
+    angles: np.ndarray
+    descriptors: np.ndarray
+    k_neighbors: int
+    by_row: np.ndarray
+    sorted_rows: np.ndarray
+
+
 class MinutiaeMatcher:
     """Configurable minutiae matcher; thread-safe (stateless per call)."""
 
@@ -132,22 +152,42 @@ class MinutiaeMatcher:
         self.k_neighbors = int(k_neighbors)
         self.max_hypotheses = int(max_hypotheses)
 
-    def match(self, template: list[Minutia], probe: list[Minutia]) -> MatchResult:
+    def prepare(self, minutiae: list[Minutia]) -> PreparedMinutiae:
+        """``minutiae`` as :meth:`match` reads them, built once."""
+        positions, angles = minutiae_to_arrays(minutiae)
+        by_row = np.argsort(positions[:, 0], kind="stable")
+        return PreparedMinutiae(
+            positions, angles,
+            _local_descriptors(positions, angles, self.k_neighbors),
+            self.k_neighbors, by_row, positions[by_row, 0])
+
+    def _prepared(self, minutiae: list[Minutia] | PreparedMinutiae,
+                  ) -> PreparedMinutiae:
+        if not isinstance(minutiae, PreparedMinutiae):
+            return self.prepare(minutiae)
+        if minutiae.k_neighbors != self.k_neighbors:
+            raise ValueError("minutiae prepared for another k_neighbors")
+        return minutiae
+
+    def match(self, template: list[Minutia] | PreparedMinutiae,
+              probe: list[Minutia] | PreparedMinutiae) -> MatchResult:
         """Score ``probe`` against ``template``.
 
-        Hypotheses are scored in batches of at most ``_PAIR_BUDGET``
-        candidate pairs; the first hypothesis reaching the best score wins.
+        Either side may come from :meth:`prepare`; the result is the same
+        as for its minutiae.  Hypotheses are scored in batches of at most
+        ``_PAIR_BUDGET`` candidate pairs; the first hypothesis reaching
+        the best score wins.
         """
-        pos_t, ang_t = minutiae_to_arrays(template)
-        pos_p, ang_p = minutiae_to_arrays(probe)
+        template, probe = self._prepared(template), self._prepared(probe)
+        pos_t, ang_t = template.positions, template.angles
+        pos_p, ang_p = probe.positions, probe.angles
         n_t, n_p = len(pos_t), len(pos_p)
         best = MatchResult(0.0, 0, n_t, n_p, 0.0, (0.0, 0.0))
         if n_t == 0 or n_p == 0:
             return best
 
-        desc_t = _local_descriptors(pos_t, ang_t, self.k_neighbors)
-        desc_p = _local_descriptors(pos_p, ang_p, self.k_neighbors)
-        cost = _descriptor_cost(desc_t, desc_p, self.k_neighbors)
+        cost = _descriptor_cost(template.descriptors, probe.descriptors,
+                                self.k_neighbors)
         # Hypothesis h anchors probe minutia p_index[h] on template minutia
         # t_index[h]; rotation[h] turns the probe onto the template.
         flat_order = np.argsort(cost, axis=None)[: self.max_hypotheses]
@@ -159,8 +199,7 @@ class MinutiaeMatcher:
         for start in range(0, len(flat_order), batch):
             part = slice(start, start + batch)
             batch_scores, batch_matched = self._score_hypotheses(
-                pos_t, ang_t, pos_p, ang_p,
-                t_index[part], p_index[part], rotation[part])
+                template, probe, t_index[part], p_index[part], rotation[part])
             scores.append(batch_scores)
             matched.extend(batch_matched)
         scores = np.concatenate(scores)
@@ -179,9 +218,9 @@ class MinutiaeMatcher:
         return MatchResult(float(scores[winner]), matched[winner], n_t, n_p,
                            angle, translation, offset)
 
-    def _score_hypotheses(self, pos_t: np.ndarray, ang_t: np.ndarray,
-                          pos_p: np.ndarray, ang_p: np.ndarray,
-                          t_index: np.ndarray, p_index: np.ndarray,
+    def _score_hypotheses(self, template: PreparedMinutiae,
+                          probe: PreparedMinutiae, t_index: np.ndarray,
+                          p_index: np.ndarray,
                           rotation: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Overlap-normalized scores and matched-pair counts of a batch.
 
@@ -192,21 +231,36 @@ class MinutiaeMatcher:
         pair matrix, so ties resolve the same however the batch is cut).
         The score is ``matched^2 / (n_overlap * n_probe)``.
         """
+        pos_t, ang_t = template.positions, template.angles
+        pos_p, ang_p = probe.positions, probe.angles
         n_hyp, n_t, n_p = len(rotation), len(pos_t), len(pos_p)
         cos_r, sin_r = np.cos(rotation)[:, None], np.sin(rotation)[:, None]
         rel = pos_p[None, :, :] - pos_p[p_index][:, None, :]
         rotated = np.empty_like(rel)
         rotated[..., 0] = rel[..., 1] * sin_r + rel[..., 0] * cos_r
         rotated[..., 1] = rel[..., 1] * cos_r - rel[..., 0] * sin_r
-        probe = rotated + pos_t[t_index][:, None, :]  # (hyp, n_p, 2)
+        probe_pos = rotated + pos_t[t_index][:, None, :]  # (hyp, n_p, 2)
 
         # Template minutia i against probe minutia j under hypothesis h.
-        # A distance is never below its row gap, so pairs further apart in
-        # rows than the tolerance need no exact test.
-        dr = pos_t[None, :, None, 0] - probe[:, None, :, 0]
+        # A distance is never below its row gap, so only template rows
+        # within the tolerance of the probe's row need the exact test.
+        # They come from a range search over the row-sorted template,
+        # widened far past any rounding of the bounds; the exact row-gap
+        # test then keeps exactly the pairs with |row gap| <= tol.
         tol = self.distance_tolerance
-        h, i, j = np.nonzero(np.abs(dr) <= tol)
-        distance = np.hypot(dr[h, i, j], pos_t[i, 1] - probe[h, j, 1])
+        probe_rows = probe_pos[..., 0].ravel()
+        reach = tol + (np.abs(probe_rows) + tol) * 2.0**-40
+        rows = template.sorted_rows
+        lo = np.searchsorted(rows, probe_rows - reach, side="left")
+        counts = np.searchsorted(rows, probe_rows + reach, side="right") - lo
+        pair = np.repeat(np.arange(len(probe_rows)), counts)
+        first = np.cumsum(counts) - counts
+        i = template.by_row[np.arange(len(pair)) + (lo - first)[pair]]
+        h, j = np.divmod(pair, n_p)
+        dr = pos_t[i, 0] - probe_pos[h, j, 0]
+        near = np.abs(dr) <= tol
+        h, i, j, dr = h[near], i[near], j[near], dr[near]
+        distance = np.hypot(dr, pos_t[i, 1] - probe_pos[h, j, 1])
         probe_angle = np.mod(ang_p[j] + rotation[h], 2 * np.pi)
         ok = (distance <= tol) & (_angle_difference(ang_t[i], probe_angle)
                                   <= self.angle_tolerance)
@@ -225,8 +279,8 @@ class MinutiaeMatcher:
             matched.append(len(used_t))
 
         # Only the template region the probe's footprint covers counts.
-        centroid = probe.mean(axis=1)
-        spread = probe - centroid[:, None, :]
+        centroid = probe_pos.mean(axis=1)
+        spread = probe_pos - centroid[:, None, :]
         footprint = np.hypot(spread[..., 0], spread[..., 1]).max(axis=1) \
             + self.distance_tolerance
         t_spread = pos_t[None, :, :] - centroid[:, None, :]

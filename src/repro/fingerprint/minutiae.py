@@ -11,7 +11,8 @@ a minimum separation.
 Each minutia carries a direction (the local ridge orientation, resolved to
 [0, 2*pi) by probing the skeleton) so the matcher can reject pairings with
 inconsistent angles.  From an image, the orientation is evaluated only at
-the detections that survive de-duplication.
+the detections that survive de-duplication, from the same box-filtered
+statistics binarization reads.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .image_ops import binarize, segment_foreground
+from .image_ops import RidgeStatistics, ridge_statistics, segment_foreground
 from .orientation import _orientation_at
 from .thinning import _neighbour_bits, _neighbour_code, _ring, zhang_suen_thin
 
@@ -88,35 +89,45 @@ def _border_interior(mask: np.ndarray, border_margin: int) -> np.ndarray:
                                     mode="constant", cval=0)
 
 
-def _resolve_direction(skeleton: np.ndarray, row: int, col: int,
-                       orientation: float, kind: str) -> float:
-    """Resolve the pi-periodic ridge orientation to a full angle.
+def _directions(skeleton: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                orientations: np.ndarray) -> list[float]:
+    """Resolve each detection's pi-periodic ridge orientation to a full angle.
 
     For an ending, the direction points *along the ridge away from the end*;
-    we pick the half-plane containing more skeleton mass near the minutia.
+    we pick the half-plane containing more skeleton mass within 6 px.  The
+    windows of all detections are gathered at once (off the frame reads as
+    background); each projection is still summed over its own contiguous
+    terms, in the window's row-major order.
     """
     size = 6
-    r0, r1 = max(row - size, 0), min(row + size + 1, skeleton.shape[0])
-    c0, c1 = max(col - size, 0), min(col + size + 1, skeleton.shape[1])
-    local = skeleton[r0:r1, c0:c1]
-    rr, cc = np.nonzero(local)
-    if len(rr) < 2:
-        return orientation % (2.0 * np.pi)
-    dr = rr + r0 - row
-    dc = cc + c0 - col
+    reach = np.arange(2 * size + 1)
+    padded = np.pad(skeleton, size)
+    windows = padded[(rows[:, None] + reach)[:, :, None],
+                     (cols[:, None] + reach)[:, None, :]]
+    owner, dr, dc = np.nonzero(windows)
+    dr -= size
+    dc -= size
     # Project neighbours onto the orientation axis; the sign of the mean
     # projection picks the ridge-bearing half.
-    projection = dc * np.cos(orientation) + dr * np.sin(orientation)
-    if projection.sum() >= 0.0:
-        return orientation % (2.0 * np.pi)
-    return (orientation + np.pi) % (2.0 * np.pi)
+    projection = dc * np.cos(orientations)[owner]
+    projection += dr * np.sin(orientations)[owner]
+    bounds = np.searchsorted(owner, np.arange(len(rows) + 1)).tolist()
+    directions = []
+    for orientation, start, end in zip(orientations.tolist(), bounds,
+                                       bounds[1:]):
+        if end - start >= 2 and not projection[start:end].sum() >= 0.0:
+            orientation += np.pi
+        directions.append(orientation % (2.0 * np.pi))
+    return directions
 
 
 def _extract(skeleton: np.ndarray, mask: np.ndarray,
              orientation_at: Callable[[np.ndarray, np.ndarray], np.ndarray],
-             border_margin: int, min_separation: float) -> list[Minutia]:
+             border_margin: int, min_separation: float,
+             origin: tuple[int, int] = (0, 0)) -> list[Minutia]:
     """Detect, de-duplicate, then orient: ``orientation_at(rows, cols)``
-    gives the ridge orientation at the kept detections."""
+    gives the ridge orientation at the kept detections.  Positions are
+    offset by ``origin``, the skeleton's top-left pixel in the frame."""
     if skeleton.dtype != bool:
         raise ValueError("skeleton must be boolean")
     cn = _crossing_number(skeleton)
@@ -139,13 +150,13 @@ def _extract(skeleton: np.ndarray, mask: np.ndarray,
 
     kept_rows = np.array([r for r, _ in kept], dtype=np.intp)
     kept_cols = np.array([c for _, c in kept], dtype=np.intp)
-    orientations = orientation_at(kept_rows, kept_cols)
-    detections = []
-    for (r, c), orientation in zip(kept, orientations):
-        kind = ENDING if cn[r, c] == 1 else BIFURCATION
-        direction = _resolve_direction(skeleton, r, c, float(orientation), kind)
-        detections.append(Minutia(float(r), float(c), direction, kind))
-    return detections
+    orientations = np.asarray(orientation_at(kept_rows, kept_cols),
+                              dtype=np.float64)
+    directions = _directions(skeleton, kept_rows, kept_cols, orientations)
+    r0, c0 = origin
+    return [Minutia(float(r + r0), float(c + c0), direction,
+                    ENDING if cn[r, c] == 1 else BIFURCATION)
+            for (r, c), direction in zip(kept, directions)]
 
 
 def extract_minutiae(skeleton: np.ndarray, mask: np.ndarray,
@@ -166,19 +177,34 @@ def extract_minutiae(skeleton: np.ndarray, mask: np.ndarray,
 
 
 def minutiae_from_image(image: np.ndarray, mask: np.ndarray | None = None,
-                        block: int = 12, border_margin: int = 5) -> list[Minutia]:
+                        block: int = 12, border_margin: int = 5,
+                        statistics: RidgeStatistics | None = None,
+                        ) -> list[Minutia]:
     """Full pipeline: image -> mask -> binarize -> thin -> minutiae.
 
     The result equals ``extract_minutiae`` on the skeleton with the full
     ``estimate_orientation(image, block)`` field, which is evaluated only
     at the kept detections.  A ``mask`` must have the image's exact shape.
+
+    Binarization and orientation read the image's ridge statistics at
+    ``block``: the whole frame's, or ``statistics`` if the caller has them
+    (the image processor hands over its quality gate's).  Extraction runs
+    on their window, with positions offset back into the frame; on a
+    contact window it finds what the whole frame gives when the image is
+    one constant outside ``mask`` (see :class:`RidgeStatistics`).
     """
     if mask is not None and np.shape(mask) != np.shape(image):
         raise ValueError("mask and image shapes differ")
+    if statistics is None:
+        statistics = ridge_statistics(image, block)
+    else:
+        statistics.check(image, block)
     if mask is None:
         mask = segment_foreground(image, block=block)
-    ridges = binarize(image, mask=mask, block=block)
+    mask = mask[statistics.window]
+    ridges = statistics.image > statistics.mean
+    ridges &= mask
     skeleton = zhang_suen_thin(ridges)
     return _extract(skeleton, mask,
-                    lambda rows, cols: _orientation_at(image, rows, cols, block),
-                    border_margin, 6.0)
+                    lambda rows, cols: _orientation_at(statistics, rows, cols),
+                    border_margin, 6.0, statistics.origin)

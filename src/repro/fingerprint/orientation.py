@@ -21,71 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .image_ops import RidgeStatistics, _structure_tensor
+
 __all__ = [
     "estimate_orientation",
     "orientation_coherence",
     "FingerprintClass",
     "SyntheticOrientationField",
 ]
-
-
-def _gradient_pair(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.gradient(image)`` for the 2-D unit-spacing case.
-
-    Central differences in the interior, one-sided at the edges — the exact
-    arithmetic :func:`np.gradient` performs, minus its per-call axis/spacing
-    bookkeeping, so the outputs are bit-identical and the hot quality path
-    (one call per rendered touch) avoids the generic machinery.
-    """
-    gy = np.empty_like(image)
-    gx = np.empty_like(image)
-    gy[1:-1] = (image[2:] - image[:-2]) / 2.0
-    gy[0] = image[1] - image[0]
-    gy[-1] = image[-1] - image[-2]
-    gx[:, 1:-1] = (image[:, 2:] - image[:, :-2]) / 2.0
-    gx[:, 0] = image[:, 1] - image[:, 0]
-    gx[:, -1] = image[:, -1] - image[:, -2]
-    return gy, gx
-
-
-def _uniform_filter(array: np.ndarray, block: int,
-                    output: np.ndarray | None = None) -> np.ndarray:
-    """``ndimage.uniform_filter`` for the 2-D default-mode case.
-
-    scipy's wrapper runs ``uniform_filter1d`` over axis 0 then axis 1
-    (in place after the first axis), so calling the 1-D kernel directly
-    — optionally writing into ``output``, which may alias ``array`` —
-    produces bit-identical values while skipping the wrapper's per-call
-    argument normalization and an intermediate allocation.
-    """
-    if output is None:
-        output = np.empty_like(array)
-    ndimage.uniform_filter1d(array, block, axis=0, output=output)
-    ndimage.uniform_filter1d(output, block, axis=1, output=output)
-    return output
-
-
-def _doubled_angle_products(image: np.ndarray, block: int) -> np.ndarray:
-    """The box-filtered structure tensor as ``(2 gxy, gxx - gyy)``, stacked.
-
-    These are the doubled-angle gradient products that
-    :func:`estimate_orientation` smooths; :func:`_orientation_at` reads
-    the same two planes.
-    """
-    image = np.asarray(image, dtype=np.float64)
-    gy, gx = _gradient_pair(image)
-    # Each box filter writes where its result is needed, and 2 * gxy and
-    # gxx - gyy are taken in place: the same float ops, fewer buffers.
-    # (The wrapper, not _uniform_filter: at block=1 it copies, where a
-    # size-1 running mean would round.)
-    products = np.empty((2,) + image.shape)
-    sin2 = ndimage.uniform_filter(gx * gy, size=block, output=products[0])
-    sin2 *= 2.0
-    gx *= gx
-    cos2 = ndimage.uniform_filter(gx, size=block, output=products[1])
-    gy *= gy
-    cos2 -= ndimage.uniform_filter(gy, size=block, output=gy)
-    return products
 
 
 def _ridge_angle(sin2: np.ndarray, cos2: np.ndarray) -> np.ndarray:
@@ -103,9 +46,12 @@ def estimate_orientation(image: np.ndarray, block: int = 12,
     Returns an array of ridge orientations in [0, pi).  Uses the standard
     structure-tensor approach: the ridge orientation is perpendicular to the
     dominant gradient orientation, computed by smoothing the doubled-angle
-    gradient products.
+    gradient products ``2 U(gx gy)`` and ``U(gx^2) - U(gy^2)``.
     """
-    sin2, cos2 = _doubled_angle_products(image, block)
+    sin2, cos2, gyy = _structure_tensor(np.asarray(image, dtype=np.float64),
+                                        block)
+    sin2 *= 2.0
+    cos2 -= gyy
     return _ridge_angle(ndimage.gaussian_filter(sin2, smooth_sigma),
                         ndimage.gaussian_filter(cos2, smooth_sigma))
 
@@ -120,35 +66,83 @@ def _reflect(index: np.ndarray, length: int) -> np.ndarray:
     return np.where(index < length, index, 2 * length - 1 - index)
 
 
-def _orientation_at(image: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                    block: int = 12, smooth_sigma: float = 2.0) -> np.ndarray:
-    """``estimate_orientation(image, block, smooth_sigma)[rows, cols]``.
+def _gaussian_weights(sigma: float, radius: int) -> np.ndarray:
+    """The kernel ``gaussian_filter1d`` correlates with, as scipy forms it
+    (symmetric, so its reversal is itself)."""
+    x = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    return weights / weights.sum()
 
-    The structure tensor is box-filtered over the whole frame, but the
-    Gaussian and the angle run only at the queried pixels.  Each pixel's
-    Gaussian window is gathered with the ``reflect`` boundary of the
-    full-frame filter and smoothed down its rows, then across its columns,
-    by the same ``gaussian_filter1d``.  The centre of the window reads
-    exactly the values the full-frame filter reads at that pixel, in the
-    same order, so each result is bit-identical.
+
+def _centre_of_gaussian(lines: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``gaussian_filter1d`` along the last axis, at its centre only.
+
+    scipy correlates a symmetric kernel as ``x[0] w[0]`` plus, outermost
+    pair first, ``(x[-k] + x[k]) w[k]``; this is that sum, term for term
+    (``add.accumulate`` adds in sequence), so each value is
+    bit-identical to the full filter's centre.
     """
-    # The tensor comes first, so a frame too small for a gradient raises
-    # as estimate_orientation does, whatever is queried.
-    products = _doubled_angle_products(image, block)
+    radius = len(weights) // 2
+    terms = np.empty(lines.shape[:-1] + (radius + 1,))
+    np.multiply(lines[..., radius], weights[radius], out=terms[..., 0])
+    np.add(lines[..., :radius], lines[..., :radius:-1], out=terms[..., 1:])
+    terms[..., 1:] *= weights[:radius]
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def _orientation_at(statistics: RidgeStatistics, rows: np.ndarray,
+                    cols: np.ndarray, smooth_sigma: float = 2.0) -> np.ndarray:
+    """``estimate_orientation(statistics.image, statistics.block,
+    smooth_sigma)[rows, cols]``.
+
+    The structure tensor comes box-filtered over the window; the
+    doubled-angle products, the Gaussian and the angle run only at the
+    queried pixels.  Each pixel's Gaussian window is gathered with the
+    ``reflect`` boundary of the full-window filter, smoothed down its
+    columns at the centre row only, then across that row at the centre
+    only, in the order of scipy's own sum.  The centre reads exactly the
+    values the full-window filter reads at that pixel, so each result is
+    bit-identical.
+    """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     if rows.size == 0:
         return np.empty(0)
     # gaussian_filter1d's own reach: truncate=4 standard deviations.
     radius = int(4.0 * float(smooth_sigma) + 0.5)
+    weights = _gaussian_weights(smooth_sigma, radius)
     offsets = np.arange(-radius, radius + 1)
-    window_r = _reflect(rows[:, None] + offsets, products.shape[1])
-    window_c = _reflect(cols[:, None] + offsets, products.shape[2])
-    windows = products[:, window_r[:, :, None], window_c[:, None, :]]
-    down = ndimage.gaussian_filter1d(windows, smooth_sigma, axis=2)
-    across = ndimage.gaussian_filter1d(down[:, :, radius], smooth_sigma,
-                                       axis=2)
-    return _ridge_angle(across[0, :, radius], across[1, :, radius])
+    height, width = statistics.gxy.shape
+    # Flat indices laid out (pixel, column offset, row offset), so the
+    # first pass runs along the last axis.
+    flat = (_reflect(rows[:, None] + offsets, height) * width)[:, None, :] \
+        + _reflect(cols[:, None] + offsets, width)[:, :, None]
+    products = np.empty((2,) + flat.shape)
+    np.multiply(statistics.gxy.take(flat), 2.0, out=products[0])
+    np.subtract(statistics.gxx.take(flat), statistics.gyy.take(flat),
+                out=products[1])
+    across = _centre_of_gaussian(_centre_of_gaussian(products, weights),
+                                 weights)
+    return _ridge_angle(across[0], across[1])
+
+
+def _coherence(gxy: np.ndarray, gxx: np.ndarray,
+               gyy: np.ndarray) -> np.ndarray:
+    """``sqrt((gxx - gyy)^2 + 4 gxy^2) / (gxx + gyy)`` in [0, 1], 0 where
+    the denominator vanishes."""
+    numerator = gxx - gyy
+    numerator *= numerator
+    denominator = gxy * gxy
+    denominator *= 4.0
+    numerator += denominator
+    np.sqrt(numerator, out=numerator)
+    np.add(gxx, gyy, out=denominator)
+    positive = denominator > 1e-12
+    with np.errstate(invalid="ignore", divide="ignore"):
+        numerator /= denominator
+    np.logical_not(positive, out=positive)
+    np.copyto(numerator, 0.0, where=positive)
+    return np.clip(numerator, 0.0, 1.0, out=numerator)
 
 
 def orientation_coherence(image: np.ndarray, block: int = 12) -> np.ndarray:
@@ -158,31 +152,8 @@ def orientation_coherence(image: np.ndarray, block: int = 12) -> np.ndarray:
     isotropic texture (smudge, noise, or singular point).  Used by the
     quality gate of the Fig. 6 pipeline.
     """
-    image = np.asarray(image, dtype=np.float64)
-    gy, gx = _gradient_pair(image)
-    # The gradient buffers die after the three products, so two products
-    # square in place; this path runs once per rendered touch.
-    gxy = _uniform_filter(gx * gy, block)
-    gx *= gx
-    gxx = _uniform_filter(gx, block, output=gx)
-    gy *= gy
-    gyy = _uniform_filter(gy, block, output=gy)
-    # In-place evaluation of sqrt((gxx-gyy)^2 + 4*gxy^2) / (gxx+gyy):
-    # each rewrite below preserves the reference op order (or commutes a
-    # product) so every float is bit-identical to the original expression.
-    numerator = gxx - gyy
-    numerator *= numerator
-    gxy *= gxy
-    gxy *= 4.0
-    numerator += gxy
-    np.sqrt(numerator, out=numerator)
-    denominator = gxx + gyy
-    positive = denominator > 1e-12
-    with np.errstate(invalid="ignore", divide="ignore"):
-        numerator /= denominator
-    np.logical_not(positive, out=positive)
-    np.copyto(numerator, 0.0, where=positive)
-    return np.clip(numerator, 0.0, 1.0, out=numerator)
+    return _coherence(*_structure_tensor(np.asarray(image, dtype=np.float64),
+                                         block))
 
 
 @dataclass(frozen=True)

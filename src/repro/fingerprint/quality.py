@@ -24,9 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_ops import local_contrast
+from .image_ops import (
+    RidgeStatistics,
+    _contrast,
+    contact_window,
+    ridge_statistics,
+)
 from .impression import Impression
-from .orientation import orientation_coherence
+from .orientation import _coherence
 
 __all__ = ["QualityReport", "assess_quality", "QualityGate"]
 
@@ -61,35 +66,33 @@ _AREA_SATURATION = 64 * 64
 _CONTRAST_SATURATION = 0.25
 
 
-def assess_quality(impression: Impression, block: int = 12) -> QualityReport:
-    """Score one impression; deterministic, no thresholding."""
+def assess_quality(impression: Impression, block: int = 12,
+                   statistics: RidgeStatistics | None = None) -> QualityReport:
+    """Score one impression; deterministic, no thresholding.
+
+    Coherence and contrast are read under the mask only, from the ridge
+    statistics of the mask's :func:`contact_window`, so partial touches
+    skip the empty part of the frame (:class:`RidgeStatistics` says when
+    that equals the whole frame).  ``statistics`` hands over those
+    statistics if the caller already has them
+    (:meth:`QualityGate.statistics`); the report is the same either way.
+    """
     mask = impression.mask
     coverage = float(mask.mean())
     if not mask.any():
         return QualityReport(0.0, 0.0, 0.0, 0.0, 0.0)
 
-    # Coherence and contrast are only ever read *under the mask*, and both
-    # maps are local: a pixel's value depends on its (block-sized) filter
-    # window plus one gradient step.  Cropping to the mask bounding box
-    # with a margin beyond that reach leaves every masked pixel's value
-    # bit-identical to the full-frame computation (interior crop edges
-    # stay farther from the mask than any filter window; clamped edges
-    # coincide with the true frame edge, so boundary handling matches),
-    # while partial touches skip the empty part of the frame.
-    pad = block // 2 + 2
-    rows_any = mask.any(axis=1)
-    cols_any = mask.any(axis=0)
-    r0 = max(int(np.argmax(rows_any)) - pad, 0)
-    r1 = min(mask.shape[0] - int(np.argmax(rows_any[::-1])) + pad, mask.shape[0])
-    c0 = max(int(np.argmax(cols_any)) - pad, 0)
-    c1 = min(mask.shape[1] - int(np.argmax(cols_any[::-1])) + pad, mask.shape[1])
-    image = impression.image[r0:r1, c0:c1]
-    sub_mask = mask[r0:r1, c0:c1]
+    window = contact_window(mask, block)
+    if statistics is None:
+        statistics = ridge_statistics(impression.image, block, window)
+    else:
+        statistics.check(impression.image, block, window)
+    sub_mask = mask[window]
 
-    coherence_map = orientation_coherence(image, block=block)
+    coherence_map = _coherence(statistics.gxy, statistics.gxx, statistics.gyy)
     coherence = float(coherence_map[sub_mask].mean())
 
-    contrast_map = local_contrast(image, block=block)
+    contrast_map = _contrast(statistics.image, statistics.mean, block)
     contrast = float(np.clip(contrast_map[sub_mask].mean() / _CONTRAST_SATURATION, 0.0, 1.0))
 
     area = float(np.clip(mask.sum() / _AREA_SATURATION, 0.0, 1.0))
@@ -117,9 +120,19 @@ class QualityGate:
         self.accepted = 0
         self.rejected = 0
 
-    def evaluate(self, impression: Impression) -> tuple[bool, QualityReport]:
-        """Return (passed, report) and update acceptance counters."""
-        report = assess_quality(impression, block=self.block)
+    def statistics(self, impression: Impression) -> RidgeStatistics:
+        """The impression's ridge statistics as :meth:`evaluate` reads them:
+        over its contact window at this gate's block."""
+        return ridge_statistics(impression.image, self.block,
+                                contact_window(impression.mask, self.block))
+
+    def evaluate(self, impression: Impression,
+                 statistics: RidgeStatistics | None = None,
+                 ) -> tuple[bool, QualityReport]:
+        """Return (passed, report) and update acceptance counters;
+        ``statistics`` as for :func:`assess_quality`."""
+        report = assess_quality(impression, block=self.block,
+                                statistics=statistics)
         passed = report.score >= self.threshold
         if passed:
             self.accepted += 1

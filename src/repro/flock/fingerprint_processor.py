@@ -32,6 +32,7 @@ from repro.fingerprint import (
     minutiae_from_image,
 )
 from repro.fingerprint.enhancement import minutiae_with_enhancement
+from repro.fingerprint.matching import PreparedMinutiae
 from repro.obs import NOOP
 
 from .fingerprint_controller import TouchCapture
@@ -99,28 +100,37 @@ class ImageFingerprintProcessor:
     """
 
     def __init__(self, template: FingerprintTemplate) -> None:
-        self.templates = [template]
+        #: Each enrolled template with its minutiae prepared for matching,
+        #: in enrollment order.
+        self._enrolled: list[tuple[FingerprintTemplate, PreparedMinutiae]] = []
         self.gate = QualityGate(threshold=QUALITY_THRESHOLD)
         self.enhancement_passes = 0
         #: Instrumentation bundle (re-wired by ``FlockModule.obs``).
         self.obs = NOOP
+        self.add_template(template)
+
+    @property
+    def templates(self) -> list[FingerprintTemplate]:
+        """The enrolled templates, in enrollment order."""
+        return [template for template, _ in self._enrolled]
 
     @property
     def template(self) -> FingerprintTemplate:
         """The primary (first-enrolled) template."""
-        return self.templates[0]
+        return self._enrolled[0][0]
 
     def add_template(self, template: FingerprintTemplate) -> None:
-        """Enroll an additional finger."""
+        """Enroll an additional finger; its minutiae are prepared for
+        matching once, here."""
         if template.finger_id in [t.finger_id for t in self.templates]:
             raise ValueError(
                 f"finger {template.finger_id!r} is already enrolled")
-        self.templates.append(template)
+        self._enrolled.append((template, _MATCHER.prepare(template.minutiae)))
 
     def _best_score(self, minutiae) -> float:
         """Best score of one probe across every enrolled template."""
-        return max(_MATCHER.match(template.minutiae, minutiae).score
-                   for template in self.templates)
+        return max(_MATCHER.match(prepared, minutiae).score
+                   for _, prepared in self._enrolled)
 
     def authenticate(self, capture: TouchCapture,
                      rng: SimulationRng) -> AuthDecision:
@@ -133,31 +143,35 @@ class ImageFingerprintProcessor:
 
     def _authenticate(self, capture: TouchCapture,
                       rng: SimulationRng) -> AuthDecision:
-        quality_ok, report = self.gate.evaluate(capture.impression)
+        impression = capture.impression
+        # The gate's ridge statistics of the contact window serve the
+        # first-pass extraction too; they live for this call only.
+        statistics = self.gate.statistics(impression)
+        quality_ok, report = self.gate.evaluate(impression, statistics)
         extraction_time = capture.hardware.cells_sensed / EXTRACTION_CELLS_PER_S
         if not quality_ok:
             return AuthDecision(False, report, 0.0, False, extraction_time)
-        minutiae = minutiae_from_image(capture.impression.image,
-                                       capture.impression.mask)
+        minutiae = minutiae_from_image(impression.image, impression.mask,
+                                       statistics=statistics)
         if len(minutiae) < 4:
             # Too few features to attempt a match: treated as a quality
             # rejection (Fig. 6 "incomplete data"), not an impostor signal.
             return AuthDecision(False, report, 0.0, False, extraction_time)
         best_score = self._best_score(minutiae)
-        total_time = extraction_time + MATCH_TIME_S * len(self.templates)
+        total_time = extraction_time + MATCH_TIME_S * len(self._enrolled)
         accepted = best_score >= IMAGE_ACCEPT_THRESHOLD
 
         if not accepted:
             # Second chance: contextual Gabor enhancement recovers ridge
             # structure on marginal captures (light pressure, noise), under
             # the stricter enhanced-pass threshold.
-            enhanced = minutiae_with_enhancement(capture.impression.image,
-                                                 capture.impression.mask)
+            enhanced = minutiae_with_enhancement(impression.image,
+                                                 impression.mask)
             if len(enhanced) >= 4:
                 self.enhancement_passes += 1
                 enhanced_score = self._best_score(enhanced)
                 total_time += (extraction_time
-                               + MATCH_TIME_S * len(self.templates))
+                               + MATCH_TIME_S * len(self._enrolled))
                 if enhanced_score >= ENHANCED_ACCEPT_THRESHOLD:
                     best_score = enhanced_score
                     accepted = True

@@ -282,6 +282,51 @@ class TestDetConfig:
         assert "publish_names" in findings[0].message
 
 
+class TestExemptModules:
+    """Code in ``exempt-modules`` reports nothing of its own, but its
+    calls still carry order taint into sinks recorded in scope."""
+
+    SHOW = """
+        def show(items):
+            print(", ".join(items))
+    """
+
+    def test_exempt_caller_reaches_an_in_scope_sink(self):
+        findings = det_lint({
+            "repro.util": self.SHOW,
+            "repro.analysis.tool": """
+                from repro.util import show
+
+                def run(names):
+                    show({name for name in names})
+            """,
+        })
+        found = by_rule(findings, "DT604")
+        assert [(f.module, f.line) for f in found] == [("repro.util", 3)] * 2
+
+    def test_exempt_code_alone_is_not_walked_for_reports(self, monkeypatch):
+        from repro.analysis.determinism.flow import OrderFlowAnalysis
+
+        walked = []
+        walk = OrderFlowAnalysis._walk_function
+
+        def recording(self, info, report):
+            if report:
+                walked.append(info.qualname)
+            walk(self, info, report)
+
+        monkeypatch.setattr(OrderFlowAnalysis, "_walk_function", recording)
+        findings = det_lint({
+            "repro.util": self.SHOW,
+            "repro.analysis.tool": """
+                def run(names):
+                    print(", ".join({name for name in names}))
+            """,
+        })
+        assert not by_rule(findings, "DT604")
+        assert walked == ["repro.util.show"]
+
+
 class TestCrossStageInteraction:
     def test_sf110_suppression_does_not_silence_dt604(self):
         """Per-rule suppressions are rule-scoped, not stage-scoped."""

@@ -1,12 +1,15 @@
 """Loop reference implementations of the vectorized fingerprint kernels.
 
 These are the straightforward one-hypothesis / one-pixel-rule / one-
-detection-at-a-time versions of ``MinutiaeMatcher.match``,
-``_local_descriptors``, ``zhang_suen_thin`` and ``extract_minutiae``, plus
-the whole-frame forms of the capture kernels: scipy's bilinear
-``map_coordinates`` sampling and a render through it, the ring-formula
-crossing number, the iterated border erosion, and ``estimate_orientation``
-through the generic filters.  (The library's full-field
+detection-at-a-time versions of ``MinutiaeMatcher.match`` (every row gap
+tested, no range search, nothing prepared), ``_local_descriptors``,
+``zhang_suen_thin`` and ``extract_minutiae`` (each direction from its own
+clipped window), plus the whole-frame forms of the capture kernels:
+scipy's bilinear ``map_coordinates`` sampling and a render through it,
+the ring-formula crossing number, the iterated border erosion,
+``estimate_orientation``, ``orientation_coherence``, ``local_contrast``
+and ``binarize`` through the generic filters, the quality report and
+minutiae extraction over the whole frame.  (The library's full-field
 ``estimate_orientation`` is in turn the oracle for point orientations.)
 The Gabor bank's ``filter`` and ``synthesize`` run one
 ``scipy.signal.fftconvolve`` per used bin and pass, and ``enhance`` runs
@@ -34,12 +37,7 @@ from repro.fingerprint.matching import (
     _descriptor_cost,
     minutiae_to_arrays,
 )
-from repro.fingerprint.minutiae import (
-    BIFURCATION,
-    ENDING,
-    Minutia,
-    _resolve_direction,
-)
+from repro.fingerprint.minutiae import BIFURCATION, ENDING, Minutia
 
 
 def _angle_difference(a, b):
@@ -276,6 +274,61 @@ def estimate_orientation(image: np.ndarray, block: int = 12,
     return np.mod(0.5 * np.arctan2(sin2, cos2) + np.pi / 2.0, np.pi)
 
 
+def orientation_coherence(image: np.ndarray, block: int = 12) -> np.ndarray:
+    """Coherence of the generic-filter structure tensor."""
+    gy, gx = np.gradient(np.asarray(image, dtype=np.float64))
+    gxx = ndimage.uniform_filter(gx * gx, size=block)
+    gyy = ndimage.uniform_filter(gy * gy, size=block)
+    gxy = ndimage.uniform_filter(gx * gy, size=block)
+    numerator = np.sqrt((gxx - gyy) ** 2 + 4.0 * gxy**2)
+    denominator = gxx + gyy
+    with np.errstate(invalid="ignore", divide="ignore"):
+        coherence = np.where(denominator > 1e-12, numerator / denominator, 0.0)
+    return np.clip(coherence, 0.0, 1.0)
+
+
+def local_contrast(image: np.ndarray, block: int = 12) -> np.ndarray:
+    """Local standard deviation through the generic box filter."""
+    image = np.asarray(image, dtype=np.float64)
+    mean = ndimage.uniform_filter(image, size=block)
+    mean_sq = ndimage.uniform_filter(image * image, size=block)
+    return np.sqrt(np.maximum(mean_sq - mean * mean, 0.0))
+
+
+def binarize(image: np.ndarray, mask: np.ndarray | None = None,
+             block: int = 12) -> np.ndarray:
+    """Pixels above their generic box-filter local mean, under the mask."""
+    image = np.asarray(image, dtype=np.float64)
+    ridges = image > ndimage.uniform_filter(image, size=block)
+    return ridges if mask is None else ridges & mask
+
+
+def assess_quality(impression: Impression, block: int = 12) -> tuple:
+    """The quality report's fields, every map over the whole frame."""
+    mask = impression.mask
+    coverage = float(mask.mean())
+    if not mask.any():
+        return (0.0, 0.0, 0.0, 0.0, 0.0)
+    coherence = float(orientation_coherence(impression.image, block)[mask].mean())
+    contrast = float(np.clip(
+        local_contrast(impression.image, block)[mask].mean() / 0.25, 0.0, 1.0))
+    area = float(np.clip(mask.sum() / (64 * 64), 0.0, 1.0))
+    ingredients = np.array([max(coverage, 1e-9), max(coherence, 1e-9),
+                            max(contrast, 1e-9), max(area, 1e-9)])
+    score = float(np.exp(np.log(ingredients).mean()))
+    return (coverage, coherence, contrast, area, score)
+
+
+def minutiae_from_image(image: np.ndarray, mask: np.ndarray,
+                        block: int = 12,
+                        border_margin: int = 5) -> list[Minutia]:
+    """Binarize, thin and extract over the whole frame, with the whole
+    orientation field."""
+    skeleton = zhang_suen_thin(binarize(image, mask, block))
+    return extract_minutiae(skeleton, mask, estimate_orientation(image, block),
+                            border_margin=border_margin, min_separation=6.0)
+
+
 def crossing_number(skeleton: np.ndarray) -> np.ndarray:
     """Half the changes around P2..P9, P2 at each skeleton pixel."""
     padded = np.pad(skeleton.astype(np.int32), 1)
@@ -301,6 +354,24 @@ def border_interior(mask: np.ndarray, border_margin: int) -> np.ndarray:
         return np.asarray(mask, dtype=bool).copy()
     return ndimage.binary_erosion(mask, structure=np.ones((3, 3)),
                                   iterations=border_margin, border_value=0)
+
+
+def _resolve_direction(skeleton: np.ndarray, row: int, col: int,
+                       orientation: float, kind: str) -> float:
+    """One detection's direction from its own clipped 13x13 window."""
+    size = 6
+    r0, r1 = max(row - size, 0), min(row + size + 1, skeleton.shape[0])
+    c0, c1 = max(col - size, 0), min(col + size + 1, skeleton.shape[1])
+    local = skeleton[r0:r1, c0:c1]
+    rr, cc = np.nonzero(local)
+    if len(rr) < 2:
+        return orientation % (2.0 * np.pi)
+    dr = rr + r0 - row
+    dc = cc + c0 - col
+    projection = dc * np.cos(orientation) + dr * np.sin(orientation)
+    if projection.sum() >= 0.0:
+        return orientation % (2.0 * np.pi)
+    return (orientation + np.pi) % (2.0 * np.pi)
 
 
 def extract_minutiae(skeleton: np.ndarray, mask: np.ndarray,

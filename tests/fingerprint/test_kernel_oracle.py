@@ -16,21 +16,26 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from repro.eval import standard_deployment
+from repro.eval.harness import LOGIN_BUTTON_XY
 from repro.fingerprint import (
     CaptureCondition,
     GaborBank,
     Minutia,
     MinutiaeMatcher,
+    QualityGate,
     assess_quality,
+    binarize,
     enhance,
     extract_minutiae,
+    local_contrast,
     minutiae_from_image,
     minutiae_with_enhancement,
+    orientation_coherence,
     render_impression,
     synthesize_master,
     zhang_suen_thin,
@@ -42,8 +47,11 @@ from repro.fingerprint.matching import (
     minutiae_to_arrays,
 )
 from repro.fingerprint.minutiae import _border_interior, _crossing_number
+from repro.fingerprint.image_ops import ridge_statistics
 from repro.fingerprint.orientation import _orientation_at, estimate_orientation
 from repro.fingerprint.synthesis import MasterFingerprint
+from repro.flock import ImageFingerprintProcessor
+from repro.hardware import TouchEvent, TouchPanel
 
 from . import reference
 
@@ -119,7 +127,8 @@ class TestMatcherOracle:
         p_index = np.tile(np.arange(len(pos_p)), len(pos_t))
         rotation = np.mod(ang_t[t_index] - ang_p[p_index], TWO_PI)
         scores, matched = matcher._score_hypotheses(
-            pos_t, ang_t, pos_p, ang_p, t_index, p_index, rotation)
+            matcher.prepare(template), matcher.prepare(probe), t_index,
+            p_index, rotation)
         assert [(float(s), m) for s, m in zip(scores, matched)] == [
             reference.score_hypothesis(pos_t, ang_t, pos_p, ang_p, t, p,
                                        tolerance, matcher.angle_tolerance)
@@ -169,7 +178,8 @@ class TestMatcherOracle:
         pos_p, ang_p = minutiae_to_arrays(probe)
         anchor = np.zeros(1, dtype=np.int64)
         scores, matched = matcher._score_hypotheses(
-            pos_t, ang_t, pos_p, ang_p, anchor, anchor, np.zeros(1))
+            matcher.prepare(template), matcher.prepare(probe), anchor, anchor,
+            np.zeros(1))
         want = reference.score_hypothesis(pos_t, ang_t, pos_p, ang_p, 0, 0,
                                           2.0, matcher.angle_tolerance)
         assert (float(scores[0]), matched[0]) == want
@@ -190,6 +200,39 @@ class TestMatcherOracle:
         result = _assert_same_match(matcher, [_minutia(10, 10, 0.1)],
                                     [_minutia(50, 50, 0.3)])
         assert result.matched_pairs == 0 and result.score == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(matchers, minutiae_sets, minutiae_sets, st.booleans(),
+           st.booleans())
+    def test_prepared_sets_match_exactly(self, matcher, template, probe,
+                                         prepare_template, prepare_probe):
+        got = matcher.match(
+            matcher.prepare(template) if prepare_template else template,
+            matcher.prepare(probe) if prepare_probe else probe)
+        want = _oracle_match(matcher, template, probe)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+
+    def test_sets_prepared_for_other_neighbours_raise(self):
+        rng = np.random.default_rng(4)
+        prepared = MinutiaeMatcher(k_neighbors=3).prepare(_random_set(rng, 6))
+        with pytest.raises(ValueError, match="k_neighbors"):
+            MinutiaeMatcher().match(prepared, _random_set(rng, 6))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(grid_minutiae, min_size=1, max_size=15),
+           st.lists(grid_minutiae, min_size=1, max_size=15),
+           st.sampled_from([1.0, 2.0, 3.0, 5.0]),
+           st.sampled_from([0.0, -250.0, 1e6, 3e9]))
+    def test_row_gaps_at_the_tolerance(self, template, probe, tolerance,
+                                       shift):
+        # Integer rows and tolerances put many pairs exactly on the
+        # row-gap bound the range search widens; far from the origin the
+        # bounds round coarsely.
+        def moved(minutiae):
+            return [_minutia(m.row + shift, m.col - shift, m.direction,
+                             m.kind) for m in minutiae]
+        _assert_same_match(MinutiaeMatcher(distance_tolerance=tolerance),
+                           moved(template), moved(probe))
 
 
 class TestThinningOracle:
@@ -328,11 +371,12 @@ def _orientations_exactly(image, rows, cols, block, smooth_sigma=2.0):
         with pytest.raises(IndexError):
             estimate_orientation(image, block, smooth_sigma)
         with pytest.raises(IndexError):
-            _orientation_at(image, rows, cols, block, smooth_sigma)
+            ridge_statistics(image, block)
         return
     want = estimate_orientation(image, block, smooth_sigma)[rows, cols]
+    statistics = ridge_statistics(image, block)
     assert np.array_equal(
-        _orientation_at(image, rows, cols, block, smooth_sigma), want)
+        _orientation_at(statistics, rows, cols, smooth_sigma), want)
 
 
 class TestPointOrientationOracle:
@@ -371,7 +415,108 @@ class TestPointOrientationOracle:
         rows, cols = np.nonzero(np.random.default_rng(2).random(image.shape)
                                 < 0.01)
         _orientations_exactly(image, rows, cols, 12)
-        assert _orientation_at(image, rows[:0], cols[:0]).shape == (0,)
+        assert _orientation_at(ridge_statistics(image), rows[:0],
+                               cols[:0]).shape == (0,)
+
+
+class TestGateOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(2, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 2, 3, 12, 13]))
+    def test_maps_match_generic_filters(self, n_rows, n_cols, seed, block):
+        rng = np.random.default_rng(seed)
+        image = rng.random((n_rows, n_cols))
+        mask = rng.random((n_rows, n_cols)) < 0.7
+        assert np.array_equal(orientation_coherence(image, block),
+                              reference.orientation_coherence(image, block))
+        assert np.array_equal(local_contrast(image, block),
+                              reference.local_contrast(image, block))
+        assert np.array_equal(binarize(image, mask, block),
+                              reference.binarize(image, mask, block))
+        assert np.array_equal(binarize(image, block=block),
+                              reference.binarize(image, None, block))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([3, 12]),
+           st.integers(0, 6))
+    def test_whole_frame_extraction_matches_reference(self, seed, block,
+                                                      border_margin):
+        # Smoothed noise thresholds into blobby ridges with many
+        # endings and bifurcations.
+        rng = np.random.default_rng(seed)
+        image = ndimage.gaussian_filter(rng.random((48, 48)), 1.2)
+        mask = rng.random((48, 48)) < 0.95
+        assert minutiae_from_image(image, mask, block, border_margin) \
+            == reference.minutiae_from_image(image, mask, block, border_margin)
+
+
+#: Contacts well inside the master, through both render branches (masked
+#: without motion, full-frame blur with it), at the master's frame and a
+#: controller-shaped one.
+contact_conditions = st.builds(
+    CaptureCondition,
+    center=st.tuples(st.floats(50.0, 142.0), st.floats(50.0, 142.0)),
+    radius=st.floats(20.0, 60.0),
+    rotation_deg=st.floats(-30.0, 30.0),
+    pressure=st.floats(0.1, 0.9),
+    motion_px=st.sampled_from([0.0, 0.0, 0.6, 2.0, 3.5]),
+    noise=st.sampled_from([0.0, 0.05, 0.2]),
+    dropout=st.sampled_from([0.0, 0.05]),
+)
+
+
+class TestContactWindow:
+    """The gate's contact window against the whole frame.
+
+    Rendered impressions are 0.5 outside their mask, the precondition under
+    which the window's statistics are the frame's; every window here lies
+    strictly inside the frame, so none of its edges is a frame edge.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(contact_conditions, st.sampled_from([None, (155, 160)]),
+           st.integers(0, 2**32 - 1))
+    def test_window_reads_what_the_whole_frame_gives(self, deployment,
+                                                     condition, shape, seed):
+        impression = render_impression(deployment.user_master, condition,
+                                       np.random.default_rng(seed),
+                                       output_shape=shape)
+        image, mask = impression.image, impression.mask
+        assume(mask.any())
+        statistics = QualityGate().statistics(impression)
+        rows, cols = statistics.window
+        assume(rows.start > 0 and cols.start > 0 and rows.stop < mask.shape[0]
+               and cols.stop < mask.shape[1])
+        whole = ridge_statistics(image)
+        for plane in ("gxy", "gxx", "gyy", "mean"):
+            assert np.array_equal(getattr(statistics, plane),
+                                  getattr(whole, plane)[statistics.window])
+        assert dataclasses.astuple(
+            assess_quality(impression, statistics=statistics)) \
+            == dataclasses.astuple(assess_quality(impression)) \
+            == reference.assess_quality(impression)
+        got = minutiae_from_image(image, mask, statistics=statistics)
+        assert got == minutiae_from_image(image, mask)
+        assert got == reference.minutiae_from_image(image, mask)
+
+    def test_statistics_of_another_frame_block_or_window_raise(self,
+                                                               deployment):
+        impression = render_impression(deployment.user_master,
+                                       CaptureCondition(radius=40.0),
+                                       np.random.default_rng(8))
+        image, mask = impression.image, impression.mask
+        statistics = QualityGate().statistics(impression)
+        whole = ridge_statistics(image)
+        with pytest.raises(ValueError, match="another frame"):
+            assess_quality(impression, block=13, statistics=statistics)
+        with pytest.raises(ValueError, match="another frame"):
+            assess_quality(impression, statistics=whole)
+        with pytest.raises(ValueError, match="another frame"):
+            minutiae_from_image(image.copy(), mask, statistics=statistics)
+        with pytest.raises(ValueError, match="another frame"):
+            minutiae_from_image(image, mask, block=13, statistics=whole)
+        assert minutiae_from_image(image, mask, statistics=whole) \
+            == minutiae_from_image(image, mask)
 
 
 class TestBorderAndCrossingOracle:
@@ -652,6 +797,60 @@ def test_render_branch_known_answers(deployment, name):
     assert (pixels, dataclasses.astuple(assess_quality(impression)),
             _probe_digest(probe), dataclasses.astuple(result)) \
         == RENDER_KNOWN_ANSWERS[name]
+
+
+# ---------------------------------------------------------------------------
+# Processor known answers: ``ImageFingerprintProcessor.authenticate`` on
+# sensor-window captures of ``standard_deployment(42)``'s fingers, each a
+# light touch on the login button whose quality-gate crop lies strictly
+# inside the frame, so the gate, the first-pass extraction on that crop,
+# the enhancement retry and the match all run as on a device.  Each entry
+# is ``astuple`` of the ``AuthDecision`` and the processor's enhancement
+# passes; recorded before extraction shared the gate's statistics.
+# ---------------------------------------------------------------------------
+
+#: name -> (finger, touch pressure, touch speed mm/s, rng seed)
+PROCESSOR_CAPTURES = {
+    "user-first-pass": ("user", 0.2, 0.0, 0),
+    "user-motion": ("user", 0.25, 25.0, 47),
+    "user-motion-rejected": ("user", 0.25, 25.0, 59),
+    "user-enhanced": ("user", 0.25, 0.0, 5),
+    "impostor": ("impostor", 0.2, 0.0, 0),
+}
+
+PROCESSOR_KNOWN_ANSWERS = {
+    'user-first-pass': ((True, (0.43209677419354836, 0.7643771918372032, 1.0, 1.0, 0.7580924753519533), 0.2, True, 0.00462), 0),
+    'user-motion': ((True, (0.4867741935483871, 0.8017951944759611, 1.0, 1.0, 0.7904014871937308), 0.4049586776859504, True, 0.00462), 0),
+    'user-motion-rejected': ((True, (0.4867741935483871, 0.6599852520560326, 0.5531875903380628, 1.0, 0.6492822815972914), 0.06805293005671077, False, 0.00924), 1),
+    'user-enhanced': ((True, (0.4867741935483871, 0.8015545753178951, 1.0, 1.0, 0.7903421805439449), 0.6153846153846154, True, 0.00924), 1),
+    'impostor': ((True, (0.43209677419354836, 0.7590927305467255, 1.0, 1.0, 0.756778811613311), 0.017777777777777778, False, 0.00924), 1),
+}
+
+
+def _processor_capture(deployment, name):
+    finger, pressure, speed, seed = PROCESSOR_CAPTURES[name]
+    master = (deployment.user_master if finger == "user"
+              else deployment.impostor_master)
+    touch = TouchPanel().locate(TouchEvent(
+        time_s=0.0, x_mm=LOGIN_BUTTON_XY[0], y_mm=LOGIN_BUTTON_XY[1],
+        pressure=pressure, speed_mm_s=speed, finger_id=master.finger_id))
+    return deployment.device.flock.controller.capture(
+        touch, master, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("name", sorted(PROCESSOR_CAPTURES))
+def test_processor_known_answers(deployment, name):
+    capture = _processor_capture(deployment, name)
+    mask = capture.impression.mask
+    rows = np.nonzero(mask.any(axis=1))[0]
+    cols = np.nonzero(mask.any(axis=0))[0]
+    pad = 12 // 2 + 2  # the gate's crop margin at its default block
+    assert 0 < rows[0] - pad and rows[-1] + 1 + pad < mask.shape[0]
+    assert 0 < cols[0] - pad and cols[-1] + 1 + pad < mask.shape[1]
+    processor = ImageFingerprintProcessor(deployment.user_template)
+    decision = processor.authenticate(capture, np.random.default_rng(0))
+    assert (dataclasses.astuple(decision), processor.enhancement_passes) \
+        == PROCESSOR_KNOWN_ANSWERS[name]
 
 
 # ---------------------------------------------------------------------------
