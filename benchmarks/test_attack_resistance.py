@@ -1,9 +1,11 @@
 """E10 — section IV-B security analysis: the attack matrix.
 
-Runs the full adversary library against TRUST and, where the attack
-translates, against the conventional cookie-session baseline.  The
-regenerated artifact is the table the security analysis argues in prose:
-which attacks succeed, which are blocked, and which leave an audit trail.
+Runs every attack scenario of the adversary library against TRUST and,
+where the attack translates, against the conventional cookie-session
+baseline.  The regenerated artifact is the table the security analysis
+argues in prose: which attacks succeed, which are blocked, and which leave
+an audit trail.  Quality evasion is not a row: it is a way of touching,
+not a scenario, and A1 and E6 measure it (``repro.attacks.evasive_tap``).
 """
 
 import numpy as np

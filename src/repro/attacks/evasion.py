@@ -8,18 +8,17 @@ light, off sensor edges — so captures fail the quality gate instead of
 failing the matcher.  The defense is the counting policy: low-quality
 captures occupy k-of-n window slots (``count_low_quality=True``), plus the
 minimum-touch-time rule which refuses to act on uncapturable flicks.
+:func:`evasive_tap` makes those touches; ablation A1 and the E6 window
+sweep drive them through the real pipeline.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import DeviceState, LocalIdentityManager
-from repro.fingerprint import MasterFingerprint
 from repro.touchgen import make_tap
-from .base import AttackResult
 
-__all__ = ["evasion_attack", "evasive_tap"]
+__all__ = ["evasive_tap"]
 
 
 def evasive_tap(time_s: float, x_mm: float, y_mm: float,
@@ -34,48 +33,3 @@ def evasive_tap(time_s: float, x_mm: float, y_mm: float,
         finger_id=finger_id,
         speed_mm_s=float(rng.uniform(80.0, 200.0)),  # smearing fast
     )
-
-
-def evasion_attack(manager: LocalIdentityManager,
-                   impostor_master: MasterFingerprint,
-                   rng: np.random.Generator,
-                   max_touches: int = 150,
-                   useful_targets: list[tuple[float, float]] | None = None
-                   ) -> AttackResult:
-    """Evasive impostor works an unlocked device with low-quality touches.
-
-    ``useful_targets`` are the points the attacker actually wants to press
-    (critical buttons over sensors, per countermeasure 1); default is the
-    standard button band.
-    """
-    if manager.state is not DeviceState.UNLOCKED:
-        raise ValueError("evasion attack needs an unlocked device")
-    if useful_targets is None:
-        useful_targets = [(28.0, 80.0), (13.0, 63.0), (45.0, 63.0)]
-    useful_actions = 0
-    for index in range(max_touches):
-        target = useful_targets[index % len(useful_targets)]
-        gesture = evasive_tap(index * 0.8, target[0], target[1],
-                              impostor_master.finger_id, rng)
-        result = manager.process_gesture(gesture, impostor_master, rng)
-        if result.event is not None:
-            # The touch was long enough to count as an interaction: the
-            # attacker "did something" — but it also entered the window.
-            useful_actions += 1
-        if result.state is DeviceState.LOCKED:
-            return AttackResult(
-                name="quality-evasion", succeeded=False, detected=True,
-                attempts=index + 1,
-                detail=(f"locked after {index + 1} touches "
-                        f"({useful_actions} accepted interactions)"),
-                evidence={"touches_to_lock": index + 1,
-                          "useful_actions": useful_actions})
-    return AttackResult(
-        name="quality-evasion",
-        succeeded=useful_actions > 0,
-        detected=False,
-        attempts=max_touches,
-        detail=(f"never locked; {useful_actions} accepted interactions "
-                f"out of {max_touches}"),
-        evidence={"touches_to_lock": None,
-                  "useful_actions": useful_actions})

@@ -22,7 +22,6 @@ class _CookieSession:
     """One bearer-cookie session."""
     cookie: bytes
     account: str
-    requests: int = 0
 
 
 class CookieWebServer:
@@ -62,17 +61,7 @@ class CookieWebServer:
         if session is None:
             self.rejections += 1
             raise ProtocolError("bad-cookie")
-        session.requests += 1
         return Envelope("cookie-content", {
             "domain": self.domain, "account": session.account,
             "page": b"<html>cookie content</html>",
         })
-
-    def session_for_cookie(self, cookie: bytes) -> _CookieSession | None:
-        """Look up the session a bearer cookie identifies, if any."""
-        return self._sessions.get(cookie)
-
-    @property
-    def active_sessions(self) -> int:
-        """Number of live cookie sessions."""
-        return len(self._sessions)

@@ -1,8 +1,7 @@
 """Password authentication baseline (Table I column 1).
 
-Models the three axes Table I compares: continuous verification (none),
-user burden (memorization + typing) and login speed (typing time), plus the
-paper's introduction statistic — "91% of all user passwords belong to a
+Models Table I's login-speed axis (typing time), plus the paper's
+introduction statistic — "91% of all user passwords belong to a
 list of only 1,000 common passwords" [1] — as a dictionary-attack model.
 """
 
@@ -17,23 +16,9 @@ __all__ = ["PasswordPolicy", "PasswordAuthModel", "LoginAttempt"]
 
 @dataclass(frozen=True)
 class PasswordPolicy:
-    """Site password rules; stricter rules raise burden, not continuity."""
+    """Site password rules: the minimum length sets typing time."""
 
     min_length: int = 8
-    require_mixed_case: bool = False
-    require_digit: bool = False
-    expiry_days: int | None = None  # forced rotation interval
-
-    def burden_score(self) -> float:
-        """Relative cognitive burden of complying (memorization load)."""
-        score = 1.0 + self.min_length / 8.0
-        if self.require_mixed_case:
-            score += 0.5
-        if self.require_digit:
-            score += 0.5
-        if self.expiry_days is not None:
-            score += 365.0 / self.expiry_days
-        return score
 
 
 @dataclass(frozen=True)
@@ -86,23 +71,8 @@ class PasswordAuthModel:
         covered = min(guesses, dictionary_size) / dictionary_size
         return self.COMMON_PASSWORD_FRACTION * covered
 
-    # -- Table I axes -------------------------------------------------------
-    @staticmethod
-    def continuous_verification() -> bool:
-        """Table I axis: passwords verify only at login."""
-        return False
-
-    def user_burden(self) -> str:
-        """Table I axis: what the approach costs the user."""
-        return "memorization + typing"
-
     def mean_login_latency_s(self, rng: np.random.Generator,
                              trials: int = 200) -> float:
         """Average measured login latency over simulated attempts."""
         return float(np.mean([self.login(rng).latency_s
                               for _ in range(trials)]))
-
-    @staticmethod
-    def transparent_to_user() -> bool:
-        """Table I axis: login requires explicit user action."""
-        return False

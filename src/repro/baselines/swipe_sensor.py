@@ -72,24 +72,8 @@ class SeparateFingerprintSensor:
         return SwipeAttempt(accepted=attempt.accepted, score=attempt.score,
                             latency_s=total_latency)
 
-    # -- Table I axes -------------------------------------------------------
-    @staticmethod
-    def continuous_verification() -> bool:
-        """Table I axis: a discrete sensor verifies only at login."""
-        return False
-
-    @staticmethod
-    def user_burden() -> str:
-        """Table I axis: what the approach costs the user."""
-        return "extra login step (rub/swipe)"
-
     def mean_login_latency_s(self, rng: np.random.Generator,
                              trials: int = 200) -> float:
         """Average measured login latency over simulated attempts."""
         return float(np.mean([self.genuine_login(rng).latency_s
                               for _ in range(trials)]))
-
-    @staticmethod
-    def transparent_to_user() -> bool:
-        """Table I axis: the swipe is an explicit extra step."""
-        return False

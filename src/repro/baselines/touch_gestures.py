@@ -15,7 +15,6 @@ decide over windows).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +60,11 @@ _ANY_KIND = "any"
 class TouchGestureAuthenticator:
     """Gaussian behavioural-profile verifier over gesture windows."""
 
-    def __init__(self, window: int = 7, accept_threshold: float = 0.5) -> None:
+    def __init__(self, window: int = 7) -> None:
         if window < 1:
             raise ValueError("window must be positive")
         self.window = int(window)
-        self.accept_threshold = float(accept_threshold)
         self._profiles: dict[str, dict[str, _Profile]] = {}
-        self._windows: dict[str, deque] = {}
 
     def enroll(self, user_id: str, gestures: list[Gesture]) -> None:
         """Fit per-gesture-kind behavioural profiles from a trace.
@@ -97,7 +94,6 @@ class TouchGestureAuthenticator:
             std=np.maximum(all_features.std(axis=0), 1e-3),
         )
         self._profiles[user_id] = profiles
-        self._windows[user_id] = deque(maxlen=self.window)
 
     def score_gesture(self, user_id: str, gesture: Gesture) -> float:
         """Per-gesture similarity in (0, 1]: exp(-mean squared z)."""
@@ -107,20 +103,6 @@ class TouchGestureAuthenticator:
         profile = profiles.get(gesture.kind.value, profiles[_ANY_KIND])
         z = (gesture_features(gesture) - profile.mean) / profile.std
         return float(np.exp(-float(np.mean(z**2)) / 4.0))
-
-    def observe(self, user_id: str, gesture: Gesture) -> tuple[float, bool]:
-        """Feed one gesture into the sliding window; returns
-        (window score, accepted)."""
-        score = self.score_gesture(user_id, gesture)
-        window = self._windows[user_id]
-        window.append(score)
-        window_score = float(np.mean(window))
-        return window_score, window_score >= self.accept_threshold
-
-    def reset_window(self, user_id: str) -> None:
-        """Clear the user's sliding score window."""
-        if user_id in self._windows:
-            self._windows[user_id].clear()
 
     def evaluate(self, traces_by_user: dict[str, list[Gesture]],
                  enrollment_fraction: float = 0.4

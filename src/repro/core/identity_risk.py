@@ -41,11 +41,6 @@ class RiskAssessment:
     window_size: int
     breach: bool  # k-of-n policy violated
 
-    @property
-    def window_full(self) -> bool:
-        """Whether the window holds its full complement of touches."""
-        return self.window_fill == self.window_size
-
 
 class IdentityRiskTracker:
     """Sliding k-of-n window over touch outcomes.
@@ -79,8 +74,6 @@ class IdentityRiskTracker:
         self.count_low_quality = bool(count_low_quality)
         self.count_not_covered = bool(count_not_covered)
         self._outcomes: deque[TouchOutcomeKind] = deque(maxlen=self.window)
-        self.total_recorded = 0
-        self.total_verified = 0
 
     def _countable(self, kind: TouchOutcomeKind) -> bool:
         if kind is TouchOutcomeKind.LOW_QUALITY:
@@ -91,9 +84,6 @@ class IdentityRiskTracker:
 
     def record(self, kind: TouchOutcomeKind) -> RiskAssessment:
         """Record one touch outcome and return the updated assessment."""
-        self.total_recorded += 1
-        if kind is TouchOutcomeKind.VERIFIED:
-            self.total_verified += 1
         if self._countable(kind):
             self._outcomes.append(kind)
         return self.assess()
@@ -119,13 +109,6 @@ class IdentityRiskTracker:
     def reset(self) -> None:
         """Clear the window (e.g. after a successful re-authentication)."""
         self._outcomes.clear()
-
-    @property
-    def lifetime_verification_rate(self) -> float:
-        """Fraction of all recorded touches that verified."""
-        if self.total_recorded == 0:
-            return 0.0
-        return self.total_verified / self.total_recorded
 
 
 class DecayingRiskTracker:
@@ -159,8 +142,6 @@ class DecayingRiskTracker:
         self.saturation_mass = 1.0 / (1.0 - self.decay)
         self._verified_mass = 0.0
         self._total_mass = 0.0
-        self.total_recorded = 0
-        self.total_verified = 0
 
     def _countable(self, kind: TouchOutcomeKind) -> bool:
         if kind is TouchOutcomeKind.LOW_QUALITY:
@@ -171,9 +152,6 @@ class DecayingRiskTracker:
 
     def record(self, kind: TouchOutcomeKind) -> RiskAssessment:
         """Record one touch outcome and return the updated assessment."""
-        self.total_recorded += 1
-        if kind is TouchOutcomeKind.VERIFIED:
-            self.total_verified += 1
         if self._countable(kind):
             self._verified_mass *= self.decay
             self._total_mass *= self.decay
@@ -208,10 +186,3 @@ class DecayingRiskTracker:
         """Discard all accumulated evidence."""
         self._verified_mass = 0.0
         self._total_mass = 0.0
-
-    @property
-    def lifetime_verification_rate(self) -> float:
-        """Fraction of all recorded touches that verified."""
-        if self.total_recorded == 0:
-            return 0.0
-        return self.total_verified / self.total_recorded

@@ -86,10 +86,6 @@ class CriticalButtonRule:
                 uncovered.append(element.name)
         return uncovered
 
-    def is_compliant(self, ui_layout: UiLayout) -> bool:
-        """True when every critical element sits over a sensor."""
-        return not self.uncovered_critical_elements(ui_layout)
-
 
 class MinTouchTimeRule:
     """Countermeasure 2: critical touches must dwell >= capture time.

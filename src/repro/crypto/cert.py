@@ -164,7 +164,7 @@ class Certificate:
 
 
 class CertificateAuthority:
-    """The CA server: issues and (for audits) re-verifies certificates."""
+    """The CA server: issues certificates under its root key."""
 
     DEFAULT_LIFETIME = 10_000_000  # logical ticks
 
@@ -174,8 +174,6 @@ class CertificateAuthority:
         self._rng = rng if rng is not None else HmacDrbg(b"trust-ca-default-seed")
         self._key = generate_keypair(self._rng, bits=key_bits)
         self._next_serial = 1
-        self._issued: dict[int, Certificate] = {}
-        self._revoked: set[int] = set()
 
     @property
     def public_key(self) -> RsaPublicKey:
@@ -196,26 +194,8 @@ class CertificateAuthority:
             signature=b"",
         )
         signature = self._key.sign(unsigned.tbs_bytes())
-        cert = Certificate(
+        return Certificate(
             serial=serial, subject=subject, role=role, public_key=public_key,
             not_before=now, not_after=now + lifetime, issuer=self.name,
             signature=signature,
         )
-        self._issued[serial] = cert
-        return cert
-
-    def revoke(self, serial: int) -> None:
-        """Mark a certificate revoked (used by identity reset, E13)."""
-        if serial not in self._issued:
-            raise KeyError(f"unknown certificate serial {serial}")
-        self._revoked.add(serial)
-
-    def is_revoked(self, serial: int) -> bool:
-        """Whether the CA has revoked this serial."""
-        return serial in self._revoked
-
-    def check(self, cert: Certificate, now: int) -> None:
-        """Full online check: signature + validity + revocation."""
-        cert.verify(self.public_key, now)
-        if self.is_revoked(cert.serial):
-            raise CertificateError(f"certificate serial {cert.serial} is revoked")

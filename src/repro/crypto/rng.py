@@ -17,10 +17,10 @@ __all__ = ["HmacDrbg"]
 class HmacDrbg:
     """HMAC-SHA256 deterministic random bit generator.
 
-    Implements instantiate / reseed / generate from SP 800-90A, minus the
-    prediction-resistance machinery which is irrelevant in simulation.  The
-    output stream is a pure function of (seed, personalization, call
-    sequence).
+    Implements instantiate / generate from SP 800-90A, minus reseeding and
+    the prediction-resistance machinery, which are irrelevant in
+    simulation.  The output stream is a pure function of (seed,
+    personalization, call sequence).
     """
 
     #: SP 800-90A limit on a single generate call (bytes).
@@ -31,7 +31,6 @@ class HmacDrbg:
             raise ValueError("seed must be non-empty bytes")
         self._key = b"\x00" * 32
         self._value = b"\x01" * 32
-        self._reseed_counter = 1
         self._update(bytes(seed) + personalization)
 
     def _update(self, provided: bytes = b"") -> None:
@@ -42,13 +41,6 @@ class HmacDrbg:
             self._key = digest(self._key, self._value + b"\x01" + provided,
                                "sha256")
             self._value = digest(self._key, self._value, "sha256")
-
-    def reseed(self, entropy: bytes) -> None:
-        """Mix fresh entropy into the generator state."""
-        if not entropy:
-            raise ValueError("entropy must be non-empty")
-        self._update(entropy)
-        self._reseed_counter = 1
 
     def generate(self, n_bytes: int) -> bytes:
         """Return ``n_bytes`` of pseudo-random output."""
@@ -67,29 +59,4 @@ class HmacDrbg:
             blocks.append(value)
         self._value = value
         self._update()
-        self._reseed_counter += 1
         return b"".join(blocks)[:n_bytes]
-
-    def random_int(self, n_bits: int) -> int:
-        """Uniform random integer in [0, 2**n_bits)."""
-        if n_bits <= 0:
-            raise ValueError("n_bits must be positive")
-        n_bytes = (n_bits + 7) // 8
-        value = int.from_bytes(self.generate(n_bytes), "big")
-        return value >> (n_bytes * 8 - n_bits)
-
-    def random_below(self, bound: int) -> int:
-        """Uniform random integer in [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        n_bits = bound.bit_length()
-        while True:
-            candidate = self.random_int(n_bits)
-            if candidate < bound:
-                return candidate
-
-    def random_range(self, low: int, high: int) -> int:
-        """Uniform random integer in [low, high)."""
-        if high <= low:
-            raise ValueError("empty range")
-        return low + self.random_below(high - low)

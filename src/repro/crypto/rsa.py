@@ -122,10 +122,6 @@ class RsaPublicKey:
         em = b"\x00\x02" + bytes(padding) + b"\x00" + plaintext
         return _i2osp(pow(_os2ip(em), self.e, self.n), k)
 
-    def fingerprint(self) -> bytes:
-        """SHA-256 digest identifying this key (used in certificates)."""
-        return sha256(self.to_bytes())
-
     def to_bytes(self) -> bytes:
         """Length-prefixed wire serialization of (n, e)."""
         n_bytes = _i2osp(self.n, self.byte_length)

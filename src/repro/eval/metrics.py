@@ -19,11 +19,6 @@ class RocCurve:
     far: np.ndarray  # false accept rate per threshold
     frr: np.ndarray  # false reject rate per threshold
 
-    def auc(self) -> float:
-        """Area under the ROC (TAR vs FAR), via trapezoid rule."""
-        order = np.argsort(self.far)
-        return float(np.trapezoid((1.0 - self.frr)[order], self.far[order]))
-
 
 def roc_curve(genuine_scores: np.ndarray, impostor_scores: np.ndarray,
               n_thresholds: int = 201) -> RocCurve:

@@ -7,7 +7,6 @@ substrate).  Everything is deterministic under explicit seeds.
 
 from .image_ops import (
     binarize,
-    block_view_stats,
     local_contrast,
     normalize,
     segment_foreground,
@@ -36,7 +35,7 @@ from .scoremodel import (
 )
 
 __all__ = [
-    "normalize", "segment_foreground", "block_view_stats", "local_contrast",
+    "normalize", "segment_foreground", "local_contrast",
     "binarize",
     "estimate_orientation", "orientation_coherence", "FingerprintClass",
     "SyntheticOrientationField",

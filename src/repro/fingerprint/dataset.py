@@ -113,36 +113,6 @@ class FingerprintDataset:
         """Identifiers of all fingers in the dataset."""
         return [m.finger_id for m in self.masters]
 
-    def master_of(self, finger_id: str) -> MasterFingerprint:
-        """The master fingerprint for a finger id; KeyError if unknown."""
-        for master in self.masters:
-            if master.finger_id == finger_id:
-                return master
-        raise KeyError(f"unknown finger {finger_id!r}")
-
-    def genuine_pairs(self) -> list[tuple[Impression, Impression]]:
-        """All within-finger impression pairs (FVC genuine protocol)."""
-        pairs = []
-        for captures in self.impressions.values():
-            for i in range(len(captures)):
-                for j in range(i + 1, len(captures)):
-                    pairs.append((captures[i], captures[j]))
-        return pairs
-
-    def impostor_pairs(self, rng: np.random.Generator,
-                       n_pairs: int | None = None) -> list[tuple[Impression, Impression]]:
-        """Cross-finger pairs; all first-impression pairs, or a random sample."""
-        ids = self.finger_ids
-        all_pairs = [
-            (self.impressions[ids[i]][0], self.impressions[ids[j]][0])
-            for i in range(len(ids))
-            for j in range(i + 1, len(ids))
-        ]
-        if n_pairs is None or n_pairs >= len(all_pairs):
-            return all_pairs
-        chosen = rng.choice(len(all_pairs), size=n_pairs, replace=False)
-        return [all_pairs[int(k)] for k in chosen]
-
 
 def build_dataset(name: str, n_fingers: int, n_impressions: int,
                   profile: DifficultyProfile, seed: int,

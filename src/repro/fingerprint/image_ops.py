@@ -20,7 +20,6 @@ from scipy import ndimage
 __all__ = [
     "normalize",
     "segment_foreground",
-    "block_view_stats",
     "local_contrast",
     "binarize",
     "RidgeStatistics",
@@ -207,15 +206,6 @@ def segment_foreground(image: np.ndarray, block: int = 12,
         sizes = ndimage.sum_labels(mask, labels, index=range(1, count + 1))
         mask = labels == (int(np.argmax(sizes)) + 1)
     return ndimage.binary_fill_holes(mask)
-
-
-def block_view_stats(image: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-block (mean, variance) arrays of shape (rows//block, cols//block)."""
-    rows, cols = image.shape
-    br, bc = rows // block, cols // block
-    trimmed = image[: br * block, : bc * block]
-    blocks = trimmed.reshape(br, block, bc, block)
-    return blocks.mean(axis=(1, 3)), blocks.var(axis=(1, 3))
 
 
 def local_contrast(image: np.ndarray, block: int = 12) -> np.ndarray:

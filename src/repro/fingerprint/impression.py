@@ -85,11 +85,6 @@ class Impression:
     mask: np.ndarray
     condition: CaptureCondition
 
-    @property
-    def coverage(self) -> float:
-        """Fraction of the frame covered by finger contact."""
-        return float(self.mask.mean())
-
 
 def _elastic_displacement(shape: tuple[int, int], amplitude: float,
                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -111,11 +111,6 @@ class MatchResult:
     #: fusion) need to re-apply the winning alignment to other features.
     offset: tuple[float, float] = (0.0, 0.0)
 
-    @property
-    def is_empty(self) -> bool:
-        """True when either side had no minutiae to compare."""
-        return self.n_template == 0 or self.n_probe == 0
-
 
 @dataclass(frozen=True, eq=False)
 class PreparedMinutiae:

@@ -242,9 +242,3 @@ class SyntheticOrientationField:
                 angle = angle + perturbation * noise / peak
 
         self.field = np.mod(angle, np.pi)
-
-    def sample(self, row: float, col: float) -> float:
-        """Orientation at a (possibly fractional) pixel position."""
-        r = int(np.clip(round(row), 0, self.shape[0] - 1))
-        c = int(np.clip(round(col), 0, self.shape[1] - 1))
-        return float(self.field[r, c])

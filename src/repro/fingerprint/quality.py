@@ -46,15 +46,6 @@ class QualityReport:
     area: float
     score: float
 
-    def components(self) -> dict[str, float]:
-        """The component scores as a name -> value dict."""
-        return {
-            "coverage": self.coverage,
-            "coherence": self.coherence,
-            "contrast": self.contrast,
-            "area": self.area,
-        }
-
 
 #: Foreground pixel count at which the area ingredient saturates; roughly the
 #: area of a 64x64 patch, the smallest capture that reliably holds >= 8
@@ -117,8 +108,6 @@ class QualityGate:
             raise ValueError("threshold must be in [0, 1]")
         self.threshold = float(threshold)
         self.block = int(block)
-        self.accepted = 0
-        self.rejected = 0
 
     def statistics(self, impression: Impression) -> RidgeStatistics:
         """The impression's ridge statistics as :meth:`evaluate` reads them:
@@ -129,19 +118,8 @@ class QualityGate:
     def evaluate(self, impression: Impression,
                  statistics: RidgeStatistics | None = None,
                  ) -> tuple[bool, QualityReport]:
-        """Return (passed, report) and update acceptance counters;
-        ``statistics`` as for :func:`assess_quality`."""
+        """Return (passed, report); ``statistics`` as for
+        :func:`assess_quality`."""
         report = assess_quality(impression, block=self.block,
                                 statistics=statistics)
-        passed = report.score >= self.threshold
-        if passed:
-            self.accepted += 1
-        else:
-            self.rejected += 1
-        return passed, report
-
-    @property
-    def acceptance_rate(self) -> float:
-        """Fraction of evaluated captures that passed the gate."""
-        total = self.accepted + self.rejected
-        return self.accepted / total if total else 0.0
+        return report.score >= self.threshold, report

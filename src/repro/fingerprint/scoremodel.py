@@ -15,7 +15,6 @@ DESIGN.md.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,37 +52,6 @@ class CalibratedScoreModel:
         pool = self.genuine_scores if genuine else self.impostor_scores
         base = float(pool[int(rng.integers(pool.size))])
         return float(np.clip(base + rng.normal(0.0, self.jitter), 0.0, 1.0))
-
-    def sample_many(self, genuine: bool, n: int,
-                    rng: np.random.Generator) -> np.ndarray:
-        """Vectorized :meth:`sample` - n scores at once."""
-        pool = self.genuine_scores if genuine else self.impostor_scores
-        base = pool[rng.integers(pool.size, size=n)]
-        return np.clip(base + rng.normal(0.0, self.jitter, size=n), 0.0, 1.0)
-
-    def decision_rates(self, threshold: float) -> tuple[float, float]:
-        """(false reject rate, false accept rate) of the calibration samples."""
-        frr = float((self.genuine_scores < threshold).mean())
-        far = float((self.impostor_scores >= threshold).mean())
-        return frr, far
-
-    def to_json(self) -> str:
-        """Serialize the calibration samples to JSON."""
-        return json.dumps({
-            "genuine": self.genuine_scores.tolist(),
-            "impostor": self.impostor_scores.tolist(),
-            "jitter": self.jitter,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "CalibratedScoreModel":
-        """Rebuild a model from :meth:`to_json` output."""
-        payload = json.loads(text)
-        return cls(
-            genuine_scores=np.array(payload["genuine"]),
-            impostor_scores=np.array(payload["impostor"]),
-            jitter=float(payload["jitter"]),
-        )
 
     @classmethod
     def from_beta(cls, genuine_ab: tuple[float, float],

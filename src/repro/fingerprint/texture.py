@@ -78,27 +78,6 @@ class TextureDescriptor:
         ], axis=1).astype(np.float64)
         return positions, self.orientation[live], self.weight[live]
 
-    def to_bytes(self) -> bytes:
-        """Compact serialization (for template storage/transfer)."""
-        header = np.array(self.orientation.shape + (self.stride,),
-                          dtype=np.uint16).tobytes()
-        angles = (self.orientation / np.pi * 255).astype(np.uint8).tobytes()
-        weights = (self.weight * 255).astype(np.uint8).tobytes()
-        return header + angles + weights
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "TextureDescriptor":
-        """Parse a descriptor from its compact serialization."""
-        grid_rows, grid_cols, stride = np.frombuffer(data[:6], dtype=np.uint16)
-        n = int(grid_rows) * int(grid_cols)
-        angles = np.frombuffer(data[6:6 + n], dtype=np.uint8)
-        weights = np.frombuffer(data[6 + n:6 + 2 * n], dtype=np.uint8)
-        return cls(
-            orientation=(angles / 255 * np.pi).reshape(grid_rows, grid_cols),
-            weight=(weights / 255).reshape(grid_rows, grid_cols),
-            stride=int(stride),
-        )
-
 
 def texture_similarity(template: TextureDescriptor,
                        probe: TextureDescriptor,

@@ -22,7 +22,6 @@ from .fingerprint_processor import (
 )
 from .crypto_processor import CryptoOpCosts, CryptoProcessor
 from .module import FlockError, FlockModule, TouchAuthEvent
-from .host_interface import HostCommandError, HostCommandRecord, HostInterface
 from .rng import SimulationRng
 
 __all__ = [
@@ -33,6 +32,5 @@ __all__ = [
     "AuthDecision", "ImageFingerprintProcessor", "ModeledFingerprintProcessor",
     "CryptoOpCosts", "CryptoProcessor",
     "FlockError", "FlockModule", "TouchAuthEvent",
-    "HostCommandError", "HostCommandRecord", "HostInterface",
     "SimulationRng",
 ]

@@ -18,7 +18,6 @@ from repro.crypto import (
     RsaPublicKey,
     generate_keypair,
     hmac_sha256,
-    sha256,
 )
 
 __all__ = ["CryptoOpCosts", "CryptoProcessor"]
@@ -33,7 +32,6 @@ class CryptoOpCosts:
     verify_s: float = 0.0006
     rsa_encrypt_s: float = 0.0006
     rsa_decrypt_s: float = 0.008
-    hash_per_kb_s: float = 0.00001
     mac_per_kb_s: float = 0.00001
 
 
@@ -82,11 +80,6 @@ class CryptoProcessor:
         """RSAES decryption with latency accounting."""
         self._account("rsa_decrypt", self.costs.rsa_decrypt_s)
         return key.decrypt(ciphertext)
-
-    def hash(self, data: bytes) -> bytes:
-        """SHA-256 with size-proportional latency accounting."""
-        self._account("hash", self.costs.hash_per_kb_s * (len(data) / 1024 + 1))
-        return sha256(data)
 
     def mac(self, key: bytes, data: bytes) -> bytes:
         """HMAC-SHA256 with size-proportional latency accounting."""

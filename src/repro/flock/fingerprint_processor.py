@@ -91,50 +91,19 @@ class AuthDecision:
 
 
 class ImageFingerprintProcessor:
-    """Full-pipeline processor matching against the enrolled template set.
-
-    A user enrolls at least one finger; additional fingers (the other
-    thumb, an index finger for two-handed use) can be added and a capture
-    authenticates if it matches *any* enrolled template — the natural
-    multi-finger extension of the paper's design.
-    """
+    """Full-pipeline processor matching against the enrolled template."""
 
     def __init__(self, template: FingerprintTemplate) -> None:
-        #: Each enrolled template with its minutiae prepared for matching,
-        #: in enrollment order.
-        self._enrolled: list[tuple[FingerprintTemplate, PreparedMinutiae]] = []
+        #: The enrolled template's minutiae, prepared for matching once.
+        self._prepared: PreparedMinutiae = _MATCHER.prepare(template.minutiae)
         self.gate = QualityGate(threshold=QUALITY_THRESHOLD)
         self.enhancement_passes = 0
         #: Instrumentation bundle (re-wired by ``FlockModule.obs``).
         self.obs = NOOP
-        self.add_template(template)
-
-    @property
-    def templates(self) -> list[FingerprintTemplate]:
-        """The enrolled templates, in enrollment order."""
-        return [template for template, _ in self._enrolled]
-
-    @property
-    def template(self) -> FingerprintTemplate:
-        """The primary (first-enrolled) template."""
-        return self._enrolled[0][0]
-
-    def add_template(self, template: FingerprintTemplate) -> None:
-        """Enroll an additional finger; its minutiae are prepared for
-        matching once, here."""
-        if template.finger_id in [t.finger_id for t in self.templates]:
-            raise ValueError(
-                f"finger {template.finger_id!r} is already enrolled")
-        self._enrolled.append((template, _MATCHER.prepare(template.minutiae)))
-
-    def _best_score(self, minutiae) -> float:
-        """Best score of one probe across every enrolled template."""
-        return max(_MATCHER.match(prepared, minutiae).score
-                   for _, prepared in self._enrolled)
 
     def authenticate(self, capture: TouchCapture,
                      rng: SimulationRng) -> AuthDecision:
-        """Gate on quality, then extract and match against every template.
+        """Gate on quality, then extract and match against the template.
         ``rng`` unused here (signature shared with the modeled processor)."""
         with self.obs.tracer.span("flock.match", processor="image") as span:
             decision = self._authenticate(capture, rng)
@@ -157,8 +126,8 @@ class ImageFingerprintProcessor:
             # Too few features to attempt a match: treated as a quality
             # rejection (Fig. 6 "incomplete data"), not an impostor signal.
             return AuthDecision(False, report, 0.0, False, extraction_time)
-        best_score = self._best_score(minutiae)
-        total_time = extraction_time + MATCH_TIME_S * len(self._enrolled)
+        best_score = _MATCHER.match(self._prepared, minutiae).score
+        total_time = extraction_time + MATCH_TIME_S
         accepted = best_score >= IMAGE_ACCEPT_THRESHOLD
 
         if not accepted:
@@ -169,9 +138,9 @@ class ImageFingerprintProcessor:
                                                  impression.mask)
             if len(enhanced) >= 4:
                 self.enhancement_passes += 1
-                enhanced_score = self._best_score(enhanced)
-                total_time += (extraction_time
-                               + MATCH_TIME_S * len(self._enrolled))
+                enhanced_score = _MATCHER.match(self._prepared,
+                                                enhanced).score
+                total_time += extraction_time + MATCH_TIME_S
                 if enhanced_score >= ENHANCED_ACCEPT_THRESHOLD:
                     best_score = enhanced_score
                     accepted = True

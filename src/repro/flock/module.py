@@ -144,34 +144,6 @@ class FlockModule:
                 template.finger_id)
         self._local_processor.obs = self._obs
 
-    @property
-    def is_enrolled(self) -> bool:
-        """Whether a local user template is enrolled."""
-        return self._local_processor is not None
-
-    def enroll_additional_finger(self, template: FingerprintTemplate) -> None:
-        """Add another finger to the local identity (same user).
-
-        Only the image-mode processor supports a template set; the modeled
-        processor identifies the user by finger id and would need one
-        score model per finger.
-        """
-        if self._local_processor is None:
-            raise FlockError("enroll a primary finger first")
-        if not isinstance(self._local_processor, ImageFingerprintProcessor):
-            raise FlockError(
-                "additional fingers require the image-mode processor")
-        self._local_processor.add_template(template)
-
-    @property
-    def enrolled_finger_ids(self) -> list[str]:
-        """Finger ids of every enrolled template."""
-        if self._local_processor is None:
-            return []
-        if isinstance(self._local_processor, ImageFingerprintProcessor):
-            return [t.finger_id for t in self._local_processor.templates]
-        return [self._local_processor.enrolled_finger_id]
-
     # -------------------------------------------------- the Fig. 6 pipeline
     def handle_touch(self, touch: LocatedTouch, master: MasterFingerprint,
                      rng: SimulationRng) -> TouchAuthEvent:
@@ -246,13 +218,12 @@ class FlockModule:
         self.flash.add_record(record)
         return record.public_view()
 
-    def service_view(self, domain: str) -> PublicServiceView:
-        """The host-safe view of one bound service record."""
-        return self.flash.record(domain).public_view()
-
     def unbind_service(self, domain: str) -> None:
-        """Identity reset support: drop the record for a domain."""
+        """Forget a domain: its record, its session key and any pending
+        challenge (the old device's side of an identity transfer)."""
         self.flash.remove_record(domain)
+        self._session_keys.pop(domain, None)
+        self._pending_challenges.pop(domain, None)
 
     # --------------------------------------- trusted crypto on stored keys
     def sign_as_device(self, message: bytes) -> bytes:

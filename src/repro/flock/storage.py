@@ -100,10 +100,6 @@ class ProtectedFlash:
             raise StorageError(f"no record for domain {domain!r}")
         del self._records[domain]
 
-    def domains(self) -> list[str]:
-        """Sorted list of bound domains."""
-        return sorted(self._records)
-
     def all_records(self) -> list[ServiceRecord]:
         """Internal-only iteration (identity transfer packs these)."""
         return [record for _, record in sorted(self._records.items())]

@@ -12,7 +12,6 @@ from .readout import (
     PolicyTiming,
     ReadoutPolicy,
     compare_policies,
-    policy_capture_time_s,
 )
 from .power import EnergyBreakdown, PowerModel
 from .optical import OpticalCapture, OpticalSensor, OpticalSensorSpec
@@ -30,7 +29,7 @@ __all__ = [
     "FLOCK_SENSOR_WIDE",
     "TouchEvent", "LocatedTouch", "TouchPanel",
     "SensorArray", "CaptureWindow", "CaptureResult",
-    "ReadoutPolicy", "PolicyTiming", "compare_policies", "policy_capture_time_s",
+    "ReadoutPolicy", "PolicyTiming", "compare_policies",
     "PowerModel", "EnergyBreakdown",
     "OpticalSensorSpec", "OpticalSensor", "OpticalCapture",
     "DefectMap", "yield_fraction",

@@ -25,7 +25,7 @@ from repro.obs import Instrumentation, NOOP
 from .sensor_array import CaptureWindow, SensorArray
 from .specs import AddressingMode, SensorSpec
 
-__all__ = ["ReadoutPolicy", "PolicyTiming", "compare_policies", "policy_capture_time_s"]
+__all__ = ["ReadoutPolicy", "PolicyTiming", "compare_policies"]
 
 
 class ReadoutPolicy(Enum):
@@ -55,17 +55,6 @@ def _array_for(spec: SensorSpec, policy: ReadoutPolicy) -> SensorArray:
         if spec.addressing is not AddressingMode.ROW_PARALLEL:
             spec = dataclass_replace(spec, addressing=AddressingMode.ROW_PARALLEL)
     return SensorArray(spec)
-
-
-def policy_capture_time_s(spec: SensorSpec, policy: ReadoutPolicy,
-                          window: CaptureWindow) -> float:
-    """Capture time of ``window`` on ``spec`` under ``policy``."""
-    array = _array_for(spec, policy)
-    if policy is ReadoutPolicy.WINDOW_SELECTIVE:
-        scanned = window.clamp(spec.rows, spec.cols)
-    else:
-        scanned = CaptureWindow.full(spec)
-    return array.capture_time_s(scanned)
 
 
 def compare_policies(spec: SensorSpec, window: CaptureWindow,

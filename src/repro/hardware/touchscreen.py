@@ -97,7 +97,3 @@ class TouchPanel:
             x_mm=quant_x, y_mm=quant_y,
             report_time_s=event.time_s + self.response_s,
         )
-
-    def locate_many(self, events: list[TouchEvent]) -> list[LocatedTouch]:
-        """Multi-touch: locate each contact of a simultaneous gesture."""
-        return [self.locate(e) for e in events]

@@ -48,13 +48,6 @@ class AuditReport:
         """No suspicious entries were found."""
         return not self.findings
 
-    @property
-    def verification_rate(self) -> float:
-        """Fraction of logged frame hashes inside the whitelist."""
-        if self.total_entries == 0:
-            return 1.0
-        return self.verified_entries / self.total_entries
-
 
 class FrameAuditor:
     """Builds a reachable-view hash whitelist for one server and audits."""
@@ -112,9 +105,3 @@ class FrameAuditor:
             verified_entries=len(entries) - len(findings),
             findings=findings,
         )
-
-    def audit_all(self) -> dict[str, AuditReport]:
-        """Audit every account appearing in the log."""
-        accounts = {account for account, _ in self.server.frame_audit_log}
-        return {account: self.audit_account(account)
-                for account in sorted(accounts)}

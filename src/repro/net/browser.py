@@ -42,11 +42,6 @@ class Browser:
         self.malware: Malware | None = None
         self.pages_rendered = 0
 
-    @property
-    def compromised(self) -> bool:
-        """Whether malware is installed on this host."""
-        return self.malware is not None
-
     def infect(self, malware: Malware) -> None:
         """Install malware hooks on the browser."""
         self.malware = malware

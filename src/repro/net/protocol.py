@@ -58,11 +58,6 @@ class ProtocolOutcome:
 class RegistrationResult(ProtocolOutcome):
     """Outcome of a Fig. 9 device-to-account binding run."""
 
-    @property
-    def bound(self) -> bool:
-        """Whether the account is now bound to the device key."""
-        return self.success
-
 
 @dataclass
 class LoginResult(ProtocolOutcome):
@@ -96,16 +91,22 @@ class TrustSession:
     challenge_nonce: bytes | None = None  # server challenge awaiting answer
 
 
-def _verified_touch(device: MobileDevice, touch_xy: tuple[float, float],
-                    master: MasterFingerprint, rng: np.random.Generator,
-                    time_s: float, max_attempts: int) -> bool:
+#: Presses of a critical button before the UI gives up on a verified
+#: touch: a genuine user may need a couple, an impostor never gets one.
+VERIFY_ATTEMPTS = 4
+
+
+def verified_touch(device: MobileDevice, touch_xy: tuple[float, float],
+                   master: MasterFingerprint, rng: np.random.Generator,
+                   time_s: float) -> bool:
     """Touch a critical button until one capture verifies (or give up).
 
     Models the paper's minimum-touch-time / critical-button countermeasure:
     the UI will not proceed until a *verified* fingerprint arrives, so the
-    genuine user may press the button more than once.
+    genuine user may press the button up to :data:`VERIFY_ATTEMPTS` times,
+    half a second apart.
     """
-    for attempt in range(max_attempts):
+    for attempt in range(VERIFY_ATTEMPTS):
         _, outcome = device.touch_at(touch_xy[0], touch_xy[1],
                                      time_s + attempt * 0.5, master, rng)
         if outcome.verified:
@@ -177,8 +178,7 @@ class TrustClient:
     # ---------------------------------------------- Fig. 9 registration
     def register(self, account: str, touch_xy: tuple[float, float],
                  master: MasterFingerprint, rng: np.random.Generator,
-                 now: int = 0, time_s: float = 0.0,
-                 max_attempts: int = 4) -> RegistrationResult:
+                 now: int = 0, time_s: float = 0.0) -> RegistrationResult:
         """Run the Fig. 9 device-to-user-account binding, end to end.
 
         ``touch_xy`` is where the registration button sits (it must be over
@@ -187,12 +187,12 @@ class TrustClient:
         """
         with self.obs.tracer.span("client.register", account=account) as span:
             result = self._register(account, touch_xy, master, rng, now,
-                                    time_s, max_attempts)
+                                    time_s)
             self._finish(span, "register", result)
         return result
 
-    def _register(self, account, touch_xy, master, rng, now, time_s,
-                  max_attempts) -> RegistrationResult:
+    def _register(self, account, touch_xy, master, rng, now,
+                  time_s) -> RegistrationResult:
         device, server, channel = self.device, self.server, self.channel
         meter = _CostMeter(device, channel, RegistrationResult)
         flock = device.flock
@@ -224,8 +224,7 @@ class TrustClient:
         # up), so a few attempts are allowed — an impostor fails all of
         # them.
         frame_hash = device.browser.render(page_envelope, flock)
-        if not _verified_touch(device, touch_xy, master, rng, time_s,
-                               max_attempts):
+        if not verified_touch(device, touch_xy, master, rng, time_s):
             flock._pending_bindings.pop(server.domain, None)
             return meter.outcome(False, "fingerprint-not-verified")
         flock.complete_service_binding(server.domain)
@@ -264,17 +263,17 @@ class TrustClient:
     # -------------------------------------------------- Fig. 10 login
     def login(self, account: str, touch_xy: tuple[float, float],
               master: MasterFingerprint, rng: np.random.Generator,
-              risk: float = 0.0, now: int = 0, time_s: float = 0.0,
-              max_attempts: int = 4) -> LoginResult:
+              risk: float = 0.0, now: int = 0,
+              time_s: float = 0.0) -> LoginResult:
         """Run the Fig. 10 login (steps 1-3); ``session`` set on success."""
         with self.obs.tracer.span("client.login", account=account) as span:
             result = self._login(account, touch_xy, master, rng, risk, now,
-                                 time_s, max_attempts)
+                                 time_s)
             self._finish(span, "login", result)
         return result
 
-    def _login(self, account, touch_xy, master, rng, risk, now, time_s,
-               max_attempts) -> LoginResult:
+    def _login(self, account, touch_xy, master, rng, risk, now,
+               time_s) -> LoginResult:
         device, server, channel = self.device, self.server, self.channel
         meter = _CostMeter(device, channel, LoginResult)
         flock = device.flock
@@ -295,8 +294,7 @@ class TrustClient:
             return meter.outcome(False, f"device-rejected: {exc}")
 
         frame_hash = device.browser.render(page_envelope, flock)
-        if not _verified_touch(device, touch_xy, master, rng, time_s,
-                               max_attempts):
+        if not verified_touch(device, touch_xy, master, rng, time_s):
             return meter.outcome(False, "fingerprint-not-verified")
 
         sealed_key = flock.open_session(domain)
@@ -446,8 +444,7 @@ class TrustClient:
                          touch_xy: tuple[float, float],
                          master: MasterFingerprint,
                          rng: np.random.Generator, now: int = 0,
-                         time_s: float = 0.0,
-                         max_attempts: int = 4) -> ChallengeResult:
+                         time_s: float = 0.0) -> ChallengeResult:
         """Answer a pending re-authentication challenge with a verified
         touch.
 
@@ -458,20 +455,19 @@ class TrustClient:
         """
         with self.obs.tracer.span("client.challenge") as span:
             result = self._answer_challenge(session, touch_xy, master, rng,
-                                            now, time_s, max_attempts)
+                                            now, time_s)
             self._finish(span, "challenge", result)
         return result
 
-    def _answer_challenge(self, session, touch_xy, master, rng, now, time_s,
-                          max_attempts) -> ChallengeResult:
+    def _answer_challenge(self, session, touch_xy, master, rng, now,
+                          time_s) -> ChallengeResult:
         device, server, channel = self.device, self.server, self.channel
         meter = _CostMeter(device, channel, ChallengeResult)
         flock = device.flock
         if session.challenge_nonce is None:
             return meter.outcome(False, "no-challenge-pending")
 
-        if not _verified_touch(device, touch_xy, master, rng, time_s,
-                               max_attempts):
+        if not verified_touch(device, touch_xy, master, rng, time_s):
             return meter.outcome(False, "fingerprint-not-verified")
         try:
             attestation = flock.attest_challenge(session.domain)

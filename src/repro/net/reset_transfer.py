@@ -18,6 +18,7 @@ import numpy as np
 from repro.fingerprint import MasterFingerprint
 from .device import MobileDevice
 from .message import ProtocolError
+from .protocol import VERIFY_ATTEMPTS, verified_touch
 from .webserver import WebServer
 
 __all__ = ["reset_identity", "transfer_identity", "TransferError"]
@@ -41,9 +42,7 @@ def reset_identity(server: WebServer, account: str, password: str) -> bool:
 def transfer_identity(old_device: MobileDevice, new_device: MobileDevice,
                       authorize_xy: tuple[float, float],
                       master: MasterFingerprint,
-                      rng: np.random.Generator,
-                      time_s: float = 0.0,
-                      max_attempts: int = 4) -> list[str]:
+                      rng: np.random.Generator) -> list[str]:
     """Move all bindings from ``old_device`` to ``new_device``.
 
     The user authorizes the transfer by touching the old device's consent
@@ -52,25 +51,16 @@ def transfer_identity(old_device: MobileDevice, new_device: MobileDevice,
     template is required — the genuine user may need a couple of presses,
     an impostor never produces one.  Returns the transferred domains.
     """
-    verified = False
-    for attempt in range(max_attempts):
-        _, outcome = old_device.touch_at(authorize_xy[0], authorize_xy[1],
-                                         time_s + attempt * 0.5, master, rng)
-        if outcome.verified:
-            verified = True
-            break
-    if not verified:
+    if not verified_touch(old_device, authorize_xy, master, rng, time_s=0.0):
         raise TransferError(
-            f"transfer authorization did not verify in {max_attempts} touches")
+            f"transfer authorization did not verify in {VERIFY_ATTEMPTS} "
+            f"touches")
     bundle = old_device.flock.export_identity(
         new_device.flock.public_key, authorizing_touch_verified=True)
     domains = new_device.flock.import_identity(bundle)
     # Retire the old device: after a transfer both FLocks hold the same
     # per-service keys, so leaving the old records in place keeps two
-    # devices able to authenticate for every account (PV404).  Close any
-    # open sessions and drop the records + pending challenges.
+    # devices able to authenticate for every account (PV404).
     for domain in domains:
-        old_device.flock.close_session(domain)
         old_device.flock.unbind_service(domain)
-        old_device.flock._pending_challenges.pop(domain, None)
     return domains

@@ -57,11 +57,6 @@ class Endpoint:
     handler: "Callable[[WebServer, Envelope, int], Envelope]"
     summary: str
 
-    @property
-    def name(self) -> str:
-        """The handler's method name (used in metrics and errors)."""
-        return self.handler.__name__
-
 
 def _endpoint(registry: dict, msg_type: str, summary: str):
     """Class-body decorator registering a method as a dispatch endpoint."""
@@ -519,10 +514,3 @@ class WebServer:
     def active_sessions(self) -> int:
         """Number of live sessions."""
         return len(self._sessions)
-
-    def audit_frame_hashes(self, account: str,
-                           valid_hashes: set[bytes]) -> tuple[int, int]:
-        """Off-line audit (section IV-B): (matching, total) frame hashes."""
-        entries = [h for a, h in self.frame_audit_log if a == account]
-        matching = sum(1 for h in entries if h in valid_hashes)
-        return matching, len(entries)

@@ -57,10 +57,6 @@ class Instrument:
     def _value_of(self, key: LabelKey):
         return self._series[key]
 
-    def clear(self) -> None:
-        """Drop every recorded series."""
-        self._series.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"
 
@@ -95,11 +91,6 @@ class GaugeMetric(Instrument):
     def set(self, value, **labels) -> None:
         """Set the labeled series to ``value`` (type preserved as given)."""
         self._series[_label_key(labels)] = value
-
-    def add(self, amount, **labels) -> None:
-        """Adjust the labeled series by ``amount`` (may be negative)."""
-        key = _label_key(labels)
-        self._series[key] = self._series.get(key, 0) + amount
 
     def value(self, default=0, **labels):
         """Current value of one labeled series."""
@@ -244,9 +235,6 @@ class _NullInstrument:
     def set(self, value, **labels) -> None:
         return None
 
-    def add(self, amount, **labels) -> None:
-        return None
-
     def observe(self, value: float, **labels) -> None:
         return None
 
@@ -261,9 +249,6 @@ class _NullInstrument:
 
     def series(self) -> list:
         return []
-
-    def clear(self) -> None:
-        return None
 
 
 _NULL_INSTRUMENT = _NullInstrument()

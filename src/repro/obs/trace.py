@@ -97,13 +97,6 @@ class Span:
         return False  # never suppress
 
     # --------------------------------------------------------------- queries
-    @property
-    def duration(self) -> float:
-        """Elapsed clock units (0.0 while the span is still open)."""
-        if self.end_time is None:
-            return 0.0
-        return self.end_time - self.start_time
-
     def walk(self) -> Iterator["Span"]:
         """This span and every descendant, in document order."""
         yield self
@@ -200,21 +193,6 @@ class Tracer:
                 top.end_time = span.end_time
                 top.status = "error"
 
-    # ------------------------------------------------------------- shortcuts
-    def event(self, name: str, **attributes) -> None:
-        """Record an event on the current span (dropped when none is open)."""
-        if self._stack:
-            self._stack[-1].add_event(name, **attributes)
-
-    def set_attribute(self, key: str, value) -> None:
-        """Set an attribute on the current span (dropped when none open)."""
-        if self._stack:
-            self._stack[-1].set_attribute(key, value)
-
-    @property
-    def current_span(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
-
     @property
     def current_trace_id(self) -> str | None:
         """Trace id of the innermost open span, or None outside any trace."""
@@ -224,14 +202,6 @@ class Tracer:
         """All spans with the given name across every recorded trace."""
         return [span for root in self.spans for span in root.walk()
                 if span.name == name]
-
-    def reset(self) -> None:
-        """Drop recorded traces and restart all counters."""
-        self._stack.clear()
-        self.spans.clear()
-        self._steps = 0
-        self._next_span_id = 1
-        self._next_trace = 1
 
 
 class _NullSpan:
@@ -244,7 +214,6 @@ class _NullSpan:
     span_id = 0
     parent_id = None
     status = "ok"
-    duration = 0.0
 
     def set_attribute(self, key: str, value) -> None:
         return None
@@ -268,7 +237,6 @@ class NullTracer:
 
     enabled = False
     spans: tuple = ()
-    current_span = None
     current_trace_id = None
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
@@ -277,17 +245,8 @@ class NullTracer:
     def span(self, name: str, **attributes) -> _NullSpan:
         return _NULL_SPAN
 
-    def event(self, name: str, **attributes) -> None:
-        return None
-
-    def set_attribute(self, key: str, value) -> None:
-        return None
-
     def find(self, name: str) -> list:
         return []
-
-    def reset(self) -> None:
-        return None
 
 
 #: The process-wide no-op tracer used wherever instrumentation is not

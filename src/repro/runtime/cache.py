@@ -5,7 +5,9 @@ registration presents a CA-signed device certificate, and devices cloned
 from the same manufacturing prototype share one.  The cache memoizes that
 clock-independent predicate (kind ``cert-signature``), keyed on the
 certificate's content digest, so a cached answer is byte-identical to a
-recomputed one and the cache grows only with distinct certificates.
+recomputed one.  Failed checks are cached too, so a flood of distinct
+forged certificates would grow the cache without limit: it keeps at most
+:data:`MAX_ENTRIES` entries and evicts the least recently used.
 
 The cache is deliberately duck-typed: its consumer (``WebServer``) only
 calls ``memoize(kind, key, compute)`` and never imports this module,
@@ -26,7 +28,12 @@ from collections import OrderedDict
 
 from repro.obs import MetricsRegistry
 
-__all__ = ["VerificationCache"]
+__all__ = ["MAX_ENTRIES", "VerificationCache"]
+
+#: Entries the cache keeps before evicting the least recently used: far
+#: above the distinct device certificates a fleet presents (4 in the
+#: default fleet), so honest traffic never evicts.
+MAX_ENTRIES = 1024
 
 
 class VerificationCache:
@@ -40,11 +47,7 @@ class VerificationCache:
     whole run); by default the cache owns a private one.
     """
 
-    def __init__(self, max_entries: int | None = None,
-                 registry: MetricsRegistry | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive (or None)")
-        self.max_entries = max_entries
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self._store: "OrderedDict[tuple[str, bytes], object]" = OrderedDict()
         self.registry = registry if registry is not None else MetricsRegistry()
         self._hits = self.registry.counter(
@@ -64,17 +67,12 @@ class VerificationCache:
         self._misses.inc(kind=kind)
         value = compute()
         self._store[slot] = value
-        if self.max_entries is not None and len(self._store) > self.max_entries:
+        if len(self._store) > MAX_ENTRIES:
             self._store.popitem(last=False)
             self._evictions.inc()
         return value
 
     # ------------------------------------------------------------ accounting
-    @property
-    def evictions(self) -> int:
-        """Total LRU evictions."""
-        return self._evictions.total()
-
     def lookups(self, kind: str | None = None) -> int:
         """Total lookups, overall or for one predicate kind."""
         if kind is not None:
@@ -101,10 +99,3 @@ class VerificationCache:
 
     def __len__(self) -> int:
         return len(self._store)
-
-    def clear(self) -> None:
-        """Drop all entries and counters."""
-        self._store.clear()
-        self._hits.clear()
-        self._misses.clear()
-        self._evictions.clear()

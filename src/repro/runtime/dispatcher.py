@@ -6,8 +6,8 @@ seed, so they share the service key pair and certificate — exactly like a
 replicated HTTPS deployment sharing one TLS key — and a device's stored
 per-domain binding verifies against any of them.  What is *sharded* is the
 account database: each account lives on exactly one replica, chosen by a
-consistent-hash ring over account names, so adding or removing a shard
-moves only ~K/N accounts (``ServerPool.rebalance``).
+consistent-hash ring over account names (a ring would let a membership
+change move only ~K/N accounts; the fleet's membership is fixed).
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ class ConsistentHashRouter:
 
     Each shard contributes ``replicas`` virtual points to the ring; an
     account routes to the first point clockwise of its own hash.  The ring
-    is a plain sorted list — lookups are ``bisect``, and membership
-    changes rebuild only the affected points.
+    is a plain sorted list and lookups are ``bisect``.
     """
 
     def __init__(self, shard_ids: Iterable[str] = (),
@@ -57,20 +56,6 @@ class ConsistentHashRouter:
         self._ring.sort()
         self._points = [point for point, _ in self._ring]
 
-    def remove_shard(self, shard_id: str) -> None:
-        """Drop a shard's virtual points from the ring."""
-        if shard_id not in self._shards:
-            raise KeyError(f"shard {shard_id!r} not routed")
-        self._shards.discard(shard_id)
-        self._ring = [(point, sid) for point, sid in self._ring
-                      if sid != shard_id]
-        self._points = [point for point, _ in self._ring]
-
-    @property
-    def shard_ids(self) -> list[str]:
-        """Routed shards, sorted."""
-        return sorted(self._shards)
-
     def route(self, account: str) -> str:
         """The shard an account's state lives on."""
         if not self._ring:
@@ -80,18 +65,14 @@ class ConsistentHashRouter:
             index = 0  # wrap past the highest ring point
         return self._ring[index][1]
 
-    def assignments(self, accounts: Iterable[str]) -> dict[str, str]:
-        """Snapshot mapping of each account to its shard."""
-        return {account: self.route(account) for account in accounts}
-
 
 class ServerPool:
     """N same-key ``WebServer`` replicas behind one consistent-hash router.
 
     All replicas share the verification cache (its keys are content
     digests, so sharing is sound) and the same key seed (replica
-    semantics).  Accounts are provisioned on — and migrate between —
-    their ring-assigned home shard.
+    semantics).  Accounts are provisioned on their ring-assigned home
+    shard.
     """
 
     def __init__(self, domain: str, ca: CertificateAuthority,
@@ -101,65 +82,16 @@ class ServerPool:
         if n_shards < 1:
             raise ValueError("a pool needs at least one shard")
         self.domain = domain
-        self.ca = ca
-        self._key_seed = key_seed
-        self.key_bits = key_bits
-        self.verification_cache = verification_cache
-        #: Instrumentation handed to every shard (including ones added
-        #: later), so all replicas trace into one tree.
-        self.obs = obs
         self.router = ConsistentHashRouter(replicas=ring_replicas)
+        # Every shard gets the same ``obs``, so all replicas trace into
+        # one tree.
         self.shards: dict[str, WebServer] = {}
-        self._next_index = 0
-        for _ in range(n_shards):
-            self.add_shard()
-
-    # ------------------------------------------------------------ membership
-    def add_shard(self) -> str:
-        """Bring up one more replica; returns its shard id.
-
-        The new shard immediately takes ring ownership of its key range;
-        call :meth:`rebalance` to actually move the affected accounts.
-        """
-        shard_id = f"shard-{self._next_index}"
-        self._next_index += 1
-        self.shards[shard_id] = WebServer(
-            self.domain, self.ca, self._key_seed, key_bits=self.key_bits,
-            verification_cache=self.verification_cache, obs=self.obs)
-        self.router.add_shard(shard_id)
-        return shard_id
-
-    def remove_shard(self, shard_id: str) -> list[tuple[str, str, str]]:
-        """Drain and retire a replica; returns the moves made."""
-        if shard_id not in self.shards:
-            raise KeyError(f"unknown shard {shard_id!r}")
-        self.router.remove_shard(shard_id)
-        retired = self.shards.pop(shard_id)
-        moved = []
-        for account in retired.accounts():
-            home = self.router.route(account)
-            self.shards[home].import_account(
-                account, retired.export_account(account))
-            moved.append((account, shard_id, home))
-        return moved
-
-    def rebalance(self) -> list[tuple[str, str, str]]:
-        """Move every misplaced account to its ring home.
-
-        Returns ``(account, from_shard, to_shard)`` tuples; consistent
-        hashing keeps this list to roughly K/N of the accounts after a
-        membership change.
-        """
-        moved = []
-        for shard_id in sorted(self.shards):
-            shard = self.shards[shard_id]
-            for account in shard.accounts():
-                home = self.router.route(account)
-                if home != shard_id:
-                    self.shards[home].import_account(
-                        account, shard.export_account(account))
-                    moved.append((account, shard_id, home))
-        return moved
+        for index in range(n_shards):
+            shard_id = f"shard-{index}"
+            self.shards[shard_id] = WebServer(
+                domain, ca, key_seed, key_bits=key_bits,
+                verification_cache=verification_cache, obs=obs)
+            self.router.add_shard(shard_id)
 
     # -------------------------------------------------------------- routing
     @property

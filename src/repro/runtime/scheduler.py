@@ -48,18 +48,6 @@ class EventLoop:
         heapq.heappush(self._heap, (at, self._seq, label, action))
         self._seq += 1
 
-    def schedule_after(self, delay: float, label: str,
-                       action: Callable[[], None]) -> None:
-        """Enqueue ``action`` to run ``delay`` after the current time."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        self.schedule(self.now + delay, label, action)
-
-    @property
-    def pending(self) -> int:
-        """Events still queued."""
-        return len(self._heap)
-
     def run(self, max_events: int | None = None) -> int:
         """Pop-and-execute until the heap drains; returns events run."""
         ran = 0

@@ -44,11 +44,6 @@ class UiElement:
         """Centre point of the element, in mm."""
         return (self.x_mm + self.width_mm / 2, self.y_mm + self.height_mm / 2)
 
-    def contains(self, x_mm: float, y_mm: float) -> bool:
-        """Whether a point falls inside the element."""
-        return (self.x_mm <= x_mm <= self.x_mm + self.width_mm
-                and self.y_mm <= y_mm <= self.y_mm + self.height_mm)
-
 
 @dataclass(frozen=True)
 class UiLayout:
@@ -69,13 +64,6 @@ class UiLayout:
                 raise ValueError(
                     f"element {element.name!r} extends outside layout "
                     f"{self.name!r}")
-
-    def element(self, name: str) -> UiElement:
-        """Look up an element by name; KeyError if absent."""
-        for candidate in self.elements:
-            if candidate.name == name:
-                return candidate
-        raise KeyError(f"layout {self.name!r} has no element {name!r}")
 
     def sample_element(self, rng: np.random.Generator) -> UiElement:
         """Draw an element proportionally to its usage weight."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gestures import Gesture, GestureKind, make_swipe, make_tap, make_zoom
+from .gestures import Gesture, make_swipe, make_tap, make_zoom
 from .layouts import UiLayout, standard_layouts
 from .users import UserTouchModel
 
@@ -52,11 +52,6 @@ class TouchTrace:
     element_names: list[str | None] = field(default_factory=list)
 
     @property
-    def duration_s(self) -> float:
-        """Wall-clock span of the trace."""
-        return self.gestures[-1].end_s if self.gestures else 0.0
-
-    @property
     def n_touches(self) -> int:
         """Number of gestures in the trace."""
         return len(self.gestures)
@@ -66,10 +61,6 @@ class TouchTrace:
         return np.array(
             [[g.primary_event.x_mm, g.primary_event.y_mm] for g in self.gestures]
         ).reshape(-1, 2)
-
-    def taps_only(self) -> list[Gesture]:
-        """The trace's tap gestures (stationary touches)."""
-        return [g for g in self.gestures if g.kind is GestureKind.TAP]
 
 
 class SessionGenerator:

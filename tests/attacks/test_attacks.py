@@ -5,7 +5,7 @@ import pytest
 
 from repro.attacks import (
     certificate_substitution_attack,
-    evasion_attack,
+    evasive_tap,
     fake_touch_attack,
     key_substitution_attack,
     replay_cookie_request,
@@ -16,7 +16,12 @@ from repro.attacks import (
     unlock_attack,
 )
 from repro.baselines import CookieWebServer
-from repro.core import LocalIdentityManager
+from repro.core import (
+    ContinuousAuthPipeline,
+    IdentityRiskTracker,
+    LocalIdentityManager,
+    TouchOutcomeKind,
+)
 from repro.eval import LOGIN_BUTTON_XY, standard_deployment
 from repro.net import TrustClient
 from repro.touchgen import UserTouchModel
@@ -65,17 +70,36 @@ class TestPhysicalAttacks:
         assert result.evidence["touches_to_lock"] is not None
         assert result.evidence["touches_to_lock"] <= 200
 
-    def test_evasion_attack_contained(self, manager, world):
+
+    def test_evasion_attack_contained(self, world):
+        """Light, fast, brief impostor taps through the real pipeline fail
+        the quality gate rather than the matcher.  The paper's policy
+        counts those captures in the window, so it still breaches; a
+        policy that ignores them lets the evader last at least as long."""
         rng = np.random.default_rng(4)
-        assert _unlock(manager, world.user_master, rng)
-        result = evasion_attack(manager, world.impostor_master, rng,
-                                max_touches=120)
-        # Either the window locked the device, or the min-touch-time rule
-        # starved the attacker of accepted interactions.
-        if result.detected:
-            assert result.evidence["touches_to_lock"] is not None
-        else:
-            assert result.evidence["useful_actions"] <= 120 * 0.7
+        pipeline = ContinuousAuthPipeline(world.device.flock,
+                                          world.device.panel,
+                                          IdentityRiskTracker())
+        finger_id = world.impostor_master.finger_id
+        kinds = [pipeline.process_gesture(
+                     evasive_tap(i * 0.8, 28.0, 80.0, finger_id, rng),
+                     world.impostor_master, rng).outcome_kind
+                 for i in range(40)]
+        assert TouchOutcomeKind.VERIFIED not in kinds
+        assert kinds.count(TouchOutcomeKind.LOW_QUALITY) > len(kinds) // 2
+
+        def first_breach(count_low_quality):
+            tracker = IdentityRiskTracker(window=8, min_verified=2,
+                                          count_low_quality=count_low_quality)
+            for index, kind in enumerate(kinds):
+                if tracker.record(kind).breach:
+                    return index + 1
+            return None
+
+        with_counting = first_breach(True)
+        without_counting = first_breach(False)
+        assert with_counting is not None
+        assert without_counting is None or without_counting >= with_counting
 
 
 class TestChannelAttacks:

@@ -10,7 +10,6 @@ from repro.baselines import (
     GF16,
     KeystrokeAuthenticator,
     PasswordAuthModel,
-    PasswordPolicy,
     SeparateFingerprintSensor,
     TypingProfile,
     crc16,
@@ -43,18 +42,6 @@ class TestPasswordModel:
         with pytest.raises(ValueError):
             PasswordAuthModel().dictionary_attack_success(-1)
 
-    def test_policy_burden_ordering(self):
-        lax = PasswordPolicy()
-        strict = PasswordPolicy(min_length=14, require_mixed_case=True,
-                                require_digit=True, expiry_days=90)
-        assert strict.burden_score() > lax.burden_score()
-
-    def test_table1_axes(self):
-        model = PasswordAuthModel()
-        assert not model.continuous_verification()
-        assert not model.transparent_to_user()
-        assert "memorization" in model.user_burden()
-
 
 class TestSwipeSensor:
     def test_genuine_login_usually_accepted(self):
@@ -74,10 +61,6 @@ class TestSwipeSensor:
         sensor = SeparateFingerprintSensor()
         latency = sensor.mean_login_latency_s(np.random.default_rng(2))
         assert 1.0 < latency < 6.0
-
-    def test_no_continuity(self):
-        assert not SeparateFingerprintSensor.continuous_verification()
-        assert not SeparateFingerprintSensor.transparent_to_user()
 
 
 class TestKeystroke:
@@ -135,9 +118,9 @@ class TestCookieServer:
     def test_stolen_cookie_works_forever(self, server):
         """The vulnerability TRUST eliminates: bearer tokens."""
         cookie = server.login("alice", "hunter2").fields["cookie"]
-        for _ in range(10):
-            server.handle_request(Envelope("r", {"cookie": cookie}))
-        assert server.session_for_cookie(cookie).requests == 10
+        pages = [server.handle_request(Envelope("r", {"cookie": cookie}))
+                 for _ in range(10)]
+        assert all(page.fields["account"] == "alice" for page in pages)
 
     def test_bogus_cookie_rejected(self, server):
         with pytest.raises(ProtocolError, match="bad-cookie"):

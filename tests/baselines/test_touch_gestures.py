@@ -77,18 +77,6 @@ class TestAuthenticator:
         eer_window, _ = equal_error_rate(*windowed)
         assert eer_window < eer_raw
 
-    def test_observe_sliding_window(self, traces):
-        auth = TouchGestureAuthenticator(window=5)
-        user_id = list(traces)[0]
-        auth.enroll(user_id, traces[user_id][:60])
-        for gesture in traces[user_id][60:70]:
-            window_score, accepted = auth.observe(user_id, gesture)
-            assert 0.0 <= window_score <= 1.0
-        auth.reset_window(user_id)
-        score, _ = auth.observe(user_id, traces[user_id][70])
-        assert score == pytest.approx(
-            auth.score_gesture(user_id, traces[user_id][70]))
-
     def test_evaluate_needs_two_users(self, traces):
         single = {list(traces)[0]: traces[list(traces)[0]]}
         with pytest.raises(ValueError):

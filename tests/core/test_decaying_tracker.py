@@ -79,13 +79,6 @@ class TestDecay:
         with pytest.raises(ValueError):
             DecayingRiskTracker(breach_risk=0.0)
 
-    def test_lifetime_stats(self):
-        tracker = DecayingRiskTracker()
-        for kind in (V, F, N, V):
-            tracker.record(kind)
-        assert tracker.total_recorded == 4
-        assert tracker.lifetime_verification_rate == pytest.approx(0.5)
-
     @given(st.lists(st.sampled_from([V, F, Q, N]), max_size=60))
     @settings(max_examples=50, deadline=None)
     def test_risk_always_in_unit_range(self, kinds):

@@ -23,7 +23,7 @@ class TestRiskValues:
         for _ in range(4):
             assessment = tracker.record(V)
         assert assessment.risk == 0.0
-        assert assessment.window_full
+        assert assessment.window_fill == assessment.window_size
         assert not assessment.breach
 
     def test_risk_ramps_by_one_over_n(self):
@@ -115,16 +115,6 @@ class TestValidationAndStats:
             IdentityRiskTracker(window=0)
         with pytest.raises(ValueError):
             IdentityRiskTracker(window=4, min_verified=5)
-
-    def test_lifetime_stats(self):
-        tracker = IdentityRiskTracker(window=4)
-        for kind in (V, F, N, V):
-            tracker.record(kind)
-        assert tracker.total_recorded == 4
-        assert tracker.lifetime_verification_rate == pytest.approx(0.5)
-
-    def test_lifetime_rate_empty(self):
-        assert IdentityRiskTracker().lifetime_verification_rate == 0.0
 
     @given(st.lists(st.sampled_from([V, F, Q, N]), max_size=60),
            st.integers(min_value=1, max_value=12))

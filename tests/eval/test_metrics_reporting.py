@@ -49,10 +49,23 @@ class TestRoc:
         assert (np.diff(curve.far) <= 1e-12).all()
         assert (np.diff(curve.frr) >= -1e-12).all()
 
-    def test_auc_reasonable(self):
+    def test_eer_reflects_separation(self):
         rng = np.random.default_rng(0)
-        curve = roc_curve(rng.beta(8, 3, 500), rng.beta(2, 8, 500))
-        assert 0.9 < curve.auc() <= 1.0
+        genuine, impostor = rng.beta(8, 3, 500), rng.beta(2, 8, 500)
+        eer, _ = equal_error_rate(genuine, impostor)
+        assert eer < 0.1
+        swapped, _ = equal_error_rate(impostor, genuine)
+        assert swapped > 0.9
+
+    def test_curve_agrees_with_far_frr_at(self):
+        """Every operating point on the sweep uses the same accept rule
+        (score >= threshold) as a single fixed-threshold decision."""
+        rng = np.random.default_rng(1)
+        genuine, impostor = rng.beta(8, 3, 200), rng.beta(2, 8, 200)
+        curve = roc_curve(genuine, impostor, n_thresholds=21)
+        for threshold, far, frr in zip(curve.thresholds, curve.far,
+                                       curve.frr):
+            assert (far, frr) == far_frr_at(genuine, impostor, threshold)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

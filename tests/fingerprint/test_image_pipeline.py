@@ -9,7 +9,6 @@ from repro.fingerprint import (
     GaborBank,
     SyntheticOrientationField,
     binarize,
-    block_view_stats,
     estimate_orientation,
     gabor_kernel,
     local_contrast,
@@ -66,18 +65,6 @@ class TestSegmentation:
         mask = segment_foreground(img)
         assert mask[40, 30]
         assert not mask[90, 90]
-
-
-class TestBlockStats:
-    def test_shapes(self):
-        mean, var = block_view_stats(np.zeros((48, 36)), block=12)
-        assert mean.shape == (4, 3) and var.shape == (4, 3)
-
-    def test_constant_blocks(self):
-        img = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones((12, 12)))
-        mean, var = block_view_stats(img, block=12)
-        assert np.allclose(var, 0.0)
-        assert np.allclose(mean, [[0, 1], [1, 0]])
 
 
 class TestBinarize:
@@ -137,11 +124,6 @@ class TestSyntheticField:
         for i in range(len(fields)):
             for j in range(i + 1, len(fields)):
                 assert not np.allclose(fields[i], fields[j])
-
-    def test_sample_clamps(self):
-        field = SyntheticOrientationField(
-            FingerprintClass.arch(), (32, 32), np.random.default_rng(0))
-        assert field.sample(-5.0, 100.0) == field.field[0, 31]
 
     def test_too_small_grid_rejected(self):
         with pytest.raises(ValueError):

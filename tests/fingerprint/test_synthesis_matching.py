@@ -69,7 +69,7 @@ class TestImpression:
     def test_full_press_covers_most_frame(self, master_pair):
         rng = np.random.default_rng(0)
         imp = render_impression(master_pair[0], CaptureCondition(), rng)
-        assert imp.coverage > 0.9
+        assert imp.mask.mean() > 0.9
 
     def test_partial_press_is_partial(self, master_pair):
         rng = np.random.default_rng(0)
@@ -77,7 +77,7 @@ class TestImpression:
             master_pair[0],
             CaptureCondition(center=(96, 96), radius=40), rng)
         expected = np.pi * 40**2 / (192 * 192)
-        assert abs(imp.coverage - expected) < 0.05
+        assert abs(imp.mask.mean() - expected) < 0.05
 
     def test_identity_condition_reproduces_master(self, master_pair):
         rng = np.random.default_rng(0)
@@ -155,7 +155,7 @@ class TestMatching:
 
     def test_empty_probe(self, enrolled_pair, matcher):
         result = matcher.match(enrolled_pair[0].minutiae, [])
-        assert result.score == 0.0 and result.is_empty
+        assert result.score == 0.0 and result.n_probe == 0
 
     def test_genuine_beats_impostor_full_press(self, master_pair, enrolled_pair,
                                                matcher):
@@ -261,8 +261,6 @@ class TestQuality:
         passed_good, _ = gate.evaluate(good)
         passed_bad, _ = gate.evaluate(bad)
         assert passed_good and not passed_bad
-        assert gate.accepted == 1 and gate.rejected == 1
-        assert gate.acceptance_rate == 0.5
 
     def test_gate_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -302,15 +300,6 @@ class TestDataset:
         assert len(dataset.masters) == 3
         assert all(len(v) == 2 for v in dataset.impressions.values())
 
-    def test_genuine_pair_count(self, dataset):
-        # 3 fingers x C(2,2)=1 pair each.
-        assert len(dataset.genuine_pairs()) == 3
-
-    def test_impostor_pair_count(self, dataset):
-        rng = np.random.default_rng(0)
-        assert len(dataset.impostor_pairs(rng)) == 3  # C(3,2)
-        assert len(dataset.impostor_pairs(rng, n_pairs=2)) == 2
-
     def test_deterministic(self):
         a = build_dataset("d", 2, 1, DifficultyProfile.enrollment_grade(),
                           seed=5, master_shape=(96, 96))
@@ -319,12 +308,6 @@ class TestDataset:
         assert np.allclose(a.impressions[a.finger_ids[0]][0].image,
                            b.impressions[b.finger_ids[0]][0].image)
 
-    def test_master_lookup(self, dataset):
-        assert dataset.master_of(dataset.finger_ids[0]).finger_id \
-            == dataset.finger_ids[0]
-        with pytest.raises(KeyError):
-            dataset.master_of("nope")
-
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
             build_dataset("d", 0, 1, DifficultyProfile.enrollment_grade(), seed=1)
@@ -332,44 +315,34 @@ class TestDataset:
     def test_touch_grade_is_partial(self):
         ds = build_dataset("t", 1, 3, DifficultyProfile.touch_grade(),
                            seed=9, master_shape=(192, 192))
-        coverages = [imp.coverage for imp in ds.impressions[ds.finger_ids[0]]]
+        coverages = [imp.mask.mean()
+                     for imp in ds.impressions[ds.finger_ids[0]]]
         # An 80-px contact on a 192-px master covers at most ~55 %.
         assert all(c < 0.65 for c in coverages)
+
+
+def _samples(model, genuine, n, rng):
+    return np.array([model.sample(genuine, rng) for _ in range(n)])
 
 
 class TestScoreModel:
     def test_sampling_ranges(self):
         rng = np.random.default_rng(0)
         for genuine in (True, False):
-            scores = DEFAULT_PARTIAL_MODEL.sample_many(genuine, 500, rng)
+            scores = _samples(DEFAULT_PARTIAL_MODEL, genuine, 500, rng)
             assert (scores >= 0).all() and (scores <= 1).all()
 
     def test_genuine_higher_than_impostor(self):
         rng = np.random.default_rng(0)
-        g = DEFAULT_PARTIAL_MODEL.sample_many(True, 2000, rng).mean()
-        i = DEFAULT_PARTIAL_MODEL.sample_many(False, 2000, rng).mean()
+        g = _samples(DEFAULT_PARTIAL_MODEL, True, 2000, rng).mean()
+        i = _samples(DEFAULT_PARTIAL_MODEL, False, 2000, rng).mean()
         assert g > i + 0.2
 
     def test_full_model_stronger_than_partial(self):
         rng = np.random.default_rng(0)
-        full = DEFAULT_FULL_MODEL.sample_many(True, 2000, rng).mean()
-        partial = DEFAULT_PARTIAL_MODEL.sample_many(True, 2000, rng).mean()
+        full = _samples(DEFAULT_FULL_MODEL, True, 2000, rng).mean()
+        partial = _samples(DEFAULT_PARTIAL_MODEL, True, 2000, rng).mean()
         assert full > partial
-
-    def test_decision_rates(self):
-        frr, far = DEFAULT_PARTIAL_MODEL.decision_rates(0.25)
-        assert 0.0 <= frr <= 1.0 and 0.0 <= far <= 1.0
-        assert far < 0.2
-
-    def test_json_roundtrip(self):
-        model = CalibratedScoreModel(
-            genuine_scores=np.array([0.5, 0.6]),
-            impostor_scores=np.array([0.1]),
-            jitter=0.01,
-        )
-        restored = CalibratedScoreModel.from_json(model.to_json())
-        assert np.allclose(restored.genuine_scores, model.genuine_scores)
-        assert restored.jitter == model.jitter
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -380,6 +353,6 @@ class TestScoreModel:
             CalibratedScoreModel(np.array([1.2]), np.array([0.1]))
 
     def test_deterministic_under_rng(self):
-        a = DEFAULT_PARTIAL_MODEL.sample_many(True, 10, np.random.default_rng(3))
-        b = DEFAULT_PARTIAL_MODEL.sample_many(True, 10, np.random.default_rng(3))
+        a = _samples(DEFAULT_PARTIAL_MODEL, True, 10, np.random.default_rng(3))
+        b = _samples(DEFAULT_PARTIAL_MODEL, True, 10, np.random.default_rng(3))
         assert np.allclose(a, b)

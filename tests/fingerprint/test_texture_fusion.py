@@ -47,14 +47,6 @@ class TestDescriptor:
         descriptor = descriptors["tex-a"]
         assert (descriptor.weight > 0.05).sum() > 100
 
-    def test_serialization_roundtrip(self, descriptors):
-        descriptor = descriptors["tex-a"]
-        restored = TextureDescriptor.from_bytes(descriptor.to_bytes())
-        assert restored.stride == descriptor.stride
-        assert np.allclose(restored.orientation, descriptor.orientation,
-                           atol=np.pi / 128)
-        assert np.allclose(restored.weight, descriptor.weight, atol=1 / 128)
-
     def test_blank_image_has_no_live_cells(self):
         descriptor = TextureDescriptor.from_image(np.full((96, 96), 0.5))
         positions, _, _ = descriptor.pixel_points()

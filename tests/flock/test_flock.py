@@ -1,5 +1,7 @@
 """FLock module: storage, display repeater, controllers, trusted boundary."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.crypto import (
     CertificateError,
     HmacDrbg,
     generate_keypair,
+    hmac_sha256,
 )
 from repro.fingerprint import (
     DEFAULT_PARTIAL_MODEL,
@@ -116,7 +119,7 @@ class TestStorage:
         flash.add_record(record)
         assert flash.record("www.xyz.com") is record
         assert flash.has_record("www.xyz.com")
-        assert flash.domains() == ["www.xyz.com"]
+        assert [r.domain for r in flash.all_records()] == ["www.xyz.com"]
 
     def test_duplicate_rejected(self):
         flash = ProtectedFlash()
@@ -146,8 +149,8 @@ class TestStorage:
         record = self._record()
         view = record.public_view()
         assert view.public_key == record.key_pair.public_key
-        assert not hasattr(view, "key_pair")
-        assert not hasattr(view, "fingerprint")
+        assert {f.name for f in dataclasses.fields(view)} == {
+            "domain", "account", "public_key"}
 
     def test_device_template(self):
         flash = ProtectedFlash()
@@ -283,7 +286,6 @@ class TestTouchPipeline:
         """The mode alone picks the processor: one enrollment call."""
         module = FlockModule("dev-m", b"seed-m", layout, processor_mode=mode)
         module.enroll_local_user(alice_template)
-        assert module.is_enrolled
         panel = TouchPanel()
         rng = np.random.default_rng(0)
         results = [
@@ -298,6 +300,7 @@ class TestTouchPipeline:
         pass/fail, and a discarded capture is never scored."""
         image = ImageFingerprintProcessor(alice_template)
         modeled = ModeledFingerprintProcessor(alice_template.finger_id)
+        passed = []
         for capture in _captures(layout, alice_master, _STEADY_AND_EVASIVE):
             by_image = image.authenticate(capture, np.random.default_rng(0))
             by_model = modeled.authenticate(capture, np.random.default_rng(0))
@@ -306,9 +309,8 @@ class TestTouchPipeline:
                 by_model.quality.score >= QUALITY_THRESHOLD)
             if not by_model.quality_ok:
                 assert by_model.score == 0.0 and not by_model.accepted
-        assert (modeled.gate.accepted, modeled.gate.rejected) == \
-            (image.gate.accepted, image.gate.rejected)
-        assert modeled.gate.accepted > 0 and modeled.gate.rejected > 0
+            passed.append(by_model.quality_ok)
+        assert set(passed) == {True, False}
 
     def test_modeled_scores_come_from_the_partial_model(self, layout,
                                                         alice_master,
@@ -403,6 +405,40 @@ class TestServiceBinding:
         flock.unbind_service("www.xyz.com")
         assert not flock.flash.has_record("www.xyz.com")
 
+    def test_unbind_forgets_session_and_challenge(self, flock, ca,
+                                                  server_key, alice_template):
+        """Unbinding a logged-in domain leaves no key that can MAC for it
+        and no challenge that can be attested."""
+        flock.install_ca(ca.public_key)
+        cert = ca.issue("www.xyz.com", "web-server", server_key.public_key)
+        flock.begin_service_binding("www.xyz.com", "a", cert, now=0)
+        flock.complete_service_binding("www.xyz.com", alice_template)
+        flock.open_session("www.xyz.com")
+        flock.begin_challenge("www.xyz.com", b"challenge-nonce")
+        flock.unbind_service("www.xyz.com")
+        assert not flock.has_session("www.xyz.com")
+        with pytest.raises(FlockError, match="no open session"):
+            flock.session_mac("www.xyz.com", b"request")
+        with pytest.raises(FlockError, match="no pending challenge"):
+            flock.attest_challenge("www.xyz.com")
+
+    def test_session_lifecycle(self, flock, ca, server_key, alice_template):
+        """The session key leaves only sealed for the server; FLock MACs
+        and verifies under it until the session closes."""
+        flock.install_ca(ca.public_key)
+        cert = ca.issue("www.xyz.com", "web-server", server_key.public_key)
+        flock.begin_service_binding("www.xyz.com", "a", cert, now=0)
+        flock.complete_service_binding("www.xyz.com", alice_template)
+        session_key = server_key.decrypt(flock.open_session("www.xyz.com"))
+        assert len(session_key) == 32
+        tag = flock.session_mac("www.xyz.com", b"payload")
+        assert tag == hmac_sha256(session_key, b"payload")
+        assert flock.verify_session_mac("www.xyz.com", b"payload", tag)
+        assert not flock.verify_session_mac("www.xyz.com", b"other", tag)
+        flock.close_session("www.xyz.com")
+        with pytest.raises(FlockError, match="no open session"):
+            flock.session_mac("www.xyz.com", b"payload")
+
     def test_signatures_for_service(self, flock, ca, server_key,
                                     alice_template):
         flock.install_ca(ca.public_key)
@@ -484,7 +520,8 @@ class TestIdentityTransfer:
         # The transferred service key signs identically.
         message = b"post-transfer"
         sig = new.sign_for_service("www.xyz.com", message)
-        assert old.service_view("www.xyz.com").public_key.verify(message, sig)
+        old_view = old.flash.record("www.xyz.com").public_view()
+        assert old_view.public_key.verify(message, sig)
 
     def test_transfer_requires_fingerprint_authorization(
             self, layout, alice_template):

@@ -14,7 +14,6 @@ from repro.hardware import (
     SensorArray,
     SensorSpec,
     compare_policies,
-    policy_capture_time_s,
 )
 from repro.hardware.sensor_array import SETUP_CYCLES
 
@@ -204,14 +203,6 @@ class TestReadoutPolicies:
         by_policy = {t.policy: t for t in compare_policies(FLOCK_SENSOR, window)}
         assert by_policy[ReadoutPolicy.WINDOW_SELECTIVE].cells_sensed \
             < by_policy[ReadoutPolicy.FULL_SERIAL].cells_sensed
-
-    def test_policy_capture_time_consistent(self):
-        window = CaptureWindow.around(128, 128, 40, 256, 256)
-        t = policy_capture_time_s(FLOCK_SENSOR,
-                                  ReadoutPolicy.WINDOW_SELECTIVE, window)
-        by_policy = {x.policy: x for x in compare_policies(FLOCK_SENSOR, window)}
-        assert t * 1000 == pytest.approx(
-            by_policy[ReadoutPolicy.WINDOW_SELECTIVE].time_ms)
 
 
 class TestPowerModel:

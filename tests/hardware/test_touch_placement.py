@@ -49,8 +49,8 @@ class TestTouchPanel:
 
     def test_touch_counter(self):
         panel = TouchPanel()
-        panel.locate_many([TouchEvent(time_s=0, x_mm=5, y_mm=5),
-                           TouchEvent(time_s=0, x_mm=6, y_mm=8)])
+        panel.locate(TouchEvent(time_s=0, x_mm=5, y_mm=5))
+        panel.locate(TouchEvent(time_s=0, x_mm=6, y_mm=8))
         assert panel.touches_seen == 2
 
     def test_invalid_geometry(self):

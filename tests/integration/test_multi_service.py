@@ -39,9 +39,10 @@ def multi_world():
 class TestMultiService:
     def test_three_independent_bindings(self, multi_world):
         device, servers, _ = multi_world
-        assert device.flock.flash.domains() == sorted(DOMAINS)
-        keys = {domain: device.flock.service_view(domain).public_key
-                for domain in DOMAINS}
+        records = device.flock.flash.all_records()
+        assert [record.domain for record in records] == sorted(DOMAINS)
+        keys = {record.domain: record.public_view().public_key
+                for record in records}
         assert len({(k.n, k.e) for k in keys.values()}) == 3  # distinct pairs
 
     def test_server_bindings_are_isolated(self, multi_world):

@@ -58,7 +58,7 @@ class TestMobileDevice:
 
     def test_browser_starts_clean(self, device):
         dev, _ = device
-        assert not dev.browser.compromised
+        assert dev.browser.malware is None
 
     def test_device_without_ca_has_no_certificate(self, device):
         dev, _ = device

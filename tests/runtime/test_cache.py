@@ -7,11 +7,17 @@ import pytest
 
 from repro.crypto import HmacDrbg, generate_keypair
 from repro.runtime import VerificationCache
+from repro.runtime.cache import MAX_ENTRIES
 
 
 def _hits_misses(cache, kind):
     """One predicate kind's ``(hits, misses)``, read from the stats rows."""
     return {row[0]: row[1:3] for row in cache.stats()}[kind]
+
+
+def _evictions(cache):
+    """LRU evictions, read from the cache's registry."""
+    return cache.registry.counter("cache.evictions").total()
 
 
 class TestCacheMechanics:
@@ -38,30 +44,27 @@ class TestCacheMechanics:
         assert cache.lookups("a") == 1
 
     def test_lru_eviction_prefers_recent_entries(self):
-        cache = VerificationCache(max_entries=2)
-        cache.memoize("k", b"1", lambda: 1)
-        cache.memoize("k", b"2", lambda: 2)
-        cache.memoize("k", b"1", lambda: 1)  # touch 1 -> 2 is now LRU
-        cache.memoize("k", b"3", lambda: 3)  # evicts 2
-        assert cache.evictions == 1
-        assert len(cache) == 2
-        cache.memoize("k", b"1", lambda: pytest.fail("1 was evicted"))
-        cache.memoize("k", b"2", lambda: "recomputed")
-        assert _hits_misses(cache, "k")[1] == 4  # 1, 2, 3, and 2 again
-
-    def test_clear_resets_everything(self):
         cache = VerificationCache()
-        cache.memoize("k", b"1", lambda: 1)
-        cache.memoize("k", b"1", lambda: 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.lookups() == 0
-        assert cache.hit_rate() == 0.0
-        assert cache.stats() == []
+        for index in range(MAX_ENTRIES):
+            cache.memoize("k", b"%d" % index, lambda: index)
+        cache.memoize("k", b"0", lambda: 0)  # touch 0 -> 1 is now LRU
+        cache.memoize("k", b"new", lambda: "new")  # evicts 1
+        assert _evictions(cache) == 1
+        assert len(cache) == MAX_ENTRIES
+        cache.memoize("k", b"0", lambda: pytest.fail("0 was evicted"))
+        cache.memoize("k", b"1", lambda: "recomputed")
+        assert _hits_misses(cache, "k")[1] == MAX_ENTRIES + 2
 
-    def test_invalid_max_entries(self):
-        with pytest.raises(ValueError):
-            VerificationCache(max_entries=0)
+    def test_distinct_keys_beyond_the_bound_are_evicted(self):
+        """Failed checks are cached under the presented certificate's
+        digest, so distinct forgeries must not grow the cache forever."""
+        cache = VerificationCache()
+        extra = 300
+        for index in range(MAX_ENTRIES + extra):
+            cache.memoize("cert-signature", b"forged-%d" % index,
+                          lambda: False)
+        assert len(cache) == MAX_ENTRIES
+        assert _evictions(cache) == extra
 
 
 class TestCachedEqualsUncached:

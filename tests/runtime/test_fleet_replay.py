@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.crypto import CertificateAuthority, HmacDrbg
+from repro.flock import ModeledFingerprintProcessor
 from repro.runtime import (
     EXPECTED_REJECTIONS,
     DeviceFactory,
@@ -173,8 +174,9 @@ class TestDeviceFactory:
         clones = [factory.build(index) for index in range(config.n_devices)]
         for device in factory.prototypes + clones:
             assert device.flock.processor_mode == "modeled"
-            assert device.flock.enrolled_finger_ids == \
-                [factory.master.finger_id]
+            processor = device.flock._local_processor
+            assert isinstance(processor, ModeledFingerprintProcessor)
+            assert processor.enrolled_finger_id == factory.master.finger_id
 
 
 class TestWorkloadDraw:

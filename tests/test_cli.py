@@ -1,8 +1,30 @@
 """The ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
+from repro.eval.harness import _cached_deployment
+
+
+def _span_tree(out):
+    """``(indent, span name)`` of every span line in a text trace export."""
+    return [(len(line) - len(line.lstrip(" ")), line.split()[0])
+            for line in out.splitlines()
+            if re.match(r" +\S+ \(\d+\.\.\d+\)", line)]
+
+
+@pytest.fixture
+def fresh_world():
+    """Give the command its own ``standard_deployment`` world and drop it
+    afterwards: demo, audit, attacks and the gesture trace change the
+    cached world they run on (a login, audit entries, a device bound to
+    the attacks' victim domain, a live tracer on the server), and no
+    later test should see that."""
+    _cached_deployment.cache_clear()
+    yield
+    _cached_deployment.cache_clear()
 
 
 class TestCli:
@@ -12,12 +34,14 @@ class TestCli:
         assert "Table II" in out
         assert "160.0 ms" in out
 
+    @pytest.mark.usefixtures("fresh_world")
     def test_demo_command(self, capsys):
         assert main(["demo", "--requests", "2"]) == 0
         out = capsys.readouterr().out
         assert "login: ok" in out
         assert "request 2: ok" in out
 
+    @pytest.mark.usefixtures("fresh_world")
     def test_audit_command(self, capsys):
         assert main(["audit"]) == 0
         out = capsys.readouterr().out
@@ -36,6 +60,32 @@ class TestCli:
         assert "fleet overview" in out
         assert "per-shard balance" in out
         assert "FAIL" not in out
+
+    @pytest.mark.usefixtures("fresh_world")
+    def test_attacks_command(self, capsys):
+        assert main(["attacks"]) == 0
+        out = capsys.readouterr().out
+        assert "impostor-unlock: blocked (detected)" in out
+        assert "malware-fake-touch: blocked (detected)" in out
+        assert "verdict: ALL ATTACKS BLOCKED" in out
+
+    @pytest.mark.usefixtures("fresh_world")
+    def test_gesture_trace_command(self, capsys):
+        assert main(["trace"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("trace t0001\n")
+        tree = _span_tree(out)
+        login = [(2, "client.login"), (4, "flock.touch"),
+                 (6, "sensor.capture"), (6, "flock.match"),
+                 (4, "server.dispatch")]
+        verified_gesture = [(2, "gesture"), (4, "pipeline.process"),
+                            (6, "flock.touch"), (8, "sensor.capture"),
+                            (8, "flock.match"), (4, "client.request"),
+                            (6, "server.dispatch")]
+        assert tree[:len(login)] == login
+        assert tree[len(login):len(login) + len(verified_gesture)] == \
+            verified_gesture
+        assert sum(name == "gesture" for _, name in tree) == 8
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -37,17 +37,6 @@ class TestLayouts:
         bank = standard_layouts()["bank-app"]
         assert any(e.critical for e in bank.elements)
 
-    def test_element_lookup(self):
-        browser = standard_layouts()["browser"]
-        assert browser.element("back").name == "back"
-        with pytest.raises(KeyError):
-            browser.element("missing")
-
-    def test_element_contains(self):
-        element = UiElement("e", 10, 10, 5, 5)
-        assert element.contains(12, 12)
-        assert not element.contains(16, 12)
-
     def test_sample_respects_weights(self):
         layout = UiLayout("l", 50, 50, (
             UiElement("heavy", 0, 0, 10, 10, weight=100.0),
@@ -188,11 +177,6 @@ class TestSessions:
             SessionConfig(n_interactions=0)
         with pytest.raises(ValueError):
             SessionConfig(tap_fraction=0.9, swipe_fraction=0.5)
-
-    def test_taps_only_filter(self, trace):
-        taps = trace.taps_only()
-        assert all(t.kind is GestureKind.TAP for t in taps)
-        assert 0 < len(taps) <= trace.n_touches
 
 
 class TestDensityMap:
