@@ -35,7 +35,7 @@ from ..core import TraceHop
 
 __all__ = [
     "SECRECY", "TIMING", "Token", "Taint", "SinkRecord", "FunctionSummary",
-    "merge", "with_hop", "source_tokens", "param_tokens", "make_source",
+    "merge", "with_hop", "source_tokens", "make_source",
 ]
 
 SECRECY = "secret"
@@ -102,12 +102,6 @@ def source_tokens(value: Taint, cls: str | None = None) -> list[Token]:
     """The concrete (non-parametric) tokens in ``value``."""
     return [t for t in value.values()
             if t.kind == "source" and (cls is None or t.cls == cls)]
-
-
-def param_tokens(value: Taint, cls: str | None = None) -> list[Token]:
-    """The parametric tokens in ``value``."""
-    return [t for t in value.values()
-            if t.kind == "param" and (cls is None or t.cls == cls)]
 
 
 def make_source(cls: str, name: str, hop: TraceHop,

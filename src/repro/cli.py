@@ -28,10 +28,10 @@ __all__ = ["main"]
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.eval import LOGIN_BUTTON_XY, standard_deployment
+    from repro.eval import LOGIN_BUTTON_XY, build_deployment
     from repro.net import TrustClient
 
-    world = standard_deployment(seed=args.seed)
+    world = build_deployment(seed=args.seed)
     rng = np.random.default_rng(args.seed)
     print(f"deployment ready: device {world.device.device_id!r} bound to "
           f"account {world.account!r} at {world.server.domain}")
@@ -47,7 +47,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                                 master=world.user_master,
                                 time_s=float(index))
         print(f"  request {index + 1}: {result.reason}")
-    world.device.flock.close_session(world.server.domain)
     return 0
 
 
@@ -61,10 +60,10 @@ def _cmd_attacks(args: argparse.Namespace) -> int:
         unlock_attack,
     )
     from repro.core import LocalIdentityManager
-    from repro.eval import LOGIN_BUTTON_XY, standard_deployment
+    from repro.eval import LOGIN_BUTTON_XY, build_deployment
     from repro.net import WebServer
 
-    world = standard_deployment(seed=args.seed)
+    world = build_deployment(seed=args.seed)
     rng = np.random.default_rng(args.seed)
     manager = LocalIdentityManager(flock=world.device.flock,
                                    panel=world.device.panel,
@@ -144,10 +143,10 @@ def _cmd_sensors(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.attacks import ui_spoof_attack
-    from repro.eval import LOGIN_BUTTON_XY, standard_deployment
+    from repro.eval import LOGIN_BUTTON_XY, build_deployment
     from repro.net import FrameAuditor
 
-    world = standard_deployment(seed=args.seed)
+    world = build_deployment(seed=args.seed)
     rng = np.random.default_rng(args.seed)
     result = ui_spoof_attack(world.device, world.server, world.account,
                              LOGIN_BUTTON_XY, world.user_master, rng)
@@ -188,15 +187,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     obs = Instrumentation.live()
     if args.scenario == "gesture":
         from repro.core import TrustCoordinator
-        from repro.eval import LOGIN_BUTTON_XY, standard_deployment
+        from repro.eval import LOGIN_BUTTON_XY, build_deployment
         from repro.touchgen import SessionConfig, SessionGenerator, example_users
 
-        world = standard_deployment(seed=args.seed)
+        world = build_deployment(seed=args.seed)
         rng = np.random.default_rng(args.seed)
         session = SessionGenerator(example_users()[0]).generate(
             SessionConfig(n_interactions=args.gestures), seed=args.seed)
-        # The server predates the bundle (the deployment is cached), so
-        # hand it the tracer directly; the coordinator wires the rest.
+        # The server predates the bundle, so hand it the tracer directly;
+        # the coordinator wires the rest.
         world.server.obs = obs
         coordinator = TrustCoordinator(world.device, world.server,
                                        world.channel, world.account,
@@ -206,7 +205,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             session.gestures,
             {world.user_master.finger_id: world.user_master},
             rng, login_master=world.user_master)
-        world.device.flock.close_session(world.server.domain)
     else:
         from repro.runtime import FleetConfig, FleetSimulation
 

@@ -86,13 +86,6 @@ class RsaPublicKey:
     n: int
     e: int
 
-    def __copy__(self) -> "RsaPublicKey":
-        # Frozen ints ⇒ value-immutable: fleet device cloning shares keys.
-        return self
-
-    def __deepcopy__(self, memo) -> "RsaPublicKey":
-        return self
-
     @property
     def byte_length(self) -> int:
         """Modulus size in bytes."""
@@ -167,8 +160,7 @@ class RsaPrivateKey:
     d: int
     p: int
     q: int
-    #: ``(d mod (p-1), d mod (q-1), q^-1 mod p)``, derived once per key.
-    #: Clones share it with the key (``deepcopy`` returns the key itself);
+    #: ``(d mod (p-1), d mod (q-1), q^-1 mod p)``, derived once per key;
     #: it takes no part in equality, hashing or ``repr``.
     _crt: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
@@ -177,13 +169,6 @@ class RsaPrivateKey:
             self.d % (self.p - 1),  # trust-lint: disable=SC803 -- CRT exponent reduction inside the audited modpow boundary
             self.d % (self.q - 1),  # trust-lint: disable=SC803 -- CRT exponent reduction inside the audited modpow boundary
             pow(self.q, -1, self.p)))  # trust-lint: disable=SC803 -- CRT coefficient inversion inside the audited modpow boundary
-
-    def __copy__(self) -> "RsaPrivateKey":
-        # Frozen ints ⇒ value-immutable: fleet device cloning shares keys.
-        return self
-
-    def __deepcopy__(self, memo) -> "RsaPrivateKey":
-        return self
 
     @property
     def byte_length(self) -> int:

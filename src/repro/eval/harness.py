@@ -2,8 +2,9 @@
 
 Building a full TRUST deployment means synthesizing fingers, enrolling
 templates, minting a CA and RSA keys — about half a second of work on a
-2-core x86 VM, which every benchmark needs.  The harness builds it once
-per (seed, mode) and caches it per process.
+2-core x86 VM, which every benchmark needs.  :func:`standard_deployment`
+builds it once per (seed, mode) and caches it per process;
+:func:`build_deployment` builds a world its caller owns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from repro.fingerprint import (
 )
 from repro.net import MobileDevice, TrustClient, UntrustedChannel, WebServer
 
-__all__ = ["Deployment", "standard_deployment", "LOGIN_BUTTON_XY"]
+__all__ = ["Deployment", "build_deployment", "standard_deployment",
+           "LOGIN_BUTTON_XY"]
 
 #: Where the standard layouts place login/confirm buttons: over the
 #: bottom-centre sensor of the default device layout.
@@ -48,9 +50,9 @@ class Deployment:
         return self.channel
 
 
-@lru_cache(maxsize=4)
-def _cached_deployment(seed: int, processor_mode: str,
-                       registered: bool) -> Deployment:
+def build_deployment(seed: int = 42, processor_mode: str = "image",
+                     registered: bool = True) -> Deployment:
+    """A fresh, fully-bound deployment, shared with no other caller."""
     rng = np.random.default_rng(seed)
     ca = CertificateAuthority(rng=HmacDrbg(f"ca-{seed}".encode()),
                               key_bits=1024)
@@ -80,11 +82,15 @@ def _cached_deployment(seed: int, processor_mode: str,
     return deployment
 
 
+_cached_deployment = lru_cache(maxsize=4)(build_deployment)
+
+
 def standard_deployment(seed: int = 42, processor_mode: str = "image",
                         registered: bool = True) -> Deployment:
     """A cached, fully-bound deployment.
 
     NOTE: cached per process — callers that mutate server/session state
-    should use distinct accounts or a fresh channel.
+    should use distinct accounts or a fresh channel, or a world of their
+    own from :func:`build_deployment`.
     """
     return _cached_deployment(seed, processor_mode, registered)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gabor import GaborBank
-from .image_ops import normalize, segment_foreground
+from .image_ops import (contact_window, normalize, ridge_statistics,
+                        segment_foreground)
 from .minutiae import Minutia, minutiae_from_image
 from .orientation import estimate_orientation
 
@@ -65,7 +66,15 @@ def minutiae_with_enhancement(image: np.ndarray,
                               wavelength: float = 8.5,
                               block: int = 12,
                               border_margin: int = 5) -> list[Minutia]:
-    """Enhancement followed by the standard extraction pipeline."""
+    """Enhancement followed by the standard extraction pipeline.
+
+    Extraction reads the ridge statistics of the enhanced mask's contact
+    window only, which is exact: :func:`enhance` leaves 0.5 outside the
+    mask (see :class:`~repro.fingerprint.image_ops.RidgeStatistics`).
+    """
     result = enhance(image, mask=mask, wavelength=wavelength, block=block)
+    statistics = ridge_statistics(result.image, block,
+                                  contact_window(result.mask, block))
     return minutiae_from_image(result.image, result.mask, block=block,
-                               border_margin=border_margin)
+                               border_margin=border_margin,
+                               statistics=statistics)

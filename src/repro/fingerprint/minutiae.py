@@ -42,14 +42,6 @@ class Minutia:
     direction: float  # [0, 2*pi)
     kind: str  # ENDING or BIFURCATION
 
-    def __copy__(self) -> "Minutia":
-        # Frozen ⇒ value-immutable: device cloning (the fleet factory
-        # deepcopies whole enrolled devices) may share minutiae freely.
-        return self
-
-    def __deepcopy__(self, memo) -> "Minutia":
-        return self
-
 
 def _crossing_table() -> np.ndarray:
     """CN per 8-neighbour code: half the changes around P2..P9, P2."""

@@ -39,14 +39,6 @@ class CalibratedScoreModel:
         if bad(self.genuine_scores) or bad(self.impostor_scores):
             raise ValueError("scores must lie in [0, 1]")
 
-    def __copy__(self) -> "CalibratedScoreModel":
-        # A fitted model is a read-only calibration table; device cloning
-        # (the fleet factory deepcopies enrolled devices) may share it.
-        return self
-
-    def __deepcopy__(self, memo) -> "CalibratedScoreModel":
-        return self
-
     def sample(self, genuine: bool, rng: np.random.Generator) -> float:
         """Draw one match score for a genuine or impostor comparison."""
         pool = self.genuine_scores if genuine else self.impostor_scores

@@ -64,9 +64,8 @@ class FingerprintController:
                  obs: Instrumentation | None = None) -> None:
         self.layout = layout
         self.margin_mm = float(margin_mm)
-        # Indexed by layout position, not object identity: layouts forbid
-        # overlapping sensors, so positions are unique — and positional
-        # keys survive deepcopy (the fleet factory clones whole devices).
+        # Indexed by layout position: layouts forbid overlapping sensors,
+        # so positions are unique.
         self._arrays = [SensorArray(s.spec) for s in layout.sensors]
         self.obs = obs if obs is not None else NOOP
 

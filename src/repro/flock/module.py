@@ -1,11 +1,12 @@
 """The FLock module: composition of the Fig. 5 blocks + trusted-boundary API.
 
-A ``FlockModule`` owns a unique built-in device key pair, the CA's public
-key, protected storage, the display repeater, the fingerprint data path and
-the crypto processor.  Its public methods are the *only* operations the
-untrusted host can request; private keys, fingerprint templates and raw
-captures never appear in a return value (the identity-transfer bundle is the
-sole exception, and it leaves encrypted under the receiving device's key).
+A ``FlockModule`` owns a built-in device key pair (its own, or the one its
+manufacturing batch shares), the CA's public key, protected storage, the
+display repeater, the fingerprint data path and the crypto processor.  Its
+public methods are the *only* operations the untrusted host can request;
+private keys, fingerprint templates and raw captures never appear in a
+return value (the identity-transfer bundle is the sole exception, and it
+leaves encrypted under the receiving device's key).
 
 The module's ``processor_mode`` ("image" or "modeled") is the only switch
 between the two fidelities of the fingerprint processor, and
@@ -71,7 +72,8 @@ class FlockModule:
                  layout: SensorLayout,
                  processor_mode: str = "image",
                  key_bits: int = 1024,
-                 obs: Instrumentation | None = None) -> None:
+                 obs: Instrumentation | None = None,
+                 device_key: RsaPrivateKey | None = None) -> None:
         if processor_mode not in ("image", "modeled"):
             raise ValueError("processor_mode must be 'image' or 'modeled'")
         self.device_id = device_id
@@ -79,8 +81,11 @@ class FlockModule:
         self._obs = obs if obs is not None else NOOP
         self._drbg = HmacDrbg(seed, personalization=device_id.encode())
         self.crypto = CryptoProcessor(rng=self._drbg, key_bits=key_bits)
-        self._device_key: RsaPrivateKey = generate_keypair(self._drbg,
-                                                           bits=key_bits)
+        # A fleet handset carries its manufacturing batch's key pair;
+        # every other module mints its own from its DRBG.
+        self._device_key: RsaPrivateKey = (
+            device_key if device_key is not None
+            else generate_keypair(self._drbg, bits=key_bits))
         self.flash = ProtectedFlash()
         self.sram = SramModel()
         self.display = DisplayRepeater()
@@ -217,6 +222,12 @@ class FlockModule:
         )
         self.flash.add_record(record)
         return record.public_view()
+
+    def abort_service_binding(self, domain: str) -> None:
+        """Drop the binding :meth:`begin_service_binding` left pending for
+        ``domain`` (a registration that failed before its fingerprint
+        capture completed it); a no-op when none is pending."""
+        self._pending_bindings.pop(domain, None)
 
     def unbind_service(self, domain: str) -> None:
         """Forget a domain: its record, its session key and any pending

@@ -44,13 +44,6 @@ class PlacedSensor:
     y_mm: float
     label: str = ""
 
-    def __copy__(self) -> "PlacedSensor":
-        # Frozen ⇒ value-immutable: fleet device cloning shares placements.
-        return self
-
-    def __deepcopy__(self, memo) -> "PlacedSensor":
-        return self
-
     @property
     def width_mm(self) -> float:
         """Physical sensor width on the panel."""

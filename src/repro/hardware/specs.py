@@ -56,13 +56,6 @@ class SensorSpec:
     published_response_ms: float | None = None
     clock_inferred: bool = False
 
-    def __copy__(self) -> "SensorSpec":
-        # Frozen ⇒ value-immutable: fleet device cloning shares specs.
-        return self
-
-    def __deepcopy__(self, memo) -> "SensorSpec":
-        return self
-
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("array must have positive dimensions")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto import CertificateAuthority
+from repro.crypto import CertificateAuthority, RsaPrivateKey
 from repro.fingerprint import MasterFingerprint
 from repro.flock import FlockModule, TouchAuthEvent
 from repro.hardware import (
@@ -51,14 +51,15 @@ class MobileDevice:
                  ca: CertificateAuthority | None = None,
                  layout: SensorLayout | None = None,
                  processor_mode: str = "image",
-                 key_bits: int = 1024, now: int = 0) -> None:
+                 key_bits: int = 1024, now: int = 0,
+                 device_key: RsaPrivateKey | None = None) -> None:
         self.device_id = device_id
         layout = default_layout() if layout is None else layout
         self.panel = TouchPanel(width_mm=layout.panel_width_mm,
                                 height_mm=layout.panel_height_mm)
         self.flock = FlockModule(device_id, seed, layout,
                                  processor_mode=processor_mode,
-                                 key_bits=key_bits)
+                                 key_bits=key_bits, device_key=device_key)
         self.browser = Browser()
         if ca is not None:
             self.flock.install_ca(ca.public_key)

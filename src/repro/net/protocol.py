@@ -214,7 +214,7 @@ class TrustClient:
         if not flock.crypto.verify(server_cert.public_key,
                                    page_envelope.signed_bytes(),
                                    page_envelope.mac):
-            flock._pending_bindings.pop(server.domain, None)
+            flock.abort_service_binding(server.domain)
             return meter.outcome(False, "bad-server-mac")
 
         # Render the page through the display repeater; touch the register
@@ -225,7 +225,7 @@ class TrustClient:
         # them.
         frame_hash = device.browser.render(page_envelope, flock)
         if not verified_touch(device, touch_xy, master, rng, time_s):
-            flock._pending_bindings.pop(server.domain, None)
+            flock.abort_service_binding(server.domain)
             return meter.outcome(False, "fingerprint-not-verified")
         flock.complete_service_binding(server.domain)
 

@@ -34,12 +34,6 @@ class Instrumentation:
         """True when spans are actually recorded."""
         return self.tracer.enabled
 
-    def __deepcopy__(self, memo) -> "Instrumentation":
-        # Instrumentation is ambient wiring, not object state: cloning a
-        # device (the fleet factory deep-copies whole prototypes) must keep
-        # emitting into the *same* tracer/registry, not a private copy.
-        return self
-
     @classmethod
     def live(cls, clock: Callable[[], float] | None = None) \
             -> "Instrumentation":

@@ -9,9 +9,9 @@ the uniform ``WebServer.dispatch`` endpoint API:
 - :mod:`~repro.runtime.dispatcher` — consistent-hash account router and
   the replica pool with live rebalancing.
 - :mod:`~repro.runtime.cache` — digest-keyed verification-result cache
-  (certificate signatures, template matches) with hit-rate accounting.
-- :mod:`~repro.runtime.fleet` — fleet configuration and the cheap
-  prototype-cloning device factory.
+  (certificate signatures) with hit-rate accounting.
+- :mod:`~repro.runtime.fleet` — fleet configuration and the device
+  factory that builds members from a few manufacturing batches' keys.
 - :mod:`~repro.runtime.metrics` — latency percentiles, throughput and
   outcome counters.
 - :mod:`~repro.runtime.simulation` — the scenario driver tying it all

@@ -1,8 +1,8 @@
 """Digest-keyed verification-result cache with hit-rate accounting.
 
 Fleet-scale simulation repeats a lot of *pure* verification work: every
-registration presents a CA-signed device certificate, and devices cloned
-from the same manufacturing prototype share one.  The cache memoizes that
+registration presents a CA-signed device certificate, and devices from
+the same manufacturing batch share one.  The cache memoizes that
 clock-independent predicate (kind ``cert-signature``), keyed on the
 certificate's content digest, so a cached answer is byte-identical to a
 recomputed one.  Failed checks are cached too, so a flood of distinct

@@ -1,14 +1,15 @@
-"""Fleet construction: configuration, cheap device cloning, device actors.
+"""Fleet construction: configuration, batch-built devices, device actors.
 
 Building one honest TRUST device costs an RSA key generation plus a
 fingerprint enrollment — fine for a benchmark of one, ruinous for a fleet
 of thousands.  The factory amortizes both:
 
-- **Prototype cloning** — a handful of fully-built prototype devices are
-  ``deepcopy``-cloned per fleet member; each clone gets a fresh DRBG (so
-  nonces/session keys diverge) but keeps the prototype's built-in device
-  key and CA certificate, like handsets sharing a manufacturing batch's
-  attestation material.  A visible consequence: registrations present only
+- **Manufacturing batches** — the factory mints ``prototype_count`` batch
+  identities once: a device key pair and its CA certificate each, like
+  handsets sharing a manufacturing batch's attestation material.  Every
+  fleet member is constructed with its batch's key and certificate, the
+  one fleet template, and a DRBG of its own (so nonces/session keys
+  diverge).  A visible consequence: registrations present only
   ``prototype_count`` distinct certificates, which is what gives the
   shared cert-signature cache its fleet hit rate.
 - **Service-keypair pool** — per-service key generation (Fig. 9 step 2)
@@ -23,12 +24,12 @@ of call order.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crypto import CertificateAuthority, HmacDrbg, generate_keypair
+from repro.crypto import (Certificate, CertificateAuthority, HmacDrbg,
+                          RsaPrivateKey, generate_keypair)
 from repro.fingerprint import enroll_master, synthesize_master
 from repro.net import MobileDevice, TrustClient, TrustSession
 
@@ -103,7 +104,7 @@ def draw_risk(rng: np.random.Generator, config: FleetConfig) -> float:
 
 
 class DeviceFactory:
-    """Builds fleet devices by cloning enrolled prototypes."""
+    """Builds fleet devices from a few manufacturing batches' identities."""
 
     def __init__(self, config: FleetConfig, ca: CertificateAuthority) -> None:
         self.config = config
@@ -112,15 +113,20 @@ class DeviceFactory:
         #: finger id, and per-device score draws come from per-actor rngs.
         self.master = synthesize_master(
             "fleet-right-thumb", np.random.default_rng((config.seed, 1)))
-        template = enroll_master(self.master,
-                                 np.random.default_rng((config.seed, 2)))
-        self.prototypes: list[MobileDevice] = []
+        self._template = enroll_master(
+            self.master, np.random.default_rng((config.seed, 2)))
+        self._ca_public_key = ca.public_key
+        #: Per batch: the device key pair and the certificate its members
+        #: share, issued under the batch's own subject.
+        self._batches: list[tuple[RsaPrivateKey, Certificate]] = []
         for batch in range(config.prototype_count):
-            prototype = MobileDevice(
-                f"fleet-proto-{batch}", _entropy(config, 3, batch), ca=ca,
-                processor_mode="modeled", key_bits=config.device_key_bits)
-            prototype.flock.enroll_local_user(template)
-            self.prototypes.append(prototype)
+            subject = f"fleet-proto-{batch}"
+            key = generate_keypair(
+                HmacDrbg(_entropy(config, 3, batch),
+                         personalization=subject.encode()),
+                bits=config.device_key_bits)
+            self._batches.append((key, ca.issue(subject, "flock-device",
+                                                key.public_key)))
         pool_drbg = HmacDrbg(_entropy(config, 4),
                              personalization=b"fleet-service-keypair-pool")
         self._service_pool = [
@@ -128,18 +134,18 @@ class DeviceFactory:
             for _ in range(config.keypair_pool_size)]
 
     def build(self, index: int) -> MobileDevice:
-        """Clone prototype ``index % B`` into fleet member ``index``."""
-        device = copy.deepcopy(
-            self.prototypes[index % len(self.prototypes)])
-        device_id = f"fleet-dev-{index:05d}"
-        device.device_id = device_id
+        """Fleet member ``index`` of batch ``index % B``, enrolled."""
+        key, certificate = self._batches[index % len(self._batches)]
+        # The member's own DRBG stream: nonces, session keys and signature
+        # padding diverge between members even within one batch.
+        device = MobileDevice(
+            f"fleet-dev-{index:05d}", _entropy(self.config, 5, index),
+            processor_mode="modeled", key_bits=self.config.device_key_bits,
+            device_key=key)
         flock = device.flock
-        flock.device_id = device_id
-        # Fresh per-clone DRBG: nonces, session keys and signature padding
-        # diverge between clones even within one prototype batch.
-        flock._drbg = HmacDrbg(_entropy(self.config, 5, index),
-                               personalization=device_id.encode())
-        flock.crypto.rng = flock._drbg
+        flock.install_ca(self._ca_public_key)
+        flock.set_certificate(certificate)
+        flock.enroll_local_user(self._template)
         pooled = self._service_pool[index % len(self._service_pool)]
         flock.crypto.keypair_source = lambda pooled=pooled: pooled
         return device

@@ -393,6 +393,29 @@ class TestServiceBinding:
         with pytest.raises(FlockError, match="already bound"):
             flock.begin_service_binding("www.xyz.com", "a", cert, now=0)
 
+    def test_abort_drops_the_pending_binding(self, flock, ca, server_key,
+                                             alice_template):
+        flock.install_ca(ca.public_key)
+        cert = ca.issue("www.xyz.com", "web-server", server_key.public_key)
+        flock.begin_service_binding("www.xyz.com", "a", cert, now=0)
+        flock.abort_service_binding("www.xyz.com")
+        with pytest.raises(FlockError, match="no pending binding"):
+            flock.complete_service_binding("www.xyz.com", alice_template)
+        flock.abort_service_binding("www.xyz.com")  # none pending: no-op
+        flock.begin_service_binding("www.xyz.com", "a", cert, now=0)
+        flock.complete_service_binding("www.xyz.com", alice_template)
+        assert flock.flash.has_record("www.xyz.com")
+
+    def test_passed_in_device_key_draws_nothing(self, layout):
+        """A module handed its key pair (a fleet batch's) keeps it and
+        leaves its DRBG stream where a fresh one starts."""
+        key = generate_keypair(HmacDrbg(b"batch-key"), bits=512)
+        module = FlockModule("dev-batch", b"seed-batch", layout,
+                             key_bits=512, device_key=key)
+        assert module.public_key == key.public_key
+        fresh = HmacDrbg(b"seed-batch", personalization=b"dev-batch")
+        assert module.crypto.rng.generate(32) == fresh.generate(32)
+
     def test_complete_without_begin(self, flock, alice_template):
         with pytest.raises(FlockError, match="no pending binding"):
             flock.complete_service_binding("www.other.com", alice_template)

@@ -163,7 +163,7 @@ class TestRegistrationTampering:
             outcome = TrustClient(world.device, server, channel).register(
                 "alice", LOGIN_BUTTON_XY, world.user_master, rng)
         finally:
-            world.device.flock._pending_bindings.pop(server.domain, None)
+            world.device.flock.abort_service_binding(server.domain)
             if world.device.flock.flash.has_record(server.domain):
                 world.device.flock.unbind_service(server.domain)
         assert not outcome.success
@@ -201,7 +201,7 @@ class TestRegistrationTampering:
             outcome = TrustClient(world.device, server, channel).register(
                 "alice", LOGIN_BUTTON_XY, world.user_master, rng)
         finally:
-            world.device.flock._pending_bindings.pop(server.domain, None)
+            world.device.flock.abort_service_binding(server.domain)
             if world.device.flock.flash.has_record(server.domain):
                 world.device.flock.unbind_service(server.domain)
         # Mutating the *page* body changes the displayed frame but not the

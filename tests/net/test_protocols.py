@@ -5,6 +5,7 @@ import pytest
 
 from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.fingerprint import enroll_master, synthesize_master
+from repro.flock import FlockError
 from repro.net import (
     MobileDevice,
     ProtocolError,
@@ -58,6 +59,38 @@ class TestRegistration:
         assert not outcome.success
         assert outcome.reason == "fingerprint-not-verified"
         assert server.account_key("alice") is None
+
+    @pytest.mark.parametrize("failure", ["bad-server-mac",
+                                         "fingerprint-not-verified"])
+    def test_failed_registration_drops_the_pending_binding(
+            self, ca, alice_master, eve_master, failure):
+        """A registration that fails after FLock minted pk_A leaves no
+        binding pending: it cannot be completed, and a retry succeeds."""
+        template = enroll_master(alice_master, np.random.default_rng(6))
+        device = MobileDevice("dev-r5", b"seed-r5", ca=ca)
+        device.flock.enroll_local_user(template)
+        server = WebServer("www.reg5.com", ca, b"server-r5")
+        server.create_account("alice", "pw")
+
+        def forge_page_mac(envelope, direction):
+            if envelope.msg_type == "registration-page":
+                mac = envelope.mac
+                envelope.set_mac(bytes([mac[0] ^ 1]) + mac[1:])
+            return envelope
+
+        if failure == "bad-server-mac":
+            channel = UntrustedChannel(tamper_hook=forge_page_mac)
+            finger = alice_master
+        else:
+            channel, finger = UntrustedChannel(), eve_master
+        outcome = TrustClient(device, server, channel).register(
+            "alice", BUTTON_XY, finger, np.random.default_rng(0))
+        assert outcome.reason == failure
+        with pytest.raises(FlockError, match="no pending binding"):
+            device.flock.complete_service_binding(server.domain)
+        retry = TrustClient(device, server).register(
+            "alice", BUTTON_XY, alice_master, np.random.default_rng(1))
+        assert retry.success, retry.reason
 
     def test_registration_nonce_single_use(self, ca, alice_master):
         """Replaying a recorded registration submission must fail."""

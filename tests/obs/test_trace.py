@@ -146,11 +146,6 @@ class TestNullTracer:
         assert NULL_TRACER.find("anything") == []
         assert not NULL_TRACER.enabled
 
-    def test_noop_bundle_is_disabled_and_deepcopy_safe(self):
-        import copy
-
+    def test_noop_bundle_is_disabled(self):
         assert not NOOP.enabled
-        assert copy.deepcopy(NOOP) is NOOP
-        live = Instrumentation.live()
-        assert live.enabled
-        assert copy.deepcopy(live) is live
+        assert Instrumentation.live().enabled

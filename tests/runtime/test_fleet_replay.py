@@ -9,6 +9,7 @@ dynamic counterpart of the static DT604 rule: if any set-iteration
 order reached the summary or the trace, the bytes would differ.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import pytest
 from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.flock import ModeledFingerprintProcessor
 from repro.runtime import (
+    BUTTON_XY,
     EXPECTED_REJECTIONS,
     DeviceFactory,
     FleetConfig,
@@ -92,7 +94,7 @@ class TestFleetBehavior:
         assert sum(result.pool.account_totals().values()) == SMALL.n_devices
 
     def test_cert_cache_amortizes_prototype_batches(self, result):
-        # Clones share their prototype's device certificate, so the pool
+        # Members of one batch share its device certificate, so the pool
         # only ever verifies `prototype_count` distinct certs.
         rows = {kind: (hits, misses)
                 for kind, hits, misses, _rate in result.cache.stats()}
@@ -163,16 +165,86 @@ class TestHashSeedWitness:
         assert first == second
 
 
+#: A four-member, two-batch fleet for the factory's known answers.
+BATCHES = FleetConfig(n_devices=4, n_shards=2, seed=11, prototype_count=2,
+                      keypair_pool_size=3)
+
+#: Per member of ``BATCHES``: SHA-256 of its certificate bytes, SHA-256 of
+#: its device public key, SHA-256 of its pooled service public key, and
+#: the first 32 bytes its DRBG draws.  Members 0 and 2 (and 1 and 3) are
+#: one batch: same certificate and device key, their own DRBG stream.
+MEMBER_ANSWERS = [
+    ("c90c13296e8d08985a2608b9b69b093a729f03542ccbdcef8d720d5841d71634",
+     "02eee64a076da72557c8667d5cec8c3a0d318c2d0227edf6734154b97667908f",
+     "7a04f1528d36d40689d5524380f9b66fffe98369d7367273f93a56e5f11c1b1c",
+     "3d8cfe1e9db55b0b63f14a9c93e0052735e5f033c9c7732b7444e0fc963bbdad"),
+    ("5dd5c3a5fccdfc7375df1d94548eb477765be853159e1dc5604bdc5c8fa5e1f8",
+     "f4b7a18d52c55223ec8ee376b58a3e870a7f7e5f0722bb6a52e772aa0da628dd",
+     "982e5e4ad5bb8ea849a2b9cf5e19de8ad22380373889ad3fd4ce26c93fe6d372",
+     "d3c1bc13c767276c4d57ad4fb5524e804d5b5c583639a371cdbcf32e7c4eab87"),
+    ("c90c13296e8d08985a2608b9b69b093a729f03542ccbdcef8d720d5841d71634",
+     "02eee64a076da72557c8667d5cec8c3a0d318c2d0227edf6734154b97667908f",
+     "2682ceb0b7c648d87736e5a91f720bb3cc4e1d2c4bf40f020e67c256d25d134b",
+     "15eac41a6ee1adb7c56c064cdc5d8fe9b09b439dbedf00de9211de3aa36c999b"),
+    ("5dd5c3a5fccdfc7375df1d94548eb477765be853159e1dc5604bdc5c8fa5e1f8",
+     "f4b7a18d52c55223ec8ee376b58a3e870a7f7e5f0722bb6a52e772aa0da628dd",
+     "7a04f1528d36d40689d5524380f9b66fffe98369d7367273f93a56e5f11c1b1c",
+     "b331ba7900af49b35037638908f1c8c6005ad99fd559611cb879d36b6885ec30"),
+]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestDeviceFactory:
+    @pytest.fixture
+    def sim(self):
+        return FleetSimulation(BATCHES)
+
+    def test_members_match_known_answers(self, sim):
+        for actor, (cert, key, pooled, drbg) in zip(sim.actors,
+                                                     MEMBER_ANSWERS,
+                                                     strict=True):
+            flock = actor.device.flock
+            assert actor.device.device_id == flock.device_id == \
+                f"fleet-dev-{actor.index:05d}"
+            assert _digest(flock.certificate.to_bytes()) == cert
+            assert _digest(flock.public_key.to_bytes()) == key
+            assert _digest(
+                flock.crypto.keypair_source().public_key.to_bytes()) == pooled
+            assert flock.crypto.rng.generate(32).hex() == drbg
+
+    def test_batch_members_share_key_and_certificate_only(self, sim):
+        first, second = sim.actors[0], sim.actors[2]
+        a, b = first.device.flock, second.device.flock
+        assert a.public_key == b.public_key
+        assert a.certificate.to_bytes() == b.certificate.to_bytes()
+        assert a.crypto.rng is not b.crypto.rng
+
+        domain = sim.pool.domain
+        master = sim.factory.master
+        assert first.client.register(first.account, BUTTON_XY, master,
+                                     first.rng).success
+        login = first.client.login(first.account, BUTTON_XY, master,
+                                   first.rng)
+        assert login.success
+        assert a.flash.has_record(domain) and a.has_session(domain)
+        # The batch mate holds no record and no session of its own ...
+        assert not b.flash.has_record(domain)
+        assert not b.has_session(domain)
+        # ... and its DRBG did not advance with the first member's draws.
+        assert b.crypto.rng.generate(32).hex() == MEMBER_ANSWERS[2][3]
+
     def test_every_device_runs_the_enrolled_modeled_processor(self):
-        """Fleets are always modeled: prototypes and their clones come
-        enrolled with the fleet finger, ready for their first login."""
+        """Fleets are always modeled: every member comes enrolled with
+        the fleet finger, ready for its first login."""
         config = FleetConfig(n_devices=3, prototype_count=2,
                              keypair_pool_size=1, seed=11)
         ca = CertificateAuthority(rng=HmacDrbg(b"factory-ca"), key_bits=512)
         factory = DeviceFactory(config, ca)
-        clones = [factory.build(index) for index in range(config.n_devices)]
-        for device in factory.prototypes + clones:
+        for index in range(config.n_devices):
+            device = factory.build(index)
             assert device.flock.processor_mode == "modeled"
             processor = device.flock._local_processor
             assert isinstance(processor, ModeledFingerprintProcessor)

@@ -5,7 +5,6 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.eval.harness import _cached_deployment
 
 
 def _span_tree(out):
@@ -15,18 +14,6 @@ def _span_tree(out):
             if re.match(r" +\S+ \(\d+\.\.\d+\)", line)]
 
 
-@pytest.fixture
-def fresh_world():
-    """Give the command its own ``standard_deployment`` world and drop it
-    afterwards: demo, audit, attacks and the gesture trace change the
-    cached world they run on (a login, audit entries, a device bound to
-    the attacks' victim domain, a live tracer on the server), and no
-    later test should see that."""
-    _cached_deployment.cache_clear()
-    yield
-    _cached_deployment.cache_clear()
-
-
 class TestCli:
     def test_sensors_command(self, capsys):
         assert main(["sensors"]) == 0
@@ -34,14 +21,12 @@ class TestCli:
         assert "Table II" in out
         assert "160.0 ms" in out
 
-    @pytest.mark.usefixtures("fresh_world")
     def test_demo_command(self, capsys):
         assert main(["demo", "--requests", "2"]) == 0
         out = capsys.readouterr().out
         assert "login: ok" in out
         assert "request 2: ok" in out
 
-    @pytest.mark.usefixtures("fresh_world")
     def test_audit_command(self, capsys):
         assert main(["audit"]) == 0
         out = capsys.readouterr().out
@@ -61,7 +46,6 @@ class TestCli:
         assert "per-shard balance" in out
         assert "FAIL" not in out
 
-    @pytest.mark.usefixtures("fresh_world")
     def test_attacks_command(self, capsys):
         assert main(["attacks"]) == 0
         out = capsys.readouterr().out
@@ -69,7 +53,6 @@ class TestCli:
         assert "malware-fake-touch: blocked (detected)" in out
         assert "verdict: ALL ATTACKS BLOCKED" in out
 
-    @pytest.mark.usefixtures("fresh_world")
     def test_gesture_trace_command(self, capsys):
         assert main(["trace"]) == 0
         out = capsys.readouterr().out
@@ -86,6 +69,18 @@ class TestCli:
         assert tree[len(login):len(login) + len(verified_gesture)] == \
             verified_gesture
         assert sum(name == "gesture" for _, name in tree) == 8
+
+    @pytest.mark.parametrize("argv", [["demo", "--requests", "2"],
+                                      ["attacks"], ["audit"], ["trace"]],
+                             ids=lambda argv: argv[0])
+    def test_command_repeats_byte_for_byte(self, capsys, argv):
+        """Each command runs on a world of its own: a second run in the
+        same interpreter prints exactly what the first did."""
+        runs = []
+        for _ in range(2):
+            code = main(argv)
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
