@@ -112,15 +112,27 @@ class WebServer:
     ENDPOINTS: dict[str, Endpoint] = {}
 
     def __init__(self, domain: str, ca: CertificateAuthority, seed: bytes,
-                 key_bits: int = 1024, now: int = 0,
-                 verification_cache=None,
-                 obs: Instrumentation | None = None) -> None:
+                 key_bits: int = 1024, verification_cache=None,
+                 obs: Instrumentation | None = None,
+                 replica_of: "WebServer | None" = None) -> None:
+        """A server whose key pair is generated from ``seed``.
+
+        ``replica_of`` is a server of the same domain, built from the same
+        seed and key size and not yet serving.  This server then takes its
+        key pair and a copy of its DRBG, the values its own generation
+        would give, instead of generating them again.  Each server still
+        gets a certificate of its own.
+        """
         self.domain = domain
         self.ca = ca
-        self._rng = HmacDrbg(seed, personalization=domain.encode())
-        self._key = generate_keypair(self._rng, bits=key_bits)
+        if replica_of is None:
+            self._rng = HmacDrbg(seed, personalization=domain.encode())
+            self._key = generate_keypair(self._rng, bits=key_bits)
+        else:
+            self._rng = replica_of._rng.copy()
+            self._key = replica_of._key
         self.certificate: Certificate = ca.issue(
-            domain, "web-server", self._key.public_key, now=now)
+            domain, "web-server", self._key.public_key)
         self._accounts: dict[str, _AccountRecord] = {}
         self._sessions: dict[str, SessionState] = {}
         self._outstanding_nonces: dict[bytes, str] = {}  # nonce -> purpose

@@ -1,10 +1,11 @@
 """Per-account sharding: consistent-hash router + web-server replica pool.
 
 A TRUST service at fleet scale is one *logical* domain served by N
-``WebServer`` replicas.  Every replica is constructed from the same key
-seed, so they share the service key pair and certificate — exactly like a
-replicated HTTPS deployment sharing one TLS key — and a device's stored
-per-domain binding verifies against any of them.  What is *sharded* is the
+``WebServer`` replicas.  They share one service key pair — exactly like a
+replicated HTTPS deployment sharing one TLS key — minted once by the
+first replica from the pool's key seed, and each holds its own CA
+certificate for it; a device's stored per-domain binding verifies
+against any of them.  What is *sharded* is the
 account database: each account lives on exactly one replica, chosen by a
 consistent-hash ring over account names (a ring would let a membership
 change move only ~K/N accounts; the fleet's membership is fixed).
@@ -70,19 +71,21 @@ class ServerPool:
     """N same-key ``WebServer`` replicas behind one consistent-hash router.
 
     All replicas share the verification cache (its keys are content
-    digests, so sharing is sound) and the same key seed (replica
-    semantics).  Accounts are provisioned on their ring-assigned home
-    shard.
+    digests, so sharing is sound) and the key pair the first one
+    generates from ``key_seed``.  Each later replica starts its DRBG from
+    the first one's post-keygen state, as generating the key again from
+    the same seed would leave it, so all replicas draw the same nonce
+    stream.  Accounts are provisioned on their ring-assigned home shard,
+    whose ring has 64 virtual points per shard.
     """
 
     def __init__(self, domain: str, ca: CertificateAuthority,
                  key_seed: bytes, n_shards: int, key_bits: int = 1024,
-                 verification_cache=None, ring_replicas: int = 64,
-                 obs=None) -> None:
+                 verification_cache=None, obs=None) -> None:
         if n_shards < 1:
             raise ValueError("a pool needs at least one shard")
         self.domain = domain
-        self.router = ConsistentHashRouter(replicas=ring_replicas)
+        self.router = ConsistentHashRouter()
         # Every shard gets the same ``obs``, so all replicas trace into
         # one tree.
         self.shards: dict[str, WebServer] = {}
@@ -90,7 +93,8 @@ class ServerPool:
             shard_id = f"shard-{index}"
             self.shards[shard_id] = WebServer(
                 domain, ca, key_seed, key_bits=key_bits,
-                verification_cache=verification_cache, obs=obs)
+                verification_cache=verification_cache, obs=obs,
+                replica_of=self.shards.get("shard-0"))
             self.router.add_shard(shard_id)
 
     # -------------------------------------------------------------- routing

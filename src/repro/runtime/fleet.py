@@ -4,14 +4,14 @@ Building one honest TRUST device costs an RSA key generation plus a
 fingerprint enrollment — fine for a benchmark of one, ruinous for a fleet
 of thousands.  The factory amortizes both:
 
-- **Manufacturing batches** — the factory mints ``prototype_count`` batch
+- **Manufacturing batches** — the factory mints ``batch_count`` batch
   identities once: a device key pair and its CA certificate each, like
   handsets sharing a manufacturing batch's attestation material.  Every
   fleet member is constructed with its batch's key and certificate, the
-  one fleet template, and a DRBG of its own (so nonces/session keys
-  diverge).  A visible consequence: registrations present only
-  ``prototype_count`` distinct certificates, which is what gives the
-  shared cert-signature cache its fleet hit rate.
+  one fleet template, the one sensor layout, and a DRBG of its own (so
+  nonces/session keys diverge).  A visible consequence: registrations
+  present only ``batch_count`` distinct certificates, which is what gives
+  the shared cert-signature cache its fleet hit rate.
 - **Service-keypair pool** — per-service key generation (Fig. 9 step 2)
   draws from a pre-generated pool via ``CryptoProcessor.keypair_source``;
   the *modeled* keygen latency is still accounted, so reported protocol
@@ -31,7 +31,7 @@ import numpy as np
 from repro.crypto import (Certificate, CertificateAuthority, HmacDrbg,
                           RsaPrivateKey, generate_keypair)
 from repro.fingerprint import enroll_master, synthesize_master
-from repro.net import MobileDevice, TrustClient, TrustSession
+from repro.net import MobileDevice, TrustClient, TrustSession, default_layout
 
 __all__ = ["BUTTON_XY", "FleetConfig", "DeviceFactory", "DeviceActor",
            "draw_risk"]
@@ -66,7 +66,7 @@ class FleetConfig:
     device_key_bits: int = 512
     server_key_bits: int = 512
     ca_key_bits: int = 512
-    prototype_count: int = 4
+    batch_count: int = 4
     keypair_pool_size: int = 8
     #: Device start times are spread uniformly over this window.
     ramp_s: float = 30.0
@@ -82,15 +82,20 @@ class FleetConfig:
             raise ValueError("n_shards must be positive")
         if self.requests_per_device < 0:
             raise ValueError("requests_per_device must be >= 0")
-        if self.prototype_count < 1 or self.keypair_pool_size < 1:
-            raise ValueError("prototype/keypair pools must be non-empty")
+        if self.batch_count < 1 or self.keypair_pool_size < 1:
+            raise ValueError("batch/keypair pools must be non-empty")
         if not 0.0 <= self.challenge_fraction + self.hijack_fraction <= 1.0:
             raise ValueError("challenge + hijack fractions must fit in [0, 1]")
 
 
 def _entropy(config: FleetConfig, *stream: int) -> bytes:
-    """32 deterministic bytes for one named entropy stream."""
-    return np.random.default_rng((config.seed,) + stream).bytes(32)
+    """32 deterministic bytes for one named entropy stream.
+
+    The stream's first four 64-bit outputs, little-endian: the bytes
+    ``Generator.bytes(32)`` returns, without its 32-bit draws.
+    """
+    bits = np.random.default_rng((config.seed,) + stream).bit_generator
+    return bits.random_raw(4).astype("<u8").tobytes()
 
 
 def draw_risk(rng: np.random.Generator, config: FleetConfig) -> float:
@@ -116,10 +121,13 @@ class DeviceFactory:
         self._template = enroll_master(
             self.master, np.random.default_rng((config.seed, 2)))
         self._ca_public_key = ca.public_key
+        #: Every member's sensor layout: nothing mutates a ``SensorLayout``,
+        #: and each member's controller builds its own sensor arrays.
+        self._layout = default_layout()
         #: Per batch: the device key pair and the certificate its members
         #: share, issued under the batch's own subject.
         self._batches: list[tuple[RsaPrivateKey, Certificate]] = []
-        for batch in range(config.prototype_count):
+        for batch in range(config.batch_count):
             subject = f"fleet-proto-{batch}"
             key = generate_keypair(
                 HmacDrbg(_entropy(config, 3, batch),
@@ -140,8 +148,8 @@ class DeviceFactory:
         # padding diverge between members even within one batch.
         device = MobileDevice(
             f"fleet-dev-{index:05d}", _entropy(self.config, 5, index),
-            processor_mode="modeled", key_bits=self.config.device_key_bits,
-            device_key=key)
+            layout=self._layout, processor_mode="modeled",
+            key_bits=self.config.device_key_bits, device_key=key)
         flock = device.flock
         flock.install_ca(self._ca_public_key)
         flock.set_certificate(certificate)

@@ -1,10 +1,12 @@
 """Consistent-hash routing and account migration across the replica pool."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.fingerprint import enroll_master, synthesize_master
 from repro.net import MobileDevice, ProtocolError, TrustClient, UntrustedChannel
 from repro.runtime import BUTTON_XY, ConsistentHashRouter, ServerPool
@@ -58,6 +60,88 @@ class TestConsistentHashRouter:
             ConsistentHashRouter(replicas=0)
         with pytest.raises(LookupError):
             ConsistentHashRouter().route("user")
+
+
+#: A 3-shard pool's known answers, recorded when each replica ran its own
+#: key generation from the pool's key seed: the shared key's modulus and
+#: private exponent; per replica, its certificate's serial and SHA-256, and
+#: the nonce and signature SHA-256 of its first two registration pages.
+POOL_KEY_N = int(
+    "d028c3f5773ac619aafea25daba508bdf10caecac114286ac6989836af9ef90b"
+    "ffec555f368cdff77372ed493767dba5beba141c62673401af3344d25f58e83b", 16)
+POOL_KEY_D = int(
+    "5d52c978157a4e3257cd4d71fd7042191626ff7e7b4dd448fabc9311816f1e6c"
+    "092ec597c81b80fd02cc799c04921e29e8c0d25a13ffd91e962edf34128f8cf1", 16)
+POOL_NONCES = ("0127fc1748dd5c84974606bdb79b44c8",
+               "c4908b05637a0f79871bc0191fed27fa")
+POOL_REPLICAS = {
+    "shard-0": (1, "7b8e4549e025f86c319b0f172b8306c8"
+                   "890347bf5853f4ca568804890c5bda19",
+                ("c1f8d927432834fdc38f8eb68fd5058c"
+                 "85c103702d93d94981a035fec1779c36",
+                 "adff73643b2f8acc86eccaf5920c4a9f"
+                 "e11406c07c7d2a4f74d31d47c9b859e4")),
+    "shard-1": (2, "928993d0f0765874a346bcc654a115e1"
+                   "d15bfc8e48fd0de0cff4149b7f8d9bf4",
+                ("9a8a953419d3f369410a0bb09700b4f5"
+                 "b0ad25a3091a2769dfde278945f9acdb",
+                 "34ef44aca2161e0bcf4df7d4c75f3ed4"
+                 "3bca872210d2903fd7c5eb570eaf41f6")),
+    "shard-2": (3, "ff99f72cd7ce3ab63c78294ce9f2eeca"
+                   "1a52302543441a803daa339b2904d41a",
+                ("cd242a3d7545d6b805cfa25176d936a2"
+                 "caa22ebf4a4d9bf1292139dd983a2d1f",
+                 "160a1f821b53455e795986b4dfe34e73"
+                 "a3eb5f7f94c0042b8753c5c683bba94a")),
+}
+
+
+def _answers_pool() -> ServerPool:
+    ca = CertificateAuthority(rng=HmacDrbg(b"pool-answers-ca"), key_bits=512)
+    return ServerPool("www.answers.example", ca, b"pool-answers-key", 3,
+                      key_bits=512)
+
+
+class TestServerPoolKnownAnswers:
+    def test_replicas_match_known_answers(self):
+        pool = _answers_pool()
+        assert pool.shard_ids == sorted(POOL_REPLICAS)
+        for shard_id, (serial, cert, signatures) in POOL_REPLICAS.items():
+            shard = pool.shards[shard_id]
+            assert (shard._key.n, shard._key.d) == (POOL_KEY_N, POOL_KEY_D)
+            assert shard.certificate.serial == serial
+            assert hashlib.sha256(
+                shard.certificate.to_bytes()).hexdigest() == cert
+            for nonce, signature in zip(POOL_NONCES, signatures,
+                                        strict=True):
+                page = shard.registration_page()
+                assert page.fields["nonce"].hex() == nonce
+                assert hashlib.sha256(page.mac).hexdigest() == signature
+                assert shard.certificate.public_key.verify(
+                    page.signed_bytes(), page.mac)
+
+    def test_one_key_generation_per_pool(self, monkeypatch):
+        """The first replica mints the key; the others hold the same key
+        object, each with a DRBG of its own."""
+        from repro.net import webserver
+        calls = []
+        generate = webserver.generate_keypair
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(webserver, "generate_keypair", counted)
+        pool = _answers_pool()
+        assert len(calls) == 1
+        first, *replicas = (pool.shards[sid] for sid in pool.shard_ids)
+        for replica in replicas:
+            assert replica._key is first._key
+            assert replica._rng is not first._rng
+        # A replica's draws leave the others' streams where they were.
+        replicas[0].registration_page()
+        assert replicas[1].registration_page().fields["nonce"].hex() \
+            == POOL_NONCES[0]
 
 
 class TestServerPool:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.crypto import CertificateAuthority, HmacDrbg
+from repro.crypto import CertificateAuthority, HmacDrbg, generate_keypair
 from repro.flock import ModeledFingerprintProcessor
 from repro.runtime import (
     BUTTON_XY,
@@ -27,13 +27,14 @@ from repro.runtime import (
     FleetSimulation,
     draw_risk,
 )
+from repro.runtime.fleet import _entropy
 
 import numpy as np
 
 
 SMALL = FleetConfig(n_devices=36, n_shards=4, seed=11,
                     requests_per_device=2, challenge_fraction=0.2,
-                    hijack_fraction=0.1, prototype_count=4,
+                    hijack_fraction=0.1, batch_count=4,
                     ramp_s=10.0)
 
 
@@ -93,20 +94,20 @@ class TestFleetBehavior:
         assert all(count > 0 for count in per_shard.values())
         assert sum(result.pool.account_totals().values()) == SMALL.n_devices
 
-    def test_cert_cache_amortizes_prototype_batches(self, result):
+    def test_cert_cache_amortizes_batches(self, result):
         # Members of one batch share its device certificate, so the pool
-        # only ever verifies `prototype_count` distinct certs.
+        # only ever verifies `batch_count` distinct certs.
         rows = {kind: (hits, misses)
                 for kind, hits, misses, _rate in result.cache.stats()}
         hits, misses = rows["cert-signature"]
-        assert misses == SMALL.prototype_count
-        assert hits == SMALL.n_devices - SMALL.prototype_count
+        assert misses == SMALL.batch_count
+        assert hits == SMALL.n_devices - SMALL.batch_count
 
     def test_cache_holds_one_entry_per_device_certificate(self, result):
         # Certificate signatures are the only memoized predicate, so the
         # cache grows with distinct device certificates and nothing else.
         assert [row[0] for row in result.cache.stats()] == ["cert-signature"]
-        assert len(result.cache) == SMALL.prototype_count
+        assert len(result.cache) == SMALL.batch_count
 
     def test_latency_respects_the_floor(self, result):
         from repro.runtime import SERVICE_TIME_S
@@ -133,7 +134,7 @@ from repro.runtime import FleetConfig, FleetSimulation
 
 config = FleetConfig(n_devices=int(sys.argv[1]), n_shards=4, seed=11,
                      requests_per_device=2, challenge_fraction=0.2,
-                     hijack_fraction=0.1, prototype_count=4, ramp_s=10.0)
+                     hijack_fraction=0.1, batch_count=4, ramp_s=10.0)
 result = FleetSimulation(config).run()
 sys.stdout.write(result.summary)
 sys.stdout.write("\\n--- trace ---\\n")
@@ -166,7 +167,7 @@ class TestHashSeedWitness:
 
 
 #: A four-member, two-batch fleet for the factory's known answers.
-BATCHES = FleetConfig(n_devices=4, n_shards=2, seed=11, prototype_count=2,
+BATCHES = FleetConfig(n_devices=4, n_shards=2, seed=11, batch_count=2,
                       keypair_pool_size=3)
 
 #: Per member of ``BATCHES``: SHA-256 of its certificate bytes, SHA-256 of
@@ -236,10 +237,50 @@ class TestDeviceFactory:
         # ... and its DRBG did not advance with the first member's draws.
         assert b.crypto.rng.generate(32).hex() == MEMBER_ANSWERS[2][3]
 
+    def test_members_share_the_layout_not_the_sensors(self, sim):
+        a, b = (actor.device.flock.controller for actor in sim.actors[:2])
+        assert a.layout is b.layout
+        assert all(x is not y for x, y in zip(a._arrays, b._arrays,
+                                              strict=True))
+
+    def test_entropy_is_the_generators_first_32_bytes(self):
+        """``_entropy`` reads four raw 64-bit outputs: the bytes
+        ``Generator.bytes(32)`` gives for the same stream."""
+        for seed in range(100):
+            config = FleetConfig(seed=seed)
+            for stream in [(3, seed % 4), (4,), (5, seed), (5, 999 - seed),
+                           (6, seed)]:
+                expected = np.random.default_rng(
+                    (seed,) + stream).bytes(32)
+                assert _entropy(config, *stream) == expected, (seed, stream)
+
+    def test_each_setup_mints_each_key_once(self):
+        """A set-up generates the CA key, the pool's one service key, a
+        key per batch and the service-keypair pool: each once, each
+        distinct.  A second set-up generates them all again."""
+        runs = []
+        for _ in range(2):
+            moduli = []
+
+            def profile(frame, event, arg, moduli=moduli):
+                if event == "return" \
+                        and frame.f_code is generate_keypair.__code__:
+                    moduli.append(arg.n)
+
+            sys.setprofile(profile)
+            try:
+                FleetSimulation(BATCHES)
+            finally:
+                sys.setprofile(None)
+            runs.append(moduli)
+        expected = 2 + BATCHES.batch_count + BATCHES.keypair_pool_size
+        assert len(runs[0]) == len(set(runs[0])) == expected
+        assert runs[1] == runs[0]
+
     def test_every_device_runs_the_enrolled_modeled_processor(self):
         """Fleets are always modeled: every member comes enrolled with
         the fleet finger, ready for its first login."""
-        config = FleetConfig(n_devices=3, prototype_count=2,
+        config = FleetConfig(n_devices=3, batch_count=2,
                              keypair_pool_size=1, seed=11)
         ca = CertificateAuthority(rng=HmacDrbg(b"factory-ca"), key_bits=512)
         factory = DeviceFactory(config, ca)
