@@ -51,7 +51,7 @@ def test_power(benchmark):
         opportunistic_total = (results[rate].total_j
                                + always_on_one.leakage_j * 0.0
                                + (N_SENSORS - 1) * SESSION_S
-                               * model.idle_leakage_uw * 1e-6)
+                               * model.IDLE_LEAKAGE_UW * 1e-6)
         rows.append([
             f"{rate}/min",
             format_si(opportunistic_total, "J"),
@@ -76,7 +76,7 @@ def test_power(benchmark):
     for rate in TOUCH_RATES_PER_MIN:
         opportunistic_total = (results[rate].total_j
                                + (N_SENSORS - 1) * SESSION_S
-                               * model.idle_leakage_uw * 1e-6)
+                               * model.IDLE_LEAKAGE_UW * 1e-6)
         saving = always_on_total / opportunistic_total
         savings.append(saving)
         assert saving > 10.0

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.eval import render_table, standard_deployment
+from repro.flock import crypto_processor as costs
 from repro.net import TrustClient, WebServer
 from .conftest import emit
 
@@ -42,11 +43,10 @@ def test_registration(benchmark, rng):
     outcome, ops_delta = benchmark.pedantic(one_registration, rounds=3,
                                             iterations=1)
 
-    costs = world.device.flock.crypto.costs
     cost_of = {
-        "keygen": costs.keygen_s, "sign": costs.sign_s,
-        "verify": costs.verify_s, "rsa_encrypt": costs.rsa_encrypt_s,
-        "rsa_decrypt": costs.rsa_decrypt_s,
+        "keygen": costs.KEYGEN_S, "sign": costs.SIGN_S,
+        "verify": costs.VERIFY_S, "rsa_encrypt": costs.RSA_ENCRYPT_S,
+        "rsa_decrypt": costs.RSA_DECRYPT_S,
     }
     op_rows = [
         [op, count, f"{cost_of.get(op, 0.0) * count * 1000:.1f} ms"]

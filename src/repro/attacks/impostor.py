@@ -41,8 +41,7 @@ def takeover_attack(manager: LocalIdentityManager,
                     impostor_master: MasterFingerprint,
                     impostor_behaviour: UserTouchModel,
                     rng: np.random.Generator,
-                    max_touches: int = 150,
-                    seed: int = 0) -> AttackResult:
+                    max_touches: int = 150) -> AttackResult:
     """The impostor picks up an *unlocked* device and uses it naturally.
 
     Returns the number of touches until the device locked (detection
@@ -52,7 +51,7 @@ def takeover_attack(manager: LocalIdentityManager,
         raise ValueError("takeover attack needs an unlocked device")
     generator = SessionGenerator(impostor_behaviour)
     trace = generator.generate(SessionConfig(n_interactions=max_touches),
-                               seed=seed)
+                               seed=0)
     for index, gesture in enumerate(trace.gestures):
         result = manager.process_gesture(gesture, impostor_master, rng)
         if result.state is DeviceState.LOCKED:

@@ -6,7 +6,7 @@ session server (security strawman for E10), and the fingerprint fuzzy
 vault the paper rejects in section V.
 """
 
-from .password import LoginAttempt, PasswordAuthModel, PasswordPolicy
+from .password import LoginAttempt, PasswordAuthModel
 from .swipe_sensor import SeparateFingerprintSensor, SwipeAttempt
 from .keystroke import KeystrokeAuthenticator, KeystrokeSample, TypingProfile
 from .cookie_session import CookieWebServer
@@ -14,7 +14,7 @@ from .fuzzy_vault import FuzzyVault, GF16, VaultPoint, crc16, encode_minutia
 from .touch_gestures import TouchGestureAuthenticator, gesture_features
 
 __all__ = [
-    "PasswordPolicy", "PasswordAuthModel", "LoginAttempt",
+    "PasswordAuthModel", "LoginAttempt",
     "SeparateFingerprintSensor", "SwipeAttempt",
     "TypingProfile", "KeystrokeSample", "KeystrokeAuthenticator",
     "CookieWebServer",

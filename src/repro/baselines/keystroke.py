@@ -65,6 +65,10 @@ class KeystrokeSample:
 class KeystrokeAuthenticator:
     """Gaussian-profile keystroke verifier."""
 
+    #: Scored bursts per user in an evaluation, and keys per burst.
+    EVALUATION_BURSTS = 30
+    KEYS_PER_BURST = 20
+
     def __init__(self) -> None:
         self._enrolled: dict[str, tuple[float, float, float, float]] = {}
 
@@ -92,21 +96,20 @@ class KeystrokeAuthenticator:
         return float(np.exp(-distance_sq / 4.0))
 
     def evaluate(self, profiles: list[TypingProfile],
-                 rng: np.random.Generator, n_bursts: int = 30,
-                 keys_per_burst: int = 20) -> tuple[np.ndarray, np.ndarray]:
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Genuine/impostor score arrays over a user population."""
         if len(profiles) < 2:
             raise ValueError("need at least two users")
         for profile in profiles:
             self.enroll(profile.user_id,
-                        [profile.sample(keys_per_burst, rng)
+                        [profile.sample(self.KEYS_PER_BURST, rng)
                          for _ in range(5)])
         genuine, impostor = [], []
         for i, profile in enumerate(profiles):
-            for _ in range(n_bursts):
+            for _ in range(self.EVALUATION_BURSTS):
                 genuine.append(self.score(
-                    profile.user_id, profile.sample(keys_per_burst, rng)))
+                    profile.user_id, profile.sample(self.KEYS_PER_BURST, rng)))
                 other = profiles[(i + 1) % len(profiles)]
                 impostor.append(self.score(
-                    profile.user_id, other.sample(keys_per_burst, rng)))
+                    profile.user_id, other.sample(self.KEYS_PER_BURST, rng)))
         return np.array(genuine), np.array(impostor)

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PasswordPolicy", "PasswordAuthModel", "LoginAttempt"]
-
-
-@dataclass(frozen=True)
-class PasswordPolicy:
-    """Site password rules: the minimum length sets typing time."""
-
-    min_length: int = 8
+__all__ = ["PasswordAuthModel", "LoginAttempt"]
 
 
 @dataclass(frozen=True)
@@ -39,13 +32,16 @@ class PasswordAuthModel:
     TYPING_RATE_CPS = 2.5
     #: Probability of a typo forcing a retry on a soft keyboard.
     TYPO_RATE = 0.08
-
-    def __init__(self, policy: PasswordPolicy | None = None) -> None:
-        self.policy = policy if policy is not None else PasswordPolicy()
+    #: The site's minimum password length, which sets typing time.
+    MIN_LENGTH = 8
+    #: The common-password list's length [1].
+    DICTIONARY_SIZE = 1000
+    #: Simulated logins behind a mean latency.
+    LATENCY_TRIALS = 200
 
     def password_length(self, rng: np.random.Generator) -> int:
-        """Length of the user's chosen password under this policy."""
-        return int(self.policy.min_length + rng.integers(0, 5))
+        """Length of the user's chosen password under the site minimum."""
+        return int(self.MIN_LENGTH + rng.integers(0, 5))
 
     def login(self, rng: np.random.Generator) -> LoginAttempt:
         """One genuine login: typing time + possible typo retries."""
@@ -58,21 +54,19 @@ class PasswordAuthModel:
         return LoginAttempt(success=True, latency_s=latency,
                             keystrokes=keystrokes)
 
-    def dictionary_attack_success(self, guesses: int,
-                                  dictionary_size: int = 1000) -> float:
+    def dictionary_attack_success(self, guesses: int) -> float:
         """P(compromise) for an attacker trying the top-``guesses`` list.
 
         With probability COMMON_PASSWORD_FRACTION the victim's password is
-        uniformly inside the top-``dictionary_size``; outside that list the
+        uniformly inside the top-``DICTIONARY_SIZE``; outside that list the
         attack fails.
         """
         if guesses < 0:
             raise ValueError("guesses must be non-negative")
-        covered = min(guesses, dictionary_size) / dictionary_size
+        covered = min(guesses, self.DICTIONARY_SIZE) / self.DICTIONARY_SIZE
         return self.COMMON_PASSWORD_FRACTION * covered
 
-    def mean_login_latency_s(self, rng: np.random.Generator,
-                             trials: int = 200) -> float:
+    def mean_login_latency_s(self, rng: np.random.Generator) -> float:
         """Average measured login latency over simulated attempts."""
         return float(np.mean([self.login(rng).latency_s
-                              for _ in range(trials)]))
+                              for _ in range(self.LATENCY_TRIALS)]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.fingerprint import DEFAULT_FULL_MODEL, CalibratedScoreModel
+from repro.fingerprint import DEFAULT_FULL_MODEL
 
 __all__ = ["SwipeAttempt", "SeparateFingerprintSensor"]
 
@@ -37,12 +37,12 @@ class SeparateFingerprintSensor:
     #: Probability the swipe fails mechanically (bad swipe speed/angle)
     #: and must be redone — the familiar "try again" experience.
     BAD_SWIPE_RATE = 0.15
-
-    def __init__(self, score_model: CalibratedScoreModel | None = None,
-                 accept_threshold: float = 0.45) -> None:
-        self.score_model = (DEFAULT_FULL_MODEL if score_model is None
-                            else score_model)
-        self.accept_threshold = float(accept_threshold)
+    #: Match score a swipe needs to be accepted.
+    ACCEPT_THRESHOLD = 0.45
+    #: Swipes a genuine user makes before giving up.
+    MAX_ATTEMPTS = 3
+    #: Simulated logins behind a mean latency.
+    LATENCY_TRIALS = 200
 
     def authenticate(self, genuine: bool,
                      rng: np.random.Generator) -> SwipeAttempt:
@@ -50,19 +50,18 @@ class SeparateFingerprintSensor:
         swipes = 1
         while rng.random() < self.BAD_SWIPE_RATE:
             swipes += 1
-        score = self.score_model.sample(genuine, rng)
+        score = DEFAULT_FULL_MODEL.sample(genuine, rng)
         return SwipeAttempt(
-            accepted=score >= self.accept_threshold,
+            accepted=score >= self.ACCEPT_THRESHOLD,
             score=score,
             latency_s=swipes * self.SWIPE_ACTION_S + self.PROCESS_S,
         )
 
-    def genuine_login(self, rng: np.random.Generator,
-                      max_attempts: int = 3) -> SwipeAttempt:
+    def genuine_login(self, rng: np.random.Generator) -> SwipeAttempt:
         """A genuine user retries a rejected swipe; returns the final try."""
         total_latency = 0.0
         attempt = self.authenticate(True, rng)
-        for _ in range(max_attempts - 1):
+        for _ in range(self.MAX_ATTEMPTS - 1):
             total_latency += attempt.latency_s
             if attempt.accepted:
                 break
@@ -72,8 +71,7 @@ class SeparateFingerprintSensor:
         return SwipeAttempt(accepted=attempt.accepted, score=attempt.score,
                             latency_s=total_latency)
 
-    def mean_login_latency_s(self, rng: np.random.Generator,
-                             trials: int = 200) -> float:
+    def mean_login_latency_s(self, rng: np.random.Generator) -> float:
         """Average measured login latency over simulated attempts."""
         return float(np.mean([self.genuine_login(rng).latency_s
-                              for _ in range(trials)]))
+                              for _ in range(self.LATENCY_TRIALS)]))

@@ -55,6 +55,8 @@ class _Profile:
 
 #: Fallback profile key when a gesture kind was absent at enrollment.
 _ANY_KIND = "any"
+#: Share of each user's trace that enrolls the profile in an evaluation.
+ENROLLMENT_FRACTION = 0.4
 
 
 class TouchGestureAuthenticator:
@@ -104,12 +106,11 @@ class TouchGestureAuthenticator:
         z = (gesture_features(gesture) - profile.mean) / profile.std
         return float(np.exp(-float(np.mean(z**2)) / 4.0))
 
-    def evaluate(self, traces_by_user: dict[str, list[Gesture]],
-                 enrollment_fraction: float = 0.4
+    def evaluate(self, traces_by_user: dict[str, list[Gesture]]
                  ) -> tuple[np.ndarray, np.ndarray]:
         """Genuine/impostor per-gesture score arrays over a population.
 
-        The first ``enrollment_fraction`` of each user's trace enrolls the
+        The first ``ENROLLMENT_FRACTION`` of each user's trace enrolls the
         profile; the remainder scores genuine, and every other user's
         remainder scores impostor.
         """
@@ -117,7 +118,7 @@ class TouchGestureAuthenticator:
             raise ValueError("need at least two users")
         splits = {}
         for user_id, gestures in traces_by_user.items():
-            cut = max(int(len(gestures) * enrollment_fraction), 10)
+            cut = max(int(len(gestures) * ENROLLMENT_FRACTION), 10)
             if cut >= len(gestures):
                 raise ValueError(f"trace for {user_id!r} too short")
             self.enroll(user_id, gestures[:cut])
@@ -132,8 +133,7 @@ class TouchGestureAuthenticator:
                 impostor.append(self.score_gesture(user_id, gesture))
         return np.array(genuine), np.array(impostor)
 
-    def evaluate_windows(self, traces_by_user: dict[str, list[Gesture]],
-                         enrollment_fraction: float = 0.4
+    def evaluate_windows(self, traces_by_user: dict[str, list[Gesture]]
                          ) -> tuple[np.ndarray, np.ndarray]:
         """Window-smoothed score arrays (how these systems actually decide).
 
@@ -141,8 +141,7 @@ class TouchGestureAuthenticator:
         over the last ``window`` gestures.  Returns the sliding-window mean
         score series for genuine and impostor streams.
         """
-        genuine_raw, impostor_raw = self.evaluate(
-            traces_by_user, enrollment_fraction=enrollment_fraction)
+        genuine_raw, impostor_raw = self.evaluate(traces_by_user)
 
         def smooth(scores: np.ndarray) -> np.ndarray:
             if len(scores) < self.window:

@@ -119,7 +119,8 @@ class DecayingRiskTracker:
     masses by ``0.5 ** (1 / half_life_touches)`` before adding itself.
     Risk is the unverified fraction of the decayed evidence, attenuated by
     a warm-up factor until enough evidence has accumulated; a breach is a
-    warm tracker whose risk exceeds ``breach_risk``.
+    warm tracker whose risk exceeds ``breach_risk``.  Touches outside every
+    sensor are not counted, as in the window's default.
 
     Compared in ablation A7 against the paper's window: the decay reacts a
     touch or two faster after a takeover (old genuine evidence fades
@@ -128,8 +129,7 @@ class DecayingRiskTracker:
 
     def __init__(self, half_life_touches: float = 4.0,
                  breach_risk: float = 0.75,
-                 count_low_quality: bool = True,
-                 count_not_covered: bool = False) -> None:
+                 count_low_quality: bool = True) -> None:
         if half_life_touches <= 0:
             raise ValueError("half life must be positive")
         if not 0.0 < breach_risk <= 1.0:
@@ -137,7 +137,6 @@ class DecayingRiskTracker:
         self.decay = 0.5 ** (1.0 / half_life_touches)
         self.breach_risk = float(breach_risk)
         self.count_low_quality = bool(count_low_quality)
-        self.count_not_covered = bool(count_not_covered)
         #: Asymptotic evidence mass of a steady stream.
         self.saturation_mass = 1.0 / (1.0 - self.decay)
         self._verified_mass = 0.0
@@ -146,9 +145,7 @@ class DecayingRiskTracker:
     def _countable(self, kind: TouchOutcomeKind) -> bool:
         if kind is TouchOutcomeKind.LOW_QUALITY:
             return self.count_low_quality
-        if kind is TouchOutcomeKind.NOT_COVERED:
-            return self.count_not_covered
-        return True
+        return kind is not TouchOutcomeKind.NOT_COVERED
 
     def record(self, kind: TouchOutcomeKind) -> RiskAssessment:
         """Record one touch outcome and return the updated assessment."""
@@ -181,8 +178,3 @@ class DecayingRiskTracker:
             window_size=int(round(self.saturation_mass)),
             breach=breach,
         )
-
-    def reset(self) -> None:
-        """Discard all accumulated evidence."""
-        self._verified_mass = 0.0
-        self._total_mass = 0.0

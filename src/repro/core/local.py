@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,9 +24,18 @@ from repro.hardware import TouchPanel
 from repro.touchgen import Gesture, make_tap
 from .identity_risk import IdentityRiskTracker
 from .pipeline import ContinuousAuthPipeline, PipelineEvent
-from .policy import MinTouchTimeRule, ResponseAction, ResponsePolicy
+from .policy import (
+    CRITICAL_MARGIN_MM,
+    MinTouchTimeRule,
+    ResponseAction,
+    ResponsePolicy,
+)
 
 __all__ = ["DeviceState", "GestureResult", "LocalIdentityManager"]
+
+#: The device's response ladder and its minimum-touch-time rule.
+RESPONSE_POLICY = ResponsePolicy()
+MIN_TOUCH_RULE = MinTouchTimeRule()
 
 
 class DeviceState(Enum):
@@ -52,18 +61,17 @@ class LocalIdentityManager:
     flock: FlockModule
     panel: TouchPanel
     unlock_button_xy: tuple[float, float]
-    tracker: IdentityRiskTracker = field(default_factory=IdentityRiskTracker)
-    policy: ResponsePolicy = field(default_factory=ResponsePolicy)
-    min_touch_rule: MinTouchTimeRule = field(default_factory=MinTouchTimeRule)
     state: DeviceState = DeviceState.LOCKED
     locks: int = 0
     challenges: int = 0
 
     def __post_init__(self) -> None:
+        self.tracker = IdentityRiskTracker()
         self.pipeline = ContinuousAuthPipeline(self.flock, self.panel,
                                                self.tracker)
         sensor = self.flock.controller.layout.sensor_at(
-            self.unlock_button_xy[0], self.unlock_button_xy[1], margin_mm=4.0)
+            self.unlock_button_xy[0], self.unlock_button_xy[1],
+            margin_mm=CRITICAL_MARGIN_MM)
         if sensor is None:
             raise ValueError(
                 "the unlock button must be displayed over a fingerprint "
@@ -71,13 +79,12 @@ class LocalIdentityManager:
 
     # ------------------------------------------------------------- unlock
     def try_unlock(self, master: MasterFingerprint,
-                   rng: np.random.Generator, time_s: float = 0.0,
-                   pressure: float = 0.5) -> bool:
+                   rng: np.random.Generator, time_s: float = 0.0) -> bool:
         """One unlock-button touch; unlocks only on a verified capture."""
         if self.state is DeviceState.UNLOCKED:
             return True
         gesture = make_tap(time_s, self.unlock_button_xy[0],
-                           self.unlock_button_xy[1], pressure, 0.12,
+                           self.unlock_button_xy[1], 0.5, 0.12,
                            master.finger_id)
         event = self.pipeline.process_gesture(gesture, master, rng)
         if event.verified:
@@ -102,7 +109,7 @@ class LocalIdentityManager:
                 self.state = DeviceState.UNLOCKED
                 return GestureResult(event=event, action=ResponseAction.NONE,
                                      state=self.state)
-            if event.assessment.breach and self.policy.lock_on_breach:
+            if event.assessment.breach:
                 self.state = DeviceState.LOCKED
                 self.locks += 1
                 self.tracker.reset()
@@ -113,15 +120,15 @@ class LocalIdentityManager:
                                  action=ResponseAction.HALT_INTERACTION,
                                  state=self.state)
 
-        if not self.min_touch_rule.permits(gesture):
+        if not MIN_TOUCH_RULE.permits(gesture):
             # Too brief to capture: the gesture is ignored outright
             # (countermeasure 2) and does not touch the risk window.
             return GestureResult(event=None, action=ResponseAction.NONE,
                                  state=self.state)
 
         event = self.pipeline.process_gesture(gesture, master, rng)
-        action = self.policy.action_for(event.assessment.risk,
-                                        event.assessment.breach)
+        action = RESPONSE_POLICY.action_for(event.assessment.risk,
+                                            event.assessment.breach)
         if action is ResponseAction.LOCK_DEVICE:
             self.state = DeviceState.LOCKED
             self.locks += 1

@@ -26,6 +26,10 @@ from repro.touchgen import Gesture, UiLayout
 __all__ = ["ResponseAction", "ResponsePolicy", "CriticalButtonRule",
            "MinTouchTimeRule"]
 
+#: Inset (mm) a critical element's centre needs inside a sensor to count
+#: as covered: a fingertip pressed there lands wholly on the sensor.
+CRITICAL_MARGIN_MM = 4.0
+
 
 class ResponseAction(Enum):
     """Pre-defined responses, mildest first."""
@@ -38,11 +42,11 @@ class ResponseAction(Enum):
 
 @dataclass(frozen=True)
 class ResponsePolicy:
-    """Risk thresholds -> actions (evaluated mildest to harshest)."""
+    """Risk thresholds -> actions (evaluated mildest to harshest); a
+    k-of-n breach locks the device."""
 
     challenge_risk: float = 0.7
     halt_risk: float = 0.85
-    lock_on_breach: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.challenge_risk <= 1.0:
@@ -52,7 +56,7 @@ class ResponsePolicy:
 
     def action_for(self, risk: float, breach: bool) -> ResponseAction:
         """The response the ladder prescribes for a (risk, breach) state."""
-        if breach and self.lock_on_breach:
+        if breach:
             return ResponseAction.LOCK_DEVICE
         if risk >= self.halt_risk:
             return ResponseAction.HALT_INTERACTION
@@ -69,10 +73,8 @@ class CriticalButtonRule:
     a design-time lint the examples and benchmarks run on every screen.
     """
 
-    def __init__(self, sensor_layout: SensorLayout,
-                 margin_mm: float = 4.0) -> None:
+    def __init__(self, sensor_layout: SensorLayout) -> None:
         self.sensor_layout = sensor_layout
-        self.margin_mm = float(margin_mm)
 
     def uncovered_critical_elements(self, ui_layout: UiLayout) -> list[str]:
         """Critical UI elements whose centres no sensor usably covers."""
@@ -81,8 +83,8 @@ class CriticalButtonRule:
             if not element.critical:
                 continue
             cx, cy = element.center
-            if self.sensor_layout.sensor_at(cx, cy,
-                                            margin_mm=self.margin_mm) is None:
+            if self.sensor_layout.sensor_at(
+                    cx, cy, margin_mm=CRITICAL_MARGIN_MM) is None:
                 uncovered.append(element.name)
         return uncovered
 

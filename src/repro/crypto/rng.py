@@ -60,13 +60,3 @@ class HmacDrbg:
         self._value = value
         self._update()
         return b"".join(blocks)[:n_bytes]
-
-    def copy(self) -> HmacDrbg:
-        """An independent generator in this one's current state.
-
-        Both then draw the same stream; neither's draws advance the other.
-        """
-        twin = HmacDrbg.__new__(HmacDrbg)
-        twin._key = self._key
-        twin._value = self._value
-        return twin

@@ -260,7 +260,11 @@ def _emsa_pkcs1_v15(message: bytes, em_len: int) -> bytes:
     return b"\x00\x01" + b"\xff" * (em_len - len(t) - 3) + b"\x00" + t
 
 
-def generate_keypair(rng: HmacDrbg, bits: int = 1024, e: int = 65537) -> RsaPrivateKey:
+#: The public exponent of every generated key, F4.
+PUBLIC_EXPONENT = 65537
+
+
+def generate_keypair(rng: HmacDrbg, bits: int = 1024) -> RsaPrivateKey:
     """Generate an RSA key pair with modulus of exactly ``bits`` bits."""
     if bits < 512:
         raise ValueError("modulus below 512 bits cannot carry a SHA-256 signature")
@@ -273,10 +277,10 @@ def generate_keypair(rng: HmacDrbg, bits: int = 1024, e: int = 65537) -> RsaPriv
         if p == q:
             continue
         phi = (p - 1) * (q - 1)
-        if phi % e == 0:
+        if phi % PUBLIC_EXPONENT == 0:
             continue
         n = p * q
         if n.bit_length() != bits:
             continue
-        d = pow(e, -1, phi)
-        return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)
+        d = pow(PUBLIC_EXPONENT, -1, phi)
+        return RsaPrivateKey(n=n, e=PUBLIC_EXPONENT, d=d, p=p, q=q)

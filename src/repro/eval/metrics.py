@@ -58,19 +58,20 @@ def far_frr_at(genuine_scores: np.ndarray, impostor_scores: np.ndarray,
 def eer_confidence_interval(genuine_scores: np.ndarray,
                             impostor_scores: np.ndarray,
                             n_bootstrap: int = 500,
-                            confidence: float = 0.90,
-                            seed: int = 0) -> tuple[float, float, float]:
+                            confidence: float = 0.90
+                            ) -> tuple[float, float, float]:
     """(EER, ci_low, ci_high) via bootstrap resampling of both score sets.
 
     Synthetic-population EERs carry sampling noise; reporting the interval
-    keeps benchmark claims honest about it.
+    keeps benchmark claims honest about it.  The resampling is seeded with
+    0, so one score set always gives the same interval.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     genuine = np.asarray(genuine_scores, dtype=np.float64)
     impostor = np.asarray(impostor_scores, dtype=np.float64)
     point, _ = equal_error_rate(genuine, impostor)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     samples = np.empty(n_bootstrap)
     for index in range(n_bootstrap):
         g = genuine[rng.integers(genuine.size, size=genuine.size)]

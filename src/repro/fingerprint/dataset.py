@@ -52,16 +52,16 @@ class DifficultyProfile:
         )
 
     @staticmethod
-    def touch_grade(sensor_radius_px: float = 80.0) -> "DifficultyProfile":
+    def touch_grade() -> "DifficultyProfile":
         """Opportunistic in-display captures: partial, rotated, noisy.
 
-        The default contact radius matches the hardware path: a 4 mm
-        fingertip contact at 50 um cell pitch is an 80-cell patch (see
+        The contact radius matches the hardware path: a 4 mm fingertip
+        contact at 50 um cell pitch is an 80-cell patch (see
         ``repro.flock.fingerprint_controller.CONTACT_RADIUS_MM``).
         """
         return DifficultyProfile(
             name="touch",
-            radius=(sensor_radius_px * 0.85, sensor_radius_px),
+            radius=(80.0 * 0.85, 80.0),
             rotation_deg=(-25.0, 25.0),
             translation_px=15.0,
             distortion=(0.0, 2.0),
@@ -116,8 +116,7 @@ class FingerprintDataset:
 
 def build_dataset(name: str, n_fingers: int, n_impressions: int,
                   profile: DifficultyProfile, seed: int,
-                  master_shape: tuple[int, int] = (192, 192),
-                  output_shape: tuple[int, int] | None = None) -> FingerprintDataset:
+                  master_shape: tuple[int, int] = (192, 192)) -> FingerprintDataset:
     """Synthesize a full dataset deterministically from ``seed``."""
     if n_fingers < 1 or n_impressions < 1:
         raise ValueError("need at least one finger and one impression")
@@ -131,8 +130,6 @@ def build_dataset(name: str, n_fingers: int, n_impressions: int,
         captures = []
         for _ in range(n_impressions):
             condition = profile.sample_condition(rng, master.shape)
-            captures.append(
-                render_impression(master, condition, rng, output_shape=output_shape)
-            )
+            captures.append(render_impression(master, condition, rng))
         dataset.impressions[master.finger_id] = captures
     return dataset

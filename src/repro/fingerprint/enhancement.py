@@ -62,19 +62,16 @@ def enhance(image: np.ndarray, mask: np.ndarray | None = None,
 
 
 def minutiae_with_enhancement(image: np.ndarray,
-                              mask: np.ndarray | None = None,
-                              wavelength: float = 8.5,
-                              block: int = 12,
-                              border_margin: int = 5) -> list[Minutia]:
-    """Enhancement followed by the standard extraction pipeline.
+                              mask: np.ndarray | None = None) -> list[Minutia]:
+    """Enhancement followed by the standard extraction pipeline, each at
+    its default wavelength, block and border.
 
     Extraction reads the ridge statistics of the enhanced mask's contact
     window only, which is exact: :func:`enhance` leaves 0.5 outside the
     mask (see :class:`~repro.fingerprint.image_ops.RidgeStatistics`).
     """
-    result = enhance(image, mask=mask, wavelength=wavelength, block=block)
-    statistics = ridge_statistics(result.image, block,
-                                  contact_window(result.mask, block))
-    return minutiae_from_image(result.image, result.mask, block=block,
-                               border_margin=border_margin,
+    result = enhance(image, mask=mask)
+    statistics = ridge_statistics(result.image,
+                                  window=contact_window(result.mask))
+    return minutiae_from_image(result.image, result.mask,
                                statistics=statistics)

@@ -30,21 +30,17 @@ from scipy import fft
 __all__ = ["gabor_kernel", "GaborBank"]
 
 
-def gabor_kernel(orientation: float, wavelength: float,
-                 sigma_parallel: float | None = None,
-                 sigma_perpendicular: float | None = None) -> np.ndarray:
+def gabor_kernel(orientation: float, wavelength: float) -> np.ndarray:
     """Real even-symmetric Gabor kernel for ridges at ``orientation``.
 
     ``orientation`` is the *ridge direction*; the cosine wave oscillates
-    perpendicular to it.  Sigmas default to ~0.5 wavelength, the usual
-    fingerprint-enhancement setting.
+    perpendicular to it.  The envelope's sigmas are 0.6 wavelength along
+    the ridge and 0.5 across it, the usual fingerprint-enhancement setting.
     """
     if wavelength <= 2.0:
         raise ValueError("wavelength must exceed 2 pixels")
-    sigma_parallel = 0.6 * wavelength if sigma_parallel is None else sigma_parallel
-    sigma_perpendicular = (
-        0.5 * wavelength if sigma_perpendicular is None else sigma_perpendicular
-    )
+    sigma_parallel = 0.6 * wavelength
+    sigma_perpendicular = 0.5 * wavelength
     half = int(np.ceil(3.0 * max(sigma_parallel, sigma_perpendicular)))
     coords = np.arange(-half, half + 1, dtype=np.float64)
     x, y = np.meshgrid(coords, coords)  # x: col offset, y: row offset

@@ -30,6 +30,10 @@ __all__ = [
 #: A frame window: (row slice, column slice).
 Window = tuple[slice, slice]
 
+#: Mean and standard deviation :func:`normalize` maps an image to.
+NORMALIZED_MEAN = 0.5
+NORMALIZED_STD = 0.25
+
 
 def _gradient_pair(image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.gradient(image)`` for the 2-D unit-spacing case.
@@ -168,9 +172,9 @@ def ridge_statistics(image: np.ndarray, block: int = 12,
                            _box(pixels, block))
 
 
-def normalize(image: np.ndarray, target_mean: float = 0.5,
-              target_std: float = 0.25) -> np.ndarray:
-    """Affine-normalize an image to a target mean/std, clipped to [0, 1].
+def normalize(image: np.ndarray) -> np.ndarray:
+    """Affine-normalize an image to ``NORMALIZED_MEAN``/``NORMALIZED_STD``,
+    clipped to [0, 1].
 
     Classic Hong-Wan-Jain pre-normalization; makes downstream thresholds
     independent of capture contrast (pressure, sensor gain).
@@ -178,14 +182,14 @@ def normalize(image: np.ndarray, target_mean: float = 0.5,
     image = np.asarray(image, dtype=np.float64)
     std = image.std()
     if std < 1e-12:
-        return np.full_like(image, target_mean)
-    normalized = (image - image.mean()) / std * target_std + target_mean
+        return np.full_like(image, NORMALIZED_MEAN)
+    normalized = ((image - image.mean()) / std * NORMALIZED_STD
+                  + NORMALIZED_MEAN)
     return np.clip(normalized, 0.0, 1.0)
 
 
-def segment_foreground(image: np.ndarray, block: int = 12,
-                       variance_threshold: float = 1e-3) -> np.ndarray:
-    """Foreground mask: blocks with local variance above a threshold.
+def segment_foreground(image: np.ndarray, block: int = 12) -> np.ndarray:
+    """Foreground mask: blocks with local variance above 1e-3.
 
     Fingerprint regions have strong ridge/valley oscillation (high local
     variance); background and smudges are flat.  The mask is cleaned with a
@@ -196,7 +200,7 @@ def segment_foreground(image: np.ndarray, block: int = 12,
     mean = ndimage.uniform_filter(image, size=block)
     mean_sq = ndimage.uniform_filter(image * image, size=block)
     variance = np.maximum(mean_sq - mean * mean, 0.0)
-    mask = variance > variance_threshold
+    mask = variance > 1e-3
     if not mask.any():
         return mask
     mask = ndimage.binary_closing(mask, structure=np.ones((3, 3)), iterations=2)

@@ -103,23 +103,21 @@ class QualityGate:
     low-quality data is *discarded*, not authenticated).
     """
 
-    def __init__(self, threshold: float = 0.35, block: int = 12) -> None:
+    def __init__(self, threshold: float = 0.35) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
         self.threshold = float(threshold)
-        self.block = int(block)
 
     def statistics(self, impression: Impression) -> RidgeStatistics:
         """The impression's ridge statistics as :meth:`evaluate` reads them:
-        over its contact window at this gate's block."""
-        return ridge_statistics(impression.image, self.block,
-                                contact_window(impression.mask, self.block))
+        over its contact window at the default block."""
+        return ridge_statistics(impression.image,
+                                window=contact_window(impression.mask))
 
     def evaluate(self, impression: Impression,
                  statistics: RidgeStatistics | None = None,
                  ) -> tuple[bool, QualityReport]:
         """Return (passed, report); ``statistics`` as for
         :func:`assess_quality`."""
-        report = assess_quality(impression, block=self.block,
-                                statistics=statistics)
+        report = assess_quality(impression, statistics=statistics)
         return report.score >= self.threshold, report

@@ -47,15 +47,15 @@ class CalibratedScoreModel:
 
     @classmethod
     def from_beta(cls, genuine_ab: tuple[float, float],
-                  impostor_ab: tuple[float, float],
-                  n_samples: int = 2000, seed: int = 7,
-                  jitter: float = 0.01) -> "CalibratedScoreModel":
-        """Construct from beta-distribution parameters (analytic fallback)."""
-        rng = np.random.default_rng(seed)
+                  impostor_ab: tuple[float, float]) -> "CalibratedScoreModel":
+        """Construct from beta-distribution parameters (analytic fallback):
+        2000 draws of each from a generator seeded with 7, jittered by 0.01.
+        """
+        rng = np.random.default_rng(7)
         return cls(
-            genuine_scores=rng.beta(*genuine_ab, size=n_samples),
-            impostor_scores=rng.beta(*impostor_ab, size=n_samples),
-            jitter=jitter,
+            genuine_scores=rng.beta(*genuine_ab, size=2000),
+            impostor_scores=rng.beta(*impostor_ab, size=2000),
+            jitter=0.01,
         )
 
 

@@ -44,9 +44,7 @@ class MasterFingerprint:
 def synthesize_master(finger_id: str, rng: np.random.Generator,
                       shape: tuple[int, int] = (192, 192),
                       pattern: FingerprintClass | None = None,
-                      wavelength: float | None = None,
-                      n_orientations: int = 16,
-                      iterations: int = 5) -> MasterFingerprint:
+                      wavelength: float | None = None) -> MasterFingerprint:
     """Generate one master fingerprint.
 
     Parameters
@@ -77,7 +75,7 @@ def synthesize_master(finger_id: str, rng: np.random.Generator,
         base_angle=float(rng.uniform(-0.15, 0.15)),
         perturbation=float(rng.uniform(0.15, 0.35)),
     )
-    bank = GaborBank(wavelength, n_orientations=n_orientations)
+    bank = GaborBank(wavelength)
 
     # Sparse random impulses seed the growth; density ~ one per ridge-period
     # cell so every region converges to stripes rather than staying flat.
@@ -87,7 +85,7 @@ def synthesize_master(finger_id: str, rng: np.random.Generator,
     impulse_cols = rng.integers(0, shape[1], size=n_impulses)
     seed[impulse_rows, impulse_cols] += rng.choice((-1.0, 1.0), size=n_impulses)
 
-    image = bank.synthesize(seed, field_.field, iterations=iterations)
+    image = bank.synthesize(seed, field_.field, iterations=5)
     return MasterFingerprint(
         finger_id=finger_id,
         pattern_name=pattern.name,

@@ -14,11 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .impression import CaptureCondition, Impression, render_impression
-from .matching import MinutiaeMatcher
 from .minutiae import Minutia, minutiae_from_image
 from .synthesis import MasterFingerprint
 
 __all__ = ["FingerprintTemplate", "enroll_from_impressions", "enroll_master"]
+
+#: A later impression's minutia joins the template only if no template
+#: minutia lies within this many pixels of it.
+CONSOLIDATION_RADIUS = 8.0
+#: Clean full presses :func:`enroll_master` renders and consolidates.
+ENROLLMENT_IMPRESSIONS = 3
 
 
 @dataclass
@@ -63,14 +68,13 @@ class FingerprintTemplate:
         )
 
 
-def enroll_from_impressions(finger_id: str, impressions: list[Impression],
-                            matcher: MinutiaeMatcher | None = None,
-                            consolidation_radius: float = 8.0) -> FingerprintTemplate:
+def enroll_from_impressions(finger_id: str,
+                            impressions: list[Impression]) -> FingerprintTemplate:
     """Build a template by consolidating minutiae across impressions.
 
     The first impression seeds the template; minutiae from later impressions
     are added if no existing template minutia lies within
-    ``consolidation_radius`` (a simple mosaic — enough to show multi-touch
+    ``CONSOLIDATION_RADIUS`` (a simple mosaic — enough to show multi-touch
     enrollment improving template size, exercised in the tests).
     """
     if not impressions:
@@ -80,7 +84,7 @@ def enroll_from_impressions(finger_id: str, impressions: list[Impression],
         for minutia in minutiae_from_image(impression.image, impression.mask):
             if all(
                 (minutia.row - m.row) ** 2 + (minutia.col - m.col) ** 2
-                >= consolidation_radius**2
+                >= CONSOLIDATION_RADIUS**2
                 for m in consolidated
             ):
                 consolidated.append(minutia)
@@ -91,8 +95,8 @@ def enroll_from_impressions(finger_id: str, impressions: list[Impression],
     )
 
 
-def enroll_master(master: MasterFingerprint, rng: np.random.Generator,
-                  n_impressions: int = 3) -> FingerprintTemplate:
+def enroll_master(master: MasterFingerprint,
+                  rng: np.random.Generator) -> FingerprintTemplate:
     """Convenience enrollment: render clean full presses and consolidate.
 
     This models the explicit enrollment step a user performs once per
@@ -109,7 +113,7 @@ def enroll_master(master: MasterFingerprint, rng: np.random.Generator,
             ),
             rng,
         )
-        for _ in range(n_impressions)
+        for _ in range(ENROLLMENT_IMPRESSIONS)
     ]
     template = enroll_from_impressions(master.finger_id, impressions)
     template.metadata["pattern"] = master.pattern_name

@@ -33,37 +33,35 @@ GRID_STRIDE = 8
 
 @dataclass(frozen=True)
 class TextureDescriptor:
-    """Block-sampled orientation field of one capture.
-
-    ``rows_px``/``cols_px`` anchor grid coordinates back to image pixels so
-    the minutiae alignment transform applies directly.
+    """Block-sampled orientation field of one capture, one cell every
+    ``GRID_STRIDE`` pixels; :meth:`pixel_points` anchors the cells back to
+    image pixels so the minutiae alignment transform applies directly.
     """
 
     orientation: np.ndarray  # radians [0, pi), shape (gr, gc)
     weight: np.ndarray  # coherence in [0, 1], zero off-finger
-    stride: int = GRID_STRIDE
 
     @classmethod
     def from_image(cls, image: np.ndarray,
-                   mask: np.ndarray | None = None,
-                   stride: int = GRID_STRIDE) -> "TextureDescriptor":
+                   mask: np.ndarray | None = None) -> "TextureDescriptor":
         """Build the descriptor from a capture image (+ optional mask)."""
         image = np.asarray(image, dtype=np.float64)
         if mask is None:
             mask = segment_foreground(image)
         orientation = estimate_orientation(image)
         coherence = orientation_coherence(image)
-        grid_rows = image.shape[0] // stride
-        grid_cols = image.shape[1] // stride
+        grid_rows = image.shape[0] // GRID_STRIDE
+        grid_cols = image.shape[1] // GRID_STRIDE
         field = np.zeros((grid_rows, grid_cols))
         weight = np.zeros((grid_rows, grid_cols))
         for gr in range(grid_rows):
             for gc in range(grid_cols):
-                r, c = gr * stride + stride // 2, gc * stride + stride // 2
+                r = gr * GRID_STRIDE + GRID_STRIDE // 2
+                c = gc * GRID_STRIDE + GRID_STRIDE // 2
                 if mask[r, c]:
                     field[gr, gc] = orientation[r, c]
                     weight[gr, gc] = coherence[r, c]
-        return cls(orientation=field, weight=weight, stride=stride)
+        return cls(orientation=field, weight=weight)
 
     def pixel_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(positions (n,2) in px, orientations (n,), weights (n,)) of the
@@ -73,8 +71,8 @@ class TextureDescriptor:
                              indexing="ij")
         live = self.weight > 0.05
         positions = np.stack([
-            rr[live] * self.stride + self.stride // 2,
-            cc[live] * self.stride + self.stride // 2,
+            rr[live] * GRID_STRIDE + GRID_STRIDE // 2,
+            cc[live] * GRID_STRIDE + GRID_STRIDE // 2,
         ], axis=1).astype(np.float64)
         return positions, self.orientation[live], self.weight[live]
 
@@ -101,8 +99,8 @@ def texture_similarity(template: TextureDescriptor,
     cols = (probe_positions[:, 1] * cos_r - probe_positions[:, 0] * sin_r
             + translation[1])
     grid_rows, grid_cols = template.orientation.shape
-    gr = np.round((rows - template.stride // 2) / template.stride).astype(int)
-    gc = np.round((cols - template.stride // 2) / template.stride).astype(int)
+    gr = np.round((rows - GRID_STRIDE // 2) / GRID_STRIDE).astype(int)
+    gc = np.round((cols - GRID_STRIDE // 2) / GRID_STRIDE).astype(int)
     inside = (gr >= 0) & (gr < grid_rows) & (gc >= 0) & (gc < grid_cols)
     if not inside.any():
         return 0.0
@@ -132,12 +130,11 @@ class FusedResult:
 class FusedMatcher:
     """Score-level fusion of minutiae and ridge texture ([12]'s recipe)."""
 
-    def __init__(self, minutiae_weight: float = 0.6,
-                 matcher: MinutiaeMatcher | None = None) -> None:
+    def __init__(self, minutiae_weight: float = 0.6) -> None:
         if not 0.0 <= minutiae_weight <= 1.0:
             raise ValueError("minutiae weight must be in [0, 1]")
         self.minutiae_weight = float(minutiae_weight)
-        self.matcher = matcher if matcher is not None else MinutiaeMatcher()
+        self.matcher = MinutiaeMatcher()
 
     def match(self, template_minutiae: list[Minutia],
               template_texture: TextureDescriptor,

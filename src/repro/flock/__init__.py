@@ -20,7 +20,7 @@ from .fingerprint_processor import (
     ImageFingerprintProcessor,
     ModeledFingerprintProcessor,
 )
-from .crypto_processor import CryptoOpCosts, CryptoProcessor
+from .crypto_processor import CryptoProcessor
 from .module import FlockError, FlockModule, TouchAuthEvent
 from .rng import SimulationRng
 
@@ -30,7 +30,7 @@ __all__ = [
     "DisplayRepeater", "Frame", "FrameHashEngine",
     "FingerprintController", "TouchCapture",
     "AuthDecision", "ImageFingerprintProcessor", "ModeledFingerprintProcessor",
-    "CryptoOpCosts", "CryptoProcessor",
+    "CryptoProcessor",
     "FlockError", "FlockModule", "TouchAuthEvent",
     "SimulationRng",
 ]

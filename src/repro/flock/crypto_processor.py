@@ -20,19 +20,15 @@ from repro.crypto import (
     hmac_sha256,
 )
 
-__all__ = ["CryptoOpCosts", "CryptoProcessor"]
+__all__ = ["CryptoProcessor"]
 
-
-@dataclass(frozen=True)
-class CryptoOpCosts:
-    """Modeled latencies (seconds) for the embedded crypto core."""
-
-    keygen_s: float = 0.150  # RSA-1024 keypair on a small core
-    sign_s: float = 0.008
-    verify_s: float = 0.0006
-    rsa_encrypt_s: float = 0.0006
-    rsa_decrypt_s: float = 0.008
-    mac_per_kb_s: float = 0.00001
+#: Modeled latencies (seconds) of the embedded crypto core's operations.
+KEYGEN_S = 0.150  # RSA-1024 keypair on a small core
+SIGN_S = 0.008
+VERIFY_S = 0.0006
+RSA_ENCRYPT_S = 0.0006
+RSA_DECRYPT_S = 0.008
+MAC_PER_KB_S = 0.00001
 
 
 @dataclass
@@ -40,7 +36,6 @@ class CryptoProcessor:
     """The crypto engine inside one FLock module."""
 
     rng: HmacDrbg
-    costs: CryptoOpCosts = field(default_factory=CryptoOpCosts)
     key_bits: int = 1024
     time_spent_s: float = 0.0
     ops: "Counter[str]" = field(default_factory=Counter)
@@ -56,34 +51,34 @@ class CryptoProcessor:
 
     def generate_service_keypair(self) -> RsaPrivateKey:
         """Fresh per-service key pair (Fig. 9 step 2)."""
-        self._account("keygen", self.costs.keygen_s)
+        self._account("keygen", KEYGEN_S)
         if self.keypair_source is not None:
             return self.keypair_source()
         return generate_keypair(self.rng, bits=self.key_bits)
 
     def sign(self, key: RsaPrivateKey, message: bytes) -> bytes:
         """RSASSA signature with latency accounting."""
-        self._account("sign", self.costs.sign_s)
+        self._account("sign", SIGN_S)
         return key.sign(message)
 
     def verify(self, key: RsaPublicKey, message: bytes, signature: bytes) -> bool:
         """Signature verification with latency accounting."""
-        self._account("verify", self.costs.verify_s)
+        self._account("verify", VERIFY_S)
         return key.verify(message, signature)
 
     def rsa_encrypt(self, key: RsaPublicKey, plaintext: bytes) -> bytes:
         """RSAES encryption with latency accounting."""
-        self._account("rsa_encrypt", self.costs.rsa_encrypt_s)
+        self._account("rsa_encrypt", RSA_ENCRYPT_S)
         return key.encrypt(plaintext, self.rng)
 
     def rsa_decrypt(self, key: RsaPrivateKey, ciphertext: bytes) -> bytes:
         """RSAES decryption with latency accounting."""
-        self._account("rsa_decrypt", self.costs.rsa_decrypt_s)
+        self._account("rsa_decrypt", RSA_DECRYPT_S)
         return key.decrypt(ciphertext)
 
     def mac(self, key: bytes, data: bytes) -> bytes:
         """HMAC-SHA256 with size-proportional latency accounting."""
-        self._account("mac", self.costs.mac_per_kb_s * (len(data) / 1024 + 1))
+        self._account("mac", MAC_PER_KB_S * (len(data) / 1024 + 1))
         return hmac_sha256(key, data)
 
     def random_bytes(self, n: int) -> bytes:

@@ -89,8 +89,8 @@ class DisplayRepeater:
     time.
     """
 
-    def __init__(self, engine: FrameHashEngine | None = None) -> None:
-        self.engine = engine if engine is not None else FrameHashEngine()
+    def __init__(self) -> None:
+        self.engine = FrameHashEngine()
         self._current_frame: Frame | None = None
         self._current_hash: bytes | None = None
 

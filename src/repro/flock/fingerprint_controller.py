@@ -60,14 +60,14 @@ class TouchCapture:
 class FingerprintController:
     """Drives the sensors of one layout; one SensorArray per placed sensor."""
 
-    def __init__(self, layout: SensorLayout, margin_mm: float = CAPTURE_MARGIN_MM,
-                 obs: Instrumentation | None = None) -> None:
+    def __init__(self, layout: SensorLayout,
+                 margin_mm: float = CAPTURE_MARGIN_MM) -> None:
         self.layout = layout
         self.margin_mm = float(margin_mm)
         # Indexed by layout position: layouts forbid overlapping sensors,
         # so positions are unique.
         self._arrays = [SensorArray(s.spec) for s in layout.sensors]
-        self.obs = obs if obs is not None else NOOP
+        self.obs = NOOP
 
     @property
     def obs(self) -> Instrumentation:

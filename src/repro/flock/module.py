@@ -72,13 +72,12 @@ class FlockModule:
                  layout: SensorLayout,
                  processor_mode: str = "image",
                  key_bits: int = 1024,
-                 obs: Instrumentation | None = None,
                  device_key: RsaPrivateKey | None = None) -> None:
         if processor_mode not in ("image", "modeled"):
             raise ValueError("processor_mode must be 'image' or 'modeled'")
         self.device_id = device_id
         self.processor_mode = processor_mode
-        self._obs = obs if obs is not None else NOOP
+        self._obs = NOOP
         self._drbg = HmacDrbg(seed, personalization=device_id.encode())
         self.crypto = CryptoProcessor(rng=self._drbg, key_bits=key_bits)
         # A fleet handset carries its manufacturing batch's key pair;
@@ -89,7 +88,7 @@ class FlockModule:
         self.flash = ProtectedFlash()
         self.sram = SramModel()
         self.display = DisplayRepeater()
-        self.controller = FingerprintController(layout, obs=self._obs)
+        self.controller = FingerprintController(layout)
         self._local_processor: ImageFingerprintProcessor | ModeledFingerprintProcessor | None = None
         self._ca_public_key: RsaPublicKey | None = None
         self.certificate: Certificate | None = None

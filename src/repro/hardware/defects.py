@@ -117,9 +117,9 @@ class DefectMap:
                 mask[:, local] = True
         return mask
 
-    def compensate(self, image: np.ndarray, window_row0: int = 0,
-                   window_col0: int = 0) -> np.ndarray:
-        """Defect compensation: fill dead cells from nearest live cells.
+    def compensate(self, image: np.ndarray) -> np.ndarray:
+        """Defect compensation on a full-array image: fill dead cells from
+        nearest live cells.
 
         Production sensor pipelines carry a factory defect map and
         interpolate over it before feature extraction — this is what makes
@@ -129,7 +129,7 @@ class DefectMap:
         """
         from scipy import ndimage
 
-        mask = self.window_mask(window_row0, window_col0, *image.shape)
+        mask = self.window_mask(0, 0, *image.shape)
         if not mask.any():
             return image.copy()
         if mask.all():

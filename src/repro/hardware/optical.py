@@ -21,25 +21,24 @@ from repro.fingerprint import Impression
 
 __all__ = ["OpticalSensorSpec", "OpticalCapture", "OpticalSensor"]
 
+#: Camera resolution (pixels per side of the square frame).
+CAMERA_PIXELS = 320
+
 
 @dataclass(frozen=True)
 class OpticalSensorSpec:
     """Geometry and optics of one optical fingerprint module."""
 
-    name: str = "optical-classic"
     platen_mm: float = 16.0  # imaged fingerprint area (square side)
-    focal_length_mm: float = 8.0
     working_distance_mm: float = 18.0  # platen to lens
     sensor_distance_mm: float = 14.0  # lens to camera die
-    f_number: float = 2.8
     exposure_s: float = 0.030  # LED-lit exposure
     readout_s: float = 0.015  # camera readout
-    pixels: int = 320  # camera resolution (square)
     defocus_blur_px: float = 1.2  # residual lens blur at best focus
     vignetting: float = 0.35  # corner illumination falloff fraction
 
     def __post_init__(self) -> None:
-        if self.platen_mm <= 0 or self.focal_length_mm <= 0:
+        if self.platen_mm <= 0:
             raise ValueError("geometry must be positive")
         if not 0.0 <= self.vignetting < 1.0:
             raise ValueError("vignetting must be in [0, 1)")
@@ -91,7 +90,7 @@ class OpticalSensor:
         image = np.asarray(impression.image, dtype=np.float64)
 
         # Resample to the camera resolution.
-        zoom = spec.pixels / image.shape[0]
+        zoom = CAMERA_PIXELS / image.shape[0]
         sampled = ndimage.zoom(image, zoom, order=1)
 
         # Lens PSF.

@@ -152,12 +152,11 @@ def _density_mass(density: np.ndarray, panel_w: float, panel_h: float,
 
 def greedy_placement(density: np.ndarray, panel_width_mm: float,
                      panel_height_mm: float, spec: SensorSpec,
-                     n_sensors: int, margin_mm: float = 4.0,
-                     step_mm: float = 2.0) -> SensorLayout:
+                     n_sensors: int, margin_mm: float = 4.0) -> SensorLayout:
     """Greedy weighted-coverage placement.
 
-    Iteratively places each sensor at the candidate position (on a
-    ``step_mm`` grid) capturing the most remaining touch-density mass, then
+    Iteratively places each sensor at the candidate position (on a 2 mm
+    grid) capturing the most remaining touch-density mass, then
     zeroes the captured mass.  Greedy gives the usual (1 - 1/e)
     approximation for this submodular coverage objective — and in practice
     lands sensors squarely on the hot spots of Fig. 7.
@@ -172,8 +171,8 @@ def greedy_placement(density: np.ndarray, panel_width_mm: float,
     cell_h = panel_height_mm / rows
 
     placed: list[PlacedSensor] = []
-    xs = np.arange(0.0, panel_width_mm - spec.width_mm + 1e-9, step_mm)
-    ys = np.arange(0.0, panel_height_mm - spec.height_mm + 1e-9, step_mm)
+    xs = np.arange(0.0, panel_width_mm - spec.width_mm + 1e-9, 2.0)
+    ys = np.arange(0.0, panel_height_mm - spec.height_mm + 1e-9, 2.0)
     if len(xs) == 0 or len(ys) == 0:
         raise ValueError("sensor larger than panel")
 

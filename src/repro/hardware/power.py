@@ -45,27 +45,23 @@ class EnergyBreakdown:
 class PowerModel:
     """Prices sensor operation in joules."""
 
-    def __init__(self, sense_nj_per_cell: float = 2.0,
-                 transfer_pj_per_bit: float = 10.0,
-                 active_leakage_uw: float = 500.0,
-                 idle_leakage_uw: float = 5.0) -> None:
-        for value, name in ((sense_nj_per_cell, "sense energy"),
-                            (transfer_pj_per_bit, "transfer energy"),
-                            (active_leakage_uw, "active leakage"),
-                            (idle_leakage_uw, "idle leakage")):
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative")
+    #: Readout I/O energy per transferred bit (pJ).
+    TRANSFER_PJ_PER_BIT = 10.0
+    #: Array leakage while capturing and while idle (uW).
+    ACTIVE_LEAKAGE_UW = 500.0
+    IDLE_LEAKAGE_UW = 5.0
+
+    def __init__(self, sense_nj_per_cell: float = 2.0) -> None:
+        if sense_nj_per_cell < 0:
+            raise ValueError("sense energy must be non-negative")
         self.sense_nj_per_cell = float(sense_nj_per_cell)
-        self.transfer_pj_per_bit = float(transfer_pj_per_bit)
-        self.active_leakage_uw = float(active_leakage_uw)
-        self.idle_leakage_uw = float(idle_leakage_uw)
 
     def capture_energy(self, result: CaptureResult) -> EnergyBreakdown:
         """Energy of one capture (sense + transfer + active leakage)."""
         return EnergyBreakdown(
             sense_j=result.cells_sensed * self.sense_nj_per_cell * 1e-9,
-            transfer_j=result.bits_transferred * self.transfer_pj_per_bit * 1e-12,
-            leakage_j=result.time_s * self.active_leakage_uw * 1e-6,
+            transfer_j=result.bits_transferred * self.TRANSFER_PJ_PER_BIT * 1e-12,
+            leakage_j=result.time_s * self.ACTIVE_LEAKAGE_UW * 1e-6,
         )
 
     def opportunistic_session_energy(self, captures: list[CaptureResult],
@@ -80,7 +76,7 @@ class PowerModel:
         for capture in captures:
             total = total + self.capture_energy(capture)
         idle = EnergyBreakdown(
-            0.0, 0.0, (session_s - active_s) * self.idle_leakage_uw * 1e-6)
+            0.0, 0.0, (session_s - active_s) * self.IDLE_LEAKAGE_UW * 1e-6)
         return total + idle
 
     def always_on_session_energy(self, spec: SensorSpec, frame_time_s: float,
@@ -94,6 +90,6 @@ class PowerModel:
         cells = spec.cells * n_frames
         return EnergyBreakdown(
             sense_j=cells * self.sense_nj_per_cell * 1e-9,
-            transfer_j=cells * self.transfer_pj_per_bit * 1e-12,
-            leakage_j=session_s * self.active_leakage_uw * 1e-6,
+            transfer_j=cells * self.TRANSFER_PJ_PER_BIT * 1e-12,
+            leakage_j=session_s * self.ACTIVE_LEAKAGE_UW * 1e-6,
         )

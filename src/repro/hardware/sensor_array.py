@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs import Instrumentation, NOOP
+from repro.obs import NOOP
 
 from .specs import AddressingMode, SensorSpec
 
@@ -104,13 +104,13 @@ class CaptureResult:
 class SensorArray:
     """One TFT fingerprint sensor instance built to a :class:`SensorSpec`."""
 
-    def __init__(self, spec: SensorSpec, comparator_reference: float = 0.5,
-                 obs: Instrumentation | None = None) -> None:
+    def __init__(self, spec: SensorSpec,
+                 comparator_reference: float = 0.5) -> None:
         if not 0.0 < comparator_reference < 1.0:
             raise ValueError("comparator reference must be inside (0, 1)")
         self.spec = spec
         self.comparator_reference = float(comparator_reference)
-        self.obs = obs if obs is not None else NOOP
+        self.obs = NOOP
 
     def cycles_for(self, window: CaptureWindow) -> int:
         """Scan cycles for a window under this design's addressing mode."""

@@ -51,20 +51,19 @@ class LocatedTouch:
 class TouchPanel:
     """Projected-capacitive panel with a row/column electrode grid."""
 
+    #: Controller latency from contact to touch report (seconds).
+    RESPONSE_S = 0.004
+
     def __init__(self, width_mm: float = 56.0, height_mm: float = 94.0,
-                 grid_rows: int = 40, grid_cols: int = 24,
-                 response_s: float = 0.004) -> None:
+                 grid_rows: int = 40, grid_cols: int = 24) -> None:
         if width_mm <= 0 or height_mm <= 0:
             raise ValueError("panel dimensions must be positive")
         if grid_rows < 2 or grid_cols < 2:
             raise ValueError("electrode grid needs at least 2x2 lines")
-        if response_s < 0:
-            raise ValueError("response time must be non-negative")
         self.width_mm = float(width_mm)
         self.height_mm = float(height_mm)
         self.grid_rows = int(grid_rows)
         self.grid_cols = int(grid_cols)
-        self.response_s = float(response_s)
         self.touches_seen = 0
 
     def contains(self, x_mm: float, y_mm: float) -> bool:
@@ -95,5 +94,5 @@ class TouchPanel:
         return LocatedTouch(
             event=event, grid_row=row, grid_col=col,
             x_mm=quant_x, y_mm=quant_y,
-            report_time_s=event.time_s + self.response_s,
+            report_time_s=event.time_s + self.RESPONSE_S,
         )

@@ -52,15 +52,15 @@ class AuditReport:
 class FrameAuditor:
     """Builds a reachable-view hash whitelist for one server and audits."""
 
-    def __init__(self, server: WebServer, max_scroll_px: int = 256,
-                 max_dynamic_requests: int = 64,
-                 algorithm: str = "sha256") -> None:
+    #: Content-page request numbers the whitelist enumerates.
+    MAX_DYNAMIC_REQUESTS = 64
+
+    def __init__(self, server: WebServer, max_scroll_px: int = 256) -> None:
         if max_scroll_px < 0:
             raise ValueError("max scroll must be non-negative")
         self.server = server
         self.max_scroll_px = int(max_scroll_px)
-        self.max_dynamic_requests = int(max_dynamic_requests)
-        self.engine = FrameHashEngine(algorithm)
+        self.engine = FrameHashEngine()
         self._whitelist: set[bytes] | None = None
 
     def _pages(self) -> list[bytes]:
@@ -68,7 +68,7 @@ class FrameAuditor:
         # Content pages carry a per-request suffix (see
         # WebServer._serve_request); enumerate the plausible range.
         content = self.server.pages["content"]
-        for request_number in range(1, self.max_dynamic_requests + 1):
+        for request_number in range(1, self.MAX_DYNAMIC_REQUESTS + 1):
             pages.append(content + f" request #{request_number}".encode())
         pages.append(b"<html>registration complete</html>")
         return pages

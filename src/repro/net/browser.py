@@ -25,8 +25,6 @@ class Malware:
 
     #: Rewrites page bytes before they reach the display (UI spoofing).
     page_rewriter: Callable[[bytes], bytes] | None = None
-    #: Rewrites outgoing envelopes before they are handed to the network.
-    request_rewriter: Callable[[Envelope], Envelope] | None = None
     #: Everything the browser saw, exfiltrated (keylogger-style leak).
     exfiltrated: list[Envelope] = field(default_factory=list)
 
@@ -63,9 +61,7 @@ class Browser:
         return flock.show_frame(Frame(page))
 
     def outgoing(self, envelope: Envelope) -> Envelope:
-        """Hand an envelope to the network, via any malware hooks."""
+        """Hand an envelope to the network; malware sees it on the way."""
         if self.malware is not None:
             self.malware.observe(envelope)
-            if self.malware.request_rewriter is not None:
-                return self.malware.request_rewriter(envelope)
         return envelope

@@ -27,16 +27,16 @@ from .browser import Browser
 __all__ = ["default_layout", "MobileDevice"]
 
 
-def default_layout(panel_width_mm: float = 56.0,
-                   panel_height_mm: float = 94.0) -> SensorLayout:
-    """The four-sensor hot-spot layout of this reproduction's baseline device.
+def default_layout() -> SensorLayout:
+    """The four-sensor hot-spot layout of this reproduction's baseline
+    device, on its 56 x 94 mm panel.
 
     Positions are the E5 greedy optimizer's output for the three example
     users' aggregate touch density: three wide sensors under the keyboard /
     confirm-button band and one under the mid-screen content hot-spot.
     Captures ~1/3 of natural touches with ~19 % screen coverage.
     """
-    return SensorLayout(panel_width_mm, panel_height_mm, [
+    return SensorLayout(56.0, 94.0, [
         PlacedSensor(FLOCK_SENSOR_WIDE, 0.0, 80.0, label="keyboard-left"),
         PlacedSensor(FLOCK_SENSOR_WIDE, 20.0, 72.0, label="bottom-centre"),
         PlacedSensor(FLOCK_SENSOR_WIDE, 2.0, 58.0, label="mid-left"),
@@ -51,7 +51,7 @@ class MobileDevice:
                  ca: CertificateAuthority | None = None,
                  layout: SensorLayout | None = None,
                  processor_mode: str = "image",
-                 key_bits: int = 1024, now: int = 0,
+                 key_bits: int = 1024,
                  device_key: RsaPrivateKey | None = None) -> None:
         self.device_id = device_id
         layout = default_layout() if layout is None else layout
@@ -64,7 +64,7 @@ class MobileDevice:
         if ca is not None:
             self.flock.install_ca(ca.public_key)
             certificate = ca.issue(device_id, "flock-device",
-                                   self.flock.public_key, now=now)
+                                   self.flock.public_key, now=0)
             self.flock.set_certificate(certificate)
 
     @property

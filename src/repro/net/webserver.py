@@ -118,10 +118,13 @@ class WebServer:
         """A server whose key pair is generated from ``seed``.
 
         ``replica_of`` is a server of the same domain, built from the same
-        seed and key size and not yet serving.  This server then takes its
-        key pair and a copy of its DRBG, the values its own generation
-        would give, instead of generating them again.  Each server still
-        gets a certificate of its own.
+        seed and key size.  This server then takes its key pair, the one
+        its own generation would give, instead of generating it again.
+        Each server gets a certificate of its own, and a replica draws its
+        nonces from a DRBG of its own: ``seed`` personalized with the domain
+        and that certificate's serial.  Replicas that shared the first
+        server's stream would mint its nonces, so a login recorded on one
+        shard would verify on another once its account moved there.
         """
         self.domain = domain
         self.ca = ca
@@ -129,10 +132,12 @@ class WebServer:
             self._rng = HmacDrbg(seed, personalization=domain.encode())
             self._key = generate_keypair(self._rng, bits=key_bits)
         else:
-            self._rng = replica_of._rng.copy()
             self._key = replica_of._key
         self.certificate: Certificate = ca.issue(
             domain, "web-server", self._key.public_key)
+        if replica_of is not None:
+            self._rng = HmacDrbg(seed, personalization=b"%s#%d" % (
+                domain.encode(), self.certificate.serial))
         self._accounts: dict[str, _AccountRecord] = {}
         self._sessions: dict[str, SessionState] = {}
         self._outstanding_nonces: dict[bytes, str] = {}  # nonce -> purpose

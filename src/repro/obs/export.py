@@ -72,10 +72,10 @@ def render_trace_text(source) -> str:
     return "\n".join(lines)
 
 
-def render_trace_json(source, indent: int | None = 1) -> str:
+def render_trace_json(source) -> str:
     """JSON document of every trace tree (sorted keys, stable bytes)."""
     document = {"traces": [root.to_dict() for root in trace_roots(source)]}
-    return json.dumps(document, indent=indent, sort_keys=True)
+    return json.dumps(document, indent=1, sort_keys=True)
 
 
 def _labels_text(labels: dict) -> str:
@@ -102,10 +102,9 @@ def render_metrics_text(registry: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
-def render_metrics_json(registry: MetricsRegistry,
-                        indent: int | None = 1) -> str:
+def render_metrics_json(registry: MetricsRegistry) -> str:
     """JSON document of the registry snapshot (sorted keys)."""
-    return json.dumps({"metrics": registry.snapshot()}, indent=indent,
+    return json.dumps({"metrics": registry.snapshot()}, indent=1,
                       sort_keys=True)
 
 

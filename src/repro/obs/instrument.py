@@ -1,19 +1,19 @@
 """The injectable instrumentation bundle: one tracer + one registry.
 
-Every instrumented layer takes an optional ``obs`` argument and defaults
-to :data:`NOOP`, a shared bundle of the null tracer and null registry —
-so constructing objects without observability costs nothing and emits
-nothing.  A composition root (a test, the trace CLI, the fleet
-simulation) builds one live bundle with :meth:`Instrumentation.live` and
-hands the *same* bundle to every layer; because all layers share one
-tracer, a single gesture produces a single trace tree from sensor capture
-to server decision.
+Every instrumented layer defaults to :data:`NOOP`, a shared bundle of the
+null tracer and null registry — so constructing objects without
+observability costs nothing and emits nothing.  A layer takes a live
+bundle through an optional ``obs`` argument, or, for a device's FLock
+module, through its ``obs`` property.  A composition root (a test, the
+trace CLI, the fleet simulation) builds one live bundle with
+:meth:`Instrumentation.live` and hands the *same* bundle to every layer;
+because all layers share one tracer, a single gesture produces a single
+trace tree from sensor capture to server decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .metrics import MetricsRegistry, NullMetricsRegistry, NULL_REGISTRY
 from .trace import NullTracer, Tracer, NULL_TRACER
@@ -35,10 +35,9 @@ class Instrumentation:
         return self.tracer.enabled
 
     @classmethod
-    def live(cls, clock: Callable[[], float] | None = None) \
-            -> "Instrumentation":
-        """A fresh recording bundle (deterministic step clock by default)."""
-        return cls(tracer=Tracer(clock=clock), metrics=MetricsRegistry())
+    def live(cls) -> "Instrumentation":
+        """A fresh recording bundle on the deterministic step clock."""
+        return cls(tracer=Tracer(), metrics=MetricsRegistry())
 
 
 #: Shared do-nothing bundle; the default for every ``obs`` parameter.

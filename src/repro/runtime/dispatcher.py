@@ -72,11 +72,11 @@ class ServerPool:
 
     All replicas share the verification cache (its keys are content
     digests, so sharing is sound) and the key pair the first one
-    generates from ``key_seed``.  Each later replica starts its DRBG from
-    the first one's post-keygen state, as generating the key again from
-    the same seed would leave it, so all replicas draw the same nonce
-    stream.  Accounts are provisioned on their ring-assigned home shard,
-    whose ring has 64 virtual points per shard.
+    generates from ``key_seed``.  Each later replica draws its nonces from
+    a DRBG of its own, personalized with its certificate's serial, so no
+    two replicas mint the same nonce stream.  Accounts are provisioned on
+    their ring-assigned home shard, whose ring has 64 virtual points per
+    shard.
     """
 
     def __init__(self, domain: str, ca: CertificateAuthority,

@@ -39,6 +39,14 @@ __all__ = ["BUTTON_XY", "FleetConfig", "DeviceFactory", "DeviceActor",
 #: Where fleet users press login/confirm buttons: over the bottom-centre
 #: sensor of the default layout (same spot as ``repro.eval``'s harness).
 BUTTON_XY = (28.0, 80.0)
+#: RSA modulus size of the fleet CA, the service and every device.  Small
+#: on purpose: fleet runs measure *scheduling*, not RSA arithmetic, and
+#: protocol costs use modeled latencies anyway.
+KEY_BITS = 512
+#: Mean think time between a device's interactions (exponential).
+THINK_TIME_S = 2.0
+#: Network round trip added to every operation's completion.
+NETWORK_RTT_S = 0.040
 
 
 @dataclass(frozen=True)
@@ -61,18 +69,10 @@ class FleetConfig:
     #: Fraction of requests reporting breach-level risk (> 0.75) — the
     #: server terminates the session (``risk-too-high``).
     hijack_fraction: float = 0.01
-    #: Key sizes are deliberately small: fleet runs measure *scheduling*,
-    #: not RSA arithmetic; protocol costs use modeled latencies anyway.
-    device_key_bits: int = 512
-    server_key_bits: int = 512
-    ca_key_bits: int = 512
     batch_count: int = 4
     keypair_pool_size: int = 8
     #: Device start times are spread uniformly over this window.
     ramp_s: float = 30.0
-    #: Mean think time between a device's interactions (exponential).
-    think_time_s: float = 2.0
-    network_rtt_s: float = 0.040
     domain: str = "www.fleet.example"
 
     def __post_init__(self) -> None:
@@ -84,8 +84,14 @@ class FleetConfig:
             raise ValueError("requests_per_device must be >= 0")
         if self.batch_count < 1 or self.keypair_pool_size < 1:
             raise ValueError("batch/keypair pools must be non-empty")
-        if not 0.0 <= self.challenge_fraction + self.hijack_fraction <= 1.0:
+        if not (0.0 <= self.challenge_fraction <= 1.0
+                and 0.0 <= self.hijack_fraction <= 1.0):
+            raise ValueError("challenge and hijack fractions must be in "
+                             "[0, 1]")
+        if self.challenge_fraction + self.hijack_fraction > 1.0:
             raise ValueError("challenge + hijack fractions must fit in [0, 1]")
+        if self.ramp_s < 0:
+            raise ValueError("ramp_s must be >= 0")
 
 
 def _entropy(config: FleetConfig, *stream: int) -> bytes:
@@ -132,13 +138,13 @@ class DeviceFactory:
             key = generate_keypair(
                 HmacDrbg(_entropy(config, 3, batch),
                          personalization=subject.encode()),
-                bits=config.device_key_bits)
+                bits=KEY_BITS)
             self._batches.append((key, ca.issue(subject, "flock-device",
                                                 key.public_key)))
         pool_drbg = HmacDrbg(_entropy(config, 4),
                              personalization=b"fleet-service-keypair-pool")
         self._service_pool = [
-            generate_keypair(pool_drbg, bits=config.device_key_bits)
+            generate_keypair(pool_drbg, bits=KEY_BITS)
             for _ in range(config.keypair_pool_size)]
 
     def build(self, index: int) -> MobileDevice:
@@ -149,7 +155,7 @@ class DeviceFactory:
         device = MobileDevice(
             f"fleet-dev-{index:05d}", _entropy(self.config, 5, index),
             layout=self._layout, processor_mode="modeled",
-            key_bits=self.config.device_key_bits, device_key=key)
+            key_bits=KEY_BITS, device_key=key)
         flock = device.flock
         flock.install_ca(self._ca_public_key)
         flock.set_certificate(certificate)

@@ -33,7 +33,16 @@ from repro.obs import Instrumentation, MetricsRegistry, NOOP
 
 from .cache import VerificationCache
 from .dispatcher import ServerPool
-from .fleet import BUTTON_XY, DeviceActor, DeviceFactory, FleetConfig, draw_risk
+from .fleet import (
+    BUTTON_XY,
+    KEY_BITS,
+    NETWORK_RTT_S,
+    THINK_TIME_S,
+    DeviceActor,
+    DeviceFactory,
+    FleetConfig,
+    draw_risk,
+)
 from .metrics import FleetMetrics
 from .scheduler import EventLoop, ServiceQueue
 
@@ -93,11 +102,11 @@ class FleetSimulation:
         self.ca = CertificateAuthority(
             name="fleet-ca",
             rng=HmacDrbg(b"fleet-ca-root", personalization=config.domain.encode()),
-            key_bits=config.ca_key_bits)
+            key_bits=KEY_BITS)
         self.cache = VerificationCache(registry=registry)
         self.pool = ServerPool(
             config.domain, self.ca, b"fleet-service-key",
-            config.n_shards, key_bits=config.server_key_bits,
+            config.n_shards, key_bits=KEY_BITS,
             verification_cache=self.cache, obs=obs)
         self.factory = DeviceFactory(config, self.ca)
         self.loop = EventLoop(tracer=self.obs.tracer)
@@ -168,7 +177,7 @@ class FleetSimulation:
 
         start, completion = self._queues[shard_id].begin(
             t, SERVICE_TIME_S[op])
-        finished = completion + config.network_rtt_s
+        finished = completion + NETWORK_RTT_S
         self.metrics.record(op, outcome.reason, finished - t, finished)
         self._schedule_next(actor, op, outcome, finished)
 
@@ -199,7 +208,7 @@ class FleetSimulation:
         if next_op is None:
             actor.alive = False
             return
-        think = actor.rng.exponential(config.think_time_s)
+        think = actor.rng.exponential(THINK_TIME_S)
         self.loop.schedule(finished + think,
                            f"{actor.account} {next_op}",
                            partial(self._step, actor, next_op))

@@ -75,14 +75,13 @@ class UiLayout:
         return self.elements[int(index)]
 
 
-def _keyboard_elements(width: float, y0: float, rows: int = 4,
-                       keys_per_row: int = 10) -> list[UiElement]:
-    """A soft keyboard: rows x keys grid at the bottom of the screen."""
-    key_w = width / keys_per_row
+def _keyboard_elements(width: float, y0: float) -> list[UiElement]:
+    """A soft keyboard: a 4 x 10 key grid at the bottom of the screen."""
+    key_w = width / 10
     key_h = 8.0
     elements = []
-    for r in range(rows):
-        for k in range(keys_per_row):
+    for r in range(4):
+        for k in range(10):
             elements.append(UiElement(
                 name=f"key-{r}-{k}",
                 x_mm=k * key_w, y_mm=y0 + r * key_h,
@@ -93,9 +92,9 @@ def _keyboard_elements(width: float, y0: float, rows: int = 4,
     return elements
 
 
-def standard_layouts(width_mm: float = 56.0,
-                     height_mm: float = 94.0) -> dict[str, UiLayout]:
-    """The screens used throughout the benchmarks."""
+def standard_layouts() -> dict[str, UiLayout]:
+    """The screens used throughout the benchmarks, on a 56 x 94 mm panel."""
+    width_mm, height_mm = 56.0, 94.0
     keyboard = UiLayout(
         name="keyboard", width_mm=width_mm, height_mm=height_mm,
         elements=tuple(

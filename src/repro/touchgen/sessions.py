@@ -18,6 +18,11 @@ from .users import UserTouchModel
 
 __all__ = ["SessionConfig", "TouchTrace", "SessionGenerator", "density_map"]
 
+#: Think time between interactions: exponential with this mean (seconds),
+#: floored at the minimum.
+THINK_TIME_MEAN_S = 1.2
+THINK_TIME_MIN_S = 0.15
+
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -30,8 +35,6 @@ class SessionConfig:
     )
     tap_fraction: float = 0.75
     swipe_fraction: float = 0.20  # remainder are zooms
-    think_time_mean_s: float = 1.2
-    think_time_min_s: float = 0.15
 
     def __post_init__(self) -> None:
         if self.n_interactions < 1:
@@ -66,10 +69,9 @@ class TouchTrace:
 class SessionGenerator:
     """Generates deterministic session traces for a user model."""
 
-    def __init__(self, user: UserTouchModel,
-                 layouts: dict[str, UiLayout] | None = None) -> None:
+    def __init__(self, user: UserTouchModel) -> None:
         self.user = user
-        self.layouts = standard_layouts() if layouts is None else layouts
+        self.layouts = standard_layouts()
 
     def _pick_layout(self, config: SessionConfig,
                      rng: np.random.Generator) -> UiLayout:
@@ -120,8 +122,7 @@ class SessionGenerator:
             trace.gestures.append(gesture)
             trace.layout_names.append(layout.name)
             trace.element_names.append(element.name if element else None)
-            think = max(rng.exponential(config.think_time_mean_s),
-                        config.think_time_min_s)
+            think = max(rng.exponential(THINK_TIME_MEAN_S), THINK_TIME_MIN_S)
             now = gesture.end_s + think
         return trace
 

@@ -17,6 +17,14 @@ from .layouts import UiElement, UiLayout
 
 __all__ = ["UserTouchModel", "example_users"]
 
+#: Spreads every user shares; users differ in the means they draw around.
+REACH_SHIFT_MM = 3.0  # thumb-side shift magnitude
+PRESSURE_STD = 0.12
+DWELL_STD_S = 0.03
+SPEED_STD_MM_S = 6.0
+SWIPE_LENGTH_STD_MM = 5.0
+SWIPE_DURATION_STD_S = 0.08
+
 
 @dataclass
 class UserTouchModel:
@@ -27,17 +35,11 @@ class UserTouchModel:
     handedness: str = "right"  # "right" | "left"
     aim_bias_mm: tuple[float, float] = (0.0, 0.0)  # systematic (dx, dy)
     aim_scatter_mm: float = 1.8  # random aim spread (std)
-    reach_shift_mm: float = 3.0  # thumb-side shift magnitude
     pressure_mean: float = 0.5
-    pressure_std: float = 0.12
     dwell_mean_s: float = 0.09
-    dwell_std_s: float = 0.03
     speed_mean_mm_s: float = 8.0  # lateral movement during contact
-    speed_std_mm_s: float = 6.0
     swipe_length_mean_mm: float = 25.0  # habitual scroll stroke length
-    swipe_length_std_mm: float = 5.0
     swipe_duration_mean_s: float = 0.30
-    swipe_duration_std_s: float = 0.08
     extra_hotspots: list[tuple[float, float, float]] = field(default_factory=list)
     # (x_mm, y_mm, weight): personal habitual touch spots (e.g. scroll thumb
     # rest position) blended with UI-driven touches.
@@ -51,8 +53,8 @@ class UserTouchModel:
             raise ValueError("pressure mean must be in [0, 1]")
 
     def _hand_shift(self) -> float:
-        return self.reach_shift_mm if self.handedness == "right" \
-            else -self.reach_shift_mm
+        return REACH_SHIFT_MM if self.handedness == "right" \
+            else -REACH_SHIFT_MM
 
     def sample_position(self, layout: UiLayout,
                         rng: np.random.Generator) -> tuple[float, float, UiElement | None]:
@@ -88,10 +90,10 @@ class UserTouchModel:
     def sample_dynamics(self, rng: np.random.Generator) -> tuple[float, float, float]:
         """Draw (pressure, speed_mm_s, duration_s) for one touch."""
         pressure = float(np.clip(
-            rng.normal(self.pressure_mean, self.pressure_std), 0.05, 0.95))
-        speed = float(max(rng.normal(self.speed_mean_mm_s, self.speed_std_mm_s),
+            rng.normal(self.pressure_mean, PRESSURE_STD), 0.05, 0.95))
+        speed = float(max(rng.normal(self.speed_mean_mm_s, SPEED_STD_MM_S),
                           0.0))
-        duration = float(max(rng.normal(self.dwell_mean_s, self.dwell_std_s),
+        duration = float(max(rng.normal(self.dwell_mean_s, DWELL_STD_S),
                              0.02))
         return pressure, speed, duration
 
@@ -102,10 +104,10 @@ class UserTouchModel:
         which is exactly what behavioural gesture authentication keys on.
         """
         length = float(np.clip(
-            rng.normal(self.swipe_length_mean_mm, self.swipe_length_std_mm),
+            rng.normal(self.swipe_length_mean_mm, SWIPE_LENGTH_STD_MM),
             8.0, 60.0))
         duration = float(np.clip(
-            rng.normal(self.swipe_duration_mean_s, self.swipe_duration_std_s),
+            rng.normal(self.swipe_duration_mean_s, SWIPE_DURATION_STD_S),
             0.08, 1.0))
         return length, duration
 

@@ -52,13 +52,6 @@ class TestDecay:
         assert risks == sorted(risks)  # monotone rise
         assert risks[-1] > 0.75
 
-    def test_reset(self):
-        tracker = DecayingRiskTracker()
-        for _ in range(10):
-            tracker.record(F)
-        tracker.reset()
-        assert tracker.assess().risk == 0.0
-
     def test_counting_policies(self):
         counted = DecayingRiskTracker()
         for _ in range(15):

@@ -126,17 +126,6 @@ class TestHmacDrbg:
         assert len(draw) == n_bytes
         assert draw == longest[:n_bytes]
 
-    def test_copy_draws_the_same_stream_independently(self):
-        drbg = HmacDrbg(b"seed")
-        drbg.generate(40)
-        twin = drbg.copy()
-        first = drbg.generate(48)
-        assert twin.generate(48) == first
-        # Neither's draws moved the other: both go on in step.
-        assert drbg.generate(16) == twin.generate(16)
-        drbg.generate(16)
-        assert drbg.generate(16) != twin.generate(16)
-
     def test_byte_value_distribution_roughly_uniform(self):
         data = HmacDrbg(b"uniformity").generate(4096)
         counts = [0] * 256

@@ -8,7 +8,13 @@ import pytest
 
 from repro.crypto import CertificateAuthority, HmacDrbg
 from repro.fingerprint import enroll_master, synthesize_master
-from repro.net import MobileDevice, ProtocolError, TrustClient, UntrustedChannel
+from repro.net import (
+    MSG_LOGIN_SUBMIT,
+    MobileDevice,
+    ProtocolError,
+    TrustClient,
+    UntrustedChannel,
+)
 from repro.runtime import BUTTON_XY, ConsistentHashRouter, ServerPool
 
 
@@ -62,37 +68,44 @@ class TestConsistentHashRouter:
             ConsistentHashRouter().route("user")
 
 
-#: A 3-shard pool's known answers, recorded when each replica ran its own
-#: key generation from the pool's key seed: the shared key's modulus and
-#: private exponent; per replica, its certificate's serial and SHA-256, and
-#: the nonce and signature SHA-256 of its first two registration pages.
+#: A 3-shard pool's known answers.  The shared key (modulus and private
+#: exponent) and every certificate were recorded when each replica ran its
+#: own key generation from the pool's key seed, and shard 0's pages when
+#: the replicas still drew its nonce stream.  Per replica: its
+#: certificate's serial and SHA-256, then the nonce and signature SHA-256
+#: of its first two registration pages (shards 1 and 2 re-recorded when
+#: each replica got a DRBG of its own).
 POOL_KEY_N = int(
     "d028c3f5773ac619aafea25daba508bdf10caecac114286ac6989836af9ef90b"
     "ffec555f368cdff77372ed493767dba5beba141c62673401af3344d25f58e83b", 16)
 POOL_KEY_D = int(
     "5d52c978157a4e3257cd4d71fd7042191626ff7e7b4dd448fabc9311816f1e6c"
     "092ec597c81b80fd02cc799c04921e29e8c0d25a13ffd91e962edf34128f8cf1", 16)
-POOL_NONCES = ("0127fc1748dd5c84974606bdb79b44c8",
-               "c4908b05637a0f79871bc0191fed27fa")
 POOL_REPLICAS = {
     "shard-0": (1, "7b8e4549e025f86c319b0f172b8306c8"
                    "890347bf5853f4ca568804890c5bda19",
-                ("c1f8d927432834fdc38f8eb68fd5058c"
-                 "85c103702d93d94981a035fec1779c36",
-                 "adff73643b2f8acc86eccaf5920c4a9f"
-                 "e11406c07c7d2a4f74d31d47c9b859e4")),
+                (("0127fc1748dd5c84974606bdb79b44c8",
+                  "c1f8d927432834fdc38f8eb68fd5058c"
+                  "85c103702d93d94981a035fec1779c36"),
+                 ("c4908b05637a0f79871bc0191fed27fa",
+                  "adff73643b2f8acc86eccaf5920c4a9f"
+                  "e11406c07c7d2a4f74d31d47c9b859e4"))),
     "shard-1": (2, "928993d0f0765874a346bcc654a115e1"
                    "d15bfc8e48fd0de0cff4149b7f8d9bf4",
-                ("9a8a953419d3f369410a0bb09700b4f5"
-                 "b0ad25a3091a2769dfde278945f9acdb",
-                 "34ef44aca2161e0bcf4df7d4c75f3ed4"
-                 "3bca872210d2903fd7c5eb570eaf41f6")),
+                (("6979df8b0add20a79be14d4e5c04566e",
+                  "f70595fe94fc81a33f19f895e30d1a04"
+                  "c0f4de456ea6a7a8c067268bda0a49f8"),
+                 ("fb19eae636c497731fd0f35a4b4c2861",
+                  "20f07776fb8c7d7b66d6cf3edfd9f8bd"
+                  "10b59db399c75e3e7388b7e284b448d7"))),
     "shard-2": (3, "ff99f72cd7ce3ab63c78294ce9f2eeca"
                    "1a52302543441a803daa339b2904d41a",
-                ("cd242a3d7545d6b805cfa25176d936a2"
-                 "caa22ebf4a4d9bf1292139dd983a2d1f",
-                 "160a1f821b53455e795986b4dfe34e73"
-                 "a3eb5f7f94c0042b8753c5c683bba94a")),
+                (("78f8c9f621863783124d8478f938b6db",
+                  "f2064868e199f73504c44f1a03c0760d"
+                  "87dd762c6831e787f0fb77de5d2d43e7"),
+                 ("27b7bf117aadd27f3025a27e740aedf6",
+                  "6800cc38522fe5895992d266a42e5e9b"
+                  "01f93b0d5999ebde09c805fe272aec81"))),
 }
 
 
@@ -106,14 +119,13 @@ class TestServerPoolKnownAnswers:
     def test_replicas_match_known_answers(self):
         pool = _answers_pool()
         assert pool.shard_ids == sorted(POOL_REPLICAS)
-        for shard_id, (serial, cert, signatures) in POOL_REPLICAS.items():
+        for shard_id, (serial, cert, pages) in POOL_REPLICAS.items():
             shard = pool.shards[shard_id]
             assert (shard._key.n, shard._key.d) == (POOL_KEY_N, POOL_KEY_D)
             assert shard.certificate.serial == serial
             assert hashlib.sha256(
                 shard.certificate.to_bytes()).hexdigest() == cert
-            for nonce, signature in zip(POOL_NONCES, signatures,
-                                        strict=True):
+            for nonce, signature in pages:
                 page = shard.registration_page()
                 assert page.fields["nonce"].hex() == nonce
                 assert hashlib.sha256(page.mac).hexdigest() == signature
@@ -140,8 +152,9 @@ class TestServerPoolKnownAnswers:
             assert replica._rng is not first._rng
         # A replica's draws leave the others' streams where they were.
         replicas[0].registration_page()
+        first_nonce = POOL_REPLICAS["shard-2"][2][0][0]
         assert replicas[1].registration_page().fields["nonce"].hex() \
-            == POOL_NONCES[0]
+            == first_nonce
 
 
 class TestServerPool:
@@ -197,6 +210,38 @@ class TestServerPool:
         # Send the account home again for the rest of the class.
         home.import_account(account, other.export_account(account))
         client.server = home
+
+    def test_migrated_account_rejects_a_recorded_login(self, ca):
+        """A login submission recorded on an account's old shard carries a
+        nonce its new shard never minted, however many login pages anyone
+        fetches there: each replica draws a nonce stream of its own."""
+        pool = ServerPool("www.replay.example", ca, b"replay-key", 2,
+                          key_bits=512)
+        master = synthesize_master("replay-thumb", np.random.default_rng(60))
+        device = MobileDevice("replay-dev", b"replay-dev-seed", ca=ca,
+                              processor_mode="modeled", key_bits=512)
+        device.flock.enroll_local_user(
+            enroll_master(master, np.random.default_rng(61)))
+        pool.create_account("alice", "alice-reset-phrase")
+        home = pool.shard_for("alice")
+        other = next(pool.shards[sid] for sid in pool.shard_ids
+                     if pool.shards[sid] is not home)
+        channel = UntrustedChannel()
+        client = TrustClient(device, home, channel)
+        for step, seed in ((client.register, 62), (client.login, 63)):
+            outcome = step("alice", BUTTON_XY, master,
+                           np.random.default_rng(seed))
+            assert outcome.success, outcome.reason
+        recorded = channel.recorded(MSG_LOGIN_SUBMIT, "to-server")[-1]
+        device.flock.close_session(pool.domain)
+
+        other.import_account("alice", home.export_account("alice"))
+        for _ in range(2):  # the old shard's draws before the login nonce
+            other.login_page()
+        with pytest.raises(ProtocolError) as excinfo:
+            other.dispatch(recorded.envelope)
+        assert excinfo.value.reason == "bad-nonce"
+        assert other.active_sessions == 0
 
     def test_export_import_round_trip_errors(self, ca):
         pool = ServerPool("www.exp.example", ca, b"exp-key", 2, key_bits=512)

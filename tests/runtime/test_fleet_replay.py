@@ -27,7 +27,7 @@ from repro.runtime import (
     FleetSimulation,
     draw_risk,
 )
-from repro.runtime.fleet import _entropy
+from repro.runtime.fleet import NETWORK_RTT_S, _entropy
 
 import numpy as np
 
@@ -112,7 +112,7 @@ class TestFleetBehavior:
     def test_latency_respects_the_floor(self, result):
         from repro.runtime import SERVICE_TIME_S
         for op, count, mean, p50, p99 in result.metrics.latency_rows():
-            floor = SERVICE_TIME_S[op] + SMALL.network_rtt_s
+            floor = SERVICE_TIME_S[op] + NETWORK_RTT_S
             assert p50 >= floor - 1e-12
             assert p99 >= p50
             assert count > 0
@@ -313,3 +313,14 @@ class TestWorkloadDraw:
             FleetConfig(n_shards=0)
         with pytest.raises(ValueError):
             FleetConfig(challenge_fraction=0.9, hijack_fraction=0.2)
+
+    def test_each_fraction_and_the_ramp_are_checked_at_construction(self):
+        """A negative fraction passed when the sum fit in [0, 1], running
+        another breach mix, and a negative ramp failed only inside
+        ``run()``, after the whole set-up."""
+        with pytest.raises(ValueError):
+            FleetConfig(challenge_fraction=-0.5, hijack_fraction=0.6)
+        with pytest.raises(ValueError):
+            FleetConfig(challenge_fraction=1.2, hijack_fraction=-0.3)
+        with pytest.raises(ValueError):
+            FleetConfig(ramp_s=-1.0)

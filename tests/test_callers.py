@@ -77,10 +77,11 @@ def _spelled(trees):
     return spelled
 
 
-def _kept():
-    """``{"module:Qual.name": reason}`` from DESIGN.md's table."""
+def _table(heading, entry_pattern):
+    """``{entry: reason}`` from the DESIGN.md table under ``heading``: each
+    match of ``entry_pattern`` in a row's first cell, with its second."""
     lines = (ROOT / "DESIGN.md").read_text().splitlines()
-    start = lines.index(TABLE_HEADING)
+    start = lines.index(heading)
     rows = []
     for line in lines[start + 1:]:
         if line.startswith("|"):
@@ -90,9 +91,14 @@ def _kept():
     kept = {}
     for row in rows[2:]:  # header and separator
         cells = [cell.strip() for cell in row.strip("|").split("|")]
-        for entry in re.findall(r"`([\w.]+:[\w.<>]+)`", cells[0]):
+        for entry in re.findall(entry_pattern, cells[0]):
             kept[entry] = cells[1]
     return kept
+
+
+def _kept():
+    """``{"module:Qual.name": reason}`` from DESIGN.md's table."""
+    return _table(TABLE_HEADING, r"`([\w.]+:[\w.<>]+)`")
 
 
 @functools.lru_cache(maxsize=None)
