@@ -20,7 +20,6 @@ from repro.net import (
     UntrustedChannel,
     WebServer,
     transfer_identity,
-    reset_identity,
 )
 from .conftest import emit
 
@@ -80,9 +79,9 @@ def test_reset_transfer(benchmark, rng, monkeypatch):
     new_device.flock.close_session(server.domain)
 
     # ---- reset -----------------------------------------------------------
-    assert reset_identity(server, "alice", "fallback-password")
-    rows.append(["binding removed by password reset",
-                 server.account_key("alice") is None])
+    server.reset_identity("alice", "fallback-password")
+    binding_removed = server.account_key("alice") is None
+    rows.append(["binding removed by password reset", binding_removed])
     reset_login = new_client.login("alice", LOGIN_BUTTON_XY,
                                    world.user_master, own_rng)
     rows.append(["bound device login after reset", reset_login.reason])
@@ -100,6 +99,7 @@ def test_reset_transfer(benchmark, rng, monkeypatch):
     # Shape assertions.
     assert "www.e13.example" in transferred
     assert new_login.success
+    assert binding_removed
     assert not reset_login.success  # reset really severed the binding
     assert rebind.success
     assert "mail.e13.example" in transferred and old_retired

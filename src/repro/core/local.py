@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -61,9 +61,8 @@ class LocalIdentityManager:
     flock: FlockModule
     panel: TouchPanel
     unlock_button_xy: tuple[float, float]
-    state: DeviceState = DeviceState.LOCKED
-    locks: int = 0
-    challenges: int = 0
+    state: DeviceState = field(default=DeviceState.LOCKED, init=False)
+    locks: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.tracker = IdentityRiskTracker()
@@ -135,8 +134,6 @@ class LocalIdentityManager:
             self.tracker.reset()
         elif action is ResponseAction.HALT_INTERACTION:
             self.state = DeviceState.HALTED
-        elif action is ResponseAction.CHALLENGE:
-            self.challenges += 1
         return GestureResult(event=event, action=action, state=self.state)
 
     # ----------------------------------------------------------- reports

@@ -36,14 +36,14 @@ class RemoteSessionReport:
     """What happened over one remote session."""
 
     login: ProtocolOutcome
-    requests_ok: int = 0
-    requests_failed: int = 0
-    terminated: bool = False
-    termination_reason: str = ""
-    gestures_processed: int = 0
-    risk_series: list[float] = field(default_factory=list)
-    challenges_answered: int = 0
-    challenges_failed: int = 0
+    requests_ok: int = field(default=0, init=False)
+    requests_failed: int = field(default=0, init=False)
+    terminated: bool = field(default=False, init=False)
+    termination_reason: str = field(default="", init=False)
+    gestures_processed: int = field(default=0, init=False)
+    risk_series: list[float] = field(default_factory=list, init=False)
+    challenges_answered: int = field(default=0, init=False)
+    challenges_failed: int = field(default=0, init=False)
 
     @property
     def survived(self) -> bool:

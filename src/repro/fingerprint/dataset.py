@@ -106,7 +106,8 @@ class FingerprintDataset:
 
     name: str
     masters: list[MasterFingerprint]
-    impressions: dict[str, list[Impression]] = field(default_factory=dict)
+    impressions: dict[str, list[Impression]] = field(default_factory=dict,
+                                                     init=False)
 
     @property
     def finger_ids(self) -> list[str]:

@@ -37,13 +37,15 @@ class CryptoProcessor:
 
     rng: HmacDrbg
     key_bits: int = 1024
-    time_spent_s: float = 0.0
-    ops: "Counter[str]" = field(default_factory=Counter)
+    time_spent_s: float = field(default=0.0, init=False)
+    ops: "Counter[str]" = field(default_factory=Counter, init=False)
     #: Optional supplier of pre-generated key pairs.  Fleet-scale runs
-    #: amortize the dominant RSA key-generation cost by injecting a pool
-    #: here; the *modeled* keygen latency is still accounted, so reported
-    #: timings are unchanged — only host wall-clock shrinks.
-    keypair_source: "Callable[[], RsaPrivateKey] | None" = None
+    #: amortize the dominant RSA key-generation cost by installing a pool
+    #: here after the module is built; the *modeled* keygen latency is
+    #: still accounted, so reported timings are unchanged — only host
+    #: wall-clock shrinks.
+    keypair_source: "Callable[[], RsaPrivateKey] | None" = field(
+        default=None, init=False)
 
     def _account(self, op: str, seconds: float) -> None:
         self.time_spent_s += seconds

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dataclass_replace
 from enum import Enum
 
-from repro.obs import Instrumentation, NOOP
-
 from .sensor_array import CaptureWindow, SensorArray
 from .specs import AddressingMode, SensorSpec
 
@@ -57,28 +55,22 @@ def _array_for(spec: SensorSpec, policy: ReadoutPolicy) -> SensorArray:
     return SensorArray(spec)
 
 
-def compare_policies(spec: SensorSpec, window: CaptureWindow,
-                     obs: Instrumentation | None = None) -> list[PolicyTiming]:
+def compare_policies(spec: SensorSpec,
+                     window: CaptureWindow) -> list[PolicyTiming]:
     """Cost of capturing ``window`` under each policy (same silicon)."""
-    obs = obs if obs is not None else NOOP
     results = []
-    with obs.tracer.span("readout.compare", reference=spec.reference) as span:
-        for policy in ReadoutPolicy:
-            array = _array_for(spec, policy)
-            if policy is ReadoutPolicy.WINDOW_SELECTIVE:
-                scanned = window.clamp(spec.rows, spec.cols)
-            else:
-                scanned = CaptureWindow.full(spec)
-            cycles = array.cycles_for(scanned)
-            timing = PolicyTiming(
-                policy=policy,
-                cycles=cycles,
-                time_ms=cycles / array.spec.clock_hz * 1000.0,
-                cells_sensed=scanned.n_cells,
-                bits_transferred=scanned.n_cells,
-            )
-            span.add_event("readout.policy", policy=policy.value,
-                           cycles=timing.cycles, time_ms=timing.time_ms,
-                           cells_sensed=timing.cells_sensed)
-            results.append(timing)
+    for policy in ReadoutPolicy:
+        array = _array_for(spec, policy)
+        if policy is ReadoutPolicy.WINDOW_SELECTIVE:
+            scanned = window.clamp(spec.rows, spec.cols)
+        else:
+            scanned = CaptureWindow.full(spec)
+        cycles = array.cycles_for(scanned)
+        results.append(PolicyTiming(
+            policy=policy,
+            cycles=cycles,
+            time_ms=cycles / array.spec.clock_hz * 1000.0,
+            cells_sensed=scanned.n_cells,
+            bits_transferred=scanned.n_cells,
+        ))
     return results

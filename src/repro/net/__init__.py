@@ -26,16 +26,8 @@ from .channel import ChannelRecord, UntrustedChannel
 from .webserver import Endpoint, SessionState, WebServer
 from .browser import Browser, Malware
 from .device import MobileDevice, default_layout
-from .protocol import (
-    ChallengeResult,
-    LoginResult,
-    ProtocolOutcome,
-    RegistrationResult,
-    RequestResult,
-    TrustClient,
-    TrustSession,
-)
-from .reset_transfer import TransferError, reset_identity, transfer_identity
+from .protocol import ProtocolOutcome, TrustClient, TrustSession
+from .reset_transfer import TransferError, transfer_identity
 from .audit import AuditFinding, AuditReport, FrameAuditor
 from .cookies import cookie_size_bytes, decode_cookie, encode_cookie
 
@@ -50,9 +42,8 @@ __all__ = [
     "Endpoint", "SessionState", "WebServer",
     "Browser", "Malware",
     "MobileDevice", "default_layout",
-    "ProtocolOutcome", "RegistrationResult", "LoginResult", "RequestResult",
-    "ChallengeResult", "TrustClient", "TrustSession",
-    "TransferError", "reset_identity", "transfer_identity",
+    "ProtocolOutcome", "TrustClient", "TrustSession",
+    "TransferError", "transfer_identity",
     "AuditFinding", "AuditReport", "FrameAuditor",
     "encode_cookie", "decode_cookie", "cookie_size_bytes",
 ]

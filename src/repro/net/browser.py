@@ -26,7 +26,7 @@ class Malware:
     #: Rewrites page bytes before they reach the display (UI spoofing).
     page_rewriter: Callable[[bytes], bytes] | None = None
     #: Everything the browser saw, exfiltrated (keylogger-style leak).
-    exfiltrated: list[Envelope] = field(default_factory=list)
+    exfiltrated: list[Envelope] = field(default_factory=list, init=False)
 
     def observe(self, envelope: Envelope) -> None:
         """Record one envelope into the exfiltration log."""

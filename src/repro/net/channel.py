@@ -30,15 +30,16 @@ class ChannelRecord:
 class UntrustedChannel:
     """Carries envelopes, logs them, and applies optional tampering."""
 
-    log: list[ChannelRecord] = field(default_factory=list)
     tamper_hook: Callable[[Envelope, str], Envelope] | None = None
     drop_hook: Callable[[Envelope, str], bool] | None = None
-    bytes_to_server: int = 0
-    bytes_to_device: int = 0
     #: Fleet-scale runs carry hundreds of thousands of envelopes through
     #: one channel; set False to keep only the counters (no replay log).
     keep_log: bool = True
-    carried: int = 0
+    log: list[ChannelRecord] = field(default_factory=list, init=False)
+    #: Envelopes carried, dropped ones included.
+    message_count: int = field(default=0, init=False)
+    bytes_to_server: int = field(default=0, init=False)
+    bytes_to_device: int = field(default=0, init=False)
 
     def send(self, envelope: Envelope, direction: str) -> Envelope | None:
         """Carry one envelope; returns what arrives (None if dropped).
@@ -49,7 +50,7 @@ class UntrustedChannel:
         if direction not in ("to-server", "to-device"):
             raise ValueError(f"unknown direction {direction!r}")
         carried = envelope.copy()
-        self.carried += 1
+        self.message_count += 1
         if self.keep_log:
             self.log.append(
                 ChannelRecord(len(self.log), direction, carried.copy()))
@@ -73,8 +74,3 @@ class UntrustedChannel:
         if direction is not None:
             records = [r for r in records if r.direction == direction]
         return list(records)
-
-    @property
-    def message_count(self) -> int:
-        """Total envelopes carried (including dropped ones)."""
-        return self.carried

@@ -6,16 +6,15 @@ device / channel pair and a (reassignable) server endpoint — whose methods
 (``register``, ``login``, ``request``, ``answer_challenge``) play the honest
 roles faithfully: every verification the paper requires happens, in order,
 inside the component the paper assigns it to (certificate + MAC checks in
-FLock, nonce/session/risk checks in the server).  Each method returns a
-typed result object (:class:`RegistrationResult`, :class:`LoginResult`,
-:class:`RequestResult`, :class:`ChallengeResult`) carrying success/failure,
-the failure reason code, and cost accounting (message count, bytes each
-way, FLock crypto time).
+FLock, nonce/session/risk checks in the server).  Every method returns
+one result type, :class:`ProtocolOutcome`, carrying success/failure, the
+failure reason code, and cost accounting (message count, bytes each way,
+FLock crypto time).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,47 +35,27 @@ from .message import (
 )
 from .webserver import WebServer
 
-__all__ = ["ProtocolOutcome", "RegistrationResult", "LoginResult",
-           "RequestResult", "ChallengeResult", "TrustSession", "TrustClient"]
+__all__ = ["ProtocolOutcome", "TrustSession", "TrustClient"]
 
 
 @dataclass
 class ProtocolOutcome:
-    """Result + cost of one protocol run (base of every typed result)."""
+    """Result + cost of one protocol run: a Fig. 9 registration, a Fig. 10
+    login (``session`` is set on success), request or challenge answer."""
 
     success: bool
     reason: str  # "ok" or a failure reason code
-    messages: int = 0
-    bytes_to_server: int = 0
-    bytes_to_device: int = 0
-    crypto_time_s: float = 0.0
-    frame_hash: bytes | None = None
-    session: "TrustSession | None" = None
-
-
-@dataclass
-class RegistrationResult(ProtocolOutcome):
-    """Outcome of a Fig. 9 device-to-account binding run."""
-
-
-@dataclass
-class LoginResult(ProtocolOutcome):
-    """Outcome of a Fig. 10 login; ``session`` is set on success."""
-
-
-@dataclass
-class RequestResult(ProtocolOutcome):
-    """Outcome of one continuously-authenticated page request."""
+    messages: int
+    bytes_to_server: int
+    bytes_to_device: int
+    crypto_time_s: float
+    frame_hash: bytes | None
+    session: "TrustSession | None"
 
     @property
     def challenged(self) -> bool:
         """Whether the server withheld content pending re-authentication."""
         return self.reason == "challenge-required"
-
-
-@dataclass
-class ChallengeResult(ProtocolOutcome):
-    """Outcome of answering a re-authentication challenge."""
 
 
 @dataclass
@@ -87,8 +66,8 @@ class TrustSession:
     account: str
     session_id: str
     next_nonce: bytes
-    requests_sent: int = 0
-    challenge_nonce: bytes | None = None  # server challenge awaiting answer
+    #: The server's challenge nonce awaiting an answer, if any.
+    challenge_nonce: bytes | None = field(default=None, init=False)
 
 
 #: Presses of a critical button before the UI gives up on a verified
@@ -117,11 +96,10 @@ def verified_touch(device: MobileDevice, touch_xy: tuple[float, float],
 class _CostMeter:
     """Snapshot-based accounting of channel/crypto costs for one run."""
 
-    def __init__(self, device: MobileDevice, channel: UntrustedChannel,
-                 result_type: type = ProtocolOutcome) -> None:
+    def __init__(self, device: MobileDevice,
+                 channel: UntrustedChannel) -> None:
         self._device = device
         self._channel = channel
-        self._result_type = result_type
         self._messages0 = channel.message_count
         self._to_server0 = channel.bytes_to_server
         self._to_device0 = channel.bytes_to_device
@@ -130,8 +108,8 @@ class _CostMeter:
     def outcome(self, success: bool, reason: str,
                 frame_hash: bytes | None = None,
                 session: TrustSession | None = None) -> ProtocolOutcome:
-        """Snapshot-difference the meters into the run's result type."""
-        return self._result_type(
+        """Snapshot-difference the meters into the run's result."""
+        return ProtocolOutcome(
             success=success, reason=reason,
             messages=self._channel.message_count - self._messages0,
             bytes_to_server=self._channel.bytes_to_server - self._to_server0,
@@ -178,7 +156,7 @@ class TrustClient:
     # ---------------------------------------------- Fig. 9 registration
     def register(self, account: str, touch_xy: tuple[float, float],
                  master: MasterFingerprint, rng: np.random.Generator,
-                 now: int = 0, time_s: float = 0.0) -> RegistrationResult:
+                 now: int = 0, time_s: float = 0.0) -> ProtocolOutcome:
         """Run the Fig. 9 device-to-user-account binding, end to end.
 
         ``touch_xy`` is where the registration button sits (it must be over
@@ -192,9 +170,9 @@ class TrustClient:
         return result
 
     def _register(self, account, touch_xy, master, rng, now,
-                  time_s) -> RegistrationResult:
+                  time_s) -> ProtocolOutcome:
         device, server, channel = self.device, self.server, self.channel
-        meter = _CostMeter(device, channel, RegistrationResult)
+        meter = _CostMeter(device, channel)
         flock = device.flock
 
         # Step 1: server -> device: page + cert + nonce, signed.
@@ -264,7 +242,7 @@ class TrustClient:
     def login(self, account: str, touch_xy: tuple[float, float],
               master: MasterFingerprint, rng: np.random.Generator,
               risk: float = 0.0, now: int = 0,
-              time_s: float = 0.0) -> LoginResult:
+              time_s: float = 0.0) -> ProtocolOutcome:
         """Run the Fig. 10 login (steps 1-3); ``session`` set on success."""
         with self.obs.tracer.span("client.login", account=account) as span:
             result = self._login(account, touch_xy, master, rng, risk, now,
@@ -273,9 +251,9 @@ class TrustClient:
         return result
 
     def _login(self, account, touch_xy, master, rng, risk, now,
-               time_s) -> LoginResult:
+               time_s) -> ProtocolOutcome:
         device, server, channel = self.device, self.server, self.channel
-        meter = _CostMeter(device, channel, LoginResult)
+        meter = _CostMeter(device, channel)
         flock = device.flock
         domain = server.domain
 
@@ -360,7 +338,7 @@ class TrustClient:
                 rng: np.random.Generator,
                 touch_xy: tuple[float, float] | None = None,
                 master: MasterFingerprint | None = None,
-                now: int = 0, time_s: float = 0.0) -> RequestResult:
+                now: int = 0, time_s: float = 0.0) -> ProtocolOutcome:
         """One post-login interaction (Fig. 10 step 4).
 
         When ``touch_xy``/``master`` are given, the request is triggered by
@@ -377,9 +355,9 @@ class TrustClient:
         return result
 
     def _request(self, session, risk, rng, touch_xy, master, now,
-                 time_s) -> RequestResult:
+                 time_s) -> ProtocolOutcome:
         device, server, channel = self.device, self.server, self.channel
-        meter = _CostMeter(device, channel, RequestResult)
+        meter = _CostMeter(device, channel)
         flock = device.flock
 
         frame_hash = flock.current_frame_hash
@@ -435,7 +413,6 @@ class TrustClient:
             return meter.outcome(False, "challenge-required", session=session)
         device.browser.render(page_delivered, flock)
         session.next_nonce = page_delivered.fields["nonce"]
-        session.requests_sent += 1
         return meter.outcome(True, "ok", frame_hash=frame_hash,
                              session=session)
 
@@ -444,7 +421,7 @@ class TrustClient:
                          touch_xy: tuple[float, float],
                          master: MasterFingerprint,
                          rng: np.random.Generator, now: int = 0,
-                         time_s: float = 0.0) -> ChallengeResult:
+                         time_s: float = 0.0) -> ProtocolOutcome:
         """Answer a pending re-authentication challenge with a verified
         touch.
 
@@ -460,9 +437,9 @@ class TrustClient:
         return result
 
     def _answer_challenge(self, session, touch_xy, master, rng, now,
-                          time_s) -> ChallengeResult:
+                          time_s) -> ProtocolOutcome:
         device, server, channel = self.device, self.server, self.channel
-        meter = _CostMeter(device, channel, ChallengeResult)
+        meter = _CostMeter(device, channel)
         flock = device.flock
         if session.challenge_nonce is None:
             return meter.outcome(False, "no-challenge-pending")

@@ -1,8 +1,8 @@
 """Identity reset and identity transfer (paper section IV-B, last part).
 
 *Reset*: a lost device's key bindings are revoked at each web service using
-the legacy password fallback, after which the user re-registers from the
-new device (the normal Fig. 9 flow).
+the legacy password fallback (:meth:`WebServer.reset_identity`), after
+which the user re-registers from the new device (the normal Fig. 9 flow).
 
 *Transfer*: when upgrading devices, the old FLock encrypts all service
 records + the biometric identity under the new device's built-in public
@@ -17,26 +17,13 @@ import numpy as np
 
 from repro.fingerprint import MasterFingerprint
 from .device import MobileDevice
-from .message import ProtocolError
 from .protocol import VERIFY_ATTEMPTS, verified_touch
-from .webserver import WebServer
 
-__all__ = ["reset_identity", "transfer_identity", "TransferError"]
+__all__ = ["transfer_identity", "TransferError"]
 
 
 class TransferError(Exception):
     """Raised when an identity transfer cannot be authorized or applied."""
-
-
-def reset_identity(server: WebServer, account: str, password: str) -> bool:
-    """Revoke the account's device-key binding using the password fallback.
-
-    Returns True when the binding was removed; raises
-    :class:`~repro.net.message.ProtocolError` on a wrong password (the
-    server counts the rejection), mirroring a real reset endpoint.
-    """
-    server.reset_identity(account, password)
-    return server.account_key(account) is None
 
 
 def transfer_identity(old_device: MobileDevice, new_device: MobileDevice,

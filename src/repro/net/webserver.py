@@ -79,11 +79,12 @@ class SessionState:
     account: str
     session_key: bytes
     expected_nonce: bytes
-    request_count: int = 0
-    risk_reports: list[float] = field(default_factory=list)
-    pending_challenge: bytes | None = None  # challenge nonce awaiting answer
-    challenges_issued: int = 0
-    challenges_passed: int = 0
+    request_count: int = field(default=0, init=False)
+    risk_reports: list[float] = field(default_factory=list, init=False)
+    #: The challenge nonce awaiting an answer, if any.
+    pending_challenge: bytes | None = field(default=None, init=False)
+    challenges_issued: int = field(default=0, init=False)
+    challenges_passed: int = field(default=0, init=False)
 
 
 @dataclass(frozen=True)

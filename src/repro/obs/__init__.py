@@ -33,7 +33,7 @@ from .metrics import (
     NullMetricsRegistry,
     NULL_REGISTRY,
 )
-from .trace import NULL_TRACER, NullTracer, Span, SpanEvent, Tracer
+from .trace import NULL_TRACER, NullTracer, Span, Tracer
 from .export import (
     render_metrics_json,
     render_metrics_prometheus,
@@ -50,7 +50,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "Span",
-    "SpanEvent",
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_REGISTRY",

@@ -50,13 +50,6 @@ def _render_span(span: Span, depth: int, lines: list[str]) -> None:
             f"({_format_value(span.start_time)}"
             f"..{_format_value(span.end_time)})")
     lines.append(head + (f" {attrs}" if attrs else ""))
-    for event in span.events:
-        event_attrs = " ".join(
-            f"{key}={_format_value(event.attributes[key])}"
-            for key in sorted(event.attributes))
-        lines.append(f"{indent}  * {event.name} "
-                     f"@{_format_value(event.time)}"
-                     + (f" {event_attrs}" if event_attrs else ""))
     for child in span.children:
         _render_span(child, depth + 1, lines)
 

@@ -1,4 +1,4 @@
-"""Deterministic trace contexts: nested spans with typed events.
+"""Deterministic trace contexts: nested spans with attributes.
 
 A :class:`Tracer` maintains a stack of live :class:`Span` objects; each
 ``with tracer.span(...)`` call opens a child of the current span (or a new
@@ -20,30 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-__all__ = ["SpanEvent", "Span", "Tracer", "NullTracer", "NULL_TRACER"]
-
-
-class SpanEvent:
-    """One typed point-in-time event recorded on a span."""
-
-    __slots__ = ("name", "time", "attributes")
-
-    def __init__(self, name: str, time: float, attributes: dict) -> None:
-        self.name = name
-        self.time = time
-        self.attributes = attributes
-
-    def to_dict(self) -> dict:
-        """JSON-ready form with deterministically ordered attributes."""
-        return {
-            "name": self.name,
-            "time": self.time,
-            "attributes": {k: self.attributes[k]
-                           for k in sorted(self.attributes)},
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SpanEvent({self.name!r}, t={self.time!r})"
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
 
 class Span:
@@ -57,8 +34,7 @@ class Span:
     """
 
     __slots__ = ("name", "trace_id", "span_id", "parent_id", "start_time",
-                 "end_time", "status", "attributes", "events", "children",
-                 "_tracer")
+                 "end_time", "status", "attributes", "children", "_tracer")
 
     def __init__(self, tracer: "Tracer", name: str, trace_id: str,
                  span_id: int, parent_id: int | None,
@@ -72,18 +48,12 @@ class Span:
         self.end_time: float | None = None
         self.status = "ok"
         self.attributes = attributes
-        self.events: list[SpanEvent] = []
         self.children: list[Span] = []
 
     # ------------------------------------------------------------- recording
     def set_attribute(self, key: str, value) -> None:
         """Attach one attribute (overwrites an existing key)."""
         self.attributes[key] = value
-
-    def add_event(self, name: str, **attributes) -> None:
-        """Record a typed point-in-time event at the tracer's current time."""
-        self.events.append(
-            SpanEvent(name, self._tracer._now(), attributes))
 
     # ------------------------------------------------------ context protocol
     def __enter__(self) -> "Span":
@@ -119,7 +89,6 @@ class Span:
             "status": self.status,
             "attributes": {k: self.attributes[k]
                            for k in sorted(self.attributes)},
-            "events": [event.to_dict() for event in self.events],
             "children": [child.to_dict() for child in self.children],
         }
 
@@ -216,9 +185,6 @@ class _NullSpan:
     status = "ok"
 
     def set_attribute(self, key: str, value) -> None:
-        return None
-
-    def add_event(self, name: str, **attributes) -> None:
         return None
 
     def __enter__(self) -> "_NullSpan":

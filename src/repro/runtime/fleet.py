@@ -24,7 +24,7 @@ of call order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,6 +174,5 @@ class DeviceActor:
     device: MobileDevice
     client: TrustClient
     rng: np.random.Generator
-    session: TrustSession | None = None
-    requests_done: int = 0
-    alive: bool = True
+    session: TrustSession | None = field(default=None, init=False)
+    requests_done: int = field(default=0, init=False)

@@ -11,7 +11,7 @@ byte-identical traces (see ``tests/runtime/test_fleet_replay.py``).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.obs import NULL_TRACER
@@ -72,9 +72,9 @@ class ServiceQueue:
     caller adds).
     """
 
-    busy_until: float = 0.0
-    served: int = 0
-    busy_time_s: float = 0.0
+    busy_until: float = field(default=0.0, init=False)
+    served: int = field(default=0, init=False)
+    busy_time_s: float = field(default=0.0, init=False)
 
     def begin(self, arrival: float, service_s: float) -> tuple[float, float]:
         """Admit one job; returns its (start, completion) virtual times."""

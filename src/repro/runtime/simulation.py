@@ -206,7 +206,6 @@ class FleetSimulation:
                 if actor.requests_done < config.requests_per_device:
                     next_op = "request"
         if next_op is None:
-            actor.alive = False
             return
         think = actor.rng.exponential(THINK_TIME_S)
         self.loop.schedule(finished + think,

@@ -50,9 +50,9 @@ class TouchTrace:
     """The output of one session: ordered gestures + bookkeeping."""
 
     user_id: str
-    gestures: list[Gesture] = field(default_factory=list)
-    layout_names: list[str] = field(default_factory=list)  # per gesture
-    element_names: list[str | None] = field(default_factory=list)
+    gestures: list[Gesture] = field(default_factory=list, init=False)
+    #: The layout each gesture was made on.
+    layout_names: list[str] = field(default_factory=list, init=False)
 
     @property
     def n_touches(self) -> int:
@@ -91,7 +91,7 @@ class SessionGenerator:
         now = start_time_s
         for _ in range(config.n_interactions):
             layout = self._pick_layout(config, rng)
-            x, y, element = self.user.sample_position(layout, rng)
+            x, y, _ = self.user.sample_position(layout, rng)
             pressure, speed, duration = self.user.sample_dynamics(rng)
             draw = rng.random()
             limits = (layout.width_mm, layout.height_mm)
@@ -121,7 +121,6 @@ class SessionGenerator:
                                     panel_limits_mm=limits)
             trace.gestures.append(gesture)
             trace.layout_names.append(layout.name)
-            trace.element_names.append(element.name if element else None)
             think = max(rng.exponential(THINK_TIME_MEAN_S), THINK_TIME_MIN_S)
             now = gesture.end_s + think
         return trace

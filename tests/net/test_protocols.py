@@ -13,7 +13,6 @@ from repro.net import (
     TrustClient,
     UntrustedChannel,
     WebServer,
-    reset_identity,
     transfer_identity,
 )
 from .conftest import BUTTON_XY
@@ -204,7 +203,7 @@ class TestResetAndTransfer:
 
     def test_reset_then_rebind(self, fresh_deployment, ca, alice_master):
         device, server, channel = fresh_deployment
-        assert reset_identity(server, "alice", "correct-password")
+        server.reset_identity("alice", "correct-password")
         assert server.account_key("alice") is None
         # Old device's binding is dead: login fails server-side.
         outcome = TrustClient(device, server, channel).login(
@@ -221,7 +220,7 @@ class TestResetAndTransfer:
     def test_reset_wrong_password(self, fresh_deployment):
         _, server, _ = fresh_deployment
         with pytest.raises(ProtocolError, match="bad-password"):
-            reset_identity(server, "alice", "wrong")
+            server.reset_identity("alice", "wrong")
         assert server.account_key("alice") is not None
 
     def test_transfer_preserves_login(self, fresh_deployment, ca,

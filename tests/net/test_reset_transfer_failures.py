@@ -19,7 +19,6 @@ from repro.net import (
     TrustClient,
     UntrustedChannel,
     WebServer,
-    reset_identity,
     transfer_identity,
 )
 from .conftest import BUTTON_XY
@@ -130,7 +129,7 @@ class TestResetFailurePaths:
         assert outcome.success, outcome.reason
         before = server.rejections["bad-password"]
         with pytest.raises(ProtocolError) as exc_info:
-            reset_identity(server, "alice", "wrong-password")
+            server.reset_identity("alice", "wrong-password")
         assert exc_info.value.reason == "bad-password"
         assert server.rejections["bad-password"] == before + 1
         # Nothing was revoked: binding and session both survive.
@@ -143,7 +142,7 @@ class TestResetFailurePaths:
     def test_unknown_account_reset_rejected(self, fresh_world):
         _, server = fresh_world
         with pytest.raises(ProtocolError, match="unknown-account"):
-            reset_identity(server, "mallory", "whatever")
+            server.reset_identity("mallory", "whatever")
 
     def test_reset_terminates_live_sessions(self, fresh_world, alice_master):
         """Model invariant PV405: no session may outlive its binding."""
@@ -153,7 +152,7 @@ class TestResetFailurePaths:
         outcome = client.login("alice", BUTTON_XY, alice_master, rng)
         assert outcome.success, outcome.reason
         assert server.active_sessions == 1
-        assert reset_identity(server, "alice", "alice-password")
+        server.reset_identity("alice", "alice-password")
         assert server.account_key("alice") is None
         assert server.active_sessions == 0
         result = client.request(outcome.session, risk=0.0, rng=rng)

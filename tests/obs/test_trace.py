@@ -90,15 +90,11 @@ class TestClocks:
 
 
 class TestRecording:
-    def test_attributes_and_events(self):
+    def test_attributes(self):
         tracer = Tracer()
         with tracer.span("gesture", kind="tap") as span:
             span.set_attribute("risk", 0.25)
-            span.add_event("challenge", answered=True)
         assert span.attributes == {"kind": "tap", "risk": 0.25}
-        (event,) = span.events
-        assert event.name == "challenge"
-        assert event.attributes == {"answered": True}
 
 
 
@@ -141,7 +137,6 @@ class TestNullTracer:
         assert first is second  # one reusable span, no allocation
         with first as span:
             span.set_attribute("dropped", True)
-            span.add_event("dropped")
         assert NULL_TRACER.spans == ()
         assert NULL_TRACER.find("anything") == []
         assert not NULL_TRACER.enabled

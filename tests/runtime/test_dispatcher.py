@@ -243,6 +243,52 @@ class TestServerPool:
         assert excinfo.value.reason == "bad-nonce"
         assert other.active_sessions == 0
 
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
+        "ROADMAP item 7: a restarted shard rebuilds its DRBG from the key "
+        "seed, so its nonce stream starts over and the recorded login "
+        "opens a session"))
+    def test_restarted_shard_rejects_a_recorded_login(self):
+        """A login submission recorded before a shard crashed must not open
+        a session once the shard restarts with the account re-imported,
+        however many login pages anyone fetches there."""
+
+        def build_pool():
+            ca = CertificateAuthority(rng=HmacDrbg(b"restart-ca"),
+                                      key_bits=512)
+            return ca, ServerPool("www.restart.example", ca,
+                                  b"restart-key", 2, key_bits=512)
+
+        ca, pool = build_pool()
+        master = synthesize_master("restart-thumb",
+                                   np.random.default_rng(70))
+        device = MobileDevice("restart-dev", b"restart-dev-seed", ca=ca,
+                              processor_mode="modeled", key_bits=512)
+        device.flock.enroll_local_user(
+            enroll_master(master, np.random.default_rng(71)))
+        pool.create_account("alice", "alice-reset-phrase")
+        home = pool.shard_for("alice")
+        assert home is pool.shards["shard-1"]
+        channel = UntrustedChannel()
+        client = TrustClient(device, home, channel)
+        for step, seed in ((client.register, 72), (client.login, 73)):
+            outcome = step("alice", BUTTON_XY, master,
+                           np.random.default_rng(seed))
+            assert outcome.success, outcome.reason
+        recorded = channel.recorded(MSG_LOGIN_SUBMIT, "to-server")[-1]
+        device.flock.close_session(pool.domain)
+        record = home.export_account("alice")
+
+        # The crash: the pool comes back from the same CA and key seeds,
+        # and the account database is re-imported.
+        _, restarted_pool = build_pool()
+        restarted = restarted_pool.shards["shard-1"]
+        restarted.import_account("alice", record)
+        for _ in range(2):  # the draws before the recorded login's nonce
+            restarted.login_page()
+        with pytest.raises(ProtocolError):
+            restarted.dispatch(recorded.envelope)
+        assert restarted.active_sessions == 0
+
     def test_export_import_round_trip_errors(self, ca):
         pool = ServerPool("www.exp.example", ca, b"exp-key", 2, key_bits=512)
         pool.create_account("alice", "pw")
