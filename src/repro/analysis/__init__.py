@@ -48,17 +48,13 @@ branch-trace witness (``python -m repro.analysis.sidechannel``).
 The package is self-contained (stdlib only; its single domain edge is
 the side-channel witness executing ``repro.crypto`` under trace) and
 runs as ``python -m repro.analysis <paths>`` or via the ``repro-lint``
-console script.  Findings can be suppressed inline with
-``# trust-lint: disable=RULE -- reason`` comments or grandfathered in a
-baseline file.
+console script.  The one way to silence a finding is an inline
+``# trust-lint: disable=RULE -- reason`` comment.
 """
 
-from .baseline import (apply_baseline, load_baseline, update_baseline,
-                       write_baseline)
 from .config import AnalysisConfig
 from .core import Finding, ModuleContext, Rule, TraceHop, all_rules, get_rule
-from .engine import (AnalysisReport, analyze_paths, analyze_source,
-                     analyze_sources)
+from .engine import AnalysisReport, analyze_paths, analyze_sources
 from .reporters import render_json, render_sarif, render_text
 from .taint import run_taint
 
@@ -72,12 +68,7 @@ __all__ = [
     "all_rules",
     "get_rule",
     "analyze_paths",
-    "analyze_source",
     "analyze_sources",
-    "apply_baseline",
-    "load_baseline",
-    "update_baseline",
-    "write_baseline",
     "render_json",
     "render_sarif",
     "render_text",

@@ -22,7 +22,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .baseline import apply_baseline, load_baseline, update_baseline
 from .config import AnalysisConfig, find_pyproject
 from .core import get_rule
 from .engine import (STAGES, AnalysisReport, analyze_paths, build_contexts,
@@ -52,21 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--stats", action="store_true",
                         help="print a per-stage timing and finding-count "
                         "breakdown to stderr after the report")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="scan files changed versus --since (git diff "
-                        "plus untracked files) and their dependents per "
-                        "the import/call graph")
-    parser.add_argument("--since", metavar="REF", default="HEAD",
-                        help="git ref --changed-only compares against "
-                        "(default: HEAD)")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="baseline file of grandfathered findings")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="write current findings to the baseline file "
-                        "and exit 0")
-    parser.add_argument("--merge", action="store_true",
-                        help="with --update-baseline: keep existing "
-                        "entries and add new ones instead of replacing")
     parser.add_argument("--disable", metavar="RULES", default="",
                         help="comma-separated rule ids to disable")
     parser.add_argument("--list-rules", action="store_true",
@@ -78,97 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _SEVERITY_RANK = {"note": 0, "warning": 1, "error": 2}
-
-
-def _changed_files(since: str) -> set[Path] | None:
-    """Resolved paths changed vs ``since``, plus untracked files.
-
-    Returns None when git is unavailable or the ref does not resolve —
-    the caller reports that as a usage error.  The caller widens the set
-    with :func:`_expand_dependents`, but the project-wide passes still
-    see only that slice of the tree; that trades whole-program precision
-    for pre-commit speed, which is the point of the flag.
-    """
-    import subprocess
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True, text=True, check=True).stdout.strip()
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", since, "--"],
-            capture_output=True, text=True, check=True).stdout
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True, text=True, check=True).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    root = Path(top)
-    return {(root / line).resolve()
-            for line in (diff + untracked).splitlines() if line.strip()}
-
-
-def _module_of(dotted: str, modules: set[str]) -> str | None:
-    """Longest known-module prefix of a dotted name, if any."""
-    parts = dotted.split(".")
-    for i in range(len(parts), 0, -1):
-        prefix = ".".join(parts[:i])
-        if prefix in modules:
-            return prefix
-    return None
-
-
-def _expand_dependents(scan_files: list[Path],
-                       all_files: list[Path]) -> list[Path]:
-    """Changed files plus every file that imports or calls into them.
-
-    A pre-commit scan of just the edited file misses breakage in its
-    callers — exactly what the project-wide passes exist to catch.  This
-    builds the shared symbol table over the *full* default path set,
-    derives module-level dependency edges from imports and resolved call
-    sites, and pulls every transitive dependent of a changed module into
-    the scan.
-    """
-    import ast
-    from .taint.symbols import build_index
-    contexts, _ = build_contexts(all_files)
-    if not contexts:
-        return scan_files
-    index = build_index(contexts)
-    modules = set(index.modules)
-    path_of = {ctx.module: Path(ctx.path).resolve() for ctx in contexts}
-
-    # module -> modules it depends on (imports + resolved call targets).
-    deps: dict[str, set[str]] = {m: set() for m in modules}
-    for module, aliases in index.imports.items():
-        for target in aliases.values():
-            dep = _module_of(target, modules)
-            if dep is not None and dep != module:
-                deps[module].add(dep)
-    for fn in index.functions.values():
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = index.qualify(fn.module, node.func)
-            if dotted is None:
-                continue
-            resolved = index.resolve_qualname(dotted)
-            if resolved is not None and resolved.module != fn.module:
-                deps[fn.module].add(resolved.module)
-
-    dependents: dict[str, set[str]] = {m: set() for m in modules}
-    for module, targets in deps.items():
-        for dep in targets:
-            dependents[dep].add(module)
-
-    changed = {p.resolve() for p in scan_files}
-    queue = [m for m in modules if path_of[m] in changed]
-    seen = set(queue)
-    while queue:
-        for dependent in sorted(dependents[queue.pop()]):
-            if dependent not in seen:
-                seen.add(dependent)
-                queue.append(dependent)
-    return sorted(changed | {path_of[m] for m in seen})
 
 
 def _print_stats(report: AnalysisReport, total_s: float) -> None:
@@ -248,37 +141,12 @@ def _existing(paths: list[str]) -> list[str]:
     return paths
 
 
-def _load_baseline(args: argparse.Namespace,
-                   config: AnalysisConfig) -> tuple[str | None,
-                                                    dict[str, int]]:
-    """(baseline file, grandfathered fingerprints) for this run."""
-    path = args.baseline or config.baseline_path or None
-    if not path or args.update_baseline:
-        return path, {}
-    try:
-        return path, load_baseline(path)
-    except (ValueError, OSError) as exc:
-        raise _UsageError(f"bad baseline: {exc}") from None
-
-
 _RENDERERS = {"text": render_text, "json": render_json,
               "sarif": render_sarif}
 
 
-def _finish(args: argparse.Namespace, report: AnalysisReport,
-            baseline_path: str | None) -> int:
-    """Rewrite the baseline (exit 0) or print the report (exit per
-    ``--fail-on``)."""
-    if args.update_baseline:
-        if not baseline_path:
-            raise _UsageError("--update-baseline needs --baseline FILE "
-                              "or a [tool.trust-lint] baseline setting")
-        added, removed, kept = update_baseline(
-            baseline_path, report.findings, merge=args.merge)
-        mode = "merged into" if args.merge else "written to"
-        print(f"baseline {mode} {baseline_path}: {added} added, "
-              f"{removed} removed, {kept} kept")
-        return 0
+def _finish(args: argparse.Namespace, report: AnalysisReport) -> int:
+    """Print the report; the exit code follows ``--fail-on``."""
     print(_RENDERERS[args.format](report))
     return _exit_code(report, args.fail_on)
 
@@ -306,7 +174,7 @@ def _graph_main(argv: list[str]) -> int:
 
 
 def build_verify_parser() -> argparse.ArgumentParser:
-    from .verify import MUTATIONS, SCENARIOS
+    from .verify import MUTATIONS, SCENARIOS, VerifyOptions
     parser = argparse.ArgumentParser(
         prog="repro-lint verify",
         description=("model-check the TRUST protocol state machine "
@@ -314,14 +182,14 @@ def build_verify_parser() -> argparse.ArgumentParser:
                      "abstracted device/server/FLock model under a "
                      "Dolev-Yao network adversary"),
     )
-    parser.add_argument("--depth", type=int, default=None, metavar="N",
-                        help="BFS depth budget in protocol transitions "
-                        "(default: [tool.trust-lint.verify] depth, "
-                        "then 12)")
-    parser.add_argument("--max-states", type=int, default=None,
+    parser.add_argument("--depth", type=int, default=VerifyOptions.depth,
                         metavar="N",
+                        help="BFS depth budget in protocol transitions "
+                        "(default: %(default)s)")
+    parser.add_argument("--max-states", type=int,
+                        default=VerifyOptions.max_states, metavar="N",
                         help="per-scenario state budget; exceeding it "
-                        "emits PV400 (default: 150000)")
+                        "emits PV400 (default: %(default)s)")
     parser.add_argument("--entry", action="append", default=None,
                         choices=sorted(SCENARIOS), metavar="NAME",
                         help="scenario entry point to explore; repeatable "
@@ -339,14 +207,6 @@ def build_verify_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text",
                         help="report format (default: text)")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help="baseline file of grandfathered findings")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="write current findings to the baseline file "
-                        "and exit 0")
-    parser.add_argument("--merge", action="store_true",
-                        help="with --update-baseline: keep existing "
-                        "entries and add new ones instead of replacing")
     parser.add_argument("--no-config", action="store_true",
                         help="ignore [tool.trust-lint] in pyproject.toml")
     _add_fail_on(parser)
@@ -367,22 +227,17 @@ def _verify_main(argv: list[str]) -> int:
         return 0
 
     config = _load_config(args)
-    baseline_path, baseline = _load_baseline(args, config)
-    try:
-        findings, stats = run_verify(
-            config,
-            depth=args.depth,
-            max_states=args.max_states,
-            entries=tuple(args.entry) if args.entry else None,
-            adversary=False if args.no_adversary else None,
-            mutations=tuple(args.mutate or ()),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    report = AnalysisReport(verify_stats=stats)
-    report.findings, report.baselined_count = apply_baseline(findings,
-                                                             baseline)
-    return _finish(args, report, baseline_path)
+    findings, stats = run_verify(
+        depth=args.depth,
+        max_states=args.max_states,
+        entries=tuple(args.entry or SCENARIOS),
+        adversary=not args.no_adversary,
+        mutations=tuple(args.mutate or ()),
+    )
+    report = AnalysisReport(
+        findings=[f for f in findings if config.rule_enabled(f.rule)],
+        verify_stats=stats)
+    return _finish(args, report)
 
 
 def build_contract_parser() -> argparse.ArgumentParser:
@@ -432,27 +287,12 @@ def _lint_main(argv: list[str]) -> int:
 
     config = _load_config(args)
     paths = _existing(args.paths or list(config.default_paths))
-    baseline_path, baseline = _load_baseline(args, config)
-
-    scan_paths: list[Path] | list[str] = paths
-    if args.changed_only:
-        changed = _changed_files(args.since)
-        if changed is None:
-            raise _UsageError(f"--changed-only: git diff against "
-                              f"{args.since!r} failed (not a git "
-                              "checkout, or bad ref)")
-        all_files = iter_python_files([Path(p) for p in paths])
-        scan_paths = [p for p in all_files if p.resolve() in changed]
-        if scan_paths:
-            scan_paths = _expand_dependents(scan_paths, all_files)
-
     run_started = time.perf_counter()
-    report = analyze_paths(scan_paths, config, baseline=baseline,
-                           **{stage.name: getattr(args, stage.name)
-                              for stage in STAGES})
+    report = analyze_paths(paths, config, taint=args.taint, det=args.det,
+                           contract=args.contract, sc=args.sc)
     run_elapsed = time.perf_counter() - run_started
-    code = _finish(args, report, baseline_path)
-    if args.stats and not args.update_baseline:
+    code = _finish(args, report)
+    if args.stats:
         _print_stats(report, run_elapsed)
     return code
 

@@ -3,10 +3,12 @@
 Everything the rules key on is declared here in one place — the allowed
 import edges between ``repro.*`` packages, the identifier patterns that
 count as secret, the modules allowed to touch MD5 — so that tightening an
-invariant is a one-line config change, reviewable on its own.
+invariant is a one-line change, reviewable on its own.
 
-Defaults can be overridden from a ``[tool.trust-lint]`` table in
-``pyproject.toml`` (see :meth:`AnalysisConfig.from_pyproject`).
+What no ``[tool.trust-lint]`` key overrides is a module constant; the
+:class:`AnalysisConfig` fields are the settings a key in
+``pyproject.toml`` reaches (see :data:`_OVERRIDES` and
+:meth:`AnalysisConfig.from_pyproject`).
 """
 
 from __future__ import annotations
@@ -76,6 +78,52 @@ LAYERING: dict[str, frozenset[str]] = {
     }),
 }
 
+#: Packages whose internals legitimately hold secrets; SF110 does not fire
+#: inside them (the trusted boundary is what keeps them safe).
+TRUSTED_PACKAGES: tuple[str, ...] = ("repro.crypto", "repro.flock")
+
+#: Packages holding *device-bound* secret state (SF111).  Narrower than
+#: :data:`TRUSTED_PACKAGES`: ``repro.crypto`` is a pure library whose
+#: outputs belong to whoever called it (a server generating its own CA
+#: keys is fine), but a secret handed out by the stateful FLock module is
+#: the paper's trust boundary leaking.
+BOUNDARY_PACKAGES: tuple[str, ...] = ("repro.flock",)
+
+#: Packages where stdlib ``random`` is banned outright (CD201).
+RNG_CLEAN_PACKAGES: tuple[str, ...] = ("repro.crypto", "repro.flock")
+
+#: Patterns for byte-valued names whose equality must be constant-time
+#: (CD202).  Deliberately suffix-anchored: ``*key`` not ``*key*`` so
+#: ``key_bits`` style size fields never match.
+SECRET_BYTES_PATTERNS: tuple[str, ...] = (
+    "key", "*_key", "mac", "*_mac", "tag", "*_tag", "digest", "*digest",
+    "signature", "*_signature", "*secret*", "token", "*_token",
+    "*hmac*", "*password*",
+)
+
+#: Overrides for :data:`SECRET_BYTES_PATTERNS` (public-by-construction).
+BYTES_PUBLIC_PATTERNS: tuple[str, ...] = ("public_key", "*public_key")
+
+#: Symbols that count as weak-hash use (CD203).
+WEAK_HASH_NAMES: frozenset[str] = frozenset(
+    {"md5", "MD5", "md5_hex", "hmac_md5"})
+
+#: Modules allowed to reference MD5: the digest module that defines it,
+#: the crypto package surface, and the frame-hash display path the paper
+#: scopes MD5 to.
+WEAK_HASH_ALLOWED_MODULES: tuple[str, ...] = (
+    "repro.crypto", "repro.crypto.mac", "repro.flock.display",
+)
+
+#: Callable-name patterns whose results demand constant-time equality
+#: (SC805): MAC/digest/signature producers.  They are *confidentiality*
+#: sanitizers (a MAC tag may be shown to the network) but comparing one
+#: with ``==`` leaks the comparison prefix through timing.
+CTIME_PRODUCER_PATTERNS: tuple[str, ...] = (
+    "hmac*", "*digest*", "mac", "*_mac", "sha256", "sha1", "md5*",
+    "*hash*", "sign", "*signature*", "tag", "*_tag",
+)
+
 
 def _lower_tuple(values) -> tuple[str, ...]:
     return tuple(str(v).lower() for v in values)
@@ -92,24 +140,16 @@ def _match(low: str, patterns: tuple[str, ...]) -> bool:
     return any(fnmatchcase(low, p) for p in patterns)
 
 
+def _in_packages(module: str, packages: tuple[str, ...]) -> bool:
+    """Is ``module`` one of ``packages`` or inside one of them?"""
+    return any(module == pkg or module.startswith(pkg + ".")
+               for pkg in packages)
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """One immutable bundle of every knob the rules read."""
-
-    #: Allowed import edges; see :data:`LAYERING`.
-    layering: dict[str, frozenset[str]] = field(
-        default_factory=lambda: dict(LAYERING))
-
-    #: Packages whose internals legitimately hold secrets; SF110 does not
-    #: fire inside them (the trusted boundary is what keeps them safe).
-    trusted_packages: tuple[str, ...] = ("repro.crypto", "repro.flock")
-
-    #: Packages holding *device-bound* secret state (SF111).  Narrower than
-    #: :attr:`trusted_packages`: ``repro.crypto`` is a pure library whose
-    #: outputs belong to whoever called it (a server generating its own CA
-    #: keys is fine), but a secret handed out by the stateful FLock module
-    #: is the paper's trust boundary leaking.
-    boundary_packages: tuple[str, ...] = ("repro.flock",)
+    """The settings a ``[tool.trust-lint]`` key overrides, with their
+    defaults; the rest of what the rules read is module constants."""
 
     #: Identifier patterns (fnmatch, lowercased) that denote secret values.
     secret_patterns: tuple[str, ...] = (
@@ -137,33 +177,6 @@ class AnalysisConfig:
         "*_patterns",
     )
 
-    #: Packages where stdlib ``random`` is banned outright (CD201).
-    rng_clean_packages: tuple[str, ...] = ("repro.crypto", "repro.flock")
-
-    #: Patterns for byte-valued names whose equality must be constant-time
-    #: (CD202).  Deliberately suffix-anchored: ``*key`` not ``*key*`` so
-    #: ``key_bits`` style size fields never match.
-    secret_bytes_patterns: tuple[str, ...] = (
-        "key", "*_key", "mac", "*_mac", "tag", "*_tag", "digest", "*digest",
-        "signature", "*_signature", "*secret*", "token", "*_token",
-        "*hmac*", "*password*",
-    )
-
-    #: Overrides for :attr:`secret_bytes_patterns` (public-by-construction).
-    bytes_public_patterns: tuple[str, ...] = (
-        "public_key", "*public_key",
-    )
-
-    #: Symbols that count as weak-hash use (CD203).
-    weak_hash_names: tuple[str, ...] = ("md5", "MD5", "md5_hex", "hmac_md5")
-
-    #: Modules allowed to reference MD5: the digest module that defines
-    #: it, the crypto package surface, and the frame-hash display path the
-    #: paper scopes MD5 to.
-    weak_hash_allowed_modules: tuple[str, ...] = (
-        "repro.crypto", "repro.crypto.mac", "repro.flock.display",
-    )
-
     #: Extra identifier patterns (beyond :attr:`secret_patterns`) that seed
     #: secret taint in the interprocedural pass only.
     taint_sources: tuple[str, ...] = ()
@@ -186,23 +199,11 @@ class AnalysisConfig:
         "*length*", "bit_length", "default_rng",
     )
 
-    #: Callable-name patterns whose results demand constant-time equality
-    #: (SC805): MAC/digest/signature producers.  They are *confidentiality*
-    #: sanitizers (a MAC tag may be shown to the network) but comparing one
-    #: with ``==`` leaks the comparison prefix through timing.
-    ctime_producer_patterns: tuple[str, ...] = (
-        "hmac*", "*digest*", "mac", "*_mac", "sha256", "sha1", "md5*",
-        "*hash*", "sign", "*signature*", "tag", "*_tag",
-    )
-
     #: Rule ids disabled wholesale.
     disabled_rules: tuple[str, ...] = ()
 
     #: Default paths scanned when the CLI is invoked without arguments.
     default_paths: tuple[str, ...] = ("src",)
-
-    #: Default baseline file (empty string: no baseline).
-    baseline_path: str = ""
 
     # --------------------------------------------------- determinism (DT/RC)
     #: Module prefixes the determinism pass skips entirely.  The analysis
@@ -346,41 +347,25 @@ class AnalysisConfig:
         "repro.crypto.rsa._ladder_pow",
     )
 
-    # ------------------------------------------------- protocol verification
-    #: BFS depth budget for ``repro-lint verify`` (transitions per trace).
-    verify_depth: int = 12
-
-    #: Total-state budget per scenario; exceeding it emits PV400 (note).
-    verify_max_states: int = 150_000
-
-    #: Scenario entry points to explore (empty tuple: all six).
-    verify_entries: tuple[str, ...] = ()
-
-    #: Whether the Dolev-Yao adversary's transitions are enabled.
-    verify_adversary: bool = True
-
     # ------------------------------------------------------------ matching
     def is_secret_bytes_name(self, name: str) -> bool:
         """Does ``name`` denote a secret byte string (CD202)?"""
         low = name.lower()
-        if _match(low, self.bytes_public_patterns):
+        if _match(low, BYTES_PUBLIC_PATTERNS):
             return False
-        return _match(low, self.secret_bytes_patterns)
+        return _match(low, SECRET_BYTES_PATTERNS)
 
     def in_trusted_package(self, module: str) -> bool:
         """Is ``module`` inside a trusted layer (SF110 exempt)?"""
-        return any(module == pkg or module.startswith(pkg + ".")
-                   for pkg in self.trusted_packages)
+        return _in_packages(module, TRUSTED_PACKAGES)
 
     def in_boundary_package(self, module: str) -> bool:
         """Is ``module`` inside the stateful trust boundary (SF111)?"""
-        return any(module == pkg or module.startswith(pkg + ".")
-                   for pkg in self.boundary_packages)
+        return _in_packages(module, BOUNDARY_PACKAGES)
 
     def in_rng_clean_package(self, module: str) -> bool:
         """Is ``module`` inside a package where stdlib random is banned?"""
-        return any(module == pkg or module.startswith(pkg + ".")
-                   for pkg in self.rng_clean_packages)
+        return _in_packages(module, RNG_CLEAN_PACKAGES)
 
     def rule_enabled(self, rule_id: str) -> bool:
         """Is the rule enabled under this config?"""
@@ -406,9 +391,9 @@ class AnalysisConfig:
     def is_ctime_producer_name(self, name: str) -> bool:
         """Does a call to ``name`` yield timing-sensitive bytes (SC805)?"""
         low = name.lower()
-        if _match(low, self.bytes_public_patterns):
+        if _match(low, BYTES_PUBLIC_PATTERNS):
             return False
-        return _match(low, self.ctime_producer_patterns)
+        return _match(low, CTIME_PRODUCER_PATTERNS)
 
     def is_declassified_name(self, name: str) -> bool:
         """Is ``name`` public-by-construction under either override list?
@@ -421,13 +406,12 @@ class AnalysisConfig:
         """
         low = name.lower()
         return (_match(low, self.public_patterns)
-                or _match(low, self.bytes_public_patterns))
+                or _match(low, BYTES_PUBLIC_PATTERNS))
 
     # ------------------------------------------------ determinism matching
     def in_det_exempt_module(self, module: str) -> bool:
         """Is ``module`` outside the determinism pass's scope?"""
-        return any(module == pkg or module.startswith(pkg + ".")
-                   for pkg in self.det_exempt_modules)
+        return _in_packages(module, self.det_exempt_modules)
 
     def is_det_order_sink_name(self, name: str) -> bool:
         """Is a call to ``name`` an order-observable sink (DT604)?"""
@@ -443,8 +427,7 @@ class AnalysisConfig:
 
     def in_det_shard_package(self, module: str) -> bool:
         """Is ``module`` inside the shard-isolation scope (RC612)?"""
-        return any(module == pkg or module.startswith(pkg + ".")
-                   for pkg in self.det_shard_packages)
+        return _in_packages(module, self.det_shard_packages)
 
     def is_det_conduit_name(self, name: str) -> bool:
         """Is ``name`` an approved cross-shard transfer conduit?"""
@@ -453,8 +436,7 @@ class AnalysisConfig:
     # ------------------------------------------------ side-channel matching
     def in_sc_module(self, module: str) -> bool:
         """Is ``module`` inside the side-channel pass's scope?"""
-        return any(module == pkg or module.startswith(pkg + ".")
-                   for pkg in self.sc_modules)
+        return _in_packages(module, self.sc_modules)
 
     def is_sc_secret_name(self, name: str) -> bool:
         """Does ``name`` seed timing taint in the side-channel pass?"""
@@ -505,9 +487,9 @@ class AnalysisConfig:
         """Default config overlaid with ``[tool.trust-lint]`` from a file.
 
         The recognized keys are those of :data:`_OVERRIDES`: the top
-        table plus its ``taint``, ``verify``, ``det``, ``contract`` and
-        ``sc`` sub-tables.  Unknown keys are rejected so typos fail
-        loudly.
+        table plus its ``taint``, ``det``, ``contract`` and ``sc``
+        sub-tables.  Unknown keys are rejected, so typos and keys this
+        version no longer reads fail loudly.
         """
         import tomllib
 
@@ -550,7 +532,6 @@ _OVERRIDES: dict[str, dict[str, tuple[str, Callable]]] = {
     "": {
         "paths": ("default_paths", _str_tuple),
         "disable": ("disabled_rules", _str_tuple),
-        "baseline": ("baseline_path", str),
         "extend-secret-patterns": ("secret_patterns", _lower_tuple),
         "extend-public-patterns": ("public_patterns", _lower_tuple),
     },
@@ -558,12 +539,6 @@ _OVERRIDES: dict[str, dict[str, tuple[str, Callable]]] = {
         "extend-sources": ("taint_sources", _lower_tuple),
         "extend-sinks": ("taint_sinks", _lower_tuple),
         "extend-sanitizers": ("taint_sanitizers", _lower_tuple),
-    },
-    "verify": {
-        "depth": ("verify_depth", int),
-        "max-states": ("verify_max_states", int),
-        "entries": ("verify_entries", _str_tuple),
-        "adversary": ("verify_adversary", bool),
     },
     "det": {
         "exempt-modules": ("det_exempt_modules", _str_tuple),

@@ -65,9 +65,12 @@ class EndpointDecl:
     handler_qualname: str
     ctx: ModuleContext
     node: ast.AST  # the handler's def
-    request_fields: set = field(default_factory=set)  # require() schema
-    reads: set = field(default_factory=set)  # fields[...]/.get reads
-    responses: list = field(default_factory=list)  # EnvelopeSite list
+    #: The ``require()`` schema.
+    request_fields: set = field(init=False, default_factory=set)
+    #: ``fields[...]``/``.get`` reads.
+    reads: set = field(init=False, default_factory=set)
+    #: EnvelopeSite list.
+    responses: list = field(init=False, default_factory=list)
 
 
 @dataclass
@@ -103,31 +106,46 @@ class FieldRead:
 
 @dataclass
 class WireContract:
-    """Everything extracted from one analysis run's module set."""
+    """Everything extracted from one analysis run's module set.
 
-    msg_constants: dict = field(default_factory=dict)  # qualname -> literal
-    endpoints: dict = field(default_factory=dict)  # msg -> EndpointDecl
-    server_messages: dict = field(default_factory=dict)  # msg -> field set
-    server_sites: list = field(default_factory=list)
-    client_messages: dict = field(default_factory=dict)  # msg -> field set
-    client_sites: list = field(default_factory=list)
-    client_reads: set = field(default_factory=set)  # aggregated consumption
-    reader_literals: set = field(default_factory=set)  # all client-side strs
-    strict_reads: list = field(default_factory=list)  # FieldRead list
-    reasons: dict = field(default_factory=dict)  # reason -> [ReasonSite]
-    gates: list = field(default_factory=list)  # VersionGate list
-    protocol_version: int | None = None
-    version_site: tuple | None = None  # (ctx, node) of the assign
-    supported_versions: frozenset | None = None
-    supported_symbols: set = field(default_factory=set)
-    supported_site: tuple | None = None
-    decode_functions: list = field(default_factory=list)  # (ctx, node, qn)
-    dispatch_functions: list = field(default_factory=list)
-    swallowed: list = field(default_factory=list)  # (ctx, handler, qn)
-    has_server: bool = False
-    has_client: bool = False
-    has_codec: bool = False
-    has_reader: bool = False
+    The extraction phases fill every field; nothing passes one in.
+    """
+
+    #: qualname -> message-type literal.
+    msg_constants: dict = field(init=False, default_factory=dict)
+    #: msg -> EndpointDecl.
+    endpoints: dict = field(init=False, default_factory=dict)
+    #: msg -> field set.
+    server_messages: dict = field(init=False, default_factory=dict)
+    server_sites: list = field(init=False, default_factory=list)
+    #: msg -> field set.
+    client_messages: dict = field(init=False, default_factory=dict)
+    client_sites: list = field(init=False, default_factory=list)
+    #: Aggregated consumption.
+    client_reads: set = field(init=False, default_factory=set)
+    #: Every client-side string literal.
+    reader_literals: set = field(init=False, default_factory=set)
+    #: FieldRead list.
+    strict_reads: list = field(init=False, default_factory=list)
+    #: reason -> [ReasonSite].
+    reasons: dict = field(init=False, default_factory=dict)
+    #: VersionGate list.
+    gates: list = field(init=False, default_factory=list)
+    protocol_version: int | None = field(init=False, default=None)
+    #: (ctx, node) of the assignment.
+    version_site: tuple | None = field(init=False, default=None)
+    supported_versions: frozenset | None = field(init=False, default=None)
+    supported_symbols: set = field(init=False, default_factory=set)
+    supported_site: tuple | None = field(init=False, default=None)
+    #: (ctx, node, qualname) triples.
+    decode_functions: list = field(init=False, default_factory=list)
+    dispatch_functions: list = field(init=False, default_factory=list)
+    #: (ctx, handler, qualname) triples.
+    swallowed: list = field(init=False, default_factory=list)
+    has_server: bool = field(init=False, default=False)
+    has_client: bool = field(init=False, default=False)
+    has_codec: bool = field(init=False, default=False)
+    has_reader: bool = field(init=False, default=False)
 
 
 # --------------------------------------------------------------- utilities

@@ -56,7 +56,8 @@ class Finding:
 
     Dataflow rules (SF110/SF111, SC800–SC805) attach the full source-to-sink
     ``trace``; purely syntactic rules leave it empty.  The trace never
-    enters the fingerprint, so baselines survive trace refinements.
+    enters the fingerprint, so SARIF's ``partialFingerprints`` survive
+    trace refinements.
     """
 
     rule: str
@@ -70,7 +71,8 @@ class Finding:
     severity: str = "error"  # "error" | "warning" | "note"
 
     def fingerprint(self) -> str:
-        """Stable id used by the baseline: survives pure line motion."""
+        """Stable id for SARIF's ``partialFingerprints``: survives pure
+        line motion."""
         basis = f"{self.module}::{self.rule}::{self.source_line.strip()}"
         return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
 
@@ -92,11 +94,14 @@ class ModuleContext:
     is_package: bool = False  # True for a package __init__.py
     lines: list[str] = field(default_factory=list)
     #: line number -> rule ids suppressed there (``None`` = all rules).
-    line_suppressions: dict[int, set[str] | None] = field(default_factory=dict)
+    line_suppressions: dict[int, set[str] | None] = field(
+        init=False, default_factory=dict)
     #: rule ids suppressed for the whole file (``None`` = all rules).
-    file_suppressions: set[str] | None = field(default_factory=set)
+    file_suppressions: set[str] | None = field(init=False,
+                                               default_factory=set)
     #: line number -> the ``-- reason`` text of its directive, when given.
-    suppression_reasons: dict[int, str] = field(default_factory=dict)
+    suppression_reasons: dict[int, str] = field(init=False,
+                                                default_factory=dict)
 
     @classmethod
     def build(cls, path: Path, display_path: str, module: str,
@@ -182,7 +187,7 @@ class Rule:
 
     Subclasses set ``id``/``name``/``summary`` and implement
     :meth:`check`.  ``id`` is the stable identifier used in reports,
-    suppression comments, baselines and config.
+    suppression comments and config.
     """
 
     id: str = ""
@@ -200,7 +205,7 @@ class ProjectRule(Rule):
     """A rule computed over the whole project at once, not per module.
 
     Project rules (the taint rules) exist in the registry so they share
-    the id/enable/suppress/baseline machinery, but the engine never calls
+    the id/enable/suppress machinery, but the engine never calls
     their per-module :meth:`check`; their findings come out of the
     project-wide pass in :mod:`repro.analysis.taint`.
     """

@@ -17,15 +17,15 @@ taint pass's symbol table and call graph:
 3. :mod:`.escape` — RC610/611/612: state that crosses the shard
    boundary outside the wire codec / migration conduits.
 
-Entry point: :func:`run_det` mirrors ``run_taint`` — it takes the same
-module contexts and returns findings sorted by location.
+Entry point: :func:`run_det` takes the module contexts and the engine's
+shared symbol index, and returns findings sorted by location.
 """
 
 from __future__ import annotations
 
 from ..config import AnalysisConfig
 from ..core import Finding, ModuleContext, get_rule
-from ..taint.symbols import ProjectIndex, build_index
+from ..taint.symbols import ProjectIndex
 from .escape import check_escapes
 from .flow import OrderFlowAnalysis
 from .syntactic import check_module_sources
@@ -34,14 +34,12 @@ __all__ = ["run_det"]
 
 
 def run_det(contexts: list[ModuleContext], config: AnalysisConfig,
-            index: ProjectIndex | None = None) -> list[Finding]:
+            index: ProjectIndex) -> list[Finding]:
     """Run all three determinism passes; returns sorted findings.
 
-    ``index`` lets the engine share one symbol table between the taint
-    and determinism stages when both are requested.
+    ``index`` is the one symbol table the engine builds for every stage
+    of a run.
     """
-    if index is None:
-        index = build_index(contexts)
     findings: list[Finding] = []
     emitted: set[tuple] = set()
 

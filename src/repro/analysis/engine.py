@@ -3,8 +3,8 @@
 The engine owns everything between "a list of paths" and "a list of
 findings": Python-file discovery, dotted-module-name recovery (walking up
 ``__init__.py`` markers so rules see ``repro.net.webserver`` regardless of
-where the tree is checked out), rule execution, suppression filtering and
-baseline subtraction.
+where the tree is checked out), rule execution and suppression
+filtering.
 
 Two kinds of work run.  The per-module rules look at one file at a
 time; the project-wide stages of :data:`STAGES` (taint, det, contract,
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .baseline import apply_baseline
 from .config import AnalysisConfig
 from .contract import run_contract
 from .core import Finding, ModuleContext, ProjectRule, all_rules
@@ -40,8 +39,7 @@ from .taint import TaintAnalysis
 from .taint.symbols import ProjectIndex, build_index
 
 __all__ = ["AnalysisReport", "STAGES", "Stage", "analyze_paths",
-           "analyze_source", "analyze_sources", "build_contexts",
-           "module_name_for"]
+           "analyze_sources", "build_contexts", "module_name_for"]
 
 #: Below this many files a process pool costs more than it saves.
 _PARALLEL_THRESHOLD = 24
@@ -91,25 +89,25 @@ class AnalysisReport:
     """Outcome of one analysis run."""
 
     findings: list[Finding] = field(default_factory=list)
-    parse_errors: list[tuple[str, str]] = field(default_factory=list)
-    files_scanned: int = 0
-    suppressed_count: int = 0
-    baselined_count: int = 0
     #: Names of the project-wide stages that ran, in :data:`STAGES` order.
     stages: tuple[str, ...] = ()
+    #: Exploration statistics when this report came from ``repro-lint
+    #: verify`` (states, transitions, per-scenario breakdown); else None.
+    verify_stats: dict | None = None
+    parse_errors: list[tuple[str, str]] = field(init=False,
+                                                default_factory=list)
+    files_scanned: int = field(init=False, default=0)
+    suppressed_count: int = field(init=False, default=0)
     #: Busy seconds and reported findings per stage, ``"lint"`` (the
     #: per-module scan) first: ``{"lint": {"elapsed_s": ...,
     #: "findings": ...}}``.  Each stage reports its own clock (the scan
     #: the sum of its per-file times), so overlapped stages can sum to
     #: more than the run's total wall time.
-    stage_stats: dict = field(default_factory=dict)
-    #: Exploration statistics when this report came from ``repro-lint
-    #: verify`` (states, transitions, per-scenario breakdown); else None.
-    verify_stats: dict | None = None
+    stage_stats: dict = field(init=False, default_factory=dict)
 
     @property
     def clean(self) -> bool:
-        """No new findings and every file parsed."""
+        """No findings and every file parsed."""
         return not self.findings and not self.parse_errors
 
 
@@ -253,7 +251,6 @@ def build_contexts(
 
 def analyze_paths(paths: list[Path] | list[str],
                   config: AnalysisConfig | None = None,
-                  baseline: dict[str, int] | None = None,
                   *, taint: bool = False, det: bool = False,
                   contract: bool = False, sc: bool = False,
                   jobs: int | None = None) -> AnalysisReport:
@@ -307,41 +304,27 @@ def analyze_paths(paths: list[Path] | list[str],
             ran[stage.name] = _stage_worker(stage, inputs)
 
     report = AnalysisReport(stages=tuple(s.name for s in stages))
-    raw_findings: list[Finding] = []
     for result in scanned:  # submission order: deterministic
         if result["error"] is not None:
             report.parse_errors.append((result["display"], result["error"]))
             continue
         report.files_scanned += 1
         report.suppressed_count += result["suppressed"]
-        raw_findings.extend(result["findings"])
+        report.findings.extend(result["findings"])
     report.stage_stats["lint"] = {
         "elapsed_s": sum(result["elapsed_s"] for result in scanned)}
     stage_of_rule: dict[str, str] = {}
     for stage in stages:
         findings, elapsed = ran[stage.name]
-        raw_findings.extend(findings)
+        report.findings.extend(findings)
         stage_of_rule.update((f.rule, stage.name) for f in findings)
         report.stage_stats[stage.name] = {"elapsed_s": elapsed}
-    raw_findings.sort(key=_location)
-    report.findings, report.baselined_count = apply_baseline(
-        raw_findings, baseline or {})
+    report.findings.sort(key=_location)
     counts = Counter(stage_of_rule.get(f.rule, "lint")
                      for f in report.findings)
     for name, stats in report.stage_stats.items():
         stats["findings"] = counts[name]
     return report
-
-
-def analyze_source(source: str, module: str = "snippet",
-                   config: AnalysisConfig | None = None,
-                   is_package: bool = False,
-                   taint: bool = False, det: bool = False,
-                   contract: bool = False, sc: bool = False) -> list[Finding]:
-    """Run the rules over one in-memory snippet (test/fixture entry point)."""
-    return analyze_sources({module: source}, config=config,
-                           is_package=is_package, taint=taint, det=det,
-                           contract=contract, sc=sc)
 
 
 def analyze_sources(sources: dict[str, str],

@@ -45,8 +45,6 @@ def render_text(report: AnalysisReport) -> str:
     extras = []
     if report.suppressed_count:
         extras.append(f"{report.suppressed_count} suppressed")
-    if report.baselined_count:
-        extras.append(f"{report.baselined_count} baselined")
     if report.parse_errors:
         extras.append(f"{len(report.parse_errors)} unparseable")
     if extras:
@@ -82,7 +80,6 @@ def render_json(report: AnalysisReport) -> str:
         "clean": report.clean,
         "files_scanned": report.files_scanned,
         "suppressed": report.suppressed_count,
-        "baselined": report.baselined_count,
         "taint_ran": "taint" in report.stages,
         "parse_errors": [
             {"path": display, "message": message}

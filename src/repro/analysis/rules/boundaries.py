@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..config import AnalysisConfig
+from ..config import LAYERING, AnalysisConfig
 from ..core import Finding, ModuleContext, Rule, register
 
 __all__ = ["TrustBoundaryImports"]
@@ -48,7 +48,7 @@ class TrustBoundaryImports(Rule):
 
     def check(self, ctx: ModuleContext,
               config: AnalysisConfig) -> Iterator[Finding]:
-        allowed = config.layering.get(ctx.package)
+        allowed = LAYERING.get(ctx.package)
         if allowed is None:
             return  # unconstrained package
         permitted = allowed | {ctx.package}

@@ -2,8 +2,8 @@
 
 Like the taint and determinism rules, these are
 :class:`~repro.analysis.core.ProjectRule` registrations: the ids live in
-the registry for ``--list-rules``, config enable/disable, suppressions
-and baselines, but the findings come out of the project-wide contract
+the registry for ``--list-rules``, config enable/disable and
+suppressions, but the findings come out of the project-wide contract
 pass in :mod:`repro.analysis.contract` (``repro-lint --contract``).
 
 Rule → protocol-promotion invariant mapping:

@@ -24,7 +24,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..config import AnalysisConfig
+from ..config import (WEAK_HASH_ALLOWED_MODULES, WEAK_HASH_NAMES,
+                      AnalysisConfig)
 from ..core import Finding, ModuleContext, Rule, register, terminal_name
 
 __all__ = ["StdlibRandomInCrypto", "TimingUnsafeComparison",
@@ -106,25 +107,26 @@ class WeakHashOutsideFramePath(Rule):
 
     def check(self, ctx: ModuleContext,
               config: AnalysisConfig) -> Iterator[Finding]:
-        if ctx.module in config.weak_hash_allowed_modules:
+        if ctx.module in WEAK_HASH_ALLOWED_MODULES:
             return
-        weak = frozenset(config.weak_hash_names)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom):
                 for alias in node.names:
-                    if alias.name in weak:
+                    if alias.name in WEAK_HASH_NAMES:
                         yield ctx.finding(
                             self.id, node,
                             f"weak hash {alias.name!r} imported outside the "
                             "frame-hash display path")
             elif isinstance(node, ast.Name):
-                if node.id in weak and isinstance(node.ctx, ast.Load):
+                if node.id in WEAK_HASH_NAMES \
+                        and isinstance(node.ctx, ast.Load):
                     yield ctx.finding(
                         self.id, node,
                         f"weak hash {node.id!r} referenced outside the "
                         "frame-hash display path")
             elif isinstance(node, ast.Attribute):
-                if node.attr in weak and isinstance(node.ctx, ast.Load):
+                if node.attr in WEAK_HASH_NAMES \
+                        and isinstance(node.ctx, ast.Load):
                     yield ctx.finding(
                         self.id, node,
                         f"weak hash .{node.attr} referenced outside the "

@@ -2,7 +2,7 @@
 
 These are :class:`~repro.analysis.core.ProjectRule` subclasses like the
 taint rules: registering them here gives them ids, ``--list-rules``
-entries, config enable/disable, suppression and baseline support — but
+entries, config enable/disable and suppression support — but
 their findings are computed by the project-wide determinism pass in
 :mod:`repro.analysis.determinism`, which the engine runs when asked
 (``repro-lint --det``).

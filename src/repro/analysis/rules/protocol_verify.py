@@ -2,7 +2,7 @@
 
 These are :class:`~repro.analysis.core.ProjectRule` subclasses like the
 taint family: registering them here gives them ids, ``--list-rules``
-entries, config enable/disable, suppression and baseline support, while
+entries and config enable/disable, while
 their findings come out of the explicit-state model checker in
 :mod:`repro.analysis.verify` rather than a per-module ``check``.
 

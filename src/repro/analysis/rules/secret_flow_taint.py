@@ -2,7 +2,7 @@
 
 These rules are :class:`~repro.analysis.core.ProjectRule` subclasses:
 registering them here gives them ids, ``--list-rules`` entries, config
-enable/disable, suppression and baseline support — but their findings
+enable/disable and suppression support — but their findings
 are computed by the interprocedural pass in :mod:`repro.analysis.taint`,
 not by a per-module ``check``.  The engine runs that pass when taint
 analysis is requested (``repro-lint --taint``).
@@ -30,8 +30,6 @@ CD210 (retired)
     register is subsumed by SC805 in the side-channel stage
     (:mod:`repro.analysis.rules.sidechannel`), which follows the same
     MAC/digest lattice interprocedurally across all six SC sinks.
-    Stale CD210 baseline entries simply never match; rewrite them with
-    ``--update-baseline`` (without ``--merge``) at the next refresh.
 SF101 (retired)
     Folded into SF110: a secret passed by its own name reports there.
 """

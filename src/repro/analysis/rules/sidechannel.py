@@ -2,8 +2,8 @@
 
 These are :class:`~repro.analysis.core.ProjectRule` subclasses like the
 taint and determinism rules: registering them here gives them ids,
-``--list-rules`` entries, config enable/disable, suppression and
-baseline support — but their findings are computed by the project-wide
+``--list-rules`` entries, config enable/disable and suppression
+support — but their findings are computed by the project-wide
 side-channel pass in :mod:`repro.analysis.sidechannel`, which the
 engine runs when asked (``repro-lint --sc``).
 
@@ -28,9 +28,8 @@ analysis; the branch-trace witness pins the Python-level trace instead).
 
 SC805 subsumes and retires the purely local CD210: the same
 MAC/digest-producer lattice now flows interprocedurally and reports
-with full source-to-sink traces.  Baselines carrying CD210 fingerprints
-stay valid — stale entries simply never match — but should be rewritten
-with ``--update-baseline`` (without ``--merge``) at the next refresh.
+with full source-to-sink traces.  ``CD210`` is no rule id any more, so
+``--disable`` and ``[tool.trust-lint] disable`` reject it.
 """
 
 from __future__ import annotations

@@ -19,28 +19,26 @@ byte-identical operation traces — the interpreter-level check the
 static lattice cannot make about CPython's own internals.
 
 Entry point: :func:`run_sc` mirrors ``run_det`` — same module contexts
-in, findings sorted by location out, with an optional shared index.
+and shared index in, findings sorted by location out.
 """
 
 from __future__ import annotations
 
 from ..config import AnalysisConfig
 from ..core import Finding, ModuleContext
-from ..taint.symbols import ProjectIndex, build_index
+from ..taint.symbols import ProjectIndex
 from .flow import SidechannelAnalysis
 
 __all__ = ["run_sc", "SidechannelAnalysis"]
 
 
 def run_sc(contexts: list[ModuleContext], config: AnalysisConfig,
-           index: ProjectIndex | None = None) -> list[Finding]:
+           index: ProjectIndex) -> list[Finding]:
     """Run the side-channel flow pass; returns sorted findings.
 
-    ``index`` lets the engine share one symbol table between the taint,
-    determinism and side-channel stages when several are requested.
+    ``index`` is the one symbol table the engine builds for every stage
+    of a run.
     """
-    if index is None:
-        index = build_index(contexts)
     flow = SidechannelAnalysis(contexts, config, index=index)
     findings = flow.run()
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))

@@ -92,8 +92,8 @@ class _WalkState:
     def_name: str | None = None
     env: dict = field(default_factory=dict)  # var name -> Taint
     var_types: dict = field(default_factory=dict)  # var -> class qualname
-    sanitizer_depth: int = 0
-    in_raise: bool = False
+    sanitizer_depth: int = field(init=False, default=0)
+    in_raise: bool = field(init=False, default=False)
 
 
 class TaintAnalysis:

@@ -145,16 +145,16 @@ class FunctionSummary:
 
     qualname: str
     #: Source tokens the return value carries (traces end at a return).
-    returns: Taint = field(default_factory=dict)
+    returns: Taint = field(init=False, default_factory=dict)
     #: Parameters whose taint flows into the return value.
-    param_returns: set = field(default_factory=set)
+    param_returns: set = field(init=False, default_factory=set)
     #: param name -> sink/compare records its taint reaches.
-    param_sinks: dict = field(default_factory=dict)
+    param_sinks: dict = field(init=False, default_factory=dict)
     #: param name -> ``self`` attribute names it is stored into.
-    param_self_attrs: dict = field(default_factory=dict)
+    param_self_attrs: dict = field(init=False, default_factory=dict)
     #: param name -> other param names whose object it is stored into
     #: (container/attribute mutation visible to the caller).
-    param_stores: dict = field(default_factory=dict)
+    param_stores: dict = field(init=False, default_factory=dict)
 
     def add_param_sink(self, param: str, record: SinkRecord) -> bool:
         """Record a param-reachable sink; True if it is new."""

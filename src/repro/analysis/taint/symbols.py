@@ -69,9 +69,9 @@ class FunctionInfo:
     is_property: bool = False
     is_static: bool = False
     #: param name -> class qualname, from annotations (resolved in phase 2).
-    param_types: dict = field(default_factory=dict)
+    param_types: dict = field(init=False, default_factory=dict)
     #: class qualname the return annotation resolves to, if any.
-    returns_type: str | None = None
+    returns_type: str | None = field(init=False, default=None)
 
     @property
     def all_params(self) -> tuple[str, ...]:
@@ -91,12 +91,15 @@ class ClassInfo:
     module: str
     name: str
     node: ast.ClassDef
-    bases: tuple[str, ...] = ()  # resolved dotted names, best-effort
-    methods: dict = field(default_factory=dict)  # name -> function qualname
     is_dataclass: bool = False
-    fields: tuple[str, ...] = ()  # dataclass field order (AnnAssign order)
+    #: Resolved dotted names, best-effort.
+    bases: tuple[str, ...] = field(init=False, default=())
+    #: name -> function qualname.
+    methods: dict = field(init=False, default_factory=dict)
+    #: Dataclass field order (AnnAssign order).
+    fields: tuple[str, ...] = field(init=False, default=())
     #: attribute name -> class qualname (annotations + __init__ inference).
-    attr_types: dict = field(default_factory=dict)
+    attr_types: dict = field(init=False, default_factory=dict)
 
 
 class ProjectIndex:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from ..config import AnalysisConfig
 from ..core import Finding, TraceHop
 from .explorer import explore_scenario
 from .model import MUTATIONS, SCENARIOS, VerifyOptions
@@ -108,28 +107,17 @@ def _to_finding(violation) -> Finding:
         source_line=text, trace=tuple(trace), severity=severity)
 
 
-def run_verify(config: AnalysisConfig | None = None, *,
-               depth: int | None = None,
-               max_states: int | None = None,
-               entries: tuple[str, ...] | list[str] | None = None,
-               adversary: bool | None = None,
-               malware: bool = True,
-               mutations: tuple[str, ...] | list[str] = (),
+def run_verify(*, depth: int = VerifyOptions.depth,
+               max_states: int = VerifyOptions.max_states,
+               entries: tuple[str, ...] = tuple(SCENARIOS),
+               adversary: bool = VerifyOptions.adversary,
+               mutations: tuple[str, ...] = (),
                ) -> tuple[list[Finding], dict]:
     """Model-check the protocol; return (findings, statistics).
 
-    Explicit keyword arguments override ``config`` (the
-    ``[tool.trust-lint.verify]`` table); with neither, defaults match
-    the CI pin: depth 12, all six entry points, adversary enabled.
+    The defaults match the CI pin: depth 12, at most 150,000 states per
+    scenario, all six entry points, adversary enabled.
     """
-    if config is None:
-        config = AnalysisConfig()
-    depth = config.verify_depth if depth is None else depth
-    max_states = (config.verify_max_states
-                  if max_states is None else max_states)
-    if entries is None:
-        entries = config.verify_entries or tuple(SCENARIOS)
-    adversary = config.verify_adversary if adversary is None else adversary
     for name in entries:
         if name not in SCENARIOS:
             raise ValueError(
@@ -143,7 +131,7 @@ def run_verify(config: AnalysisConfig | None = None, *,
 
     opts = VerifyOptions(
         depth=depth, max_states=max_states, adversary=adversary,
-        malware=malware, mutations=frozenset(mutations))
+        mutations=frozenset(mutations))
 
     findings: list[Finding] = []
     scenario_stats = []

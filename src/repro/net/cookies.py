@@ -90,11 +90,12 @@ def decode_cookie(header: str) -> Envelope:
     """Parse a ``Cookie:`` header value back into an envelope.
 
     Non-``trust-`` attributes (ordinary site cookies sharing the header)
-    are ignored; a missing type attribute or any malformed ``trust-``
-    attribute raises :class:`ProtocolError`.
+    are ignored; a missing type attribute, a repeated ``trust-``
+    attribute or any malformed one raises :class:`ProtocolError`.
     """
     msg_type: str | None = None
     fields: dict = {}
+    seen: set[str] = set()
     for part in header.split(";"):
         part = part.strip()
         if not part or "=" not in part:
@@ -103,6 +104,11 @@ def decode_cookie(header: str) -> Envelope:
         name = name.strip()
         if not name.startswith(_PREFIX):
             continue  # unrelated cookie riding the same header
+        if name in seen:
+            # Keeping either copy would let one override the other;
+            # ``decode_envelope`` refuses a repeated field the same way.
+            raise ProtocolError("malformed-cookie", f"repeated {name}")
+        seen.add(name)
         field_name = name[len(_PREFIX):]
         value = _decode_value(encoded.strip())
         if field_name == "type":

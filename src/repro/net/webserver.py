@@ -2,11 +2,11 @@
 
 The server owns a CA-signed key pair, an account database mapping accounts
 to device public keys (established by the Fig. 9 binding), per-login
-sessions keyed by a session id, one-time nonces, and two audit logs: frame
-hashes (what each user actually saw when they acted) and per-request risk
-reports.  Every verification failure raises :class:`ProtocolError` with a
-stable reason code and increments a rejection counter — the attack
-benchmarks assert on those codes.
+sessions keyed by a session id, one-time nonces, and one audit log: frame
+hashes (what each user actually saw when they acted).  Every verification
+failure raises :class:`ProtocolError` with a stable reason code and
+increments a rejection counter — the attack benchmarks assert on those
+codes.
 
 Inbound traffic enters through **one** uniform entry point,
 :meth:`WebServer.dispatch`, which routes on the envelope's ``MSG_*`` type
@@ -80,7 +80,6 @@ class SessionState:
     session_key: bytes
     expected_nonce: bytes
     request_count: int = field(default=0, init=False)
-    risk_reports: list[float] = field(default_factory=list, init=False)
     #: The challenge nonce awaiting an answer, if any.
     pending_challenge: bytes | None = field(default=None, init=False)
     challenges_issued: int = field(default=0, init=False)
@@ -404,7 +403,6 @@ class WebServer:
             session_id=session_id, account=account,
             session_key=session_key, expected_nonce=next_nonce,
         )
-        session.risk_reports.append(risk)
         self._sessions[session_id] = session
         self.frame_audit_log.append((account, envelope.fields["frame_hash"]))
 
@@ -440,7 +438,6 @@ class WebServer:
         self._consume_nonce(session.expected_nonce,
                             f"session:{session.session_id}")
         risk = float(envelope.fields["risk"])
-        session.risk_reports.append(risk)
         self.frame_audit_log.append(
             (session.account, envelope.fields["frame_hash"]))
 

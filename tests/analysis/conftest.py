@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import AnalysisConfig, analyze_source
+from repro.analysis import AnalysisConfig, analyze_sources
 
 
 @pytest.fixture
@@ -15,8 +15,8 @@ def lint():
 
     def _lint(source: str, module: str = "somepkg.somemod",
               config: AnalysisConfig | None = None, is_package: bool = False):
-        return analyze_source(textwrap.dedent(source), module=module,
-                              config=config, is_package=is_package)
+        return analyze_sources({module: textwrap.dedent(source)},
+                               config=config, is_package=is_package)
 
     return _lint
 

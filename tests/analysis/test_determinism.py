@@ -2,21 +2,17 @@
 
 One seeded mutation fixture per rule, each asserting the expected
 finding *and* its trace; config tests for the ``[tool.trust-lint.det]``
-sub-table; cross-stage interaction tests (suppressions and baselines
-keep rule families distinct); and the ``--changed-only`` pre-commit
-filter against a throwaway git repo.
+sub-table; and cross-stage interaction tests (suppressions and
+fingerprints keep rule families distinct).
 """
 
 from __future__ import annotations
 
-import subprocess
 import textwrap
 
 import pytest
 
 from repro.analysis import AnalysisConfig, analyze_sources
-from repro.analysis.baseline import update_baseline
-from repro.analysis.cli import main
 
 
 def det_lint(sources, config=None, taint=False):
@@ -355,9 +351,9 @@ class TestCrossStageInteraction:
         assert by_rule(findings, "SF110")
         assert not by_rule(findings, "DT604")
 
-    def test_baseline_merge_keeps_rule_families_distinct(self, tmp_path):
-        """An SF and a DT finding on the same line stay separate
-        baseline entries — fingerprints include the rule id."""
+    def test_fingerprints_keep_rule_families_distinct(self):
+        """An SF and a DT finding on the same line keep separate SARIF
+        ``partialFingerprints``: fingerprints include the rule id."""
         source = textwrap.dedent("""
         def leak(session_key, shards):
             alias = session_key
@@ -369,94 +365,3 @@ class TestCrossStageInteraction:
         dt = by_rule(findings, "DT604")
         assert sf and dt
         assert sf[0].fingerprint() != dt[0].fingerprint()
-        path = tmp_path / "baseline.json"
-        update_baseline(str(path), sf)
-        added, removed, kept = update_baseline(str(path), dt, merge=True)
-        assert added == len(dt) and removed == 0 and kept == len(sf)
-
-
-def _git(tmp_path, *args):
-    subprocess.run(["git", *args], cwd=tmp_path, check=True,
-                   capture_output=True)
-
-
-class TestChangedOnly:
-    @pytest.fixture
-    def fixture_repo(self, tmp_path):
-        _git(tmp_path, "init", "-q")
-        _git(tmp_path, "config", "user.email", "t@example.com")
-        _git(tmp_path, "config", "user.name", "t")
-        clean = tmp_path / "clean.py"
-        clean.write_text("def ok():\n    return 1\n")
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("def ok():\n    return 2\n")
-        _git(tmp_path, "add", "-A")
-        _git(tmp_path, "commit", "-qm", "seed")
-        return tmp_path
-
-    def test_only_changed_files_are_scanned(self, fixture_repo,
-                                            monkeypatch, capsys):
-        (fixture_repo / "dirty.py").write_text(
-            "import random\n\ndef jitter():\n    return random.random()\n")
-        monkeypatch.chdir(fixture_repo)
-        code = main([".", "--no-config", "--det", "--changed-only"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "DT602" in out
-        assert "1 file(s)" in out  # clean.py was filtered out
-
-    def test_no_changes_scans_nothing(self, fixture_repo, monkeypatch,
-                                      capsys):
-        monkeypatch.chdir(fixture_repo)
-        code = main([".", "--no-config", "--det", "--changed-only"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "0 file(s)" in out
-
-    def test_since_ref_widens_the_diff(self, fixture_repo, monkeypatch,
-                                       capsys):
-        (fixture_repo / "dirty.py").write_text(
-            "import random\n\ndef jitter():\n    return random.random()\n")
-        _git(fixture_repo, "add", "-A")
-        _git(fixture_repo, "commit", "-qm", "introduce rng")
-        monkeypatch.chdir(fixture_repo)
-        # vs HEAD: nothing pending; vs HEAD~1: the rng file.
-        assert main([".", "--no-config", "--det", "--changed-only"]) == 0
-        capsys.readouterr()
-        code = main([".", "--no-config", "--det", "--changed-only",
-                     "--since", "HEAD~1"])
-        assert code == 1
-        assert "DT602" in capsys.readouterr().out
-
-    def test_dependents_of_changed_files_are_rescanned(self, fixture_repo,
-                                                       monkeypatch, capsys):
-        """Editing a module pulls its importers/callers into the scan:
-        clean.py has no edge to the edited file and stays filtered, but
-        caller.py -> callee.py -> (edit) makes both scan again, and the
-        dependency walk is transitive (outer.py -> caller.py)."""
-        (fixture_repo / "callee.py").write_text(
-            "def helper():\n    return 1\n")
-        (fixture_repo / "caller.py").write_text(
-            "from callee import helper\n\n\ndef use():\n"
-            "    return helper()\n")
-        (fixture_repo / "outer.py").write_text(
-            "import caller\n\n\ndef run():\n    return caller.use()\n")
-        _git(fixture_repo, "add", "-A")
-        _git(fixture_repo, "commit", "-qm", "add call chain")
-        (fixture_repo / "callee.py").write_text(
-            "import random\n\n\ndef helper():\n"
-            "    return random.random()\n")
-        monkeypatch.chdir(fixture_repo)
-        code = main([".", "--no-config", "--det", "--changed-only"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "DT602" in out
-        assert "3 file(s)" in out  # callee + caller + outer, not clean.py
-
-    def test_outside_git_is_a_usage_error(self, tmp_path, monkeypatch,
-                                          capsys):
-        (tmp_path / "mod.py").write_text("x = 1\n")
-        monkeypatch.chdir(tmp_path)
-        code = main([".", "--no-config", "--changed-only"])
-        assert code == 2
-        assert "--changed-only" in capsys.readouterr().err

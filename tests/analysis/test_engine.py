@@ -1,4 +1,4 @@
-"""Engine behaviour: file discovery, module naming, baselines, config."""
+"""Engine behaviour: file discovery, module naming, fingerprints, config."""
 
 from __future__ import annotations
 
@@ -11,13 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    AnalysisConfig,
-    analyze_paths,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis import AnalysisConfig, analyze_paths, render_sarif
+from repro.analysis.cli import main
+from repro.analysis.core import ModuleContext
 from repro.analysis.engine import module_name_for
 
 
@@ -91,66 +87,128 @@ class TestAnalyzePaths:
         assert report.clean
 
 
-class TestBaseline:
-    def test_baseline_grandfathers_existing_findings(self, tmp_path):
-        _write_pkg(tmp_path, "repro.crypto", "badmod", "import random\n")
-        first = analyze_paths([tmp_path])
-        assert len(first.findings) == 1
+#: Two findings on line 2 (RB302 and CD201), one CD201 on lines 1 and 3.
+_TWO_RULES = """\
+import random
+def f(items=[]): return random.random(){}
+import random as again
+"""
 
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, first.findings)
-        baseline = load_baseline(baseline_file)
 
-        second = analyze_paths([tmp_path], baseline=baseline)
-        assert second.clean
-        assert second.baselined_count == 1
+def _scan(tmp_path, source):
+    """Scan one ``repro.crypto`` module: (rule, line) pairs and the
+    suppressed count."""
+    _write_pkg(tmp_path, "repro.crypto", "badmod", source)
+    report = analyze_paths([tmp_path])
+    return ([(f.rule, f.line) for f in report.findings],
+            report.suppressed_count)
 
-    def test_new_finding_not_covered_by_baseline(self, tmp_path):
-        path = _write_pkg(tmp_path, "repro.crypto", "badmod",
-                          "import random\n")
-        first = analyze_paths([tmp_path])
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, first.findings)
 
-        path.write_text("import random\nfrom random import randrange\n")
-        report = analyze_paths([tmp_path],
-                               baseline=load_baseline(baseline_file))
-        assert len(report.findings) == 1  # only the new line
-        assert report.baselined_count == 1
+class TestSuppression:
+    """An inline ``# trust-lint: disable`` comment is the one way to
+    silence a finding: it covers the rules it names, on its own line or,
+    as ``disable-file``, in its own module."""
 
+    def test_unsuppressed_fixture(self, tmp_path):
+        assert _scan(tmp_path, _TWO_RULES.format("")) == (
+            [("CD201", 1), ("RB302", 2), ("CD201", 2), ("CD201", 3)], 0)
+
+    def test_line_directive_covers_only_its_line(self, tmp_path):
+        findings, suppressed = _scan(tmp_path, _TWO_RULES.format(
+            "  # trust-lint: disable=CD201"))
+        assert findings == [("CD201", 1), ("RB302", 2), ("CD201", 3)]
+        assert suppressed == 1
+
+    def test_rule_list_covers_each_listed_rule(self, tmp_path):
+        findings, suppressed = _scan(tmp_path, _TWO_RULES.format(
+            "  # trust-lint: disable=RB302, CD201"))
+        assert findings == [("CD201", 1), ("CD201", 3)]
+        assert suppressed == 2
+
+    def test_directive_for_another_rule_silences_nothing(self, tmp_path):
+        findings, suppressed = _scan(tmp_path, _TWO_RULES.format(
+            "  # trust-lint: disable=CD203"))
+        assert ("RB302", 2) in findings and ("CD201", 2) in findings
+        assert suppressed == 0
+
+    @pytest.mark.parametrize("directive", ["disable", "disable=*"],
+                             ids=["bare", "wildcard"])
+    def test_directive_without_rule_ids_covers_every_rule(self, tmp_path,
+                                                          directive):
+        findings, suppressed = _scan(tmp_path, _TWO_RULES.format(
+            f"  # trust-lint: {directive}"))
+        assert findings == [("CD201", 1), ("CD201", 3)]
+        assert suppressed == 2
+
+    def test_file_directive_covers_its_rule_on_every_line(self, tmp_path):
+        findings, suppressed = _scan(
+            tmp_path, "# trust-lint: disable-file=CD201\n"
+            + _TWO_RULES.format(""))
+        assert findings == [("RB302", 3)]
+        assert suppressed == 3
+
+    def test_bare_file_directive_covers_every_rule(self, tmp_path):
+        findings, suppressed = _scan(
+            tmp_path, "# trust-lint: disable-file\n" + _TWO_RULES.format(""))
+        assert findings == []
+        assert suppressed == 4
+
+    def test_directive_text_in_a_string_is_not_a_comment(self, tmp_path):
+        findings, suppressed = _scan(tmp_path, _TWO_RULES.format(
+            '; note = "# trust-lint: disable"'))
+        assert ("RB302", 2) in findings and ("CD201", 2) in findings
+        assert suppressed == 0
+
+    def test_reason_tail_is_recorded_per_line(self):
+        source = ("import random  # trust-lint: disable=CD201 -- "
+                  "seeded fixture\n"
+                  "import os  # trust-lint: disable=CD201\n")
+        ctx = ModuleContext.build(Path("m.py"), "m.py", "repro.crypto.m",
+                                  source)
+        assert ctx.is_suppressed("CD201", 1)
+        assert not ctx.is_suppressed("RB302", 1)
+        assert ctx.suppression_reasons == {1: "seeded fixture"}
+
+
+class TestFingerprint:
     def test_fingerprint_survives_line_motion(self, tmp_path):
+        """SARIF's ``partialFingerprints`` keep matching a finding whose
+        line moved but whose text did not."""
         path = _write_pkg(tmp_path, "repro.crypto", "badmod",
                           "import random\n")
-        first = analyze_paths([tmp_path])
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, first.findings)
-
+        (before,) = analyze_paths([tmp_path]).findings
         path.write_text("# a new leading comment\nimport random\n")
-        report = analyze_paths([tmp_path],
-                               baseline=load_baseline(baseline_file))
-        assert report.clean
-        assert report.baselined_count == 1
+        (after,) = analyze_paths([tmp_path]).findings
+        assert after.line == before.line + 1
+        assert after.fingerprint() == before.fingerprint()
 
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == {}
+    def test_fingerprint_follows_the_line_text(self, tmp_path):
+        path = _write_pkg(tmp_path, "repro.crypto", "badmod",
+                          "import random\n")
+        (before,) = analyze_paths([tmp_path]).findings
+        path.write_text("import random as rnd\n")
+        (after,) = analyze_paths([tmp_path]).findings
+        assert (after.rule, after.line) == (before.rule, before.line)
+        assert after.fingerprint() != before.fingerprint()
 
-    def test_bad_version_is_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text('{"version": 99, "entries": {}}')
-        with pytest.raises(ValueError):
-            load_baseline(bad)
+    def test_fingerprint_names_the_module(self, tmp_path):
+        _write_pkg(tmp_path, "repro.crypto", "one", "import random\n")
+        _write_pkg(tmp_path, "repro.crypto", "two", "import random\n")
+        one, two = analyze_paths([tmp_path]).findings
+        assert {one.module, two.module} == {"repro.crypto.one",
+                                            "repro.crypto.two"}
+        assert one.fingerprint() != two.fingerprint()
 
-    def test_apply_baseline_respects_counts(self, tmp_path):
+    def test_sarif_carries_the_fingerprint(self, tmp_path):
         _write_pkg(tmp_path, "repro.crypto", "badmod",
                    "import random\nimport random\n")
         report = analyze_paths([tmp_path])
-        assert len(report.findings) == 2
-        # Both findings share one fingerprint (same stripped line); a
-        # baseline recording one occurrence forgives exactly one.
-        fp = report.findings[0].fingerprint()
-        new, grandfathered = apply_baseline(report.findings, {fp: 1})
-        assert grandfathered == 1
-        assert len(new) == 1
+        results = json.loads(render_sarif(report))["runs"][0]["results"]
+        assert [r["partialFingerprints"]["trustLint/v1"] for r in results] \
+            == [f.fingerprint() for f in report.findings]
+        # The same text in one module: one fingerprint, two results.
+        assert len(results) == 2
+        assert len({f.fingerprint() for f in report.findings}) == 1
 
 
 def _ext(*added):
@@ -166,7 +224,6 @@ _KEY_CASES = [
     ("", "paths", ["Lib", "tools"], "default_paths", ("Lib", "tools")),
     ("", "disable", ["RB302", "CD201"], "disabled_rules",
      ("RB302", "CD201")),
-    ("", "baseline", "Base.json", "baseline_path", "Base.json"),
     ("", "extend-secret-patterns", ["*Pin*"], "secret_patterns",
      _ext("*pin*")),
     ("", "extend-public-patterns", ["Monkey*"], "public_patterns",
@@ -176,11 +233,6 @@ _KEY_CASES = [
     ("taint", "extend-sinks", ["Emit*"], "taint_sinks", _ext("emit*")),
     ("taint", "extend-sanitizers", ["Wrap*"], "taint_sanitizers",
      _ext("wrap*")),
-    ("verify", "depth", 7, "verify_depth", 7),
-    ("verify", "max-states", 999, "verify_max_states", 999),
-    ("verify", "entries", ["login", "register"], "verify_entries",
-     ("login", "register")),
-    ("verify", "adversary", False, "verify_adversary", False),
     ("det", "exempt-modules", ["Repro.Tools"], "det_exempt_modules",
      ("Repro.Tools",)),
     ("det", "extend-order-sinks", ["Publish*"], "det_order_sinks",
@@ -237,11 +289,27 @@ class TestConfig:
         assert not config.is_taint_source_name("monkeypatch")
         assert config.is_taint_source_name("session_key")
 
-    def test_unknown_option_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("body,key", [
+        ("[tool.trust-lint]\ntypo-option = 1\n", "typo-option"),
+        # Keys of retired settings: the baseline file and the verify
+        # table, whose values the verify CLI flags carry.
+        ('[tool.trust-lint]\nbaseline = "b.json"\n', "baseline"),
+        ("[tool.trust-lint.verify]\ndepth = 12\n", "verify"),
+    ], ids=["typo", "baseline", "verify-table"])
+    def test_unknown_option_is_rejected(self, tmp_path, capsys, monkeypatch,
+                                        body, key):
         pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text("[tool.trust-lint]\ntypo-option = 1\n")
-        with pytest.raises(ValueError, match="typo-option"):
+        pyproject.write_text(body)
+        message = f"unknown [tool.trust-lint] options: [{key!r}]"
+        with pytest.raises(ValueError, match=re.escape(message)):
             AnalysisConfig.from_pyproject(pyproject)
+        # The scan and verify stop with a usage error instead of running
+        # on a setting they would silently ignore.
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        monkeypatch.chdir(tmp_path)
+        for argv in (["ok.py"], ["verify", "--depth", "1"]):
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "table,key,value,attr,expected", _KEY_CASES,
@@ -261,8 +329,8 @@ class TestConfig:
                    if getattr(config, f.name) != getattr(default, f.name)]
         assert changed == [attr]
 
-    @pytest.mark.parametrize("table", ["", "taint", "verify", "det",
-                                       "contract", "sc"])
+    @pytest.mark.parametrize("table", ["", "taint", "det", "contract",
+                                       "sc"])
     def test_unknown_key_in_each_table_is_rejected(self, tmp_path, table):
         header = f"tool.trust-lint.{table}" if table else "tool.trust-lint"
         pyproject = tmp_path / "pyproject.toml"
@@ -277,6 +345,37 @@ class TestConfig:
         assert sorted((table, key) for table, key, *_ in _KEY_CASES) \
             == sorted((table, key) for table, keys in _OVERRIDES.items()
                       for key in keys)
+
+    def test_repo_config_restates_no_default(self):
+        """Each key of this repository's own ``[tool.trust-lint]`` moves
+        its field off the default: a default lives in ``AnalysisConfig``
+        alone, so the two cannot drift apart."""
+        import tomllib
+
+        from repro.analysis.config import _OVERRIDES
+
+        pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
+        section = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
+            "tool"]["trust-lint"]
+        default = AnalysisConfig.default()
+        keys = [(table, key)
+                for table, values in section.items()
+                if isinstance(values, dict)
+                for key in values] + [
+            ("", key) for key, value in section.items()
+            if not isinstance(value, dict)]
+        assert keys
+        for table, key in keys:
+            override = {table: {key: section[table][key]}} if table \
+                else {key: section[key]}
+            attr, _convert = _OVERRIDES[table][key]
+            before = getattr(default, attr)
+            after = getattr(default.with_overrides(override), attr)
+            if key.startswith("extend-"):
+                added = after[len(before):]
+                assert added and not set(added) & set(before), (table, key)
+            else:
+                assert after != before, (table, key)
 
     def test_secret_name_matching(self):
         config = AnalysisConfig.default()

@@ -109,6 +109,30 @@ class TestCli:
         code = main([str(tmp_path / "nope"), "--no-config"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--baseline=b.json"],
+        ["--update-baseline"],
+        ["--changed-only"],
+        ["--since=HEAD~1"],
+        ["verify", "--baseline=b.json"],
+        ["verify", "--update-baseline"],
+    ], ids=["baseline", "update-baseline", "changed-only", "since",
+            "verify-baseline", "verify-update-baseline"])
+    def test_flags_of_retired_modes_are_usage_errors(self, tmp_path, capsys,
+                                                     argv):
+        """Every scan covers the whole tree and reports every finding
+        not silenced inline: a command written for a baseline file or a
+        changed-files scan stops before it runs."""
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        if argv[0] != "verify":
+            argv = [str(tmp_path), "--no-config", *argv]
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: " + argv[-1] in captured.err
+        assert captured.out == ""
+
     def test_disable_silences_rule(self, tmp_path, capsys):
         _plant(tmp_path)
         code = main([str(tmp_path), "--no-config", "--disable", "CD201"])
@@ -145,25 +169,6 @@ class TestCli:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"][0]["rule"] == "CD201"
-
-    def test_baseline_round_trip(self, tmp_path, capsys):
-        _plant(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        code = main([str(tmp_path), "--no-config",
-                     "--baseline", str(baseline), "--update-baseline"])
-        assert code == 0
-        assert baseline.is_file()
-        # With the baseline applied the same tree is clean.
-        code = main([str(tmp_path), "--no-config",
-                     "--baseline", str(baseline)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_update_baseline_requires_target(self, tmp_path, capsys):
-        _plant(tmp_path)
-        code = main([str(tmp_path), "--no-config", "--update-baseline"])
-        assert code == 2
 
     def test_taint_flag_runs_interprocedural_pass(self, tmp_path, capsys):
         _plant(tmp_path, _TAINT_LEAK, package="net", name="leaky")
@@ -214,54 +219,3 @@ class TestCli:
         code = main(["graph", str(tmp_path), "--focus", "repro.nothere"])
         assert code == 0
         assert "->" not in capsys.readouterr().out
-
-
-class TestUpdateBaseline:
-    def test_fresh_write_reports_stats_and_silences(self, tmp_path, capsys):
-        _plant(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        code = main([str(tmp_path), "--no-config",
-                     "--baseline", str(baseline), "--update-baseline"])
-        assert code == 0
-        assert "1 added, 0 removed, 0 kept" in capsys.readouterr().out
-        payload = json.loads(baseline.read_text())
-        assert payload["version"] == 1
-        (entry,) = payload["entries"].values()
-        assert entry["rule"] == "CD201"
-        assert entry["module"] == "repro.crypto.badmod"
-
-    def test_fresh_write_drops_fixed_findings(self, tmp_path, capsys):
-        _plant(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        main([str(tmp_path), "--no-config",
-              "--baseline", str(baseline), "--update-baseline"])
-        # Fix the violation, re-write: the stale entry drops out.
-        (tmp_path / "repro" / "crypto" / "badmod.py").write_text("x = 1\n")
-        code = main([str(tmp_path), "--no-config",
-                     "--baseline", str(baseline), "--update-baseline"])
-        assert code == 0
-        assert "0 added, 1 removed, 0 kept" in capsys.readouterr().out
-        assert json.loads(baseline.read_text())["entries"] == {}
-
-    def test_merge_keeps_unobserved_entries(self, tmp_path, capsys):
-        _plant(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        main([str(tmp_path), "--no-config",
-              "--baseline", str(baseline), "--update-baseline"])
-        # A second violation appears; --merge adds it while keeping the
-        # first entry even though we now scan only the new file.
-        other = _plant(tmp_path, "import random\n",
-                       package="flock", name="alsobad")
-        capsys.readouterr()
-        code = main([str(other / "repro" / "flock"), "--no-config",
-                     "--baseline", str(baseline),
-                     "--update-baseline", "--merge"])
-        assert code == 0
-        assert "1 added, 0 removed, 1 kept" in capsys.readouterr().out
-        entries = json.loads(baseline.read_text())["entries"]
-        assert {e["module"] for e in entries.values()} == {
-            "repro.crypto.badmod", "repro.flock.alsobad"}
-        # The merged baseline silences the whole tree.
-        code = main([str(tmp_path), "--no-config",
-                     "--baseline", str(baseline)])
-        assert code == 0

@@ -1,9 +1,9 @@
 """Tier-1 gate: TRUST-lint reports zero findings over this repository.
 
-This is the merge-time contract from ISSUE 1: every rule runs over
-``src/`` with an *empty* baseline and finds nothing — so any future PR
-that logs a template, imports stdlib random into the crypto substrate,
-or punches through the layering DAG fails the suite.
+This is the merge-time contract: every rule runs over ``src/`` and finds
+nothing, and the only findings it skips are inline suppressions — so any
+change that logs a template, imports stdlib random into the crypto
+substrate, or punches through the layering DAG fails the suite.
 """
 
 from __future__ import annotations

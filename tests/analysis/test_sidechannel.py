@@ -430,9 +430,9 @@ class TestSuppressionAudit:
     def test_accelerated_backend_interior_is_in_the_boundary(self):
         """The accelerated paths folded into ``rsa.py`` — CRT parameters
         derived once per key, the CRT private op, the Montgomery ladder —
-        are the whole boundary; pyproject declares the same set, and
-        every boundary function carries reason-coded suppressions (none
-        is listed for nothing)."""
+        are the whole boundary; the repo's pyproject leaves it at that
+        default, and every boundary function carries reason-coded
+        suppressions (none is listed for nothing)."""
         config = AnalysisConfig.default()
         assert set(config.sc_modpow_boundary) == {
             "repro.crypto.rsa.RsaPrivateKey.__post_init__",

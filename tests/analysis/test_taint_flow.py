@@ -11,7 +11,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.analysis import all_rules, analyze_source, analyze_sources
+from repro.analysis import all_rules, analyze_sources
 from repro.analysis.core import ModuleContext
 from repro.analysis.taint import run_taint
 from repro.analysis.config import AnalysisConfig
@@ -169,8 +169,8 @@ class TestSF101BlindSpotRetired:
     def test_lint_alone_reports_no_secret_sink(self):
         # The default, lint-only run leaves every secret sink, direct
         # names included, to --taint.
-        findings = analyze_source("print(session_key)\n",
-                                  module="repro.net.fixture")
+        findings = analyze_sources(
+            {"repro.net.fixture": "print(session_key)\n"})
         assert not [f for f in findings if f.rule.startswith("SF")]
 
 

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-import textwrap
 
 import pytest
 
-from repro.analysis.cli import main
+from repro.analysis.cli import build_verify_parser, main
+from repro.analysis.verify import SCENARIOS
 
 #: A broken-variant invocation that finds PV402+PV403 within depth 4.
 _MUTATED = ["verify", "--no-config", "--depth", "4", "--entry", "login",
@@ -67,37 +67,93 @@ class TestVerifySubcommand:
             main(["verify", "--no-config", "--entry", "bogus"])
         assert exc_info.value.code == 2
 
-    def test_bad_config_entry_exits_two(self, tmp_path, capsys,
-                                        monkeypatch):
-        (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
-            [tool.trust-lint.verify]
-            entries = ["bogus"]
-        """))
+    def test_config_disable_drops_pv_findings(self, tmp_path, capsys,
+                                              monkeypatch):
+        """``[tool.trust-lint] disable`` reaches verify as it reaches
+        every scan stage; ``--no-config`` still reports the rules."""
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.trust-lint]\ndisable = ["PV402", "PV403"]\n')
         monkeypatch.chdir(tmp_path)
-        assert main(["verify", "--depth", "2"]) == 2
-        assert "unknown verify entry" in capsys.readouterr().err
+        with_config = [arg for arg in _MUTATED if arg != "--no-config"]
+        assert main(with_config) == 0
+        out = capsys.readouterr().out
+        assert "0 finding(s)" in out
+        assert "PV40" not in out
+        assert main(with_config + ["--no-config"]) == 1
+        assert "PV403" in capsys.readouterr().out
 
-    def test_config_table_sets_depth(self, tmp_path, capsys, monkeypatch):
-        (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
-            [tool.trust-lint.verify]
-            depth = 3
-            entries = ["register"]
-        """))
+    def test_config_disable_drops_only_the_listed_rules(self, tmp_path,
+                                                        capsys, monkeypatch):
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.trust-lint]\ndisable = ["PV402"]\n')
         monkeypatch.chdir(tmp_path)
-        assert main(["verify"]) == 0
+        with_config = [arg for arg in _MUTATED if arg != "--no-config"]
+        assert main(with_config) == 1
         out = capsys.readouterr().out
-        assert "verify: depth budget 3" in out
-        assert "register" in out
-        assert "login" not in out  # entries narrowed by config
+        assert "PV403" in out
+        assert "PV402" not in out
 
-    def test_baseline_round_trip(self, tmp_path, capsys):
-        baseline = tmp_path / "verify-baseline.json"
-        assert main(_MUTATED + ["--baseline", str(baseline),
-                                "--update-baseline"]) == 0
-        assert baseline.is_file()
-        assert main(_MUTATED + ["--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
+    def test_unknown_rule_in_config_disable_exits_two(self, tmp_path,
+                                                      capsys, monkeypatch):
+        """A ``disable`` id that names no rule stops verify before it
+        explores, as it stops every scan."""
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.trust-lint]\ndisable = ["PV499"]\n')
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--depth", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error: unknown rule id 'PV499'" \
+            in captured.err
+        assert captured.out == ""
+        assert main(["verify", "--depth", "1", "--no-config"]) == 0
+
+
+#: A cheap run whose JSON statistics echo every exploration setting.
+_BASE = ["verify", "--no-config", "--depth", "2", "--format", "json"]
+
+#: Each exploration flag: (arguments added to ``_BASE``; the setting it
+#: moves; the value that setting takes).
+_FLAG_CASES = [
+    (["--depth", "3"], "depth", 3),
+    (["--max-states", "999"], "max_states", 999),
+    (["--entry", "login", "--entry", "register"], "scenarios",
+     ["login", "register"]),
+    (["--no-adversary"], "adversary", False),
+    (["--mutate", "skip-replay-check"], "mutations", ["skip-replay-check"]),
+]
+
+
+def _settings(capsys, argv):
+    """The exploration settings a verify run reports in its JSON."""
+    main(argv)
+    stats = json.loads(capsys.readouterr().out)["verify"]
+    return {"depth": stats["depth"], "max_states": stats["max_states"],
+            "adversary": stats["adversary"],
+            "mutations": stats["mutations"],
+            "scenarios": [s["name"] for s in stats["scenarios"]]}
+
+
+class TestExplorationFlags:
+    """The command-line flags are the one home of verify's exploration
+    settings; no ``[tool.trust-lint]`` key restates them."""
+
+    def test_unset_flags_take_the_ci_pin(self, capsys):
+        assert build_verify_parser().parse_args([]).depth == 12
+        assert _settings(capsys, _BASE) == {
+            "depth": 2, "max_states": 150_000, "adversary": True,
+            "mutations": [], "scenarios": list(SCENARIOS)}
+        assert len(SCENARIOS) == 6
+
+    @pytest.mark.parametrize(
+        "extra,setting,value", _FLAG_CASES,
+        ids=[extra[0].lstrip("-") for extra, *_ in _FLAG_CASES])
+    def test_every_flag_lands_on_its_setting(self, capsys, extra, setting,
+                                             value):
+        base = _settings(capsys, _BASE)
+        settings = _settings(capsys, _BASE + extra)
+        assert settings[setting] == value
+        assert [key for key in settings
+                if settings[key] != base[key]] == [setting]
 
 
 class TestFailOnThreshold:

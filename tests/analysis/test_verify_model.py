@@ -199,7 +199,8 @@ class TestAdversaryMatters:
 
     def test_attestation_counterexample_needs_malware(self):
         """The forged attestation comes from the on-device malware."""
-        findings, _stats = _verify(entries=("challenge",),
-                                   mutations=("skip-attestation-check",),
-                                   malware=False)
-        assert "PV402" not in {f.rule for f in findings}
+        violations, _stats = explore_scenario(
+            SCENARIOS["challenge"],
+            VerifyOptions(depth=DEPTH, malware=False,
+                          mutations=frozenset({"skip-attestation-check"})))
+        assert "PV402" not in violations

@@ -73,6 +73,35 @@ class TestHeaderBehaviour:
         with pytest.raises(ProtocolError, match="malformed-cookie"):
             decode_cookie(valid + "; trust-x=b%%%")  # bad base64
 
+    def test_repeated_attribute_rejected(self):
+        """A second ``trust-*`` attribute must not override the first:
+        two encodings of one message with different nonces, joined into
+        one header, used to decode to the second nonce."""
+        first = encode_cookie(Envelope("page-request", {"nonce": b"\x02"}))
+        second = encode_cookie(Envelope("page-request", {"nonce": b"\x01"}))
+        with pytest.raises(ProtocolError,
+                           match="malformed-cookie.*repeated trust-type"):
+            decode_cookie(first + "; " + second)
+        with pytest.raises(ProtocolError,
+                           match="malformed-cookie.*repeated trust-nonce"):
+            decode_cookie(first + "; trust-nonce=bAQ==")
+
+    def test_padded_repeat_is_still_a_repeat(self):
+        """Whitespace around an attribute name does not make a second
+        copy of it a different attribute."""
+        first = encode_cookie(Envelope("page-request", {"nonce": b"\x02"}))
+        with pytest.raises(ProtocolError,
+                           match="malformed-cookie.*repeated trust-nonce"):
+            decode_cookie(first + ";   trust-nonce  =bAQ==")
+
+    def test_repeated_foreign_cookie_still_ignored(self):
+        """Only ``trust-*`` attributes must be unique: a site cookie the
+        browser sends twice rides along as before."""
+        valid = encode_cookie(Envelope("page-request", {"nonce": b"\x02"}))
+        restored = decode_cookie(f"sid=a; {valid}; sid=b")
+        assert restored.msg_type == "page-request"
+        assert restored.fields == {"nonce": b"\x02"}
+
     def test_empty_value_rejected(self):
         with pytest.raises(ProtocolError, match="empty value"):
             decode_cookie("trust-type=")

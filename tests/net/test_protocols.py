@@ -123,7 +123,6 @@ class TestContinuousAuth:
             assert result.success, result.reason
         state = server.session(session.session_id)
         assert state.request_count == 5
-        assert len(state.risk_reports) == 6  # login + 5 requests
         device.flock.close_session(server.domain)
 
     def test_fresh_nonce_per_request(self, deployment, channel, alice_master):

@@ -1,17 +1,18 @@
 """Every defaulted knob under ``src/repro`` is set by some call, or a reason.
 
 A knob is a defaulted parameter of a def or a defaulted ``__init__`` field
-of a dataclass, outside ``repro.analysis``.  A call in ``src``, ``tests``,
-``bench``, ``benchmarks`` or ``examples`` sets one when it passes it by
-keyword or by position, or through ``dataclasses.replace``,
-``functools.partial``, ``cls(...)`` in a classmethod,
-``super().__init__``, a name bound to the def (``from m import f as g``,
-``_cached = lru_cache(...)(build)``), or a ``**`` spread that the sweep
-resolves: a dict literal's constant keys, a name bound to a dict, or a
-``**kwargs`` parameter that passes on what its own callers pass
-(``FleetConfig(**config)``).  Calls are matched by name, as
+of a dataclass.  A call in ``src``, ``tests``, ``bench``, ``benchmarks`` or
+``examples`` sets one when it passes it by keyword or by position, or
+through ``dataclasses.replace``, ``functools.partial``, ``cls(...)`` in a
+classmethod, ``super().__init__``, a name bound to the def (``from m
+import f as g``, ``_cached = lru_cache(...)(build)``), or a ``**`` spread
+that the sweep resolves: a dict literal's constant keys, a name bound to
+a dict, or a ``**kwargs`` parameter that passes on what its own callers
+pass (``FleetConfig(**config)``).  Calls are matched by name, as
 ``tests/test_callers.py`` matches them, so a knob that another call of the
-same name passes counts as set.
+same name passes counts as set.  A key of ``repro.analysis.config``'s
+``_OVERRIDES`` table sets the ``AnalysisConfig`` field it maps to: that is
+how a ``[tool.trust-lint]`` table in ``pyproject.toml`` reaches the field.
 
 Every knob that no call sets sits in DESIGN.md's "Kept settable" table
 with a reason, and every entry there names a knob that no call sets.
@@ -25,8 +26,10 @@ from .test_callers import BLOCKS, ROOT, _module, _parse, _table
 
 SETTER_DIRS = ("src", "tests", "bench", "benchmarks", "examples")
 SWEPT = ROOT / "src" / "repro"
-SKIPPED = SWEPT / "analysis"
 TABLE_HEADING = "### Kept settable"
+#: The module whose ``_OVERRIDES`` table maps ``[tool.trust-lint]`` keys
+#: to ``AnalysisConfig`` fields: sub-table -> key -> (field, conversion).
+OVERRIDES_MODULE = SWEPT / "analysis" / "config.py"
 #: Names ``dataclasses.replace`` is called by.
 REPLACERS = {"replace", "dataclass_replace"}
 
@@ -47,7 +50,19 @@ def _trees():
 
 
 def _swept(path):
-    return SWEPT in path.parents and SKIPPED not in path.parents
+    return SWEPT in path.parents
+
+
+def _overridden(trees):
+    """The ``AnalysisConfig`` knobs an ``_OVERRIDES`` key sets."""
+    module = _module(OVERRIDES_MODULE)
+    for node in trees[OVERRIDES_MODULE].body:
+        if isinstance(node, ast.AnnAssign) \
+                and getattr(node.target, "id", None) == "_OVERRIDES":
+            return {f"{module}:AnalysisConfig({entry.elts[0].value})"
+                    for table in node.value.values
+                    for entry in table.values}
+    return set()
 
 
 def _last_name(node):
@@ -214,7 +229,7 @@ def sweep():
     aliases = _aliases(trees, by_name)
     knobs = {key for targets in by_name.values() for t in targets
              for key in t.knobs.values()}
-    is_set, passed, forwards, unresolved = set(), {}, [], []
+    is_set, passed, forwards, unresolved = _overridden(trees), {}, [], []
 
     def mark(target, names):
         passed.setdefault(id(target), set()).update(names)
