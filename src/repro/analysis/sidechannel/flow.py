@@ -33,9 +33,8 @@ Semantic twists relative to the secrecy lattice:
   public), not key material.  Likewise membership carries only the
   needle's taint — ``in`` probes the container's keys, not its values.
 - Declassifier-named functions and classes are not walked at all:
-  ``constant_time_equal``'s internal loop and the hash compression
-  functions are the audited implementations of the discipline, not
-  subjects of it.
+  ``constant_time_equal`` and the hash compression functions are the
+  audited implementations of the discipline, not subjects of it.
 
 Findings are funneled through the inherited ``_sink_hit`` machinery
 with ``sc:``-prefixed labels, so interprocedural traces (a secret

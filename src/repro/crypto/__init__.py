@@ -6,8 +6,9 @@ generation / signatures / encryption, the ChaCha20 session cipher, and
 CA-signed certificates.  Digests and HMAC are thin functions over
 :mod:`hashlib`/:mod:`hmac`; what the stdlib lacks is written here — HKDF,
 the DRBG state machine, Miller-Rabin prime generation, RSA with cached CRT
-parameters and a branchless Montgomery-ladder decryption, ChaCha20, the
-constant-time comparator and the certificate format.  Every primitive is
+parameters and a branchless Montgomery-ladder decryption, ChaCha20 and
+the certificate format; ``constant_time_equal`` is a bytes-only front for
+:func:`hmac.compare_digest`.  Every primitive is
 checked against published test vectors and recorded known answers in
 ``tests/crypto``.
 """

@@ -6,8 +6,9 @@ key (continuous authentication), and FLock's frame hash engine digests every
 displayed frame with SHA-256 or MD5.  The stdlib computes all of these; this
 module fixes the call shapes the rest of the tree uses (bytes in, digest
 bytes out) and adds what the stdlib lacks: HKDF (RFC 5869), used to expand
-session keys into separate encryption and MAC keys, and the timing-safe
-comparator every secret compare routes through.
+session keys into separate encryption and MAC keys.  Every secret compare
+routes through :func:`constant_time_equal`, a type-checked front for
+:func:`hmac.compare_digest`.
 """
 
 from __future__ import annotations
@@ -60,12 +61,7 @@ def hkdf_sha256(ikm: bytes, length: int, salt: bytes = b"", info: bytes = b"") -
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Timing-safe byte-string equality."""
+    """Timing-safe byte-string equality (:func:`hmac.compare_digest`)."""
     if not isinstance(a, (bytes, bytearray)) or not isinstance(b, (bytes, bytearray)):
         raise TypeError("constant_time_equal expects bytes")
-    if len(a) != len(b):
-        return False
-    result = 0
-    for x, y in zip(a, b):
-        result |= x ^ y
-    return result == 0
+    return hmac.compare_digest(a, b)

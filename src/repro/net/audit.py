@@ -78,10 +78,7 @@ class FrameAuditor:
         if self._whitelist is None:
             hashes: set[bytes] = set()
             for page in self._pages():
-                # Field-based overtaint: the deployment seed string taints
-                # every `.server` attribute once a client facade stores one;
-                # the pages enumerated here are public HTML, not secrets.
-                for view in Frame(page).reachable_views(self.max_scroll_px):  # trust-lint: disable=SF111
+                for view in Frame(page).reachable_views(self.max_scroll_px):
                     hashes.add(self.engine.hash_frame(view))
             self._whitelist = hashes
         return self._whitelist

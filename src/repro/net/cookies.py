@@ -78,9 +78,7 @@ def encode_cookie(envelope: Envelope) -> str:
     parts = [f"{_PREFIX}type={_encode_value(envelope.msg_type)}"]
     for field_name in sorted(envelope.fields):
         if "=" in field_name or ";" in field_name or " " in field_name:
-            # Field-based overtaint via the client facade's `.server`
-            # attribute; a cookie field *name* is protocol metadata.
-            raise ValueError(f"field name {field_name!r} not cookie-safe")  # trust-lint: disable=SF110
+            raise ValueError(f"field name {field_name!r} not cookie-safe")
         parts.append(
             f"{_PREFIX}{field_name}={_encode_value(envelope.fields[field_name])}")
     return "; ".join(parts)

@@ -102,6 +102,56 @@ def canonical_payload(fields: dict) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
+class _Fields(dict):
+    """An envelope's field dict, keeping the encoding last made of it.
+
+    ``encoding`` is ``(msg_type, signed bytes)`` or None.  Every mutator
+    drops it before changing the dict, except setting ``mac``: the MAC
+    never covers itself.
+    """
+
+    encoding: tuple[str, bytes] | None = None
+
+    def __setitem__(self, name, value) -> None:
+        if name != "mac":
+            self.encoding = None
+        dict.__setitem__(self, name, value)
+
+    def __delitem__(self, name) -> None:
+        self.encoding = None
+        dict.__delitem__(self, name)
+
+    def pop(self, *args):
+        self.encoding = None
+        return dict.pop(self, *args)
+
+    def popitem(self):
+        self.encoding = None
+        return dict.popitem(self)
+
+    def setdefault(self, *args):
+        self.encoding = None
+        return dict.setdefault(self, *args)
+
+    def update(self, *args, **kwargs) -> None:
+        self.encoding = None
+        dict.update(self, *args, **kwargs)
+
+    def clear(self) -> None:
+        self.encoding = None
+        dict.clear(self)
+
+    def __ior__(self, other):
+        self.encoding = None
+        return dict.__ior__(self, other)
+
+    def copy(self) -> "_Fields":
+        """A copy that starts with this dict's encoding."""
+        clone = _Fields(self)
+        clone.encoding = self.encoding
+        return clone
+
+
 @dataclass
 class Envelope:
     """One message on the wire: a type tag, fields, and the MAC field.
@@ -109,6 +159,15 @@ class Envelope:
     The envelope is deliberately a plain mutable container: the untrusted
     channel and the malware-controlled browser are *supposed* to be able to
     tamper with it.  Security comes from verification, not encapsulation.
+
+    The MAC input is encoded once.  The first :meth:`signed_bytes` call
+    keeps its bytes with the field dict, which every mutator of that dict
+    clears (setting ``mac`` aside), and the kept bytes are used only while
+    ``msg_type`` is the type they were made for.  The constructor copies a
+    plain ``fields`` dict into that tracking dict; a plain dict assigned to
+    ``fields`` later is encoded on every call.  :meth:`copy` starts with
+    the original's bytes, and a change to either envelope clears only its
+    own.
 
     ``version`` tags the wire schema the envelope was built for; endpoints
     reject versions outside :data:`SUPPORTED_PROTOCOL_VERSIONS` with the
@@ -124,9 +183,13 @@ class Envelope:
     """
 
     msg_type: str
-    fields: dict = field(default_factory=dict)
+    fields: dict = field(default_factory=_Fields)
     version: int = PROTOCOL_VERSION
     trace_id: str | None = None
+
+    def __post_init__(self) -> None:
+        if type(self.fields) is not _Fields:
+            self.fields = _Fields(self.fields)
 
     @property
     def mac(self) -> bytes:
@@ -140,7 +203,15 @@ class Envelope:
 
     def signed_bytes(self) -> bytes:
         """What the MAC/signature covers: type tag + canonical fields."""
-        return self.msg_type.encode("utf-8") + b"\n" + canonical_payload(self.fields)
+        fields, msg_type = self.fields, self.msg_type
+        if type(fields) is not _Fields:
+            return msg_type.encode("utf-8") + b"\n" + canonical_payload(fields)
+        kept = fields.encoding
+        if kept is None or kept[0] != msg_type:
+            kept = fields.encoding = (
+                msg_type,
+                msg_type.encode("utf-8") + b"\n" + canonical_payload(fields))
+        return kept[1]
 
     def require(self, *names: str) -> None:
         """Presence check; raises ProtocolError listing missing fields."""
@@ -155,7 +226,7 @@ class Envelope:
 
     def copy(self) -> "Envelope":
         """Shallow-field copy (what the channel hands adversaries)."""
-        return Envelope(self.msg_type, dict(self.fields), self.version,
+        return Envelope(self.msg_type, self.fields.copy(), self.version,
                         self.trace_id)
 
 
@@ -220,10 +291,7 @@ def encode_envelope(envelope: Envelope) -> bytes:
     lines = [header]
     for field_name in sorted(envelope.fields):
         if "=" in field_name or "\n" in field_name:
-            # Field-based overtaint (names via sorted(fields) pick up the
-            # taint of the dict's values); a wire field *name* is protocol
-            # metadata, never a secret.
-            raise TypeError(f"field name {field_name!r} is not wire-safe")  # trust-lint: disable=SF110
+            raise TypeError(f"field name {field_name!r} is not wire-safe")
         lines.append(
             f"{field_name}={_encode_wire_value(envelope.fields[field_name])}")
     return "\n".join(lines).encode("utf-8")

@@ -174,5 +174,8 @@ class DeviceActor:
     device: MobileDevice
     client: TrustClient
     rng: np.random.Generator
+    #: Event label per op, built once: every event of one actor and op
+    #: shares one string in the replay trace.
+    labels: dict[str, str]
     session: TrustSession | None = field(default=None, init=False)
     requests_done: int = field(default=0, init=False)

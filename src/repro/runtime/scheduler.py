@@ -11,12 +11,53 @@ byte-identical traces (see ``tests/runtime/test_fleet_replay.py``).
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.obs import NULL_TRACER
 
-__all__ = ["EventLoop", "ServiceQueue"]
+__all__ = ["EventLoop", "EventTrace", "ServiceQueue"]
+
+
+class EventTrace(Sequence):
+    """Executed events as ``(virtual_time, label)`` pairs, in two columns.
+
+    The times sit in an ``array('d')`` and the labels in a list of
+    references, so an event costs 16 bytes here instead of a tuple, a
+    float and a string.  Callers that pass one label object per actor and
+    op share it across events.  It reads as the list of pairs it replaces:
+    it iterates, indexes, counts and compares equal to that list.
+    """
+
+    def __init__(self) -> None:
+        self._times = array("d")
+        self._labels: list[str] = []
+
+    def append(self, at: float, label: str) -> None:
+        """Record one executed event."""
+        self._times.append(at)
+        self._labels.append(label)
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(zip(self._times[index], self._labels[index]))
+        return self._times[index], self._labels[index]
+
+    def __iter__(self):
+        return zip(self._times, self._labels)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EventTrace):
+            return (self._times == other._times
+                    and self._labels == other._labels)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 class EventLoop:
@@ -36,7 +77,7 @@ class EventLoop:
         self._seq = 0
         self._heap: list[tuple[float, int, str, Callable[[], None]]] = []
         #: Executed events as ``(virtual_time, label)`` — the replay trace.
-        self.trace: list[tuple[float, str]] = []
+        self.trace = EventTrace()
 
     def schedule(self, at: float, label: str,
                  action: Callable[[], None]) -> None:
@@ -54,7 +95,7 @@ class EventLoop:
         while self._heap and (max_events is None or ran < max_events):
             at, _, label, action = heapq.heappop(self._heap)
             self.now = at
-            self.trace.append((at, label))
+            self.trace.append(at, label)
             with self.tracer.span("loop.event", label=label, at=at):
                 action()
             ran += 1

@@ -44,7 +44,7 @@ from .fleet import (
     draw_risk,
 )
 from .metrics import FleetMetrics
-from .scheduler import EventLoop, ServiceQueue
+from .scheduler import EventLoop, EventTrace, ServiceQueue
 
 __all__ = ["EXPECTED_REJECTIONS", "SERVICE_TIME_S", "FleetResult",
            "FleetSimulation"]
@@ -72,7 +72,7 @@ class FleetResult:
     config: FleetConfig
     metrics: FleetMetrics
     #: Executed ``(virtual_time, label)`` events — the replay witness.
-    trace: list[tuple[float, str]]
+    trace: EventTrace
     #: Deterministic human-readable report.
     summary: str
     cache: VerificationCache
@@ -109,10 +109,12 @@ class FleetSimulation:
             config.n_shards, key_bits=KEY_BITS,
             verification_cache=self.cache, obs=obs)
         self.factory = DeviceFactory(config, self.ca)
-        self.loop = EventLoop(tracer=self.obs.tracer)
+        self.loop = loop = EventLoop(tracer=self.obs.tracer)
         # Spans opened inside events get virtual-clock timestamps, which
-        # keeps traced fleet runs as replayable as untraced ones.
-        self.obs.tracer.bind_clock(lambda: self.loop.now)
+        # keeps traced fleet runs as replayable as untraced ones.  The
+        # clock holds the loop itself, so it still reads once run() has
+        # let go of the loop.
+        self.obs.tracer.bind_clock(lambda: loop.now)
         self.metrics = FleetMetrics(registry=registry)
         self._queues = {shard_id: ServiceQueue()
                         for shard_id in self.pool.shard_ids}
@@ -128,14 +130,24 @@ class FleetSimulation:
                                  channel, obs=self.obs)
             self.actors.append(DeviceActor(
                 index=index, account=account, device=device, client=client,
-                rng=np.random.default_rng((config.seed, 6, index))))
+                rng=np.random.default_rng((config.seed, 6, index)),
+                labels={op: f"{account} {op}" for op in SERVICE_TIME_S}))
 
     # ------------------------------------------------------------- lifecycle
     def run(self) -> FleetResult:
-        """Execute the whole fleet scenario and summarize it."""
+        """Execute the whole fleet scenario once and summarize it.
+
+        The result takes the pool, the cache, the metrics and the trace.
+        The simulation then lets go of its devices, factory, queues and
+        loop, so a finished run keeps only what the result holds, and a
+        second call raises ``RuntimeError``.
+        """
+        if self.loop is None:
+            raise RuntimeError("a FleetSimulation runs once; build a new "
+                               "one for another run")
         for actor in self.actors:
             start = actor.rng.uniform(0.0, self.config.ramp_s)
-            self.loop.schedule(start, f"{actor.account} register",
+            self.loop.schedule(start, actor.labels["register"],
                                partial(self._step, actor, "register"))
         self.loop.run()
         for actor in self.actors:
@@ -143,10 +155,13 @@ class FleetSimulation:
             self.metrics.bytes_to_server += channel.bytes_to_server
             self.metrics.bytes_to_device += channel.bytes_to_device
             self.metrics.messages += channel.message_count
-        return FleetResult(
+        result = FleetResult(
             config=self.config, metrics=self.metrics,
-            trace=list(self.loop.trace), summary=self._summary(),
+            trace=self.loop.trace, summary=self._summary(),
             cache=self.cache, pool=self.pool)
+        self.actors = self.factory = self._queues = self.loop = None
+        self.pool = self.cache = self.metrics = None
+        return result
 
     # ------------------------------------------------------------- one event
     def _step(self, actor: DeviceActor, op: str) -> None:
@@ -208,8 +223,7 @@ class FleetSimulation:
         if next_op is None:
             return
         think = actor.rng.exponential(THINK_TIME_S)
-        self.loop.schedule(finished + think,
-                           f"{actor.account} {next_op}",
+        self.loop.schedule(finished + think, actor.labels[next_op],
                            partial(self._step, actor, next_op))
 
     # --------------------------------------------------------------- report

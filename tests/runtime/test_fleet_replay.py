@@ -9,16 +9,20 @@ dynamic counterpart of the static DT604 rule: if any set-iteration
 order reached the summary or the trace, the bytes would differ.
 """
 
+import gc
 import hashlib
 import os
+import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro.crypto import CertificateAuthority, HmacDrbg, generate_keypair
 from repro.flock import ModeledFingerprintProcessor
+from repro.obs import Instrumentation
 from repro.runtime import (
     BUTTON_XY,
     EXPECTED_REJECTIONS,
@@ -70,6 +74,81 @@ class TestDeterministicReplay:
         import dataclasses
         other = FleetSimulation(dataclasses.replace(SMALL, seed=12)).run()
         assert other.trace != result.trace
+
+
+#: SHA-256 of ``SMALL``'s trace as the hash-seed witness prints it, one
+#: ``f"{stamp!r} {label}"`` line per event, recorded when the trace was a
+#: list of ``(time, label)`` tuples.
+SMALL_TRACE_EXPORT = \
+    "b59deeaea0b3f1b48b589c7c2dfada9a1442a9b4a6a350a219bb4431b5207399"
+
+
+class TestFinishedRun:
+    """A finished run keeps its result, not its fleet, and runs once."""
+
+    @pytest.fixture(scope="class")
+    def default_run(self):
+        """The default fleet's simulation, kept alive as a bench keeps its
+        set-up, with its result and a weak reference to a member."""
+        sim = FleetSimulation(FleetConfig())
+        member = weakref.ref(sim.actors[0].device)
+        return sim, sim.run(), member
+
+    def test_a_simulation_runs_once(self):
+        sim = FleetSimulation(FleetConfig(n_devices=30, n_shards=2, seed=3,
+                                          requests_per_device=1))
+        sim.run()
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.run()
+
+    def test_the_result_does_not_keep_the_fleet(self, default_run):
+        sim, result, member = default_run
+        gc.collect()
+        assert member() is None
+        assert sim.actors is None and sim.pool is None
+        assert result.pool.account_totals()
+        assert result.metrics.count("register", "ok") > 0
+
+    def test_trace_length_is_the_reported_event_count(self, default_run):
+        _, result, _ = default_run
+        report = (_REPO_ROOT / "benchmarks" / "results"
+                  / "fleet_load.txt").read_text()
+        events = re.search(r"byte-identical \((\d+) events\)", report)
+        assert len(result.trace) == int(events.group(1))
+
+    def test_trace_iterates_as_the_witness_prints_it(self, result):
+        pairs = list(result.trace)
+        assert all(type(stamp) is float and type(label) is str
+                   for stamp, label in pairs)
+        export = "".join(f"{stamp!r} {label}\n" for stamp, label in pairs)
+        assert hashlib.sha256(export.encode()).hexdigest() == \
+            SMALL_TRACE_EXPORT
+
+    def test_trace_reads_as_its_list_of_pairs(self, result, replay):
+        pairs = [(stamp, label) for stamp, label in replay.trace]
+        assert result.trace == replay.trace
+        assert result.trace == pairs and pairs == result.trace
+        assert not result.trace != pairs
+        assert result.trace[0] == pairs[0]
+        assert result.trace[-1] == pairs[-1]
+        assert result.trace[3:9] == pairs[3:9]
+        assert result.trace.count(pairs[5]) == pairs.count(pairs[5])
+        assert result.trace != pairs[:-1]
+        assert result.trace != tuple(pairs)
+
+    def test_one_label_string_per_actor_and_op(self, result):
+        labels = {}
+        for _, label in result.trace:
+            assert labels.setdefault(label, label) is label
+
+    def test_a_live_tracer_still_reads_the_clock_after_the_run(self):
+        obs = Instrumentation.live()
+        result = FleetSimulation(FleetConfig(n_devices=4, n_shards=2,
+                                             seed=3, requests_per_device=1),
+                                 obs=obs).run()
+        with obs.tracer.span("after-run") as span:
+            pass
+        assert span.start_time == result.trace[-1][0]
 
 
 class TestFleetBehavior:
